@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -59,18 +58,6 @@ def _add_model_args(parser) -> None:
     parser.add_argument("--model", choices=["uniform", "geometric"], required=True)
     parser.add_argument("--k", type=int, help="uniform upper bound (letters in [1,k])")
     parser.add_argument("--p", type=_fraction, help="geometric success probability, e.g. 1/2")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("WPL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"WPL_THREADS is not an integer: {env!r}")
-    return 1
 
 
 def _sha256(path: Path) -> str:
@@ -172,7 +159,6 @@ def cmd_simulate(args) -> int:
             trajectories=args.trajectories,
             seed=args.seed,
             record_full_paths=args.paths,
-            threads=_threads(args),
         )
         ensemble = simulation.simulate(config)
     except (ValueError, simulation.MemoryBudgetExceeded) as e:
@@ -339,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--paths", action="store_true", help="record full partial-sum paths")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (env WPL_THREADS)")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("histogram", help="fixed-grid histogram and Gaussian fit of an ensemble")

@@ -151,7 +151,11 @@ def sample_letters(model: Model, rng: np.random.Generator, size: int) -> np.ndar
     """
     if model.kind == UNIFORM:
         return rng.integers(1, model.k + 1, size=size, dtype=np.int64)
-    u = rng.random(size)
+    return geometric_letters(model, rng.random(size))
+
+
+def geometric_letters(model: Model, u: np.ndarray) -> np.ndarray:
+    """Geometric letters from uniforms ``u`` in [0, 1), by inversion of 1 - q**i."""
     lnq = math.log(float(model.q))
     x = np.ceil(np.log1p(-u) / lnq)
     return np.maximum(x, 1.0).astype(np.int64)

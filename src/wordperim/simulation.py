@@ -7,15 +7,16 @@ together with the normalized endpoint
     z = (Q(m) - m*M) / (sigma * sqrt(m)),
 
 where M is the exact mean gap and sigma**2 = V* the per-gap variance rate.
-Trajectory ``l`` owns the counter-based random stream keyed (seed, l), so the
-ensemble is bit-identical no matter how generation is scheduled (sequential,
-threaded, any block order).
+Trajectory ``l`` owns the counter-based Philox stream keyed (seed, l), so the
+ensemble does not depend on how it is computed.  ``simulate`` draws blocks of
+trajectories from one re-keyed Philox and turns the raw words into letters
+with numpy array operations; each row equals what the scalar path
+``sample_letters(model, trajectory_rng(seed, l), m + 1)`` draws, bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -24,10 +25,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cross_moments import mean_gap
-from .models import Model, sample_letters
+from .models import UNIFORM, Model, geometric_letters, sample_letters
 from .moments import vstar_sigma
 
 _MASK64 = (1 << 64) - 1
+# Trajectories per sampler block.  64 rows keep the block's arrays near 1 MB;
+# blocks of 256 and 1024 rows measured slower and raised peak memory.
+_BLOCK_ROWS = 64
 
 
 class MemoryBudgetExceeded(RuntimeError):
@@ -41,7 +45,6 @@ class SimulationConfig:
     trajectories: int
     seed: int
     record_full_paths: bool = False
-    threads: int = 1
     path_memory_limit: int = 2 * 1024**3  # bytes
 
     def __post_init__(self):
@@ -49,8 +52,6 @@ class SimulationConfig:
             raise ValueError(f"need at least one gap, got m={self.m}")
         if self.trajectories < 1:
             raise ValueError(f"need at least one trajectory, got {self.trajectories}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     def as_dict(self) -> dict:
         return {
@@ -76,8 +77,64 @@ class TrajectoryEnsemble:
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one trajectory, keyed by (seed, index)."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _letter_blocks(model: Model, seed: int, n_traj: int, size: int):
+    """Yield ``(lo, hi, letters)`` for consecutive blocks of trajectories.
+
+    Row ``i`` of the int64 array ``letters`` equals
+    ``sample_letters(model, trajectory_rng(seed, lo + i), size)``.  One Philox
+    is set, per trajectory, to the state ``Philox(key=(seed, l))`` starts in
+    (counter 0, empty buffer) and its raw 64-bit words fill one row of the
+    block.  numpy's Generator reads those words as follows, and the block
+    applies the same rules to all rows at once:
+
+    * uniform ``integers(1, k + 1)`` for k < 2**32 takes 32-bit draws, the low
+      half of each word first, and returns ``(u32 * k >> 32) + 1``.  Lemire's
+      rule rejects a draw when ``(u32 * k) mod 2**32 < (2**32 - k) mod k`` and
+      draws again, which shifts the rest of the row; a row with a rejected
+      draw is recomputed through the scalar path.
+    * ``random()`` is ``(word >> 11) * 2**-53``, then the same inversion as
+      ``sample_letters``.
+
+    Uniform k >= 2**32 takes 64-bit draws, which the block does not
+    reproduce; every row of such a model goes through the scalar path.
+    """
+    seed = int(seed) & _MASK64
+    uniform = model.kind == UNIFORM
+    scalar_only = uniform and model.k >= 2**32
+    n_words = (size + 1) // 2 if uniform else size
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    start = bitgen.state  # a copy; only its key changes from one trajectory to the next
+    key = start["state"]["key"]
+    raw = np.empty((_BLOCK_ROWS, n_words), dtype=np.uint64)
+    for lo in range(0, n_traj, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n_traj)
+        if scalar_only:
+            rows = [sample_letters(model, trajectory_rng(seed, l), size) for l in range(lo, hi)]
+            yield lo, hi, np.stack(rows)
+            continue
+        for i in range(hi - lo):
+            key[1] = lo + i
+            bitgen.state = start
+            raw[i] = bitgen.random_raw(n_words)
+        block = raw[: hi - lo]
+        if not uniform:
+            yield lo, hi, geometric_letters(model, (block >> 11).astype(np.float64) * 2.0**-53)
+            continue
+        k = model.k
+        prod = block.astype("<u8", copy=False).view("<u4")[:, :size].astype(np.uint64)
+        prod *= k
+        threshold = (2**32 - k) % k
+        rejected = np.flatnonzero(((prod & 0xFFFFFFFF) < threshold).any(axis=1))
+        prod >>= 32
+        letters = prod.view(np.int64)
+        letters += 1
+        for i in rejected:
+            letters[i] = sample_letters(model, trajectory_rng(seed, lo + i), size)
+        yield lo, hi, letters
 
 
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
@@ -93,25 +150,14 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
             )
         paths = np.zeros((n_traj, m + 1), dtype=np.int64)
     endpoints = np.zeros(n_traj, dtype=np.int64)
-
-    def run_block(lo: int, hi: int) -> None:
-        for l in range(lo, hi):
-            rng = trajectory_rng(config.seed, l)
-            letters = sample_letters(model, rng, m + 1)
-            gaps = np.abs(np.diff(letters))
-            if paths is not None:
-                np.cumsum(gaps, out=paths[l, 1:])
-                endpoints[l] = paths[l, -1]
-            else:
-                endpoints[l] = gaps.sum()
-
-    if config.threads == 1:
-        run_block(0, n_traj)
-    else:
-        block = max(1, -(-n_traj // (config.threads * 8)))
-        starts = range(0, n_traj, block)
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(lambda lo: run_block(lo, min(lo + block, n_traj)), starts))
+    for lo, hi, letters in _letter_blocks(model, config.seed, n_traj, m + 1):
+        gaps = np.diff(letters, axis=1)
+        np.abs(gaps, out=gaps)
+        if paths is not None:
+            np.cumsum(gaps, axis=1, out=paths[lo:hi, 1:])
+            endpoints[lo:hi] = paths[lo:hi, -1]
+        else:
+            gaps.sum(axis=1, out=endpoints[lo:hi])
 
     M = mean_gap(model)
     vstar, sigma = vstar_sigma(model)

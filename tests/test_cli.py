@@ -190,17 +190,6 @@ def test_simulate_rerun_identical_bytes(capsys, tmp_path):
     assert m1["outputs"] == m2["outputs"]
 
 
-def test_simulate_threads_do_not_change_output(capsys, tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert run(capsys, *simulate_args(out1))[0] == 0
-    monkeypatch.setenv("WPL_THREADS", "3")
-    assert run(capsys, *simulate_args(out2))[0] == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("WPL_THREADS", "zebra")
-    code, _, err = run(capsys, *simulate_args(tmp_path / "t3.csv"))
-    assert code == 1 and "WPL_THREADS" in err
-
-
 def test_simulate_validation(capsys, tmp_path):
     code, _, err = run(
         capsys, "simulate", "--model", "uniform", "--k", "6", "--m", "0",

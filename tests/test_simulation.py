@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,8 +22,6 @@ def test_config_validation():
         small_config(m=0)
     with pytest.raises(ValueError):
         small_config(trajectories=0)
-    with pytest.raises(ValueError):
-        small_config(threads=0)
 
 
 def test_memory_budget_refusal():
@@ -53,11 +52,11 @@ def test_determinism_same_config():
     assert np.array_equal(a.z, b.z)
 
 
-def test_parallel_equals_sequential():
-    a = wp.simulate(small_config(record_full_paths=True))
-    b = wp.simulate(small_config(record_full_paths=True, threads=3))
+def test_recording_paths_does_not_change_endpoints():
+    a = wp.simulate(small_config())
+    b = wp.simulate(small_config(record_full_paths=True))
     assert np.array_equal(a.endpoints, b.endpoints)
-    assert np.array_equal(a.paths, b.paths)
+    assert np.array_equal(a.z, b.z)
 
 
 def test_endpoint_support_bounds(k6_endpoints):
@@ -165,3 +164,92 @@ def test_write_path_csv_requires_paths(tmp_path):
     ens = wp.simulate(small_config())
     with pytest.raises(ValueError):
         sim.write_path_csv(ens, tmp_path / "x.csv")
+
+
+# sha256 of the endpoint CSV and the path CSV for m=50, N=150, seed=17.  These
+# bytes were produced by a per-trajectory loop over trajectory_rng and
+# sample_letters; any sampler must reproduce them exactly.
+GOLDEN = {
+    "uniform[1,6]": (
+        "720003ae4e393c2ab3e8fbafbbcd114932faf1d7ade440312be65bc0c33421ce",
+        "549dc126851a912bccc0383823f39928fc7bdddc681b7fa2a0684f58c5651534",
+    ),
+    "geometric(1/2)": (
+        "b0a0b8c8aedd65779bd8e854476444b7b21b59a0157f4e56ae2b2c700c7f255f",
+        "7493310dd97beb4c33fd462412f93be5f3ef9adb9539ab58ca38314398341e67",
+    ),
+    "uniform[1,2147483649]": (
+        "3ae49f67e452d35e8c878c327fb5eb55e180e25173d9a92ca996feef4ce8740f",
+        "ff3dbeeab982cee775de167a654686fa7c3001bc127998a178420c48ff5abf64",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "model", [U6, wp.Model.geometric(Fraction(1, 2)), wp.Model.uniform(2**31 + 1)],
+    ids=lambda model: model.describe(),
+)
+def test_csv_bytes_golden(tmp_path, model):
+    cfg = dict(model=model, m=50, trajectories=150, seed=17)
+    sim.write_endpoint_csv(wp.simulate(wp.SimulationConfig(**cfg)), tmp_path / "e.csv")
+    ens = wp.simulate(wp.SimulationConfig(**cfg, record_full_paths=True))
+    sim.write_path_csv(ens, tmp_path / "p.csv")
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("e.csv", "p.csv")
+    )
+    assert digests == GOLDEN[model.describe()]
+
+
+@pytest.mark.parametrize("index", [np.int64(3), np.int32(3), np.uint64(3), np.int64(-1)])
+def test_trajectory_rng_numpy_index(index):
+    want = wp.sample_letters(U6, wp.trajectory_rng(9, int(index)), 20)
+    assert np.array_equal(wp.sample_letters(U6, wp.trajectory_rng(9, index), 20), want)
+    assert np.array_equal(wp.sample_letters(U6, wp.trajectory_rng(np.int64(9), index), 20), want)
+
+
+EQUIVALENCE_MODELS = [
+    wp.Model.uniform(1),
+    wp.Model.uniform(2),
+    U6,
+    wp.Model.uniform(2**31 + 1),  # about half of all draws are Lemire rejections
+    wp.Model.uniform(2**33),      # numpy draws 64-bit words: scalar path only
+    wp.Model.geometric(Fraction(1, 1000)),
+    wp.Model.geometric(Fraction(1, 2)),
+    wp.Model.geometric(Fraction(999, 1000)),
+]
+
+
+@pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda model: model.describe())
+@pytest.mark.parametrize("m", [1, 7, 50])
+def test_block_sampler_equals_scalar_path(monkeypatch, model, m):
+    calls = []
+
+    def counting_rng(seed, index):
+        calls.append(index)
+        return wp.trajectory_rng(seed, index)
+
+    monkeypatch.setattr(sim, "trajectory_rng", counting_rng)
+    n = 2 * sim._BLOCK_ROWS + 3
+    cfg = dict(model=model, m=m, trajectories=n, seed=2**64 + 5)
+    ends = wp.simulate(wp.SimulationConfig(**cfg))
+    with_paths = wp.simulate(wp.SimulationConfig(**cfg, record_full_paths=True))
+    fallback_rows = len(calls) // 2
+
+    want = np.array([
+        np.cumsum(np.abs(np.diff(wp.sample_letters(model, wp.trajectory_rng(5, l), m + 1))))
+        for l in range(n)
+    ])
+    assert np.array_equal(with_paths.paths[:, 0], np.zeros(n))
+    assert np.array_equal(with_paths.paths[:, 1:], want)
+    for ens in (ends, with_paths):
+        assert np.array_equal(ens.endpoints, want[:, -1])
+        ref_z = np.zeros(n) if ens.degenerate_scale else (
+            (want[:, -1] - float(m * ens.mean_gap)) / (ens.sigma * math.sqrt(m)))
+        assert np.array_equal(ens.z, ref_z)
+    if model.k == 2**31 + 1:
+        # rows with a rejected draw take the scalar path; at m = 1 some have none
+        assert 0 < fallback_rows and (m > 1 or fallback_rows < n)
+    elif model.k == 2**33:
+        assert fallback_rows == n
+    else:
+        assert fallback_rows == 0
