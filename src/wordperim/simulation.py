@@ -225,24 +225,68 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 
 # ---------------------------------------------------------------------------
 # CSV / sidecar I/O (LF line endings, UTF-8, repr-shortest floats)
+#
+# Both CSV kinds are a header line naming three columns, then rows of three
+# cells.  The writers format _CSV_CHUNK_ROWS rows at a time with one ``%`` on
+# a repeated row format (``%r`` gives the repr-shortest float) and write each
+# chunk with one call, so their memory stays flat whatever N and m are.  The
+# readers check the header and hand the rest of the file to ``np.loadtxt``
+# with a three-field record dtype: numpy's C parser reads the numbers, floats
+# correctly rounded, and rejects a row with the wrong number of fields.
 # ---------------------------------------------------------------------------
 
-def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
+# Rows per formatted chunk, under 1 MB of text for either CSV kind; chunks of
+# 2**12 to 2**16 rows wrote a 1M-row path CSV in about the same time.
+_CSV_CHUNK_ROWS = 1 << 14
+_ENDPOINT_ROW = np.dtype([("trajectory", np.int64), ("endpoint", np.int64), ("z", np.float64)])
+_PATH_ROW = np.dtype([("trajectory", np.int64), ("j", np.int64), ("Q", np.int64)])
+
+
+def _write_csv(path, row: np.dtype, row_format: str, n_rows: int, columns) -> None:
+    """Write the header of ``row`` and rows 0..n_rows-1 formatted by ``row_format``.
+
+    ``columns(lo, hi)`` returns the three columns of rows lo..hi-1 as arrays.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trajectory,endpoint,z\n")
-        for l, (e, zv) in enumerate(zip(ensemble.endpoints, ensemble.z)):
-            fh.write(f"{l},{int(e)},{float(zv)!r}\n")
+        fh.write(",".join(row.names) + "\n")
+        for lo in range(0, n_rows, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, n_rows)
+            cells = [None] * (3 * (hi - lo))
+            for i, column in enumerate(columns(lo, hi)):
+                cells[i::3] = column.tolist()
+            fh.write(row_format * (hi - lo) % tuple(cells))
+
+
+def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
+    """Check the header of a ``kind`` CSV and parse its rows into ``row`` records."""
+    header = ",".join(row.names)
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
+        if first != header:
+            raise ValueError(f"expected the {kind} CSV header {header!r}, got {first!r}")
+        start = fh.tell()  # np.loadtxt only warns on empty input: look first
+        if not fh.readline().strip():
+            raise ValueError(f"{kind} CSV {path} has no data rows after its header")
+        fh.seek(start)
+        try:
+            return np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+        except ValueError as e:  # drop numpy's advice to pass usecols
+            raise ValueError(f"{kind} CSV {path}: {str(e).split(';')[0]}") from None
+
+
+def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
+    endpoints, z = ensemble.endpoints, ensemble.z
+    _write_csv(path, _ENDPOINT_ROW, "%d,%d,%r\n", endpoints.size,
+               lambda lo, hi: (np.arange(lo, hi), endpoints[lo:hi], z[lo:hi]))
 
 
 def write_path_csv(ensemble: TrajectoryEnsemble, path) -> None:
     if ensemble.paths is None:
         raise ValueError("paths were not recorded; rerun with record_full_paths=True")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trajectory,j,Q\n")
-        for l in range(ensemble.config.trajectories):
-            row = ensemble.paths[l]
-            for j in range(row.size):
-                fh.write(f"{l},{j},{int(row[j])}\n")
+    width = ensemble.paths.shape[1]
+    q = ensemble.paths.reshape(-1)
+    _write_csv(path, _PATH_ROW, "%d,%d,%d\n", q.size,
+               lambda lo, hi: (*np.divmod(np.arange(lo, hi), width), q[lo:hi]))
 
 
 def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:
@@ -265,36 +309,31 @@ def read_config_sidecar(path) -> dict:
 
 def read_endpoint_csv(path) -> dict:
     """Load an endpoint CSV back into arrays (schema: trajectory,endpoint,z)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "trajectory,endpoint,z":
-            raise ValueError(f"not an endpoint ensemble CSV (header {header!r})")
-        traj, end, z = [], [], []
-        for line in fh:
-            a, b, c = line.rstrip("\n").split(",")
-            traj.append(int(a))
-            end.append(int(b))
-            z.append(float(c))
-    return {
-        "trajectory": np.array(traj, dtype=np.int64),
-        "endpoint": np.array(end, dtype=np.int64),
-        "z": np.array(z, dtype=np.float64),
-    }
+    rows = _read_csv(path, "endpoint", _ENDPOINT_ROW)
+    return {name: rows[name] for name in _ENDPOINT_ROW.names}
 
 
 def read_path_csv(path) -> np.ndarray:
-    """Load a path CSV (schema: trajectory,j,Q) into an (N, m+1) array."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "trajectory,j,Q":
-            raise ValueError(f"not a path ensemble CSV (header {header!r})")
-        rows = [line.rstrip("\n").split(",") for line in fh]
-    if not rows:
-        raise ValueError("path CSV contains no data rows")
-    traj = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    j = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    q = np.array([int(r[2]) for r in rows], dtype=np.int64)
-    n_traj, m_plus1 = traj.max() + 1, j.max() + 1
-    paths = np.zeros((n_traj, m_plus1), dtype=np.int64)
-    paths[traj, j] = q
-    return paths
+    """Load a path CSV (schema: trajectory,j,Q) into an (N, m+1) array.
+
+    The rows must be the grid ``write_path_csv`` writes: trajectories 0..N-1
+    in order, each with its rows j = 0..m in order, and m >= 1.
+    """
+    rows = _read_csv(path, "path", _PATH_ROW)
+    width = int(rows["j"][-1]) + 1  # the last row holds j = m
+    if width < 2:
+        raise ValueError(f"path CSV {path}: the last row has j = {width - 1}; need m >= 1")
+    # Row r must hold (r // (m+1), r % (m+1)); then the last row, j = m, also
+    # ends a whole path.  Checked in chunks so that memory stays flat.
+    for lo in range(0, rows.size, _CSV_CHUNK_ROWS):
+        chunk = rows[lo : lo + _CSV_CHUNK_ROWS]
+        l, j = np.divmod(np.arange(lo, lo + chunk.size), width)
+        off_grid = (chunk["trajectory"] != l) | (chunk["j"] != j)
+        if off_grid.any():
+            r = lo + int(np.argmax(off_grid))
+            raise ValueError(
+                f"path CSV {path} line {r + 2}: trajectory {rows['trajectory'][r]}, "
+                f"j {rows['j'][r]}; expected trajectory {r // width}, j {r % width} "
+                f"(m = {width - 1})"
+            )
+    return rows["Q"].reshape(-1, width)

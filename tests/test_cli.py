@@ -293,6 +293,26 @@ def test_plot_input_validation(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_malformed_csv_inputs_exit_one(capsys, tmp_path):
+    paths_csv = tmp_path / "paths.csv"
+    assert run(capsys, *simulate_args(paths_csv, n="5", paths=True))[0] == 0
+    lines = paths_csv.read_text().splitlines(keepends=True)
+    paths_csv.write_text("".join(lines[:3] + lines[4:]))  # drop row j = 2 of path 0
+    code, _, err = run(
+        capsys, "plot", "--kind", "normalized", "--input", str(paths_csv),
+        "--out", str(tmp_path / "x.svg"),
+    )
+    assert code == 1 and err.startswith("error: path CSV") and "Traceback" not in err
+    assert "line 4" in err
+
+    ens = tmp_path / "ens.csv"
+    ens.write_text("trajectory,endpoint,z\n0,3,0.5\n1,2\n")
+    code, _, err = run(
+        capsys, "histogram", "--input", str(ens), "--out", str(tmp_path / "h.csv")
+    )
+    assert code == 1 and err.startswith("error: endpoint CSV") and "Traceback" not in err
+
+
 def test_plot_trajectory_out_of_range(capsys, tmp_path):
     paths_csv = tmp_path / "paths.csv"
     assert run(capsys, *simulate_args(paths_csv, n="5", paths=True))[0] == 0

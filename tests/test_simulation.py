@@ -166,6 +166,76 @@ def test_write_path_csv_requires_paths(tmp_path):
         sim.write_path_csv(ens, tmp_path / "x.csv")
 
 
+def reference_endpoint_csv(ensemble) -> bytes:
+    """The endpoint CSV as the per-row writer loop produced it."""
+    lines = ["trajectory,endpoint,z\n"]
+    for l, (e, zv) in enumerate(zip(ensemble.endpoints, ensemble.z)):
+        lines.append(f"{l},{int(e)},{float(zv)!r}\n")
+    return "".join(lines).encode("utf-8")
+
+
+def reference_path_csv(ensemble) -> bytes:
+    """The path CSV as the per-row writer loop produced it."""
+    lines = ["trajectory,j,Q\n"]
+    for l in range(ensemble.config.trajectories):
+        row = ensemble.paths[l]
+        for j in range(row.size):
+            lines.append(f"{l},{j},{int(row[j])}\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "model", [U6, wp.Model.uniform(1), wp.Model.geometric(Fraction(1, 2))],
+    ids=lambda model: model.describe(),
+)
+@pytest.mark.parametrize("n, m", [
+    *[(n, m) for n in (1, 63, 64, 65, 150) for m in (1, 50)],
+    (sim._CSV_CHUNK_ROWS + 5, 1),  # more endpoint rows than one chunk
+    (400, 50),                     # 20 400 path rows: a chunk ends inside a path
+])
+def test_csv_writers_equal_row_loops(tmp_path, model, n, m):
+    ens = wp.simulate(wp.SimulationConfig(model=model, m=m, trajectories=n, seed=23,
+                                          record_full_paths=True))
+    e_csv, p_csv = tmp_path / "e.csv", tmp_path / "p.csv"
+    sim.write_endpoint_csv(ens, e_csv)
+    sim.write_path_csv(ens, p_csv)
+    assert e_csv.read_bytes() == reference_endpoint_csv(ens)
+    assert p_csv.read_bytes() == reference_path_csv(ens)
+
+    data = sim.read_endpoint_csv(e_csv)
+    assert np.array_equal(data["trajectory"], np.arange(n))
+    assert np.array_equal(data["endpoint"], ens.endpoints)
+    assert np.array_equal(data["z"], ens.z)
+    assert np.array_equal(sim.read_path_csv(p_csv), ens.paths)
+
+
+@pytest.mark.parametrize("body, problem", [
+    ("", "no data rows"),
+    ("0,0,0\n", "j = 0"),                                # one cell: m = 0
+    ("0,0,0\n0,1\n", "2 were found"),                    # short row
+    ("0,0,0\n0,1,1,1\n", "4 were found"),                # long row
+    ("0,0,0\n0,-1,5\n0,1,3\n", "line 3: trajectory 0, j -1"),  # negative j
+    ("0,0,0\n0,1,1\n0,2,3\n1,0,0\n1,2,4\n", "line 6: trajectory 1, j 2"),  # missing row
+    ("0,0,0\n0,2,3\n0,1,1\n", "line 3: trajectory 0, j 2"),                # out of order
+    ("0,0,0\n0,1,1\n2,0,0\n2,1,1\n", "line 4: trajectory 2, j 0"),        # missing path
+    ("0,0,0\n0,1,1\n10000000000000,0,0\n10000000000000,1,1\n", "line 4"),  # stray index
+    ("0,0,0\n0,1,x\n", "could not convert"),
+])
+def test_read_path_csv_rejects_malformed(tmp_path, body, problem):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("trajectory,j,Q\n" + body)
+    with pytest.raises(ValueError, match=problem):
+        sim.read_path_csv(bad)
+
+
+@pytest.mark.parametrize("body", ["", "0,1\n", "0,1,0.5,7\n", "0,1,0.5\n1,x,0.5\n"])
+def test_read_endpoint_csv_rejects_malformed(tmp_path, body):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("trajectory,endpoint,z\n" + body)
+    with pytest.raises(ValueError, match="endpoint CSV"):
+        sim.read_endpoint_csv(bad)
+
+
 # sha256 of the endpoint CSV and the path CSV for m=50, N=150, seed=17.  These
 # bytes were produced by a per-trajectory loop over trajectory_rng and
 # sample_letters; any sampler must reproduce them exactly.
