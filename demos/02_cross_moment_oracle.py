@@ -13,8 +13,8 @@ import wordperim as wp
 from wordperim.cross_moments import supported_closed_indices
 
 # ---------------------------------------------------------------------------
-# Uniform[1,6]: the oracle sums over all 6**4 letter tuples, so agreement is
-# exact rational equality.
+# Uniform[1,6]: the oracle sums over all 6**4 letter tuples (in three gap
+# stages over integer letter weights), so agreement is exact rational equality.
 # ---------------------------------------------------------------------------
 model = wp.Model.uniform(6)
 print(f"{model.describe()}:")

@@ -37,6 +37,7 @@ from .models import (
     gap_pmf_by_convolution,
     letter_cutoff,
     letter_pmf,
+    letter_weights,
     sample_letter,
     sample_letters,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "ks_statistic",
     "letter_cutoff",
     "letter_pmf",
+    "letter_weights",
     "mean_gap",
     "mean_perimeter",
     "moment_report",

@@ -11,8 +11,8 @@ the variable is absent.  Centered variants replace each gap y_j by
 
 Two independent routes are provided:
 
-* :func:`cross_moment_oracle` -- the brute-force quadruple sum over letter
-  tuples, exact rationals throughout (truncated support for geometric).
+* :func:`cross_moment_oracle` -- the exact sum over letter tuples, run as
+  three gap stages over integer letter weights (truncated for geometric).
 * :func:`cross_moment_closed` -- tabulated closed-form rational expressions,
   evaluated exactly.
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .models import UNIFORM, Model, letter_cutoff
+from .models import UNIFORM, Model, letter_cutoff, letter_weights
 
 
 class MomentIndex(NamedTuple):
@@ -179,12 +179,12 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
-    """Quadruple sum over letter tuples (i, j, l, r), exact rationals.
+    """Sum over letter tuples (i, j, l, r) in [1, U]**4, exact rationals.
 
-    Uniform: the literal sum over [1,k]**4 weighted 1/k**4.  Geometric: the
-    same sum weighted p**4 * q**(i+j+l+r-4), with every letter truncated at
-    letter_cutoff(model); the neglected tail is bounded by
-    :func:`oracle_truncation_bound`.
+    The letters carry the integer weights of models.letter_weights, truncated
+    at U = letter_cutoff(model) for geometric; the neglected tail is bounded by
+    :func:`oracle_truncation_bound`.  The sum runs innermost-out as three
+    O(U) gap stages (:func:`_gap_stage`) with one division at the end.
 
     ``centered`` replaces each gap factor |v - w| by (|v - w| - M).  Centering
     the leading letter is not a defined operation here, so centered=True with
@@ -198,80 +198,43 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _oracle_cached(model: Model, idx: MomentIndex, centered: bool) -> Fraction:
-    if model.kind == UNIFORM:
-        return _oracle_uniform(model.k, idx, centered)
-    return _oracle_geometric(model, idx, centered)
-
-
-def _centering_scale(model: Model) -> tuple[int, int]:
-    # the oracle's own mean gap, so centering never leans on the closed forms
-    M = _oracle_cached(model, MomentIndex(0, 1, 0, 0), False)
-    return M.numerator, M.denominator
-
-
-def _oracle_uniform(k: int, idx: MomentIndex, centered: bool) -> Fraction:
-    # All-integer inner arithmetic: centered factors (u - M) are scaled by the
-    # denominator of M, making s*u - s*M an integer.
+    # P(x = i) = W[i] / D, and each centered gap factor is scaled by s, the
+    # denominator of M = off / s, so every stage stays an integer.  M is the
+    # oracle's own mean gap, so centering never leans on the closed forms.
     a, b, c, d = idx
-    if centered:
-        off, s = _centering_scale(Model.uniform(k))
-        gp = [[(s * u - off) ** e for u in range(k)] for e in range(4)]
-        denom_scale = s ** (b + c + d)
-    else:
-        gp = [[u**e for u in range(k)] for e in range(4)]
-        denom_scale = 1
-    pb, pc, pd = gp[b], gp[c], gp[d]
-    letters = range(1, k + 1)
-    total = 0
-    for i in letters:
-        ti = i**a
-        for j in letters:
-            tj = ti * pb[abs(j - i)]
-            for l in letters:
-                tl = tj * pc[abs(l - j)]
-                for r in letters:
-                    total += tl * pd[abs(r - l)]
-    return Fraction(total, k**4 * denom_scale)
+    W, D = letter_weights(model)
+    M = _oracle_cached(model, MomentIndex(0, 1, 0, 0), False) if centered else Fraction(0)
+    off, s = M.numerator, M.denominator
+    inner = [1] * len(W)
+    for e in (d, c, b):
+        inner = _gap_stage(W, inner, e, s, off)
+    total = sum(W[i] * i**a * inner[i] for i in range(1, len(W)))
+    return Fraction(total, D**4 * s ** (b + c + d))
 
 
-def _oracle_geometric(model: Model, idx: MomentIndex, centered: bool) -> Fraction:
-    # Exact truncated sum, evaluated innermost-out.  With p = a/b and
-    # q = (b-a)/b, scaling each letter weight p*q**(i-1) by b**U keeps every
-    # stage an integer:  W[i] = a * (b-a)**(i-1) * b**(U-i).
-    a_, b_, c_, d_ = idx
-    U = letter_cutoff(model)
-    pn, pd_ = model.p.numerator, model.p.denominator
-    cn = pd_ - pn  # q numerator over the same denominator pd_
-    W = [0] * (U + 1)
-    w = pn * pd_ ** (U - 1)
-    for i in range(1, U + 1):
-        W[i] = w
-        w = w * cn // pd_  # exact: w always carries a factor pd_**(U-i)
+def _gap_stage(W: list[int], inner: list[int], e: int, s: int, off: int) -> list[int]:
+    """out[v] = sum over w of W[w] * inner[w] * g(|w - v|), g(y) = (s*y - off)**e.
 
-    if centered:
-        mnum, mden = _centering_scale(model)
-        pow_tbl = [[(mden * u - mnum) ** e for u in range(U)] for e in range(4)]
-        denom_scale = mden ** (b_ + c_ + d_)
-    else:
-        pow_tbl = [[u**e for u in range(U)] for e in range(4)]
-        denom_scale = 1
+    Split at w = v: with g(y) = sum_t g[t] * y**t, the binomial theorem gives
 
-    def stage(inner: list, exp: int) -> list:
-        pe = pow_tbl[exp]
-        out = [0] * (U + 1)
-        for v in range(1, U + 1):
-            acc = 0
-            for w_ in range(1, U + 1):
-                acc += W[w_] * pe[abs(w_ - v)] * inner[w_]
-            out[v] = acc
-        return out
+        out[v] = sum_{t,j} g[t] * C(t,j) * v**(t-j) * ((-1)**j * L[j] + (-1)**(t-j) * R[j])
 
-    ones = [1] * (U + 1)
-    s1 = stage(ones, d_)
-    s2 = stage(s1, c_)
-    s3 = stage(s2, b_)
-    total = sum(W[i] * i**a_ * s3[i] for i in range(1, U + 1))
-    return Fraction(total, pd_ ** (4 * U) * denom_scale)
+    where L[j] and R[j] sum X[w] * w**j, X = W * inner, over w < v and w >= v.
+    Updating L and R as v steps makes the stage O(U * e**2), not O(U**2).
+    """
+    g = [math.comb(e, t) * s**t * (-off) ** (e - t) for t in range(e + 1)]
+    terms = [(g[t] * math.comb(t, j), t - j, j, (-1) ** j, (-1) ** (t - j))
+             for t in range(e + 1) for j in range(t + 1)]
+    X = [w * x for w, x in zip(W, inner)]
+    L = [0] * (e + 1)
+    R = [sum(x * w**j for w, x in enumerate(X)) for j in range(e + 1)]
+    out = [0] * len(X)
+    for v in range(1, len(X)):
+        out[v] = sum(coef * v**pv * (sl * L[j] + sr * R[j]) for coef, pv, j, sl, sr in terms)
+        for j in range(e + 1):  # move w = v from the right sums to the left ones
+            L[j] += X[v] * v**j
+            R[j] -= X[v] * v**j
+    return out
 
 
 def oracle_truncation_bound(model: Model, idx) -> float:
@@ -312,15 +275,11 @@ def oracle_truncation_bound(model: Model, idx) -> float:
 def reversibility_check(model: Model) -> bool:
     """Oracle test of T[0,1,2,0] == T[0,2,1,0] (adjacent gap pair is reversible).
 
-    Exact equality for uniform; within the truncation bound for geometric
-    (the two truncated sums are in fact equal by symmetry of the weights).
+    Exact equality for both models: reversing (x0, x1, x2) maps one truncated
+    sum onto the other term by term, with the same letter weights.
     """
     lhs = cross_moment_oracle(model, MomentIndex(0, 1, 2, 0))
-    rhs = cross_moment_oracle(model, MomentIndex(0, 2, 1, 0))
-    if model.kind == UNIFORM:
-        return lhs == rhs
-    tol = 2 * oracle_truncation_bound(model, MomentIndex(0, 1, 2, 0))
-    return abs(float(lhs - rhs)) <= max(tol, 1e-12)
+    return lhs == cross_moment_oracle(model, MomentIndex(0, 2, 1, 0))
 
 
 def cross_moment(model: Model, idx, centered: bool = False, method: str = "closed_form") -> CrossMomentResult:

@@ -124,8 +124,26 @@ def gap_pmf(model: Model, u: int) -> Fraction:
     return 2 * p * model.q**u / (2 - p)
 
 
+def letter_weights(model: Model) -> tuple[list[int], int]:
+    """Integer weights (W, D) of the letter law truncated at U = letter_cutoff(model).
+
+    P(x = i) = W[i] / D for 1 <= i <= U, and W[0] = 0, so exact sums over
+    letters stay in integers until one final division.  Uniform: W[i] = 1,
+    D = k.  Geometric with p = a/b: W[i] = a * (b-a)**(i-1) * b**(U-i) and
+    D = b**U.
+    """
+    U = letter_cutoff(model)
+    if model.kind == UNIFORM:
+        return [0] + [1] * U, U
+    a, b = model.p.numerator, model.p.denominator
+    W = [0, a * b ** (U - 1)]
+    for _ in range(U - 1):
+        W.append(W[-1] * (b - a) // b)  # exact: W[i] carries a factor b**(U-i)
+    return W, b**U
+
+
 def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
-    """Brute-force check of gap_pmf: sum letter_pmf(i) * letter_pmf(j) over |i-j| = u.
+    """Brute-force check of gap_pmf: sum P(x=i) * P(x=j) over |i-j| = u.
 
     Exact for uniform; for geometric the letter sums are truncated at
     letter_cutoff(model), so the result is the exact value of the truncated
@@ -133,13 +151,9 @@ def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
     """
     if u < 0:
         raise ValueError(f"gap values are nonnegative, got {u}")
-    cut = letter_cutoff(model)
-    total = Fraction(0)
-    for i in range(1, cut + 1):
-        for j in {i - u, i + u}:
-            if 1 <= j <= cut:
-                total += letter_pmf(model, i) * letter_pmf(model, j)
-    return total
+    W, D = letter_weights(model)
+    total = sum(W[i] * W[i + u] for i in range(1, len(W) - u))
+    return Fraction(total if u == 0 else 2 * total, D * D)
 
 
 def sample_letters(model: Model, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import sqrt
 from typing import NamedTuple, Sequence
 
@@ -271,7 +272,28 @@ def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
         try:
             return np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
         except ValueError as e:  # drop numpy's advice to pass usecols
-            raise ValueError(f"{kind} CSV {path}: {str(e).split(';')[0]}") from None
+            where, reason = _first_rejected_line(fh, row) or ("", str(e).split(";")[0])
+            raise ValueError(f"{kind} CSV {path}{where}: {reason}") from None
+
+
+def _first_rejected_line(fh, row: np.dtype) -> tuple[str, str] | None:
+    """(" line N", reason) for the first data line np.loadtxt rejects; the header is line 1.
+
+    numpy numbers rows its own way (from 0 or 1, without the header or blank
+    lines), so the error path parses the file again in chunks, then the lines
+    of the first chunk that fails one at a time.
+    """
+    def reason(lines) -> str | None:  # without numpy's row number and usecols advice
+        try:
+            np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
+        except ValueError as e:
+            return str(e).split(" at row")[0]
+
+    fh.seek(0)
+    numbered = ((n, s) for n, s in enumerate(fh, start=1) if n > 1 and s.strip())
+    while batch := list(islice(numbered, _CSV_CHUNK_ROWS)):
+        if reason([s for _, s in batch]):
+            return next(((f" line {n}", r) for n, s in batch if (r := reason([s]))), None)
 
 
 def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:

@@ -1,7 +1,7 @@
 """Identity sweep: every closed form against its independent brute-force route.
 
 Each check pits two computations of the same quantity against each other:
-closed-form rational expressions versus the quadruple-sum oracle, assembled
+closed-form rational expressions versus the staged exact-sum oracle, assembled
 moments versus their closed forms, and the perimeter decomposition versus
 literal boundary-edge counting.  Uniform-model comparisons demand exact
 rational equality; geometric comparisons allow GEOMETRIC_TOL relative error

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,62 @@ def test_closed_equals_oracle_uniform():
             assert wp.cross_moment_closed(m, idx, centered=True) == wp.cross_moment_oracle(
                 m, idx, centered=True
             ), (k, idx)
+
+
+ALL_INDICES = [i for i in itertools.product(range(4), repeat=4) if sum(i) <= 4]
+
+
+def _literal_oracle(model, idx, centered=False):
+    """Test-only reference: the quadruple sum over [1, U]**4 written out from letter_pmf.
+
+    Each factor table is brought to integers over its own common denominator,
+    so the 65536 terms at U = 16 add as ints; that is exact, and much faster
+    than adding Fractions.
+    """
+    a, b, c, d = idx
+    pmf = [wp.letter_pmf(model, i) for i in range(1, wp.letter_cutoff(model) + 1)]
+    M = 0
+    if centered:  # its own mean gap: the same truncated sum with l and r summed out
+        M = sum(pi * pj * abs(j - i) for i, pi in enumerate(pmf) for j, pj in enumerate(pmf))
+        M *= sum(pmf) ** 2
+
+    def integers(values):
+        den = math.lcm(*(Fraction(x).denominator for x in values))
+        return [int(x * den) for x in values], den
+
+    P, dp = integers(pmf)
+    (gb, db), (gc, dc), (gd, dd) = (integers([(y - M) ** e for y in range(len(P))]) for e in (b, c, d))
+    letters = range(len(P))  # letter i + 1 sits at position i
+    total = 0
+    for i in letters:
+        ti = P[i] * (i + 1) ** a
+        for j in letters:
+            tj = ti * P[j] * gb[abs(j - i)]
+            for l in letters:
+                tl = tj * P[l] * gc[abs(l - j)]
+                for r in letters:
+                    total += tl * P[r] * gd[abs(r - l)]
+    return Fraction(total, dp**4 * db * dc * dd)
+
+
+def test_oracle_equals_literal_quadruple_sum():
+    for k in (1, 2, 3, 5):
+        m = wp.Model.uniform(k)
+        for idx in ALL_INDICES:
+            assert wp.cross_moment_oracle(m, idx) == _literal_oracle(m, idx), (k, idx)
+            if idx[0] == 0:
+                assert wp.cross_moment_oracle(m, idx, centered=True) == _literal_oracle(
+                    m, idx, centered=True
+                ), (k, idx)
+    # both sides are the same sum truncated at U = 16, so they agree exactly
+    g = wp.Model.geometric(Fraction(9, 10))
+    assert wp.letter_cutoff(g) == 16
+    for idx in ((0, 1, 1, 1), (0, 1, 2, 0), (1, 1, 0, 0), (2, 0, 0, 2)):
+        assert wp.cross_moment_oracle(g, idx) == _literal_oracle(g, idx), idx
+    for idx in ((0, 1, 1, 1), (0, 2, 1, 0)):
+        assert wp.cross_moment_oracle(g, idx, centered=True) == _literal_oracle(
+            g, idx, centered=True
+        ), idx
 
 
 def test_closed_near_oracle_geometric():

@@ -10,17 +10,27 @@ import wordperim as wp
 from wordperim.models import TAIL_EPS
 
 
+def _assert_weights_match_pmf(m):
+    W, D = wp.letter_weights(m)
+    assert len(W) == wp.letter_cutoff(m) + 1 and W[0] == 0
+    assert all(Fraction(W[i], D) == wp.letter_pmf(m, i) for i in range(1, len(W)))
+
+
 def test_uniform_letter_pmf():
     m = wp.Model.uniform(6)
     assert wp.letter_pmf(m, 3) == Fraction(1, 6)
     assert wp.letter_pmf(m, 6) == Fraction(1, 6)
     assert wp.letter_pmf(m, 7) == 0
+    for k in (1, 6):
+        _assert_weights_match_pmf(wp.Model.uniform(k))
 
 
 def test_geometric_letter_pmf():
     m = wp.Model.geometric(Fraction(1, 2))
     assert wp.letter_pmf(m, 1) == Fraction(1, 2)
     assert wp.letter_pmf(m, 3) == Fraction(1, 8)
+    for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+        _assert_weights_match_pmf(wp.Model.geometric(p))
 
 
 def test_letter_pmf_rejects_nonpositive():

@@ -220,6 +220,9 @@ def test_csv_writers_equal_row_loops(tmp_path, model, n, m):
     ("0,0,0\n0,1,1\n2,0,0\n2,1,1\n", "line 4: trajectory 2, j 0"),        # missing path
     ("0,0,0\n0,1,1\n10000000000000,0,0\n10000000000000,1,1\n", "line 4"),  # stray index
     ("0,0,0\n0,1,x\n", "could not convert"),
+    ("0,0,0\n0,1\n0,2,2\n", "line 3: .*2 were found"),   # short row, file line 3
+    ("0,0,0\n0,x,1\n0,2,2\n", "line 3: could not convert string 'x'"),  # non-numeric cell
+    ("0,0,0\n\n0,1,x\n", "line 4: could not convert"),  # blank lines count as file lines
 ])
 def test_read_path_csv_rejects_malformed(tmp_path, body, problem):
     bad = tmp_path / "bad.csv"
@@ -228,11 +231,15 @@ def test_read_path_csv_rejects_malformed(tmp_path, body, problem):
         sim.read_path_csv(bad)
 
 
-@pytest.mark.parametrize("body", ["", "0,1\n", "0,1,0.5,7\n", "0,1,0.5\n1,x,0.5\n"])
+@pytest.mark.parametrize(
+    "body", ["", "0,1\n", "0,1,0.5,7\n", "0,1,0.5\n1,x,0.5\n", "0,1,0.5\n1,2\n"]
+)
 def test_read_endpoint_csv_rejects_malformed(tmp_path, body):
     bad = tmp_path / "bad.csv"
     bad.write_text("trajectory,endpoint,z\n" + body)
-    with pytest.raises(ValueError, match="endpoint CSV"):
+    # the last line of each body is the bad one; the header is line 1
+    problem = f"endpoint CSV .* line {body.count(chr(10)) + 1}: " if body else "endpoint CSV"
+    with pytest.raises(ValueError, match=problem):
         sim.read_endpoint_csv(bad)
 
 
