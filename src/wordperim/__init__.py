@@ -53,7 +53,9 @@ from .moments import (
 from .polyomino import (
     PerimeterBreakdown,
     perimeter_decomposed,
+    perimeter_decomposed_batch,
     perimeter_edge_count,
+    perimeter_edge_count_batch,
     render_polyomino,
 )
 from .simulation import (
@@ -110,7 +112,9 @@ __all__ = [
     "normalized_path",
     "oracle_truncation_bound",
     "perimeter_decomposed",
+    "perimeter_decomposed_batch",
     "perimeter_edge_count",
+    "perimeter_edge_count_batch",
     "render_polyomino",
     "reversibility_check",
     "run_verification",

@@ -133,10 +133,28 @@ def cmd_xmoment(args) -> int:
     return 0
 
 
+def _verify_p_list(text: str) -> list[Fraction]:
+    if not text:
+        return list(verification.DEFAULT_P_LIST)
+    p_list = []
+    for token in text.split(","):
+        try:
+            p_list.append(Model.geometric(token).p)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"bad --p-list entry {token!r}: need a rational 0 < p < 1")
+    return p_list
+
+
 def cmd_verify(args) -> int:
-    p_list = [Fraction(t) for t in args.p_list.split(",")] if args.p_list else list(
-        verification.DEFAULT_P_LIST
-    )
+    p_list = _verify_p_list(args.p_list)
+    if args.k_max < 1:
+        raise CliError(f"--k-max must be >= 1, got {args.k_max}")
+    if args.n_max < 2:
+        raise CliError(f"--n-max must be >= 2, got {args.n_max}")
+    if args.random_words < 0:
+        raise CliError(f"--random-words must be >= 0, got {args.random_words}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     checks = verification.run_verification(
         k_max=args.k_max,
         p_list=p_list,
@@ -145,6 +163,9 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     print(verification.format_report(checks))
+    # timings vary from run to run, so they stay off stdout (the report's bytes)
+    for c in checks:
+        print(f"time  {c.seconds:8.3f} s  {c.name}", file=sys.stderr)
     return 0 if all(c.passed for c in checks) else 1
 
 

@@ -5,12 +5,22 @@ A word (x0, ..., x_m) materializes as the union of unit cells
 common baseline.  The perimeter (number of unit boundary edges) is computed
 two independent ways:
 
-* :func:`perimeter_decomposed` -- the decomposition P = Q + x0 + x_m + 2n
-  with Q the sum of absolute gaps;
-* :func:`perimeter_edge_count` -- literal geometry: an edge is on the
-  boundary iff exactly one of its two adjacent cells belongs to the union.
+* :func:`perimeter_decomposed_batch` -- the decomposition P = Q + x0 + x_m + 2n
+  with Q the sum of absolute gaps; it reads only the letters and their gaps;
+* :func:`perimeter_edge_count_batch` -- literal geometry: an edge is on the
+  boundary iff exactly one of its two adjacent cells belongs to the union; it
+  reads only the occupancy grid.
 
-Their equality over all words is one of the library's acceptance checks.
+Both kernels take a block of words as a 2-D integer array, one word per row,
+padded on the right with 0 to the block's longest word.  A row is a nonempty
+run of positive letters followed by zeros only; its word length n is its
+number of nonzero entries.  Padding cannot change either result: a zero
+column holds no cell, so it adds no boundary edge, and the decomposition masks
+the gaps to each row's first n letters.  :func:`perimeter_decomposed` and
+:func:`perimeter_edge_count` are the one-word API; each validates a 1-D word
+and calls its route's kernel on a block of one row, so each route has a single
+implementation.  Their equality over all words is one of the library's
+acceptance checks.
 """
 
 from __future__ import annotations
@@ -23,11 +33,15 @@ RENDER_MAX_HEIGHT = 10**4
 
 
 class PerimeterBreakdown(NamedTuple):
-    """Perimeter split P = Q + x0 + x_m + 2n (Q gap sum, R = P - 2n vertical part)."""
+    """Perimeter split P = Q + x0 + x_m + 2n (Q gap sum, R = P - 2n vertical part).
 
-    Q: int
-    R: int
-    P: int
+    The one-word API holds ints; the batch kernel holds int64 arrays, one
+    entry per row.
+    """
+
+    Q: int | np.ndarray
+    R: int | np.ndarray
+    P: int | np.ndarray
 
 
 def _check_word(word: Sequence[int]) -> np.ndarray:
@@ -39,34 +53,66 @@ def _check_word(word: Sequence[int]) -> np.ndarray:
     return letters
 
 
+def _check_batch(words) -> tuple[np.ndarray, np.ndarray]:
+    """The batch as int64 and each row's word length n; rejects malformed rows."""
+    letters = np.asarray(words, dtype=np.int64)
+    if letters.ndim != 2 or letters.size == 0:
+        raise ValueError("a batch is a nonempty 2-D array, one zero-padded word per row")
+    if letters.min() < 0:
+        raise ValueError("letters must be positive integers")
+    present = letters > 0
+    n = np.count_nonzero(present, axis=1)
+    if not n.all():
+        raise ValueError("every row of a batch must hold a nonempty word")
+    if not np.array_equal(present, np.arange(letters.shape[1]) < n[:, None]):
+        raise ValueError("a 0 may only pad a word on the right")
+    return letters, n
+
+
+def perimeter_decomposed_batch(words) -> PerimeterBreakdown:
+    """Breakdown of every row's perimeter, from the letters and their gaps.
+
+    Q sums |x_j - x_(j-1)| over the gaps inside each row's word (0 < j < n),
+    so the gap into the padding is left out; R adds x0 and x_(n-1).
+    """
+    letters, n = _check_batch(words)
+    inside = np.arange(1, letters.shape[1]) < n[:, None]
+    q = (np.abs(np.diff(letters, axis=1)) * inside).sum(axis=1)
+    r = q + letters[:, 0] + letters[np.arange(letters.shape[0]), n - 1]
+    return PerimeterBreakdown(Q=q, R=r, P=r + 2 * n)
+
+
+def perimeter_edge_count_batch(words) -> np.ndarray:
+    """Count every row's boundary edges on its occupancy grid (geometry oracle).
+
+    Builds the zero-padded occupancy grid of shape (B, L+2, H+2), with L the
+    padded word length and H the block's tallest letter, and counts per row,
+    separately for vertical and horizontal unit edges, the positions where
+    occupancy changes between the two adjacent cells (outside counts as
+    empty).  Padding columns are empty, so they add no edge.
+    """
+    letters, _ = _check_batch(words)
+    batch, length = letters.shape
+    height = int(letters.max())
+    grid = np.zeros((batch, length + 2, height + 2), dtype=bool)  # zero padding = outside
+    grid[:, 1 : length + 1, 1 : height + 1] = np.arange(1, height + 1) <= letters[:, :, None]
+    vertical = np.count_nonzero(grid[:, :-1, :] != grid[:, 1:, :], axis=(1, 2))
+    horizontal = np.count_nonzero(grid[:, :, :-1] != grid[:, :, 1:], axis=(1, 2))
+    return vertical + horizontal
+
+
 def perimeter_decomposed(word: Sequence[int]) -> PerimeterBreakdown:
     """Exact breakdown of the perimeter of a word's polyomino.
 
     For a single-letter word Q = 0 and P = 2*x0 + 2.
     """
-    letters = _check_word(word)
-    n = letters.size
-    q = int(np.abs(np.diff(letters)).sum()) if n > 1 else 0
-    r = q + int(letters[0]) + int(letters[-1])
-    return PerimeterBreakdown(Q=q, R=r, P=r + 2 * n)
+    breakdown = perimeter_decomposed_batch(_check_word(word)[None])
+    return PerimeterBreakdown(*(int(v[0]) for v in breakdown))
 
 
 def perimeter_edge_count(word: Sequence[int]) -> int:
-    """Count boundary edges of the cell union directly (geometry oracle).
-
-    Builds the occupancy grid and counts, separately for vertical and
-    horizontal unit edges, the positions where occupancy changes between the
-    two adjacent cells (outside counts as empty).
-    """
-    letters = _check_word(word)
-    n = letters.size
-    height = int(letters.max())
-    grid = np.zeros((n + 2, height + 2), dtype=bool)  # zero padding = outside
-    cols = np.arange(1, height + 1)
-    grid[1 : n + 1, 1 : height + 1] = cols[None, :] <= letters[:, None]
-    vertical = np.count_nonzero(grid[:-1, :] != grid[1:, :])
-    horizontal = np.count_nonzero(grid[:, :-1] != grid[:, 1:])
-    return int(vertical + horizontal)
+    """Count boundary edges of the cell union directly (geometry oracle)."""
+    return int(perimeter_edge_count_batch(_check_word(word)[None])[0])
 
 
 def render_polyomino(word: Sequence[int], cell_px: float = 24.0) -> str:

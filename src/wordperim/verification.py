@@ -11,6 +11,7 @@ rational equality; geometric comparisons allow GEOMETRIC_TOL relative error
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import cross_moments as xm
 from . import moments as mo
 from .models import Model, gap_pmf, gap_pmf_by_convolution, letter_cutoff
-from .polyomino import perimeter_decomposed, perimeter_edge_count
+from .polyomino import perimeter_decomposed_batch, perimeter_edge_count_batch
 
 GEOMETRIC_TOL = 1e-10
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
@@ -28,6 +29,9 @@ DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4
 EXHAUSTIVE_PERIMETER = tuple(
     [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
 )
+# words per block of the batched perimeter checks: each occupancy grid stays
+# far below 1 MB (64 x 62 x 32 cells for the random check's largest words)
+_BLOCK_WORDS = 64
 
 
 @dataclass
@@ -36,6 +40,7 @@ class IdentityCheck:
     instances: int = 0
     max_deviation: float = 0.0
     failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the check, set by run_verification
 
     @property
     def passed(self) -> bool:
@@ -232,40 +237,46 @@ def check_mean_decomposition(k_max: int, p_list, n_max: int) -> IdentityCheck:
     return chk
 
 
+def _compare_perimeter_routes(chk: IdentityCheck, words: np.ndarray) -> None:
+    """Check P == edge count == Q + x0 + x_last + 2n on every row of ``words``.
+
+    ``words`` holds one zero-padded word per row; both kernels run on blocks
+    of _BLOCK_WORDS rows, which keeps each occupancy grid small.
+    """
+    for start in range(0, words.shape[0], _BLOCK_WORDS):
+        block = words[start : start + _BLOCK_WORDS]
+        b = perimeter_decomposed_batch(block)
+        edges = perimeter_edge_count_batch(block)
+        n = np.count_nonzero(block, axis=1)
+        last = block[np.arange(block.shape[0]), n - 1]
+        bad = (b.P != edges) | (b.P != b.Q + block[:, 0] + last + 2 * n)
+        chk.instances += block.shape[0]
+        for row in np.flatnonzero(bad)[: 5 - len(chk.failures)]:
+            word = tuple(int(x) for x in block[row, : n[row]])
+            chk.failures.append(f"word {word}: P={b.P[row]} edges={edges[row]}")
+
+
 def check_perimeter_exhaustive() -> IdentityCheck:
     chk = IdentityCheck("perimeter identity, exhaustive small words")
     for k, n in EXHAUSTIVE_PERIMETER:
-        word = [1] * n
-        while True:
-            chk.instances += 1
-            b = perimeter_decomposed(word)
-            edges = perimeter_edge_count(word)
-            if b.P != edges or b.P != b.Q + word[0] + word[-1] + 2 * n:
-                if len(chk.failures) < 5:
-                    chk.failures.append(f"word {tuple(word)}: P={b.P} edges={edges}")
-            # next word in lexicographic order over [1,k]**n
-            pos = n - 1
-            while pos >= 0 and word[pos] == k:
-                word[pos] = 1
-                pos -= 1
-            if pos < 0:
-                break
-            word[pos] += 1
+        # all k**n words over [1,k], one per row, in lexicographic order
+        words = np.indices((k,) * n).reshape(n, -1).T + 1
+        _compare_perimeter_routes(chk, words)
     return chk
 
 
 def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
+    """``count`` words with n in [2,60], k in [2,30] and letters uniform on [1,k]."""
     chk = IdentityCheck("perimeter identity, randomized larger words")
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, 61))
-        k = int(rng.integers(2, 31))
-        word = rng.integers(1, k + 1, size=n)
-        chk.instances += 1
-        b = perimeter_decomposed(word)
-        if b.P != perimeter_edge_count(word):
-            if len(chk.failures) < 5:
-                chk.failures.append(f"word {tuple(int(x) for x in word)}")
+    lengths = rng.integers(2, 61, size=count)
+    alphabets = rng.integers(2, 31, size=count)
+    for start in range(0, count, _BLOCK_WORDS):
+        n = lengths[start : start + _BLOCK_WORDS]
+        k = alphabets[start : start + _BLOCK_WORDS]
+        words = rng.integers(1, k[:, None] + 1, size=(n.size, int(n.max())))
+        words[np.arange(words.shape[1]) >= n[:, None]] = 0
+        _compare_perimeter_routes(chk, words)
     return chk
 
 
@@ -276,22 +287,30 @@ def run_verification(
     random_words: int = 10000,
     seed: int = 0,
 ) -> list[IdentityCheck]:
+    """Run every check in report order; each records its wall time in ``seconds``."""
     p_list = tuple(Fraction(p) for p in p_list)
-    return [
-        check_gap_pmf(k_max, p_list),
-        check_cross_moments_uniform(k_max),
-        check_cross_moments_geometric(p_list),
-        check_reversibility(k_max, p_list),
-        check_centering(k_max),
-        check_independence(k_max, p_list),
-        check_mean(k_max, p_list, n_max),
-        check_variance(k_max, p_list, n_max),
-        check_mu3(k_max, p_list),
-        check_vstar(k_max, p_list),
-        check_mean_decomposition(k_max, p_list, n_max),
-        check_perimeter_exhaustive(),
-        check_perimeter_random(random_words, seed),
+    steps = [
+        (check_gap_pmf, (k_max, p_list)),
+        (check_cross_moments_uniform, (k_max,)),
+        (check_cross_moments_geometric, (p_list,)),
+        (check_reversibility, (k_max, p_list)),
+        (check_centering, (k_max,)),
+        (check_independence, (k_max, p_list)),
+        (check_mean, (k_max, p_list, n_max)),
+        (check_variance, (k_max, p_list, n_max)),
+        (check_mu3, (k_max, p_list)),
+        (check_vstar, (k_max, p_list)),
+        (check_mean_decomposition, (k_max, p_list, n_max)),
+        (check_perimeter_exhaustive, ()),
+        (check_perimeter_random, (random_words, seed)),
     ]
+    checks = []
+    for check, args in steps:
+        start = time.perf_counter()
+        chk = check(*args)
+        chk.seconds = time.perf_counter() - start
+        checks.append(chk)
+    return checks
 
 
 def format_report(checks: list[IdentityCheck]) -> str:

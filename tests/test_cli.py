@@ -143,6 +143,47 @@ def test_verify_names_corrupted_identity(capsys, monkeypatch):
     assert "cross-moment closed forms vs oracle (uniform)" in out
 
 
+def test_verify_times_go_to_stderr_only(capsys):
+    argv = ["verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", "--random-words", "20"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == wp.format_report(wp.run_verification(
+        k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=20)) + "\n"
+    assert " s  " not in out and "time" not in out
+    names = [line.split(" s  ", 1)[1] for line in err.splitlines()]
+    assert len(names) == 13 and all(name in out for name in names)
+    # a second run prints the same stdout bytes whatever its timings
+    assert run(capsys, *argv)[1] == out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p-list", "1/0"], "--p-list"),
+        (["--p-list", "2"], "--p-list"),
+        (["--p-list", "abc"], "--p-list"),
+        (["--p-list", "1/2,"], "--p-list"),
+        (["--n-max", "1"], "--n-max"),
+        (["--k-max", "0"], "--k-max"),
+        (["--random-words", "-3"], "--random-words"),
+        (["--seed", "-1"], "--seed"),
+    ],
+)
+def test_verify_bad_arguments_exit_one(capsys, flags, message):
+    code, out, err = run(capsys, "verify", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_verify_zero_random_words(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", "--random-words", "0",
+    )
+    assert code == 0
+    assert "randomized larger words" in out and "FAIL" not in out
+
+
 # ---------------------------------------------------------------------------
 # simulate / histogram / plot / render
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import re
 from fractions import Fraction
+
+import numpy as np
 
 import wordperim as wp
 from wordperim import cross_moments as xm
@@ -48,3 +51,30 @@ def test_close_comparison_uses_relative_deviation():
     chk2 = ver.IdentityCheck("demo2")
     chk2.close(1.0 + 1e-12, 1.0, "tiny dev")
     assert chk2.passed
+
+
+def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
+    real = ver.perimeter_edge_count_batch
+
+    def off_by_one_on_short_words(words):
+        edges = real(words)
+        return edges + (np.count_nonzero(words, axis=1) < 5)
+
+    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
+    for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
+        assert not check.passed
+        assert 1 <= len(check.failures) <= 5
+        for failure in check.failures:
+            word = re.fullmatch(r"word \(([\d, ]+)\): P=(\d+) edges=(\d+)", failure)
+            assert word, failure
+            letters = [int(x) for x in word[1].split(",")]
+            # the named word is the row without its padding zeros
+            assert min(letters) >= 1 and 2 <= len(letters) < 5
+            assert int(word[2]) == wp.perimeter_decomposed(letters).P
+            assert int(word[3]) == wp.perimeter_edge_count(letters) + 1
+        assert "FAIL" in wp.format_report([check])
+
+
+def test_run_verification_times_each_check():
+    checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=10)
+    assert all(c.seconds > 0 for c in checks)
