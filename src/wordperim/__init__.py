@@ -16,7 +16,6 @@ from .cross_moments import (
     cross_moment_closed,
     cross_moment_oracle,
     mean_gap,
-    oracle_truncation_bound,
     reversibility_check,
 )
 from .empirics import (
@@ -35,9 +34,7 @@ from .models import (
     Model,
     gap_pmf,
     gap_pmf_by_convolution,
-    letter_cutoff,
     letter_pmf,
-    letter_weights,
     sample_letter,
     sample_letters,
 )
@@ -100,9 +97,7 @@ __all__ = [
     "gaussian_cell_masses",
     "goodness_of_fit",
     "ks_statistic",
-    "letter_cutoff",
     "letter_pmf",
-    "letter_weights",
     "mean_gap",
     "mean_perimeter",
     "moment_report",
@@ -110,7 +105,6 @@ __all__ = [
     "mu3_rate_closed",
     "normal_cdf",
     "normalized_path",
-    "oracle_truncation_bound",
     "perimeter_decomposed",
     "perimeter_decomposed_batch",
     "perimeter_edge_count",

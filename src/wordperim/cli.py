@@ -120,10 +120,7 @@ def cmd_xmoment(args) -> int:
             raise CliError(str(e))
         except ValueError as e:
             raise CliError(str(e))
-        entry = {"method": method, "exact": str(res.value), "decimal": float(res.value)}
-        if method == "brute_force" and model.kind == "geometric":
-            entry["truncation_bound"] = xm.oracle_truncation_bound(model, idx)
-        results.append(entry)
+        results.append({"method": method, "exact": str(res.value), "decimal": float(res.value)})
     print(json.dumps({
         "model": model.as_dict(),
         "index": list(idx),

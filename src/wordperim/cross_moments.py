@@ -12,7 +12,12 @@ the variable is absent.  Centered variants replace each gap y_j by
 Two independent routes are provided:
 
 * :func:`cross_moment_oracle` -- the exact sum over letter tuples, run as
-  three gap stages over integer letter weights (truncated for geometric).
+  three gap stages over exponential polynomials sum_z z**v * P_z(v).  Both
+  letter laws are c * z**v on [1, U] (U = k, or unbounded for geometric), and
+  partial sums of z**w * w**n stay in that class (indefinite hypergeometric
+  summation; Petkovsek, Wilf & Zeilberger, *A = B*, 1996, ch. 5), so exact
+  integer arithmetic gives the untruncated value at a cost independent of k
+  and p.
 * :func:`cross_moment_closed` -- tabulated closed-form rational expressions,
   evaluated exactly.
 
@@ -27,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .models import UNIFORM, Model, letter_cutoff, letter_weights
+from .models import UNIFORM, Model, antidifference, letter_law, plain_int
 
 
 class MomentIndex(NamedTuple):
@@ -39,11 +44,13 @@ class MomentIndex(NamedTuple):
     delta: int
 
     def validate(self) -> "MomentIndex":
-        if any(not isinstance(e, int) or not 0 <= e <= 3 for e in self):
+        """This index with plain int exponents (numpy integers pass; bool does not)."""
+        exps = [plain_int(e) for e in self]
+        if any(e is None or not 0 <= e <= 3 for e in exps):
             raise ValueError(f"exponents must be integers in [0, 3], got {tuple(self)}")
-        if sum(self) > 4:
-            raise ValueError(f"total weight {sum(self)} exceeds 4: {tuple(self)}")
-        return self
+        if sum(exps) > 4:
+            raise ValueError(f"total weight {sum(exps)} exceeds 4: {tuple(self)}")
+        return MomentIndex(*exps)
 
 
 class NoClosedFormError(ValueError):
@@ -179,12 +186,13 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
-    """Sum over letter tuples (i, j, l, r) in [1, U]**4, exact rationals.
+    """T[a,b,c,d] as the exact sum over letter tuples (i, j, l, r).
 
-    The letters carry the integer weights of models.letter_weights, truncated
-    at U = letter_cutoff(model) for geometric; the neglected tail is bounded by
-    :func:`oracle_truncation_bound`.  The sum runs innermost-out as three
-    O(U) gap stages (:func:`_gap_stage`) with one division at the end.
+    Each tuple weighs P(i)P(j)P(l)P(r) * i**a * |j-i|**b * |l-j|**c * |r-l|**d.
+
+    The sum runs innermost-out as three gap stages (:func:`_gap_stage`) over
+    exponential polynomials, with no truncation: the geometric letters keep
+    their whole unbounded support, and no step's cost grows with k or 1/p.
 
     ``centered`` replaces each gap factor |v - w| by (|v - w| - M).  Centering
     the leading letter is not a defined operation here, so centered=True with
@@ -198,85 +206,112 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _oracle_cached(model: Model, idx: MomentIndex, centered: bool) -> Fraction:
-    # P(x = i) = W[i] / D, and each centered gap factor is scaled by s, the
-    # denominator of M = off / s, so every stage stays an integer.  M is the
-    # oracle's own mean gap, so centering never leans on the closed forms.
+    # P(x = v) = scale * z0**v on [1, U]; the stages sum z0**w, and each
+    # centered gap factor is scaled by s, the denominator of M = off / s, so
+    # that it has integer coefficients.  scale**4 and s**(b+c+d) divide out
+    # at the end.  M is the oracle's own mean gap, so centering never leans
+    # on the closed forms.
     a, b, c, d = idx
-    W, D = letter_weights(model)
+    scale, z0, U = letter_law(model)
     M = _oracle_cached(model, MomentIndex(0, 1, 0, 0), False) if centered else Fraction(0)
     off, s = M.numerator, M.denominator
-    inner = [1] * len(W)
+    inner = 1, {_ONE: [1]}
     for e in (d, c, b):
-        inner = _gap_stage(W, inner, e, s, off)
-    total = sum(W[i] * i**a * inner[i] for i in range(1, len(W)))
-    return Fraction(total, D**4 * s ** (b + c + d))
+        inner = _gap_stage(z0, U, inner, e, s, off)
+    Q, _, _, total = _sums(z0, U, inner[1], a)
+    return Fraction(total[a], inner[0] * Q) * scale**4 / s ** (b + c + d)
 
 
-def _gap_stage(W: list[int], inner: list[int], e: int, s: int, off: int) -> list[int]:
-    """out[v] = sum over w of W[w] * inner[w] * g(|w - v|), g(y) = (s*y - off)**e.
+_ONE = Fraction(1)
 
-    Split at w = v: with g(y) = sum_t g[t] * y**t, the binomial theorem gives
 
-        out[v] = sum_{t,j} g[t] * C(t,j) * v**(t-j) * ((-1)**j * L[j] + (-1)**(t-j) * R[j])
+def _gap_stage(z0: Fraction, U: int | None, inner: tuple, e: int, s: int, off: int) -> tuple:
+    """out(v) = sum_{w=1..U} Y(w) * G(|w - v|), Y(w) = z0**w * inner(w), G(y) = (s*y - off)**e.
 
-    where L[j] and R[j] sum X[w] * w**j, X = W * inner, over w < v and w >= v.
-    Updating L and R as v steps makes the stage O(U * e**2), not O(U**2).
+    ``inner`` and the result are exponential polynomials on [1, U]: a pair
+    (D, {z: P_z}) of integer coefficient lists standing for sum_z z**v * P_z(v) / D.
+    Split at w = v:
+
+        out(v) = sum_w Y(w) G(w - v) + sum_{w < v} Y(w) (G(v - w) - G(w - v))
+
+    The first sum is a polynomial in v over the full sums of Y(w) * w**j.  In
+    the second only the odd powers of G survive, and by the binomial theorem
+    it needs the partial sums of Y(w) * w**j, which stay in the class
+    (:func:`_sums`).
     """
     g = [math.comb(e, t) * s**t * (-off) ** (e - t) for t in range(e + 1)]
-    terms = [(g[t] * math.comb(t, j), t - j, j, (-1) ** j, (-1) ** (t - j))
-             for t in range(e + 1) for j in range(t + 1)]
-    X = [w * x for w, x in zip(W, inner)]
-    L = [0] * (e + 1)
-    R = [sum(x * w**j for w, x in enumerate(X)) for j in range(e + 1)]
-    out = [0] * len(X)
-    for v in range(1, len(X)):
-        out[v] = sum(coef * v**pv * (sl * L[j] + sr * R[j]) for coef, pv, j, sl, sr in terms)
-        for j in range(e + 1):  # move w = v from the right sums to the left ones
-            L[j] += X[v] * v**j
-            R[j] -= X[v] * v**j
-    return out
+    Q, A, start, total = _sums(z0, U, inner[1], e)
+    out: dict = {z: [] for z in A}
+    const = out.setdefault(_ONE, [])
+    for t in range(e + 1):
+        for j in range(t + 1):
+            # sum_w Y(w) (w - v)**t = sum_j C(t, j) (-v)**(t-j) sum_w Y(w) w**j
+            _accumulate(const, t - j, [total[j]], g[t] * math.comb(t, j) * (-1) ** (t - j))
+            if t % 2:  # G(v - w) - G(w - v) = 2 g[t] (v - w)**t, expanded the same way
+                f = 2 * g[t] * math.comb(t, j) * (-1) ** j
+                _accumulate(const, t - j, [-start[j]], f)
+                for z, Az in A.items():
+                    _accumulate(out[z], t - j, Az[j], f)
+    D = inner[0] * Q
+    common = math.gcd(D, *(x for P in out.values() for x in P))
+    return D // common, {z: [x // common for x in P] for z, P in out.items()}
 
 
-def oracle_truncation_bound(model: Model, idx) -> float:
-    """Upper bound on |true T - truncated-oracle T| for the geometric model.
+def _sums(z0: Fraction, U: int | None, polys: dict, e: int) -> tuple:
+    """Partial and full sums of Y(w) * w**j for j = 0..e, Y(w) = z0**w * sum_z z**w * P_z(w).
 
-    Union bound over the four letters exceeding the cutoff U, with the
-    monomial bounded by (i+j+l+r)**w, w = total weight.  Exact for uniform
-    (returns 0.0).  Deliberately crude -- it is only used to demonstrate the
-    truncation is far inside the comparison tolerances.
+    Returns (Q, A, start, total) for integer P_z: the sum over 1 <= w < v is
+    (sum_z z**v * A[z][j](v) - start[j]) / Q, the one over 1 <= w <= U is
+    total[j] / Q, and A[z][j], start[j] and total[j] are integers.  Each term
+    c * z**w * w**n contributes c * (z**v * R(v) - z * R(1)) by
+    :func:`models.antidifference`.  Q is the least common multiple of the
+    denominators of z and of the R, so z * A[z][j](1) is an integer too.
     """
-    idx = MomentIndex(*idx).validate()
-    if model.kind == UNIFORM:
-        return 0.0
-    w = sum(idx)
-    U = letter_cutoff(model)
-    p, q = float(model.p), float(model.q)
+    parts = []  # (z, [(c, [(R, den) for j = 0..e]) for each term c * z**w * w**n])
+    for z, P in polys.items():
+        z = z0 * z
+        parts.append((z, [(c, [_integer_antidifference(z.numerator, z.denominator, n + j)
+                                for j in range(e + 1)]) for n, c in enumerate(P) if c]))
+    Q = math.lcm(*(z.denominator * den for z, terms in parts for _, Rs in terms for _, den in Rs))
+    A: dict = {}
+    for z, terms in parts:
+        Az = A[z] = [[] for _ in range(e + 1)]
+        for c, Rs in terms:
+            for j, (R, den) in enumerate(Rs):
+                _accumulate(Az[j], 0, R, c * (Q // den))
+    start = [sum(z.numerator * sum(Az[j]) // z.denominator for z, Az in A.items())
+             for j in range(e + 1)]
+    if U is None:  # every |z| < 1, so z**v * A(v) vanishes as v grows
+        return Q, A, start, [-x for x in start]
+    # a bounded support is uniform, every z is 1: the partial sum at v = U + 1
+    top = [sum(x * (U + 1) ** i for Az in A.values() for i, x in enumerate(Az[j]))
+           for j in range(e + 1)]
+    return Q, A, start, [x - y for x, y in zip(top, start)]
 
-    def letter_moment(t: int, start: int) -> float:
-        # sum_{i >= start} p q**(i-1) i**t, summed until terms vanish
-        total, term_w = 0.0, p * q ** (start - 1)
-        i = start
-        while True:
-            term = term_w * i**t
-            total += term
-            if term < 1e-300 or (i > start + 10 and term < 1e-18 * total):
-                return total
-            i += 1
-            term_w *= q
 
-    m1 = [letter_moment(t, 1) for t in range(w + 1)]  # single-letter raw moments
-    # raw moments of the sum of three i.i.d. letters, by binomial convolution
-    m2 = [sum(math.comb(t, s) * m1[s] * m1[t - s] for s in range(t + 1)) for t in range(w + 1)]
-    m3 = [sum(math.comb(t, s) * m2[s] * m1[t - s] for s in range(t + 1)) for t in range(w + 1)]
-    tail = sum(math.comb(w, t) * letter_moment(w - t, U + 1) * m3[t] for t in range(w + 1))
-    return 4.0 * tail
+@lru_cache(maxsize=None)
+def _integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], int]:
+    """models.antidifference(zn/zd, n) as (integer coefficients, their denominator).
+
+    Keyed by ints: hashing the Fraction z would cost a modular inverse per lookup.
+    """
+    R = antidifference(Fraction(zn, zd), n)
+    den = math.lcm(*(r.denominator for r in R))
+    return tuple(int(r * den) for r in R), den
+
+
+def _accumulate(acc: list, shift: int, poly, factor: int) -> None:
+    """acc += factor * v**shift * poly(v), on coefficient lists."""
+    acc.extend([0] * (shift + len(poly) - len(acc)))
+    for i, r in enumerate(poly):
+        acc[shift + i] += factor * r
 
 
 def reversibility_check(model: Model) -> bool:
     """Oracle test of T[0,1,2,0] == T[0,2,1,0] (adjacent gap pair is reversible).
 
-    Exact equality for both models: reversing (x0, x1, x2) maps one truncated
-    sum onto the other term by term, with the same letter weights.
+    Exact equality for both models: reversing (x0, x1, x2) maps one sum onto
+    the other term by term.
     """
     lhs = cross_moment_oracle(model, MomentIndex(0, 1, 2, 0))
     return lhs == cross_moment_oracle(model, MomentIndex(0, 2, 1, 0))

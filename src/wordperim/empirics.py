@@ -26,6 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .simulation import _read_csv
+
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the C library error function (~1e-16 relative)."""
@@ -158,10 +160,15 @@ def goodness_of_fit(sample: Sequence[float], delta) -> GofReport:
 # CSV / JSON emission
 # ---------------------------------------------------------------------------
 
+_HISTOGRAM_ROW = np.dtype([("i", np.int64), ("left", np.float64), ("right", np.float64),
+                           ("center", np.float64), ("count", np.int64), ("freq", np.float64),
+                           ("gauss_mass", np.float64)])
+
+
 def write_histogram_csv(hist: Histogram, path) -> None:
     masses = gaussian_cell_masses(hist.delta)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("i,left,right,center,count,freq,gauss_mass\n")
+        fh.write(",".join(_HISTOGRAM_ROW.names) + "\n")
         for i in range(hist.cells):
             fh.write(
                 f"{i},{float(hist.left[i])!r},{float(hist.right[i])!r},"
@@ -171,24 +178,13 @@ def write_histogram_csv(hist: Histogram, path) -> None:
 
 
 def read_histogram_csv(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "i,left,right,center,count,freq,gauss_mass":
-            raise ValueError(f"not a histogram CSV (header {header!r})")
-        cols = {name: [] for name in header.split(",")}
-        for line in fh:
-            vals = line.rstrip("\n").split(",")
-            for name, v in zip(cols, vals):
-                cols[name].append(v)
-    return {
-        "i": np.array(cols["i"], dtype=np.int64),
-        "left": np.array(cols["left"], dtype=np.float64),
-        "right": np.array(cols["right"], dtype=np.float64),
-        "center": np.array(cols["center"], dtype=np.float64),
-        "count": np.array(cols["count"], dtype=np.int64),
-        "freq": np.array(cols["freq"], dtype=np.float64),
-        "gauss_mass": np.array(cols["gauss_mass"], dtype=np.float64),
-    }
+    """Load a histogram CSV back into one array per column.
+
+    Parsed as the ensemble CSVs are: a wrong header, a file without rows or a
+    malformed row (named by its line) raises ``ValueError``.
+    """
+    rows = _read_csv(path, "histogram", _HISTOGRAM_ROW)
+    return {name: rows[name] for name in _HISTOGRAM_ROW.names}
 
 
 def write_gof_json(report: GofReport, path) -> None:

@@ -4,12 +4,16 @@ A word is a sequence of i.i.d. positive-integer letters.  Both models expose
 exact probability mass functions (as ``fractions.Fraction``) for a single
 letter and for the absolute gap ``|x1 - x0|`` between two consecutive
 letters, plus a reproducible numpy-based sampler used by the Monte Carlo
-engine.  Everything except the sampler is exact rational arithmetic.
+engine.  Everything except the sampler is exact rational arithmetic.  Both
+letter laws are P(x = v) = c * z**v on [1, U] (:func:`letter_law`), and
+:func:`antidifference` sums z**w * w**n in closed form, also over the
+unbounded geometric support.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,9 +22,15 @@ import numpy as np
 UNIFORM = "uniform"
 GEOMETRIC = "geometric"
 
-# Exact series for the geometric model are truncated at the smallest U with
-# q**U < TAIL_EPS; the dropped tail is geometrically bounded.
-TAIL_EPS = Fraction(1, 10**15)
+
+def plain_int(value) -> int | None:
+    """``value`` as a plain int if it is a Python or numpy integer (not a bool), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -37,8 +47,10 @@ class Model:
 
     def __post_init__(self):
         if self.kind == UNIFORM:
-            if not isinstance(self.k, int) or self.k < 1:
+            k = plain_int(self.k)
+            if k is None or k < 1:
                 raise ValueError(f"uniform model needs integer k >= 1, got {self.k!r}")
+            object.__setattr__(self, "k", k)  # a numpy integer is stored as an int
         elif self.kind == GEOMETRIC:
             if not isinstance(self.p, Fraction) or not 0 < self.p < 1:
                 raise ValueError(f"geometric model needs rational 0 < p < 1, got {self.p!r}")
@@ -75,25 +87,6 @@ class Model:
         return Model.geometric(Fraction(d["p"]))
 
 
-def letter_cutoff(model: Model) -> int:
-    """Largest letter value kept in truncated exact sums.
-
-    Uniform support is [1, k] so the cutoff is k.  Geometric support is
-    infinite; the cutoff is the smallest U with q**U < TAIL_EPS, found
-    exactly (no floating point).
-    """
-    if model.kind == UNIFORM:
-        return model.k
-    q = model.q
-    # float estimate first, then settle the boundary exactly from both sides
-    u = max(1, int(math.log(float(TAIL_EPS)) / math.log(float(q))) - 2)
-    while q**u >= TAIL_EPS:
-        u += 1
-    while u > 1 and q ** (u - 1) < TAIL_EPS:
-        u -= 1
-    return u
-
-
 def letter_pmf(model: Model, i: int) -> Fraction:
     """P(x = i) for a single letter; zero outside the support."""
     if i < 1:
@@ -124,36 +117,56 @@ def gap_pmf(model: Model, u: int) -> Fraction:
     return 2 * p * model.q**u / (2 - p)
 
 
-def letter_weights(model: Model) -> tuple[list[int], int]:
-    """Integer weights (W, D) of the letter law truncated at U = letter_cutoff(model).
+def letter_law(model: Model) -> tuple[Fraction, Fraction, int | None]:
+    """(c, z, U) with P(x = v) = c * z**v for 1 <= v <= U; U is None for no bound.
 
-    P(x = i) = W[i] / D for 1 <= i <= U, and W[0] = 0, so exact sums over
-    letters stay in integers until one final division.  Uniform: W[i] = 1,
-    D = k.  Geometric with p = a/b: W[i] = a * (b-a)**(i-1) * b**(U-i) and
-    D = b**U.
+    Uniform: c = 1/k, z = 1, U = k.  Geometric: c = p/q, z = q, U = None.
     """
-    U = letter_cutoff(model)
     if model.kind == UNIFORM:
-        return [0] + [1] * U, U
-    a, b = model.p.numerator, model.p.denominator
-    W = [0, a * b ** (U - 1)]
-    for _ in range(U - 1):
-        W.append(W[-1] * (b - a) // b)  # exact: W[i] carries a factor b**(U-i)
-    return W, b**U
+        return Fraction(1, model.k), Fraction(1), model.k
+    return model.p / model.q, model.q, None
+
+
+def antidifference(z: Fraction, n: int) -> tuple[Fraction, ...]:
+    """Coefficients r[0], r[1], ... of the polynomial R with z*R(v+1) - R(v) = v**n.
+
+    Telescoping then gives sum_{1 <= w < v} z**w * w**n = z**v * R(v) - z * R(1).
+    R has degree n for z != 1; for z = 1 it is Faulhaber's polynomial of
+    degree n + 1, taken with R(0) = 0.  The coefficient of v**m on the left
+    is (z - 1)*r[m] + z * sum_{i > m} C(i, m)*r[i]; matching it for m = n
+    down to 0 fixes r[m] (r[m + 1] when z = 1) from the ones above.
+    """
+    lead = int(z == 1)
+    r = [Fraction(0)] * (n + 1 + lead)
+    for m in range(n, -1, -1):
+        above = z * sum(math.comb(i, m) * r[i] for i in range(m + 1 + lead, len(r)))
+        r[m + lead] = (Fraction(int(m == n)) - above) / (z * math.comb(m + lead, m) - 1 + lead)
+    return tuple(r)
+
+
+def power_sum(z: Fraction, n: int, U: int | None) -> Fraction:
+    """sum_{w=1..U} z**w * w**n exactly; U = None sums the whole series (needs |z| < 1).
+
+    The z**(U+1) * R(U+1) term of :func:`antidifference` vanishes as U grows
+    when |z| < 1, so the unbounded sum is -z * R(1), with R(1) = sum(R).
+    """
+    R = antidifference(z, n)
+    top = 0 if U is None else z ** (U + 1) * sum(r * (U + 1) ** i for i, r in enumerate(R))
+    return top - z * sum(R)
 
 
 def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
-    """Brute-force check of gap_pmf: sum P(x=i) * P(x=j) over |i-j| = u.
+    """Check of gap_pmf by the letter-pair sum f(u) = (2 - [u = 0]) * sum_i P(i) * P(i + u).
 
-    Exact for uniform; for geometric the letter sums are truncated at
-    letter_cutoff(model), so the result is the exact value of the truncated
-    double sum (short of the true value by a geometrically small tail).
+    With P(i) = c * z**i on [1, U] the pair sum is c**2 * z**u times the power
+    sum of z**2 over i = 1 .. U - u: exact for both models, also over the
+    unbounded geometric support.
     """
     if u < 0:
         raise ValueError(f"gap values are nonnegative, got {u}")
-    W, D = letter_weights(model)
-    total = sum(W[i] * W[i + u] for i in range(1, len(W) - u))
-    return Fraction(total if u == 0 else 2 * total, D * D)
+    c, z, U = letter_law(model)
+    pairs = c * c * z**u * power_sum(z * z, 0, None if U is None else max(U - u, 0))
+    return pairs if u == 0 else 2 * pairs
 
 
 def sample_letters(model: Model, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .cross_moments import MomentIndex, cross_moment_closed
-from .models import UNIFORM, Model
+from .models import UNIFORM, Model, plain_int
 
 # cross-moment source signature: (model, index, centered) -> Fraction
 Source = Callable[..., Fraction]
@@ -46,9 +46,12 @@ class RouteDisagreement(AssertionError):
     """Assembly route and closed form disagreed; one of them is wrong."""
 
 
-def _require(n: int, least: int = 2) -> None:
-    if not isinstance(n, int) or n < least:
+def _require(n: int, least: int = 2) -> int:
+    """n as a plain int (numpy integers pass; bool does not), checked to be >= least."""
+    value = plain_int(n)
+    if value is None or value < least:
         raise ValueError(f"word length n must be an integer >= {least}, got {n!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,7 @@ def _require(n: int, least: int = 2) -> None:
 
 def mean_closed(model: Model, n: int) -> Fraction:
     """Closed rational form of E(P_n)."""
-    _require(n)
+    n = _require(n)
     if model.kind == UNIFORM:
         k = model.k
         return Fraction((3 * k + 2 * k * k + 1) + (k * k + 6 * k - 1) * n, 3 * k)
@@ -67,7 +70,7 @@ def mean_closed(model: Model, n: int) -> Fraction:
 
 def mean_assembly(model: Model, n: int, source: Source = cross_moment_closed) -> Fraction:
     """E(P_n) = (n-1)M + 2n + 2*E(x0), from cross-moments."""
-    _require(n)
+    n = _require(n)
     return (n - 1) * source(model, _M) + 2 * n + 2 * source(model, _T1)
 
 
@@ -86,7 +89,7 @@ def mean_vertical(model: Model, n: int) -> Fraction:
 
 def mean_gap_sum(model: Model, n: int) -> Fraction:
     """E(Q_m) = m*M for the m = n-1 gaps."""
-    _require(n)
+    n = _require(n)
     return (n - 1) * cross_moment_closed(model, _M)
 
 
@@ -96,7 +99,7 @@ def mean_gap_sum(model: Model, n: int) -> Fraction:
 
 def variance_closed(model: Model, n: int) -> Fraction:
     """Closed rational form of Var(P_n) = Var(R_n)."""
-    _require(n)
+    n = _require(n)
     if model.kind == UNIFORM:
         k = model.k
         return Fraction((-5 * k * k + 4 * k**4 + 1) + (-3 + 3 * k**4) * n, 45 * k * k)
@@ -125,7 +128,7 @@ def variance_assembly(model: Model, n: int, source: Source = cross_moment_closed
     expression in n the result coincides with variance_closed for every
     n >= 2 (polynomial identity), which the verification sweep exploits.
     """
-    _require(n)
+    n = _require(n)
     T02 = source(model, _T02)
     T2 = source(model, _T2)
     T011 = source(model, _T011)
@@ -225,7 +228,7 @@ def mu3_rate_centered_assembly(model: Model, source: Source = cross_moment_close
 
 def mu3_dominant(model: Model, n: int) -> Fraction:
     """n * mu3*, the order-n term of the third centered moment of P_n."""
-    _require(n)
+    n = _require(n)
     rate = mu3_rate_closed(model)
     other = mu3_rate_assembly(model)
     if rate != other:
@@ -311,7 +314,7 @@ class MomentReport:
 
 
 def moment_report(model: Model, n: int) -> MomentReport:
-    _require(n)
+    n = _require(n)
     vstar, sigma = vstar_sigma(model)
     return MomentReport(
         model=model,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .empirics import normal_cdf
-from .models import Model, gap_pmf, letter_cutoff
+from .models import Model, gap_pmf
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 20, 24, 44  # margins
@@ -88,8 +88,9 @@ def plot_gap_pmf(model: Model) -> str:
     """Gap distribution f(u): markers on the exact masses, connected by a line."""
     if model.kind == "uniform":
         us = list(range(0, model.k))
-    else:
-        us = list(range(0, min(letter_cutoff(model), 60) + 1))
+    else:  # up to the first u with q**u < 1e-15, at most 60
+        last = next((u for u in range(1, 61) if model.q**u * 10**15 < 1), 60)
+        us = list(range(0, last + 1))
     fs = [float(gap_pmf(model, u)) for u in us]
     frame = _Frame(min(us), max(us) if len(us) > 1 else 1.0, 0.0, max(fs) * 1.1)
     body = [

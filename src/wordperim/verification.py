@@ -3,10 +3,9 @@
 Each check pits two computations of the same quantity against each other:
 closed-form rational expressions versus the staged exact-sum oracle, assembled
 moments versus their closed forms, and the perimeter decomposition versus
-literal boundary-edge counting.  Uniform-model comparisons demand exact
-rational equality; geometric comparisons allow GEOMETRIC_TOL relative error
-(the oracle truncates an infinite support; see the truncation bound in
-:mod:`wordperim.cross_moments`).
+literal boundary-edge counting.  Every comparison demands exact rational
+equality, for geometric letters too: the oracle sums their whole unbounded
+support (see :mod:`wordperim.cross_moments`).
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ import numpy as np
 
 from . import cross_moments as xm
 from . import moments as mo
-from .models import Model, gap_pmf, gap_pmf_by_convolution, letter_cutoff
+from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution
 from .polyomino import perimeter_decomposed_batch, perimeter_edge_count_batch
 
-GEOMETRIC_TOL = 1e-10
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
 # exhaustive perimeter cases: (k, n) ranges small enough to enumerate k**n words
@@ -54,14 +52,6 @@ class IdentityCheck:
             if len(self.failures) < 5:
                 self.failures.append(f"{label}: {lhs} != {rhs}")
 
-    def close(self, lhs, rhs, label: str, tol: float = GEOMETRIC_TOL) -> None:
-        self.instances += 1
-        dev = abs(float(lhs) - float(rhs)) / max(1.0, abs(float(rhs)))
-        self.max_deviation = max(self.max_deviation, dev)
-        if dev > tol:
-            if len(self.failures) < 5:
-                self.failures.append(f"{label}: relative deviation {dev:.3e} > {tol:.1e}")
-
 
 def _uniform_models(k_max: int):
     return [Model.uniform(k) for k in range(1, k_max + 1)]
@@ -73,49 +63,39 @@ def _geometric_models(p_list):
 
 def check_gap_pmf(k_max: int, p_list) -> IdentityCheck:
     chk = IdentityCheck("gap pmf closed form vs letter-pair convolution")
-    for m in _uniform_models(k_max):
-        total = Fraction(0)
-        for u in range(0, m.k + 1):
+    for m in _uniform_models(k_max) + _geometric_models(p_list):
+        uniform = m.kind == UNIFORM
+        for u in range(0, m.k + 1 if uniform else 21):
             chk.exact(gap_pmf(m, u), gap_pmf_by_convolution(m, u), f"{m.describe()} u={u}")
-            total += gap_pmf(m, u)
+        if uniform:
+            total = sum(gap_pmf(m, u) for u in range(m.k))
+        else:  # f(u) = f(1) * q**(u-1) for u >= 1: a geometric series
+            total = gap_pmf(m, 0) + gap_pmf(m, 1) / m.p
         chk.exact(total, Fraction(1), f"{m.describe()} sum over support")
-    for m in _geometric_models(p_list):
-        cut = letter_cutoff(m)
-        for u in range(0, 21):
-            chk.close(gap_pmf(m, u), gap_pmf_by_convolution(m, u), f"{m.describe()} u={u}")
-        total = sum(gap_pmf(m, u) for u in range(0, cut + 1))
-        chk.close(total, Fraction(1), f"{m.describe()} truncated sum", tol=1e-12)
+    return chk
+
+
+def _check_closed_vs_oracle(name: str, models) -> IdentityCheck:
+    chk = IdentityCheck(name)
+    for m in models:
+        for centered in (False, True):
+            for idx in xm.supported_closed_indices(m, centered):
+                chk.exact(
+                    xm.cross_moment_closed(m, idx, centered),
+                    xm.cross_moment_oracle(m, idx, centered),
+                    f"{m.describe()} {'centered ' if centered else ''}T{tuple(idx)}",
+                )
     return chk
 
 
 def check_cross_moments_uniform(k_max: int) -> IdentityCheck:
-    chk = IdentityCheck("cross-moment closed forms vs oracle (uniform)")
-    for m in _uniform_models(k_max):
-        for idx in xm.supported_closed_indices(m):
-            chk.exact(
-                xm.cross_moment_closed(m, idx),
-                xm.cross_moment_oracle(m, idx),
-                f"{m.describe()} T{tuple(idx)}",
-            )
-        for idx in xm.supported_closed_indices(m, centered=True):
-            chk.exact(
-                xm.cross_moment_closed(m, idx, centered=True),
-                xm.cross_moment_oracle(m, idx, centered=True),
-                f"{m.describe()} centered T{tuple(idx)}",
-            )
-    return chk
+    return _check_closed_vs_oracle(
+        "cross-moment closed forms vs oracle (uniform)", _uniform_models(k_max))
 
 
 def check_cross_moments_geometric(p_list) -> IdentityCheck:
-    chk = IdentityCheck("cross-moment closed forms vs truncated oracle (geometric)")
-    for m in _geometric_models(p_list):
-        for idx in xm.supported_closed_indices(m):
-            chk.close(
-                xm.cross_moment_oracle(m, idx),
-                xm.cross_moment_closed(m, idx),
-                f"{m.describe()} T{tuple(idx)}",
-            )
-    return chk
+    return _check_closed_vs_oracle(
+        "cross-moment closed forms vs oracle (geometric)", _geometric_models(p_list))
 
 
 def check_reversibility(k_max: int, p_list) -> IdentityCheck:
@@ -147,28 +127,17 @@ def check_independence(k_max: int, p_list) -> IdentityCheck:
     chk = IdentityCheck("independent gaps E(y1 y3) == M**2 (oracle, middle marginalized)")
     idx = xm.MomentIndex(0, 1, 0, 1)
     iM = xm.MomentIndex(0, 1, 0, 0)
-    for m in _uniform_models(k_max):
+    for m in _uniform_models(k_max) + _geometric_models(p_list):
         M = xm.cross_moment_oracle(m, iM)
         chk.exact(xm.cross_moment_oracle(m, idx), M * M, m.describe())
-    for m in _geometric_models(p_list):
-        M = xm.cross_moment_closed(m, iM)
-        chk.close(xm.cross_moment_oracle(m, idx), M * M, m.describe())
     return chk
 
 
 def check_mean(k_max: int, p_list, n_max: int) -> IdentityCheck:
     chk = IdentityCheck("mean assembly (oracle cross-moments) vs closed form")
-    ns = range(2, n_max + 1)
-    for m in _uniform_models(k_max):
-        for n in ns:
+    for m in _uniform_models(k_max) + _geometric_models(p_list):
+        for n in range(2, n_max + 1):
             chk.exact(
-                mo.mean_assembly(m, n, source=xm.cross_moment_oracle),
-                mo.mean_closed(m, n),
-                f"{m.describe()} n={n}",
-            )
-    for m in _geometric_models(p_list):
-        for n in ns:
-            chk.close(
                 mo.mean_assembly(m, n, source=xm.cross_moment_oracle),
                 mo.mean_closed(m, n),
                 f"{m.describe()} n={n}",
@@ -178,17 +147,9 @@ def check_mean(k_max: int, p_list, n_max: int) -> IdentityCheck:
 
 def check_variance(k_max: int, p_list, n_max: int) -> IdentityCheck:
     chk = IdentityCheck("variance tuple-count assembly (oracle) vs closed form")
-    ns = range(4, n_max + 1)  # multiplicities describe actual tuples from n=4 up
-    for m in _uniform_models(k_max):
-        for n in ns:
+    for m in _uniform_models(k_max) + _geometric_models(p_list):
+        for n in range(4, n_max + 1):  # multiplicities describe actual tuples from n=4 up
             chk.exact(
-                mo.variance_assembly(m, n, source=xm.cross_moment_oracle),
-                mo.variance_closed(m, n),
-                f"{m.describe()} n={n}",
-            )
-    for m in _geometric_models(p_list):
-        for n in ns:
-            chk.close(
                 mo.variance_assembly(m, n, source=xm.cross_moment_oracle),
                 mo.variance_closed(m, n),
                 f"{m.describe()} n={n}",
@@ -198,21 +159,18 @@ def check_variance(k_max: int, p_list, n_max: int) -> IdentityCheck:
 
 def check_mu3(k_max: int, p_list) -> IdentityCheck:
     chk = IdentityCheck("mu3* routes: uncentered combination, centered combination, closed")
-    for m in _uniform_models(k_max):
+    for m in _uniform_models(k_max) + _geometric_models(p_list):
         closed = mo.mu3_rate_closed(m)
         chk.exact(mo.mu3_rate_assembly(m, source=xm.cross_moment_oracle), closed,
                   f"{m.describe()} uncentered route")
         chk.exact(mo.mu3_rate_centered_assembly(m, source=xm.cross_moment_oracle), closed,
                   f"{m.describe()} centered route")
-    for m in _geometric_models(p_list):
-        chk.close(mo.mu3_rate_assembly(m, source=xm.cross_moment_oracle),
-                  mo.mu3_rate_closed(m), f"{m.describe()} uncentered route")
     return chk
 
 
 def check_vstar(k_max: int, p_list) -> IdentityCheck:
     chk = IdentityCheck("V* routes: (T02 - M**2) + 2(T011 - M**2) vs closed form")
-    for m in _uniform_models(k_max):
+    for m in _uniform_models(k_max) + _geometric_models(p_list):
         chk.exact(mo.vstar_assembly(m, source=xm.cross_moment_oracle),
                   mo.vstar_closed(m), m.describe())
         # V* is also the centered combination T~[0,2] + 2 T~[0,1,1]
@@ -220,9 +178,6 @@ def check_vstar(k_max: int, p_list) -> IdentityCheck:
             m, (0, 1, 1, 0), centered=True
         )
         chk.exact(centered, mo.vstar_closed(m), f"{m.describe()} centered combination")
-    for m in _geometric_models(p_list):
-        chk.close(mo.vstar_assembly(m, source=xm.cross_moment_oracle),
-                  mo.vstar_closed(m), m.describe())
     return chk
 
 

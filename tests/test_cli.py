@@ -83,15 +83,15 @@ def test_xmoment_both_methods(capsys):
     assert values == {"closed_form": "427/108", "brute_force": "427/108"}
 
 
-def test_xmoment_geometric_reports_truncation(capsys):
+def test_xmoment_geometric_oracle_is_exact(capsys):
     code, out, _ = run(
         capsys, "xmoment", "--model", "geometric", "--p", "1/2", "--index", "0,2,0,0",
-        "--method", "oracle",
     )
     assert code == 0
-    doc = json.loads(out)
-    (res,) = doc["results"]
-    assert res["truncation_bound"] < 1e-8
+    closed, oracle = json.loads(out)["results"]
+    assert (closed["method"], oracle["method"]) == ("closed_form", "brute_force")
+    assert oracle["exact"] == closed["exact"] == "4"
+    assert set(oracle) == {"method", "exact", "decimal"}  # no truncation_bound: nothing is cut
 
 
 def test_xmoment_no_closed_form(capsys):
@@ -128,6 +128,17 @@ def test_verify_small_sweep(capsys):
     )
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_tiny_p_is_exact(capsys):
+    # the letter support of p = 1e-6 is unbounded and long; the oracle sums all of it
+    code, out, _ = run(
+        capsys, "verify", "--k-max", "2", "--p-list", "1/1000000", "--n-max", "5",
+        "--random-words", "0",
+    )
+    assert code == 0 and "FAIL" not in out
+    geometric = next(line for line in out.splitlines() if "(geometric)" in line)
+    assert geometric.endswith("max_dev=0.000e+00")
 
 
 def test_verify_names_corrupted_identity(capsys, monkeypatch):
@@ -311,12 +322,13 @@ def test_plot_kinds(capsys, tmp_path):
         text = out.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
-    out = tmp_path / "pmf.svg"
-    code, _, _ = run(
-        capsys, "plot", "--kind", "pmf", "--model", "geometric", "--p", "1/2", "--out", str(out)
-    )
-    assert code == 0
-    assert out.read_text().startswith("<svg")
+    for p in ("1/2", "1/100000"):  # the plot range is found in a bounded scan, whatever p
+        out = tmp_path / "pmf.svg"
+        code, _, _ = run(
+            capsys, "plot", "--kind", "pmf", "--model", "geometric", "--p", p, "--out", str(out)
+        )
+        assert code == 0
+        assert out.read_text().startswith("<svg")
 
 
 def test_plot_is_deterministic(capsys, tmp_path):
@@ -364,6 +376,22 @@ def test_malformed_csv_inputs_exit_one(capsys, tmp_path):
         capsys, "histogram", "--input", str(ens), "--out", str(tmp_path / "h.csv")
     )
     assert code == 1 and err.startswith("error: endpoint CSV") and "Traceback" not in err
+
+    # histogram CSVs: a short row, and a header without rows
+    _, hist, _, code, _ = full_pipeline(capsys, tmp_path)
+    assert code == 0
+    header, *rows = hist.read_text().splitlines(keepends=True)
+    short = rows[2].rsplit(",", 1)[0] + "\n"
+    for text, where in ((header + rows[0] + rows[1] + short + "".join(rows[3:]), "line 4"),
+                        (header, "no data rows")):
+        hist.write_text(text)
+        for kind in ("histogram", "cumulative"):
+            code, out, err = run(
+                capsys, "plot", "--kind", kind, "--input", str(hist),
+                "--out", str(tmp_path / "x.svg"),
+            )
+            assert code == 1 and out == "" and "Traceback" not in err
+            assert err.startswith("error: histogram CSV") and where in err
 
 
 def test_plot_trajectory_out_of_range(capsys, tmp_path):

@@ -27,8 +27,8 @@ def test_oracle_known_values():
     assert wp.cross_moment_oracle(U6, (1, 0, 0, 0)) == Fraction(7, 2)
     assert wp.cross_moment_oracle(U6, (0, 2, 0, 0)) == Fraction(35, 6)
     assert wp.cross_moment_oracle(U6, (0, 1, 0, 0), centered=True) == 0
-    dev = wp.cross_moment_oracle(G_HALF, (0, 1, 0, 0)) - Fraction(4, 3)
-    assert abs(float(dev)) < 1e-12
+    assert wp.cross_moment_oracle(G_HALF, (0, 1, 0, 0)) == Fraction(4, 3)
+    assert wp.cross_moment_oracle(G_HALF, (0, 1, 0, 0), centered=True) == 0
 
 
 def test_closed_known_values():
@@ -39,7 +39,7 @@ def test_closed_known_values():
 
 
 def test_closed_equals_oracle_uniform():
-    for k in range(1, 9):
+    for k in (*range(1, 9), 10**3, 10**6, 10**12):
         m = wp.Model.uniform(k)
         for idx in xm.supported_closed_indices(m):
             assert wp.cross_moment_closed(m, idx) == wp.cross_moment_oracle(m, idx), (k, idx)
@@ -52,19 +52,15 @@ def test_closed_equals_oracle_uniform():
 ALL_INDICES = [i for i in itertools.product(range(4), repeat=4) if sum(i) <= 4]
 
 
-def _literal_oracle(model, idx, centered=False):
+def _literal_oracle(model, idx, U, M=0):
     """Test-only reference: the quadruple sum over [1, U]**4 written out from letter_pmf.
 
-    Each factor table is brought to integers over its own common denominator,
-    so the 65536 terms at U = 16 add as ints; that is exact, and much faster
-    than adding Fractions.
+    Each gap factor is (|v - w| - M)**e.  Each factor table is brought to
+    integers over its own common denominator, so the 65536 terms at U = 16
+    add as ints; that is exact, and much faster than adding Fractions.
     """
     a, b, c, d = idx
-    pmf = [wp.letter_pmf(model, i) for i in range(1, wp.letter_cutoff(model) + 1)]
-    M = 0
-    if centered:  # its own mean gap: the same truncated sum with l and r summed out
-        M = sum(pi * pj * abs(j - i) for i, pi in enumerate(pmf) for j, pj in enumerate(pmf))
-        M *= sum(pmf) ** 2
+    pmf = [wp.letter_pmf(model, i) for i in range(1, U + 1)]
 
     def integers(values):
         den = math.lcm(*(Fraction(x).denominator for x in values))
@@ -85,43 +81,75 @@ def _literal_oracle(model, idx, centered=False):
     return Fraction(total, dp**4 * db * dc * dd)
 
 
+def _truncation_bound(model, idx, U, M=0):
+    """Test-only bound on |exact oracle - _literal_oracle(model, idx, U, M)|, geometric letters.
+
+    The two differ by the tuples with a letter above U.  With S = i+j+l+r,
+    every factor of the summand is at most S + M in size, so the summand is
+    at most (S + M)**w, w = total weight; a union bound over which of the
+    four letters exceeds U then gives 4 * E((x + rest + M)**w; x > U), with
+    rest the sum of the other three letters.  Deliberately crude.
+    """
+    w = sum(idx)
+    p, q, M = float(model.p), float(model.q), float(M)
+
+    def letter_moment(t, start):
+        # sum_{i >= start} p q**(i-1) i**t, summed until terms vanish
+        total, term_w, i = 0.0, p * q ** (start - 1), start
+        while True:
+            term = term_w * i**t
+            total += term
+            if term < 1e-300 or (i > start + 10 and term < 1e-18 * total):
+                return total
+            i += 1
+            term_w *= q
+
+    def shifted_sum(moments, t):  # the t-th raw moment of (that sum + one more letter)
+        return sum(math.comb(t, s) * moments[s] * m1[t - s] for s in range(t + 1))
+
+    m1 = [letter_moment(t, 1) for t in range(w + 1)]
+    m3 = [shifted_sum(m1, t) for t in range(w + 1)]
+    m3 = [shifted_sum(m3, t) for t in range(w + 1)]  # raw moments of three i.i.d. letters
+    rest = [sum(math.comb(t, s) * m3[s] * M ** (t - s) for s in range(t + 1)) for t in range(w + 1)]
+    return 4.0 * sum(math.comb(w, t) * letter_moment(w - t, U + 1) * rest[t] for t in range(w + 1))
+
+
 def test_oracle_equals_literal_quadruple_sum():
     for k in (1, 2, 3, 5):
         m = wp.Model.uniform(k)
+        M = _literal_oracle(m, (0, 1, 0, 0), k)
         for idx in ALL_INDICES:
-            assert wp.cross_moment_oracle(m, idx) == _literal_oracle(m, idx), (k, idx)
+            assert wp.cross_moment_oracle(m, idx) == _literal_oracle(m, idx, k), (k, idx)
             if idx[0] == 0:
                 assert wp.cross_moment_oracle(m, idx, centered=True) == _literal_oracle(
-                    m, idx, centered=True
+                    m, idx, k, M
                 ), (k, idx)
-    # both sides are the same sum truncated at U = 16, so they agree exactly
-    g = wp.Model.geometric(Fraction(9, 10))
-    assert wp.letter_cutoff(g) == 16
+    # the oracle sums the whole geometric support, the literal sum stops at
+    # U = 16 (q**16 = 1e-16): they differ by less than the tail bound
+    g, U = wp.Model.geometric(Fraction(9, 10)), 16
     for idx in ((0, 1, 1, 1), (0, 1, 2, 0), (1, 1, 0, 0), (2, 0, 0, 2)):
-        assert wp.cross_moment_oracle(g, idx) == _literal_oracle(g, idx), idx
+        gap = abs(float(wp.cross_moment_oracle(g, idx) - _literal_oracle(g, idx, U)))
+        assert gap <= _truncation_bound(g, idx, U), idx
+    M = wp.mean_gap(g)
     for idx in ((0, 1, 1, 1), (0, 2, 1, 0)):
-        assert wp.cross_moment_oracle(g, idx, centered=True) == _literal_oracle(
-            g, idx, centered=True
-        ), idx
+        gap = abs(float(wp.cross_moment_oracle(g, idx, centered=True) - _literal_oracle(g, idx, U, M)))
+        assert gap <= _truncation_bound(g, idx, U, M), idx
 
 
 def test_closed_near_oracle_geometric():
-    for idx in xm.supported_closed_indices(G_HALF):
-        closed = wp.cross_moment_closed(G_HALF, idx)
-        oracle = wp.cross_moment_oracle(G_HALF, idx)
-        rel = abs(float(oracle - closed)) / max(1.0, abs(float(closed)))
-        assert rel < 1e-10, idx
+    # exact: the oracle sums the unbounded support, even where it is long (small p)
+    for p in (Fraction(1, 10**6), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+        m = wp.Model.geometric(p)
+        for idx in xm.supported_closed_indices(m):
+            assert wp.cross_moment_closed(m, idx) == wp.cross_moment_oracle(m, idx), (p, idx)
 
 
 def test_truncation_bound_dominates_actual_error():
+    # at U = 12, p = 1/2 the dropped tail is large enough to see: the bound must cover it
     for idx in ((0, 3, 0, 0), (0, 1, 1, 1), (1, 1, 0, 0)):
-        actual = abs(
-            float(wp.cross_moment_oracle(G_HALF, idx) - wp.cross_moment_closed(G_HALF, idx))
-        )
-        bound = wp.oracle_truncation_bound(G_HALF, idx)
-        assert actual <= bound
-        assert bound < 1e-8
-    assert wp.oracle_truncation_bound(U6, (0, 3, 0, 0)) == 0.0
+        actual = abs(float(wp.cross_moment_oracle(G_HALF, idx) - _literal_oracle(G_HALF, idx, 12)))
+        assert 0 < actual <= _truncation_bound(G_HALF, idx, 12)
+        assert _truncation_bound(G_HALF, idx, 50) < 1e-8  # and it falls off with U
 
 
 def test_centered_with_leading_letter_rejected():
@@ -175,8 +203,7 @@ def test_independent_gaps_factorize():
         M = wp.cross_moment_oracle(m, (0, 1, 0, 0))
         assert wp.cross_moment_oracle(m, (0, 1, 0, 1)) == M * M
     M = wp.cross_moment_closed(G_HALF, (0, 1, 0, 0))
-    dev = abs(float(wp.cross_moment_oracle(G_HALF, (0, 1, 0, 1)) - M * M))
-    assert dev < 1e-10
+    assert wp.cross_moment_oracle(G_HALF, (0, 1, 0, 1)) == M * M
 
 
 @settings(max_examples=40, deadline=None)

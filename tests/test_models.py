@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wordperim as wp
-from wordperim.models import TAIL_EPS
-
-
-def _assert_weights_match_pmf(m):
-    W, D = wp.letter_weights(m)
-    assert len(W) == wp.letter_cutoff(m) + 1 and W[0] == 0
-    assert all(Fraction(W[i], D) == wp.letter_pmf(m, i) for i in range(1, len(W)))
+from wordperim import models
 
 
 def test_uniform_letter_pmf():
@@ -21,16 +15,12 @@ def test_uniform_letter_pmf():
     assert wp.letter_pmf(m, 3) == Fraction(1, 6)
     assert wp.letter_pmf(m, 6) == Fraction(1, 6)
     assert wp.letter_pmf(m, 7) == 0
-    for k in (1, 6):
-        _assert_weights_match_pmf(wp.Model.uniform(k))
 
 
 def test_geometric_letter_pmf():
     m = wp.Model.geometric(Fraction(1, 2))
     assert wp.letter_pmf(m, 1) == Fraction(1, 2)
     assert wp.letter_pmf(m, 3) == Fraction(1, 8)
-    for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
-        _assert_weights_match_pmf(wp.Model.geometric(p))
 
 
 def test_letter_pmf_rejects_nonpositive():
@@ -80,11 +70,11 @@ def test_gap_pmf_matches_convolution_uniform():
 
 
 def test_gap_pmf_matches_convolution_geometric():
-    for p in (Fraction(1, 2), Fraction(1, 4), Fraction(9, 10)):
+    # exact: the convolution sums the unbounded support, however long it is
+    for p in (Fraction(1, 10**6), Fraction(1, 2), Fraction(1, 4), Fraction(9, 10)):
         m = wp.Model.geometric(p)
         for u in range(0, 15):
-            dev = abs(float(wp.gap_pmf(m, u) - wp.gap_pmf_by_convolution(m, u)))
-            assert dev < 1e-12
+            assert wp.gap_pmf(m, u) == wp.gap_pmf_by_convolution(m, u)
 
 
 def test_gap_pmf_sums_to_one():
@@ -93,23 +83,33 @@ def test_gap_pmf_sums_to_one():
         assert sum(wp.gap_pmf(m, u) for u in range(k)) == 1
     for p in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4)):
         m = wp.Model.geometric(p)
-        total = sum(wp.gap_pmf(m, u) for u in range(wp.letter_cutoff(m) + 1))
-        assert abs(float(1 - total)) < 1e-12
+        # the tail beyond u = 40 is the geometric series f(41) / p
+        total = sum(wp.gap_pmf(m, u) for u in range(41)) + wp.gap_pmf(m, 41) / p
+        assert total == 1
 
 
 def test_gap_pmf_nonincreasing_beyond_zero():
     for m in (wp.Model.uniform(7), wp.Model.geometric(Fraction(2, 5))):
-        cut = wp.letter_cutoff(m)
-        values = [wp.gap_pmf(m, u) for u in range(1, min(cut, 25))]
+        values = [wp.gap_pmf(m, u) for u in range(1, 25)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_letter_cutoff_is_tight():
-    assert wp.letter_cutoff(wp.Model.uniform(11)) == 11
-    for p in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
-        m = wp.Model.geometric(p)
-        u = wp.letter_cutoff(m)
-        assert m.q**u < TAIL_EPS <= m.q ** (u - 1)
+@settings(max_examples=40)
+@given(
+    z=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50)) | st.just(Fraction(1)),
+    n=st.integers(0, 7),
+    U=st.integers(0, 12),
+)
+def test_power_sum_equals_the_literal_sum(z, n, U):
+    assert models.power_sum(z, n, U) == sum(z**w * w**n for w in range(1, U + 1))
+    R = models.antidifference(z, n)
+    poly = lambda v: sum(r * v**i for i, r in enumerate(R))  # noqa: E731
+    assert all(z * poly(v + 1) - poly(v) == v**n for v in range(-2, 5))
+    if z < 1:  # unbounded: S_0 = z/(1-z), and (1-z) S_n = sum_w z**w (w**n - (w-1)**n)
+        S = [models.power_sum(z, j, None) for j in range(n + 1)]
+        assert S[0] == z / (1 - z)
+        lower = sum(math.comb(n, j) * (-1) ** (n - 1 - j) * S[j] for j in range(n))
+        assert n == 0 or (1 - z) * S[n] == lower
 
 
 @given(k=st.integers(1, 30), u=st.integers(0, 40))
@@ -184,3 +184,36 @@ def test_geometric_inversion_matches_cdf(p):
     assert x.min() >= 1
     # tail containment: P(x > 200) is tiny for these p, so values stay modest
     assert x.max() <= max(10, int(math.log(1e-12) / math.log(q)) + 2)
+
+
+INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+SMALL_INDICES = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)
+                 if a + b + c + d <= 4]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    k=st.integers(1, 100),
+    n=st.integers(2, 100),
+    idx=st.sampled_from(SMALL_INDICES),
+    cast=st.sampled_from(INTEGER_TYPES),
+)
+def test_numpy_integer_inputs_become_plain_ints(k, n, idx, cast):
+    m = wp.Model.uniform(cast(k))
+    assert type(m.k) is int and m == wp.Model.uniform(k) and m.describe() == f"uniform[1,{k}]"
+    exps = np.array(idx).astype(cast)
+    assert wp.MomentIndex(*exps).validate() == idx
+    assert all(type(e) is int for e in wp.MomentIndex(*exps).validate())
+    assert wp.cross_moment_oracle(m, exps) == wp.cross_moment_oracle(wp.Model.uniform(k), idx)
+    report = wp.moment_report(m, cast(n))
+    assert type(report.n) is int and report == wp.moment_report(wp.Model.uniform(k), n)
+
+
+@given(flag=st.sampled_from([True, False, np.True_, np.False_]))
+def test_bool_is_no_integer_input(flag):
+    with pytest.raises(ValueError, match="uniform model needs integer k"):
+        wp.Model.uniform(flag)
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        wp.MomentIndex(0, flag, 0, 0).validate()
+    with pytest.raises(ValueError, match="word length n must be an integer"):
+        wp.moment_report(wp.Model.uniform(3), flag)

@@ -44,13 +44,25 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
     assert "FAIL" in report and "cross-moment closed forms vs oracle (uniform)" in report
 
 
-def test_close_comparison_uses_relative_deviation():
-    chk = ver.IdentityCheck("demo")
-    chk.close(Fraction(1000000, 1), Fraction(1000001, 1), "big values")  # rel 1e-6
-    assert not chk.passed
-    chk2 = ver.IdentityCheck("demo2")
-    chk2.close(1.0 + 1e-12, 1.0, "tiny dev")
-    assert chk2.passed
+def test_geometric_models_run_every_route_exactly():
+    p_list = [Fraction(1, 10**6), Fraction(1, 2)]
+    checks = {c.name: c for c in wp.run_verification(k_max=3, p_list=p_list, n_max=6, random_words=0)}
+    assert all(c.passed and c.max_deviation == 0 for c in checks.values())
+    # two routes per model each: the centered ones run for geometric letters too
+    assert checks["mu3* routes: uncentered combination, centered combination, closed"].instances == 10
+    assert checks["V* routes: (T02 - M**2) + 2(T011 - M**2) vs closed form"].instances == 10
+    # 21 masses and the sum over the support per geometric model
+    assert checks["gap pmf closed form vs letter-pair convolution"].instances == 9 + 3 + 2 * 22
+
+
+def test_corrupted_geometric_closed_form_is_caught(monkeypatch):
+    broken = dict(xm.GEOMETRIC_CLOSED)
+    real = broken[xm.MomentIndex(0, 1, 1, 0)]
+    broken[xm.MomentIndex(0, 1, 1, 0)] = lambda m: real(m) * (1 + Fraction(1, 10**30))
+    monkeypatch.setattr(xm, "GEOMETRIC_CLOSED", broken)
+    check = ver.check_cross_moments_geometric([Fraction(1, 3)])
+    assert not check.passed and 0 < check.max_deviation < 1e-25
+    assert any("T(0, 1, 1, 0)" in f for f in check.failures)
 
 
 def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
