@@ -22,7 +22,7 @@ ensemble = wp.simulate(config)
 
 delta = Fraction(1, 2)
 hist = wp.build_histogram(ensemble.z, delta)
-masses = wp.gaussian_cell_masses(delta)
+masses = hist.gauss_mass  # standard normal mass of each cell
 report = wp.goodness_of_fit(ensemble.z, delta)
 
 print(f"{hist.cells} cells of width {delta}, N = {hist.n}")

@@ -9,20 +9,16 @@ and Brownian limit laws of the gap-sum process by seeded Monte Carlo.
 """
 
 from .cross_moments import (
-    CrossMomentResult,
     MomentIndex,
     NoClosedFormError,
-    cross_moment,
     cross_moment_closed,
     cross_moment_oracle,
     mean_gap,
-    reversibility_check,
 )
 from .empirics import (
     GofReport,
     Histogram,
     build_histogram,
-    gaussian_cell_mass,
     gaussian_cell_masses,
     goodness_of_fit,
     ks_statistic,
@@ -35,7 +31,6 @@ from .models import (
     gap_pmf,
     gap_pmf_by_convolution,
     letter_pmf,
-    sample_letter,
     sample_letters,
 )
 from .moments import (
@@ -70,7 +65,6 @@ from .verification import IdentityCheck, format_report, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossMomentResult",
     "EmpiricalMoments",
     "GEOMETRIC",
     "GofReport",
@@ -86,14 +80,12 @@ __all__ = [
     "TrajectoryEnsemble",
     "UNIFORM",
     "build_histogram",
-    "cross_moment",
     "cross_moment_closed",
     "cross_moment_oracle",
     "empirical_moments",
     "format_report",
     "gap_pmf",
     "gap_pmf_by_convolution",
-    "gaussian_cell_mass",
     "gaussian_cell_masses",
     "goodness_of_fit",
     "ks_statistic",
@@ -110,9 +102,7 @@ __all__ = [
     "perimeter_edge_count",
     "perimeter_edge_count_batch",
     "render_polyomino",
-    "reversibility_check",
     "run_verification",
-    "sample_letter",
     "sample_letters",
     "simulate",
     "trajectory_rng",

@@ -76,9 +76,7 @@ def _write_manifest(primary_out: Path, command: str, flags: dict, outputs: list[
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
     path = primary_out.with_name(primary_out.name + ".manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    simulation._write_json(manifest, path)
     return path
 
 
@@ -110,17 +108,16 @@ def cmd_xmoment(args) -> int:
         idx = xm.MomentIndex(*(int(t) for t in args.index.split(","))).validate()
     except (TypeError, ValueError) as e:
         raise CliError(f"bad --index {args.index!r}: {e}")
+    routes = {"closed_form": xm.cross_moment_closed, "brute_force": xm.cross_moment_oracle}
     methods = {"closed": ["closed_form"], "oracle": ["brute_force"],
                "both": ["closed_form", "brute_force"]}[args.method]
     results = []
     for method in methods:
         try:
-            res = xm.cross_moment(model, idx, centered=args.centered, method=method)
-        except xm.NoClosedFormError as e:
+            value = routes[method](model, idx, args.centered)
+        except ValueError as e:  # NoClosedFormError is one
             raise CliError(str(e))
-        except ValueError as e:
-            raise CliError(str(e))
-        results.append({"method": method, "exact": str(res.value), "decimal": float(res.value)})
+        results.append({"method": method, "exact": str(value), "decimal": float(value)})
     print(json.dumps({
         "model": model.as_dict(),
         "index": list(idx),
@@ -211,9 +208,9 @@ def cmd_histogram(args) -> int:
         raise CliError(str(e))
     try:
         hist = empirics.build_histogram(data["z"], args.delta)
-        report = empirics.goodness_of_fit(data["z"], args.delta)
     except ValueError as e:
         raise CliError(str(e))
+    report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     empirics.write_histogram_csv(hist, out)

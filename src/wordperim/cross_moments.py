@@ -57,13 +57,6 @@ class NoClosedFormError(ValueError):
     """Raised for an index without a tabulated closed form; use the oracle."""
 
 
-class CrossMomentResult(NamedTuple):
-    index: MomentIndex
-    centered: bool
-    value: Fraction
-    method: str  # "closed_form" | "brute_force"
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -306,24 +299,3 @@ def _accumulate(acc: list, shift: int, poly, factor: int) -> None:
     for i, r in enumerate(poly):
         acc[shift + i] += factor * r
 
-
-def reversibility_check(model: Model) -> bool:
-    """Oracle test of T[0,1,2,0] == T[0,2,1,0] (adjacent gap pair is reversible).
-
-    Exact equality for both models: reversing (x0, x1, x2) maps one sum onto
-    the other term by term.
-    """
-    lhs = cross_moment_oracle(model, MomentIndex(0, 1, 2, 0))
-    return lhs == cross_moment_oracle(model, MomentIndex(0, 2, 1, 0))
-
-
-def cross_moment(model: Model, idx, centered: bool = False, method: str = "closed_form") -> CrossMomentResult:
-    """Uniform entry point used by the command-line `xmoment` query."""
-    idx = MomentIndex(*idx).validate()
-    if method == "closed_form":
-        value = cross_moment_closed(model, idx, centered)
-    elif method == "brute_force":
-        value = cross_moment_oracle(model, idx, centered)
-    else:
-        raise ValueError(f"method must be 'closed_form' or 'brute_force', got {method!r}")
-    return CrossMomentResult(idx, centered, value, method)

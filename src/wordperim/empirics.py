@@ -18,7 +18,6 @@ masses.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .simulation import _read_csv
+from .simulation import _read_csv, _write_json
 
 
 def normal_cdf(x: float) -> float:
@@ -43,35 +42,42 @@ def _check_delta(delta) -> Fraction:
     return d
 
 
-def cell_count(delta) -> int:
-    """Number of cells: indices 0 .. 6/delta + 2 inclusive."""
-    d = _check_delta(delta)
-    return int(6 / d) + 3
-
-
 @dataclass
 class Histogram:
     delta: Fraction
-    left: np.ndarray      # left edges, float64
-    right: np.ndarray     # right edges
-    center: np.ndarray    # cell centers i*delta - 3 - delta
-    counts: np.ndarray    # int64 cell counts, sum == n
-    freq: np.ndarray      # counts / n
+    left: np.ndarray        # left edges, float64
+    right: np.ndarray       # right edges
+    center: np.ndarray      # cell centers i*delta - 3 - delta
+    gauss_mass: np.ndarray  # standard normal mass of each cell, tails clamped in
+    counts: np.ndarray      # int64 cell counts, sum == n
+    freq: np.ndarray        # counts / n
     n: int
 
     @property
     def cells(self) -> int:
         return self.counts.size
 
+    @property
+    def max_cell_abs_error(self) -> float:
+        return float(np.abs(self.freq - self.gauss_mass).max())
 
-def _grid(delta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _grid(delta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, center, gauss_mass) of the grid of a checked ``delta``.
+
+    Cell i's mass is Phi(right[i]) - Phi(left[i]), with Phi taken as 0 at the
+    first left edge and 1 at the last right edge: the boundary cells take the
+    clamped tails.
+    """
     cells = int(6 / delta) + 3
     i = np.arange(cells)
     d = float(delta)
     left = i * d - 3 - 1.5 * d
     right = left + d
     center = i * d - 3 - d
-    return left, right, center
+    lo = [0.0] + [normal_cdf(x) for x in left[1:].tolist()]
+    hi = [normal_cdf(x) for x in right[:-1].tolist()] + [1.0]
+    return left, right, center, np.subtract(hi, lo)
 
 
 def build_histogram(sample: Sequence[float], delta) -> Histogram:
@@ -85,40 +91,26 @@ def build_histogram(sample: Sequence[float], delta) -> Histogram:
     z = np.asarray(sample, dtype=np.float64)
     if z.size == 0:
         raise ValueError("sample must be nonempty")
-    cells = int(6 / d) + 3
+    left, right, center, gauss_mass = _grid(d)
     left0 = float(-3 - Fraction(3, 2) * d)
     idx = np.floor((z - left0) / float(d)).astype(np.int64)
-    idx = np.clip(idx, 0, cells - 1)
-    counts = np.bincount(idx, minlength=cells).astype(np.int64)
-    left, right, center = _grid(d)
+    idx = np.clip(idx, 0, left.size - 1)
+    counts = np.bincount(idx, minlength=left.size).astype(np.int64)
     return Histogram(
         delta=d,
         left=left,
         right=right,
         center=center,
+        gauss_mass=gauss_mass,
         counts=counts,
         freq=counts / z.size,
         n=int(z.size),
     )
 
 
-def gaussian_cell_mass(i: int, delta) -> float:
-    """Standard normal mass of cell i; boundary cells take the clamped tail."""
-    d = _check_delta(delta)
-    cells = int(6 / d) + 3
-    if not 0 <= i < cells:
-        raise ValueError(f"cell index {i} out of range 0..{cells - 1}")
-    left, right, _ = _grid(d)
-    lo = -math.inf if i == 0 else left[i]
-    hi = math.inf if i == cells - 1 else right[i]
-    lo_cdf = 0.0 if lo == -math.inf else normal_cdf(lo)
-    hi_cdf = 1.0 if hi == math.inf else normal_cdf(hi)
-    return hi_cdf - lo_cdf
-
-
 def gaussian_cell_masses(delta) -> np.ndarray:
-    d = _check_delta(delta)
-    return np.array([gaussian_cell_mass(i, d) for i in range(cell_count(d))])
+    """Standard normal mass of every cell of the grid; boundary cells take the clamped tails."""
+    return _grid(_check_delta(delta))[3]
 
 
 def ks_statistic(sample: Sequence[float]) -> float:
@@ -143,17 +135,8 @@ class GofReport(NamedTuple):
     max_cell_abs_error: float
 
 
-def max_cell_error(hist: Histogram) -> float:
-    masses = gaussian_cell_masses(hist.delta)
-    return float(np.abs(hist.freq - masses).max())
-
-
 def goodness_of_fit(sample: Sequence[float], delta) -> GofReport:
-    hist = build_histogram(sample, delta)
-    return GofReport(
-        ks_statistic=ks_statistic(sample),
-        max_cell_abs_error=max_cell_error(hist),
-    )
+    return GofReport(ks_statistic(sample), build_histogram(sample, delta).max_cell_abs_error)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +149,13 @@ _HISTOGRAM_ROW = np.dtype([("i", np.int64), ("left", np.float64), ("right", np.f
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:
-    masses = gaussian_cell_masses(hist.delta)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_HISTOGRAM_ROW.names) + "\n")
         for i in range(hist.cells):
             fh.write(
                 f"{i},{float(hist.left[i])!r},{float(hist.right[i])!r},"
                 f"{float(hist.center[i])!r},{int(hist.counts[i])},"
-                f"{float(hist.freq[i])!r},{float(masses[i])!r}\n"
+                f"{float(hist.freq[i])!r},{float(hist.gauss_mass[i])!r}\n"
             )
 
 
@@ -188,11 +170,4 @@ def read_histogram_csv(path) -> dict:
 
 
 def write_gof_json(report: GofReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {"ks_statistic": report.ks_statistic, "max_cell_abs_error": report.max_cell_abs_error},
-            fh,
-            sort_keys=True,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(report._asdict(), path)

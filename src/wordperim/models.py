@@ -87,15 +87,6 @@ class Model:
         return Model.geometric(Fraction(d["p"]))
 
 
-def letter_pmf(model: Model, i: int) -> Fraction:
-    """P(x = i) for a single letter; zero outside the support."""
-    if i < 1:
-        raise ValueError(f"letters are positive integers, got {i}")
-    if model.kind == UNIFORM:
-        return Fraction(1, model.k) if i <= model.k else Fraction(0)
-    return model.p * model.q ** (i - 1)
-
-
 def gap_pmf(model: Model, u: int) -> Fraction:
     """P(|x1 - x0| = u) for two i.i.d. letters, exact closed form.
 
@@ -125,6 +116,14 @@ def letter_law(model: Model) -> tuple[Fraction, Fraction, int | None]:
     if model.kind == UNIFORM:
         return Fraction(1, model.k), Fraction(1), model.k
     return model.p / model.q, model.q, None
+
+
+def letter_pmf(model: Model, i: int) -> Fraction:
+    """P(x = i) for a single letter; zero outside the support."""
+    if i < 1:
+        raise ValueError(f"letters are positive integers, got {i}")
+    c, z, U = letter_law(model)
+    return c * z**i if U is None or i <= U else Fraction(0)
 
 
 def antidifference(z: Fraction, n: int) -> tuple[Fraction, ...]:
@@ -205,8 +204,3 @@ def geometric_letters(model: Model, u: np.ndarray, out: np.ndarray | None = None
         return x.astype(np.int64)
     out[...] = x
     return out
-
-
-def sample_letter(model: Model, rng: np.random.Generator) -> int:
-    """Single-letter convenience wrapper around sample_letters."""
-    return int(sample_letters(model, rng, 1)[0])

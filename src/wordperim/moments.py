@@ -46,6 +46,13 @@ class RouteDisagreement(AssertionError):
     """Assembly route and closed form disagreed; one of them is wrong."""
 
 
+def _agreed(name: str, where: str, value: Fraction, other: Fraction) -> Fraction:
+    """``value``, once a second route gave ``other`` equal to it; else RouteDisagreement."""
+    if value != other:
+        raise RouteDisagreement(f"{name} routes disagree at {where}: {value} vs {other}")
+    return value
+
+
 def _require(n: int, least: int = 2) -> int:
     """n as a plain int (numpy integers pass; bool does not), checked to be >= least."""
     value = plain_int(n)
@@ -75,11 +82,8 @@ def mean_assembly(model: Model, n: int, source: Source = cross_moment_closed) ->
 
 
 def mean_perimeter(model: Model, n: int) -> Fraction:
-    value = mean_closed(model, n)
-    other = mean_assembly(model, n)
-    if value != other:
-        raise RouteDisagreement(f"mean routes disagree at {model.describe()}, n={n}: {value} vs {other}")
-    return value
+    return _agreed("mean", f"{model.describe()}, n={n}", mean_closed(model, n),
+                   mean_assembly(model, n))
 
 
 def mean_vertical(model: Model, n: int) -> Fraction:
@@ -149,13 +153,8 @@ def variance_assembly(model: Model, n: int, source: Source = cross_moment_closed
 
 
 def variance_perimeter(model: Model, n: int) -> Fraction:
-    value = variance_closed(model, n)
-    other = variance_assembly(model, n)
-    if value != other:
-        raise RouteDisagreement(
-            f"variance routes disagree at {model.describe()}, n={n}: {value} vs {other}"
-        )
-    return value
+    return _agreed("variance", f"{model.describe()}, n={n}", variance_closed(model, n),
+                   variance_assembly(model, n))
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +228,9 @@ def mu3_rate_centered_assembly(model: Model, source: Source = cross_moment_close
 def mu3_dominant(model: Model, n: int) -> Fraction:
     """n * mu3*, the order-n term of the third centered moment of P_n."""
     n = _require(n)
-    rate = mu3_rate_closed(model)
-    other = mu3_rate_assembly(model)
-    if rate != other:
-        raise RouteDisagreement(
-            f"mu3 routes disagree at {model.describe()}: {rate} vs {other}"
-        )
+    rate = _agreed("mu3", model.describe(), mu3_rate_closed(model), mu3_rate_assembly(model))
     if model.kind == UNIFORM:
-        centered = mu3_rate_centered_assembly(model)
-        if rate != centered:
-            raise RouteDisagreement(
-                f"mu3 centered route disagrees at {model.describe()}: {rate} vs {centered}"
-            )
+        _agreed("mu3 centered", model.describe(), rate, mu3_rate_centered_assembly(model))
     return n * rate
 
 
@@ -269,10 +259,7 @@ def vstar_assembly(model: Model, source: Source = cross_moment_closed) -> Fracti
 
 def vstar_sigma(model: Model) -> tuple[Fraction, float]:
     """(V*, sigma) with sigma = sqrt(V*) as the only floating-point output."""
-    vstar = vstar_closed(model)
-    other = vstar_assembly(model)
-    if vstar != other:
-        raise RouteDisagreement(f"V* routes disagree at {model.describe()}: {vstar} vs {other}")
+    vstar = _agreed("V*", model.describe(), vstar_closed(model), vstar_assembly(model))
     return vstar, math.sqrt(vstar.numerator / vstar.denominator)
 
 

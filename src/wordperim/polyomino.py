@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 RENDER_MAX_HEIGHT = 10**4
+RENDER_CELL_PX = 24.0  # side of one drawn cell, and the margin around the drawing
 
 
 class PerimeterBreakdown(NamedTuple):
@@ -115,7 +116,7 @@ def perimeter_edge_count(word: Sequence[int]) -> int:
     return int(perimeter_edge_count_batch(_check_word(word)[None])[0])
 
 
-def render_polyomino(word: Sequence[int], cell_px: float = 24.0) -> str:
+def render_polyomino(word: Sequence[int]) -> str:
     """Self-contained SVG drawing of the word's polyomino.
 
     Unit cells are filled squares; the boundary is overdrawn as one path with
@@ -127,7 +128,7 @@ def render_polyomino(word: Sequence[int], cell_px: float = 24.0) -> str:
         raise ValueError(f"render refuses letters above {RENDER_MAX_HEIGHT}")
     n = letters.size
     height = int(letters.max())
-    margin = cell_px
+    cell_px = margin = RENDER_CELL_PX
     width_px = n * cell_px + 2 * margin
     height_px = height * cell_px + 2 * margin
 

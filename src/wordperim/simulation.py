@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cross_moments import mean_gap
-from .models import UNIFORM, Model, geometric_letters, sample_letters
+from .models import UNIFORM, Model, geometric_letters, plain_int, sample_letters
 from .moments import vstar_sigma
 
 _MASK64 = (1 << 64) - 1
@@ -43,24 +43,40 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_ROWS = 64
 
 
+# Bytes ``simulate`` may allocate for its per-trajectory results: the paths
+# when they are recorded, else the endpoints and z (8 bytes each per trajectory).
+MEMORY_BUDGET = 2 * 1024**3
+
+
 class MemoryBudgetExceeded(RuntimeError):
-    """Full-path recording would allocate more than the configured budget."""
+    """The ensemble's arrays would take more than MEMORY_BUDGET bytes."""
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One ensemble: ``trajectories`` words of m + 1 letters, seeded by ``seed``.
+
+    m, trajectories and seed may be Python or numpy integers (not bool); they
+    are stored as plain ints.  The seed lies in [0, 2**64), the Philox key range.
+    """
+
     model: Model
     m: int                      # number of gaps per trajectory
     trajectories: int
     seed: int
     record_full_paths: bool = False
-    path_memory_limit: int = 2 * 1024**3  # bytes
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need at least one gap, got m={self.m}")
-        if self.trajectories < 1:
-            raise ValueError(f"need at least one trajectory, got {self.trajectories}")
+        m, n, seed = (plain_int(v) for v in (self.m, self.trajectories, self.seed))
+        if m is None or m < 1:
+            raise ValueError(f"need at least one gap, got m={self.m!r}")
+        if n is None or n < 1:
+            raise ValueError(f"need at least one trajectory, got {self.trajectories!r}")
+        if seed is None or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "trajectories", n)
+        object.__setattr__(self, "seed", seed)
 
     def as_dict(self) -> dict:
         return {
@@ -172,15 +188,14 @@ def _gap_blocks(model: Model, seed: int, n_traj: int, m: int):
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
     """Generate the ensemble described by ``config`` (deterministic in the seed)."""
     model, m, n_traj = config.model, config.m, config.trajectories
-    paths = None
     if config.record_full_paths:
-        need = n_traj * (m + 1) * 8
-        if need > config.path_memory_limit:
-            raise MemoryBudgetExceeded(
-                f"recording {n_traj} paths of length {m + 1} needs {need} bytes, "
-                f"budget is {config.path_memory_limit}"
-            )
-        paths = np.zeros((n_traj, m + 1), dtype=np.int64)
+        what, need = f"{n_traj} paths of length {m + 1}", n_traj * (m + 1) * 8
+    else:
+        what, need = f"the endpoints and z of {n_traj} trajectories", n_traj * 16
+    if need > MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"recording {what} needs {need} bytes, budget is {MEMORY_BUDGET}")
+    paths = np.zeros((n_traj, m + 1), dtype=np.int64) if config.record_full_paths else None
     endpoints = np.zeros(n_traj, dtype=np.int64)
     for lo, hi, gaps in _gap_blocks(model, config.seed, n_traj, m):
         if paths is not None:
@@ -312,6 +327,13 @@ def _first_rejected_line(fh, row: np.dtype) -> tuple[str, str] | None:
             return next(((f" line {n}", r) for n, s in batch if (r := reason([s]))), None)
 
 
+def _write_json(doc: dict, path) -> None:
+    """Write ``doc`` as JSON with sorted keys, a two-space indent and a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
     endpoints, z = ensemble.endpoints, ensemble.z
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -357,9 +379,7 @@ def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:
         "sigma": ensemble.sigma,
         "degenerate_scale": ensemble.degenerate_scale,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def read_config_sidecar(path) -> dict:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +264,21 @@ def test_simulate_geometric_p_below_float_resolution(capsys, tmp_path):
     assert err.startswith("error: geometric p = 1/100000000000000000 is too small")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "5", "--trajectories", "3", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+    (["--m", "5", "--trajectories", "3", "--seed", str(2**64)], "seed must be"),
+    # endpoint mode: 1.6e15 bytes are refused before anything is allocated
+    (["--m", "1", "--trajectories", str(10**14), "--seed", "1"], "budget is 2147483648"),
+], ids=["negative-seed", "seed-2**64", "huge-N"])
+def test_simulate_bad_inputs_exit_one(capsys, tmp_path, flags, message):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "simulate", "--model", "uniform", "--k", "6", *flags,
+                            "--out", str(out))
+    assert code == 1
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and message in err
+
+
 def full_pipeline(capsys, tmp_path):
     ens = tmp_path / "ens.csv"
     hist = tmp_path / "hist.csv"
@@ -426,3 +443,109 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert wp.__version__ in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# golden bytes
+# ---------------------------------------------------------------------------
+
+# sha256 of what the commands write and print.  Manifests record the flags, so
+# every run uses relative paths inside tmp_path.
+HISTOGRAM_GOLDEN = {
+    "1/2": {
+        "hist.csv": "7a22252ce1774ef86d36fea24a2cc442a54b6f648ee70a23a6b20b50d37bf07b",
+        "gof.json": "157b4fa4e81c20cfe2ae2267bdf59d38d585ffc8504168cbe2c744fdefa3295f",
+        "hist.csv.manifest.json": "7b595fbd439305aae1198a4cfc6298abcd3e4e239cf45accc2326782cf8faba6",
+        "histogram.svg": "5c17ff1a535fc41ee8ed837e0d88551c21ac11273c69d96e11c59e7bfb05a550",
+        "cumulative.svg": "30a4e1dc4b7116a9f9e0e4beb5e042fc8d286151624735faa055dcee67f7307d",
+        "stdout": "0a25e6389af86d8fbeec447ea716a9b987cff1d8d2179f299796c4d7e48f7711",
+    },
+    "1/3": {
+        "hist.csv": "8ce3a97906157cb9275949e09d0c779057f2c955eb32c2fdb95789d11d64c798",
+        "gof.json": "138e58024eb8b8c5ee2238c8b00c92d77406110d0dab812c4a28c8b937da66e4",
+        "hist.csv.manifest.json": "6134f4806d9cbd501e5e9a97295bd3f3db0220deff52e458883f1dfab135e170",
+        "histogram.svg": "1cc8cc7b9cba3f492e42d2bca96de1c27f9946fc204f13eafe7266289aea76c5",
+        "cumulative.svg": "b6394918bfc5e9ddd629ec65adb5c35a1c1494114edfe1e2df6646375bdd04ce",
+        "stdout": "375fd0fc40646f15bba0899e3189802802d3443ef290e3f03b93b38e27db1f55",
+    },
+}
+SIMULATE_GOLDEN = {
+    "uniform": {
+        "ens.json": "2a4af69d8c9c68a3ce836e586165c312ac2ba49214bb30851089baa7d23a0153",
+        "ens.csv.manifest.json": "cdeb2dabb0288b39e7704dfbee688396b1543c96d4fa006d0bccfeda1ea2ae05",
+        "stdout": "85a1b5802790c7644ed1e8436ad47227930c44f64d6909012bc340fc5987e29e",
+    },
+    "geometric": {
+        "ens.json": "96667f9271c8567ce1617bef37482d3d3c016df2bd463effa6a09f7a5a90e7b6",
+        "ens.csv.manifest.json": "94854dfbdc7b80fbb5833e2113666e5030e9bb05ad9a83bfa400f62d4aef5277",
+        "stdout": "287942e16bfe357b116b35753f48bfb921df7f4cd68a436e879b1d268bbe3c05",
+    },
+}
+RENDER_GOLDEN = {
+    "poly.svg": "74ff2ba93c64babfc28d574c69b3ba7992a8929780249393ad42629431745ef8",
+    "poly.svg.manifest.json": "c84caa4e2663f440e03d0e3adca0cb169b5ccea4015f747835ba8618b8dde84d",
+    "stdout": "8f905e9d2adf44d2449466f7108662ea32c51b4381f588923414025177b99c94",
+}
+XMOMENT_GOLDEN = {
+    "uniform-both": "866b4776d91685cc57134437fe720786f5904f60452ccf2eb81a384a1ac34351",
+    "uniform-centered-both": "cff21af9c92759e434bd6b66a07c9ce1016d7afcf15159c2438e50351332ac04",
+    "geometric-both": "131608a751ff00628175a0cb7d202a2282b01f135405c1644ec85e42fcbc970b",
+    "geometric-centered-oracle": "f38f1a20dd2e1922532c6efbbc2116c6076e96b08c412d511aab4e99c0d1b7bc",
+}
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(out: str, *names: str) -> dict:
+    """sha256 of each named file in the working directory, and of ``out`` as "stdout"."""
+    found = {name: sha256_hex(Path(name).read_bytes()) for name in names}
+    found["stdout"] = sha256_hex(out.encode("utf-8"))
+    return found
+
+
+@pytest.mark.parametrize("delta", ["1/2", "1/3"])
+def test_histogram_outputs_golden(capsys, tmp_path, monkeypatch, delta):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *simulate_args("ens.csv", n="2000"))[0] == 0
+    code, out, _ = run(capsys, "histogram", "--input", "ens.csv", "--delta", delta,
+                       "--out", "hist.csv", "--gof", "gof.json")
+    assert code == 0
+    for kind in ("histogram", "cumulative"):
+        assert run(capsys, "plot", "--kind", kind, "--input", "hist.csv",
+                   "--out", f"{kind}.svg")[0] == 0
+    assert digests(out, "hist.csv", "gof.json", "hist.csv.manifest.json",
+                   "histogram.svg", "cumulative.svg") == HISTOGRAM_GOLDEN[delta]
+
+
+@pytest.mark.parametrize("model", [["uniform", "--k", "6"], ["geometric", "--p", "1/2"]],
+                         ids=lambda model: model[0])
+def test_simulate_sidecar_golden(capsys, tmp_path, monkeypatch, model):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "simulate", "--model", *model, "--m", "50",
+                       "--trajectories", "200", "--seed", "3", "--out", "ens.csv")
+    assert code == 0
+    assert digests(out, "ens.json", "ens.csv.manifest.json") == SIMULATE_GOLDEN[model[0]]
+
+
+def test_render_svg_golden(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "render", "--word", "2,3,1,3,5,1", "--out", "poly.svg")
+    assert code == 0
+    assert digests(out, "poly.svg", "poly.svg.manifest.json") == RENDER_GOLDEN
+
+
+@pytest.mark.parametrize("case, argv", [
+    ("uniform-both", ["uniform", "--k", "6", "--index", "0,1,1,0", "--method", "both"]),
+    ("uniform-centered-both",
+     ["uniform", "--k", "6", "--index", "0,1,1,0", "--centered", "--method", "both"]),
+    ("geometric-both", ["geometric", "--p", "1/3", "--index", "0,1,2,0", "--method", "both"]),
+    # no centered geometric closed form is tabulated, so only the oracle answers
+    ("geometric-centered-oracle",
+     ["geometric", "--p", "1/3", "--index", "0,2,1,0", "--centered", "--method", "oracle"]),
+])
+def test_xmoment_stdout_golden(capsys, case, argv):
+    code, out, _ = run(capsys, "xmoment", "--model", *argv)
+    assert code == 0
+    assert sha256_hex(out.encode("utf-8")) == XMOMENT_GOLDEN[case]

@@ -1,6 +1,7 @@
-"""Smoke test: the demos that write no files run to the end against the current API."""
+"""Smoke test: every demo runs to the end against the current API."""
 
 import runpy
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,3 +15,15 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 def test_demo_runs(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize(
+    "name", ["03_polyomino_perimeter.py", "05_gaussian_fit.py", "06_brownian_paths.py"]
+)
+def test_demo_writing_files_runs(name, capsys, tmp_path):
+    # a copy writes its SVGs to tmp_path/output, next to itself
+    copy = tmp_path / name
+    shutil.copy(DEMOS / name, copy)
+    runpy.run_path(str(copy), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+    assert any((tmp_path / "output").glob("*.svg"))

@@ -40,9 +40,9 @@ def test_delta_validation():
         wp.build_histogram([0.0], 0)
     with pytest.raises(ValueError):
         wp.build_histogram([], HALF)
-    assert empirics.cell_count(HALF) == 15
-    assert empirics.cell_count(1) == 9
-    assert empirics.cell_count(Fraction(3, 2)) == 7
+    for delta, cells in ((HALF, 15), (1, 9), (Fraction(3, 2), 7)):
+        assert wp.build_histogram([0.0], delta).cells == cells
+        assert wp.gaussian_cell_masses(delta).size == cells
 
 
 def test_single_central_sample():
@@ -91,7 +91,7 @@ def test_counts_conserved():
 def test_gaussian_cell_mass_central_value():
     # central cell [-1/4, 1/4]: matches an independent quadrature and the
     # frozen value 2*Phi(0.25) - 1
-    got = wp.gaussian_cell_mass(7, HALF)
+    got = wp.gaussian_cell_masses(HALF)[7]
     assert abs(got - simpson_gauss_mass(-0.25, 0.25)) < 1e-10
     assert abs(got - 0.19741265136584758) < 1e-12
 
@@ -112,20 +112,34 @@ def test_cell_mass_symmetry():
 
 
 def test_cell_mass_quadrature_agreement():
-    hist_cells = empirics.cell_count(HALF)
-    left, right = None, None
     hist = wp.build_histogram([0.0], HALF)
-    for i in range(hist_cells):
+    for i in range(hist.cells):
         lo = -8.5 if i == 0 else float(hist.left[i])
-        hi = 8.5 if i == hist_cells - 1 else float(hist.right[i])
-        assert abs(wp.gaussian_cell_mass(i, HALF) - simpson_gauss_mass(lo, hi)) < 1e-8
+        hi = 8.5 if i == hist.cells - 1 else float(hist.right[i])
+        assert abs(hist.gauss_mass[i] - simpson_gauss_mass(lo, hi)) < 1e-8
 
 
-def test_cell_mass_index_validation():
-    with pytest.raises(ValueError):
-        wp.gaussian_cell_mass(15, HALF)
-    with pytest.raises(ValueError):
-        wp.gaussian_cell_mass(-1, HALF)
+@pytest.mark.parametrize("delta", [HALF, Fraction(1, 3), 1, Fraction(3, 2), Fraction(1, 10)])
+def test_cell_masses_equal_per_cell_reference(delta):
+    # each mass is Phi(right[i]) - Phi(left[i]) from that cell's own edges, even
+    # where right[i] is not the same float as left[i + 1]; the tails are 0 and 1
+    hist = wp.build_histogram([0.0], delta)
+    last = hist.cells - 1
+    reference = [
+        (1.0 if i == last else empirics.normal_cdf(hist.right[i]))
+        - (0.0 if i == 0 else empirics.normal_cdf(hist.left[i]))
+        for i in range(hist.cells)
+    ]
+    assert hist.gauss_mass.tolist() == reference
+    assert wp.gaussian_cell_masses(delta).tolist() == reference
+
+
+def test_max_cell_abs_error_is_the_largest_cell_deviation():
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=3000)
+    hist = wp.build_histogram(z, HALF)
+    assert hist.max_cell_abs_error == max(abs(f - g) for f, g in zip(hist.freq, hist.gauss_mass))
+    assert wp.goodness_of_fit(z, HALF) == (wp.ks_statistic(z), hist.max_cell_abs_error)
 
 
 def test_gaussian_sample_frequencies_within_binomial_band():
@@ -133,7 +147,7 @@ def test_gaussian_sample_frequencies_within_binomial_band():
     rng = np.random.default_rng(12345)
     z = rng.normal(size=n)
     hist = wp.build_histogram(z, HALF)
-    masses = wp.gaussian_cell_masses(HALF)
+    masses = hist.gauss_mass
     for i in range(hist.cells):
         se = math.sqrt(masses[i] * (1 - masses[i]) / n)
         assert abs(hist.freq[i] - masses[i]) <= 5 * se, f"cell {i}"

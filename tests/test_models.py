@@ -123,7 +123,7 @@ def test_sampler_support():
     x = wp.sample_letters(wp.Model.uniform(6), rng, 10000)
     assert x.min() >= 1 and x.max() <= 6
     rng = wp.trajectory_rng(123, 1)
-    assert wp.sample_letter(wp.Model.uniform(1), rng) == 1
+    assert wp.sample_letters(wp.Model.uniform(1), rng, 1).tolist() == [1]
     rng = wp.trajectory_rng(123, 2)
     g = wp.sample_letters(wp.Model.geometric(Fraction(1, 2)), rng, 10000)
     assert g.min() >= 1

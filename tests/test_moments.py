@@ -119,3 +119,20 @@ def test_route_disagreement_detected(monkeypatch):
     monkeypatch.setattr(xm, "UNIFORM_CLOSED", broken)
     with pytest.raises(mo.RouteDisagreement):
         wp.variance_perimeter(wp.Model.uniform(5), 12)
+
+
+@pytest.mark.parametrize("table, idx, guarded, message", [
+    ("UNIFORM_CLOSED", (1, 0, 0, 0), lambda m: wp.mean_perimeter(m, 12), "mean routes"),
+    ("UNIFORM_CLOSED", (0, 1, 1, 1), lambda m: wp.mu3_dominant(m, 12), "mu3 routes"),
+    # the uncentered guard passes; only the centered assembly sees this entry
+    ("UNIFORM_CLOSED_CENTERED", (0, 1, 1, 1), lambda m: wp.mu3_dominant(m, 12),
+     "mu3 centered routes"),
+    ("UNIFORM_CLOSED", (0, 2, 0, 0), wp.vstar_sigma, r"V\* routes"),
+], ids=["mean", "mu3", "mu3-centered", "vstar"])
+def test_each_route_guard_detects_a_corrupted_closed_form(monkeypatch, table, idx, guarded,
+                                                          message):
+    broken = dict(getattr(xm, table))
+    broken[xm.MomentIndex(*idx)] = lambda m: Fraction(1, 7)
+    monkeypatch.setattr(xm, table, broken)
+    with pytest.raises(mo.RouteDisagreement, match=message):
+        guarded(wp.Model.uniform(5))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wordperim as wp
 from wordperim import simulation as sim
@@ -22,12 +24,45 @@ def test_config_validation():
         small_config(m=0)
     with pytest.raises(ValueError):
         small_config(trajectories=0)
+    for field, value in [("m", True), ("trajectories", True), ("m", 5.0)]:
+        with pytest.raises(ValueError):
+            small_config(**{field: value})
+    for seed in (True, False, -1, np.int64(-1), 2**64, "3"):  # the Philox key is [0, 2**64)
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=seed)
+
+
+NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 20), n=st.integers(1, 20), seed=st.integers(0, 2**64 - 1),
+       m_type=st.sampled_from(NUMPY_INTS), n_type=st.sampled_from(NUMPY_INTS))
+def test_numpy_integer_config_writes_the_plain_int_sidecar(tmp_path_factory, m, n, seed,
+                                                          m_type, n_type):
+    out = tmp_path_factory.mktemp("sidecar")
+    plain = wp.SimulationConfig(model=U6, m=m, trajectories=n, seed=seed)
+    from_numpy = wp.SimulationConfig(model=U6, m=m_type(m), trajectories=n_type(n),
+                                     seed=np.uint64(seed))
+    assert from_numpy == plain
+    assert all(type(v) is int for v in (from_numpy.m, from_numpy.trajectories, from_numpy.seed))
+    sim.write_config_sidecar(wp.simulate(plain), out / "plain.json")
+    sim.write_config_sidecar(wp.simulate(from_numpy), out / "numpy.json")
+    assert (out / "numpy.json").read_bytes() == (out / "plain.json").read_bytes()
 
 
 def test_memory_budget_refusal():
-    cfg = small_config(record_full_paths=True, path_memory_limit=100)
-    with pytest.raises(wp.MemoryBudgetExceeded):
+    # checked before anything is allocated: 3 GiB of paths are never requested
+    cfg = small_config(m=2, trajectories=2**27, record_full_paths=True)
+    with pytest.raises(wp.MemoryBudgetExceeded, match="recording 134217728 paths of length 3 "
+                       "needs 3221225472 bytes, budget is 2147483648"):
         wp.simulate(cfg)
+
+
+def test_endpoint_memory_budget_refusal():
+    # N = 10**14 endpoints and z would take 1.6e15 bytes
+    with pytest.raises(wp.MemoryBudgetExceeded, match="1600000000000000 bytes, budget is 2147483648"):
+        wp.simulate(small_config(m=1, trajectories=10**14))
 
 
 def test_degenerate_model():
@@ -322,13 +357,14 @@ def test_block_sampler_equals_scalar_path(monkeypatch, model, m):
 
     monkeypatch.setattr(sim, "trajectory_rng", counting_rng)
     n = 2 * sim._BLOCK_ROWS + 3
-    cfg = dict(model=model, m=m, trajectories=n, seed=2**64 + 5)
+    seed = 2**64 - 1  # the largest Philox key
+    cfg = dict(model=model, m=m, trajectories=n, seed=seed)
     ends = wp.simulate(wp.SimulationConfig(**cfg))
     with_paths = wp.simulate(wp.SimulationConfig(**cfg, record_full_paths=True))
     fallback_rows = len(calls) // 2
 
     want = np.array([
-        np.cumsum(np.abs(np.diff(wp.sample_letters(model, wp.trajectory_rng(5, l), m + 1))))
+        np.cumsum(np.abs(np.diff(wp.sample_letters(model, wp.trajectory_rng(seed, l), m + 1))))
         for l in range(n)
     ])
     assert np.array_equal(with_paths.paths[:, 0], np.zeros(n))
