@@ -227,9 +227,25 @@ def cmd_histogram(args) -> int:
     return 0
 
 
+def _read_sidecar(csv_path) -> tuple[float, float]:
+    """(mean gap, sigma) from the config sidecar ``<stem>.json`` next to a path CSV."""
+    path = Path(csv_path).with_suffix(".json")
+    try:
+        doc = simulation.read_config_sidecar(path)
+    except OSError:
+        raise CliError(f"config sidecar {path} not found next to {csv_path}")
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise CliError(f"config sidecar {path} is not valid JSON: {e}")
+    try:
+        return float(Fraction(doc["mean_gap"])), float(doc["sigma"])
+    except KeyError as e:
+        raise CliError(f"config sidecar {path} has no field {e}")
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise CliError(f"config sidecar {path}: {e}")
+
+
 def cmd_plot(args) -> int:
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     kind = args.kind
     if kind == "pmf":
         model = _model_from_args(args)
@@ -241,20 +257,14 @@ def cmd_plot(args) -> int:
             paths = simulation.read_path_csv(args.input)
         except (OSError, ValueError) as e:
             raise CliError(str(e))
-        sidecar_path = Path(args.input).with_suffix(".json")
-        try:
-            sidecar = simulation.read_config_sidecar(sidecar_path)
-        except OSError:
-            raise CliError(f"config sidecar {sidecar_path} not found next to {args.input}")
+        mg, sigma = _read_sidecar(args.input)
         if not 0 <= args.trajectory < paths.shape[0]:
             raise CliError(f"--trajectory {args.trajectory} out of range 0..{paths.shape[0] - 1}")
         row = paths[args.trajectory]
         if kind == "trajectory":
-            svg = svgplot.plot_trajectory(row, float(Fraction(sidecar["mean_gap"])))
+            svg = svgplot.plot_trajectory(row, mg)
         else:
             m = paths.shape[1] - 1
-            sigma = float(sidecar["sigma"])
-            mg = float(Fraction(sidecar["mean_gap"]))
             t = np.arange(m + 1) / m
             if sigma == 0.0:
                 w = np.zeros(m + 1)
@@ -274,6 +284,7 @@ def cmd_plot(args) -> int:
             svg = svgplot.plot_cumulative(hist["right"], hist["freq"])
     else:  # pragma: no cover - argparse choices guard this
         raise CliError(f"unknown plot kind {kind!r}")
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     flags = {"kind": kind, "input": args.input or "", "out": args.out,

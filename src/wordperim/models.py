@@ -168,6 +168,10 @@ def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
     return pairs if u == 0 else 2 * pairs
 
 
+# Geometric p below which the sampler takes ln q as log1p(-p) (see geometric_letters).
+_LOG1P_BELOW = Fraction(1, 2**26)
+
+
 def sample_letters(model: Model, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` i.i.d. letters as an int64 array.
 
@@ -188,13 +192,17 @@ def geometric_letters(model: Model, u: np.ndarray, out: np.ndarray | None = None
     drawing block after block allocates nothing.  Raises ``ValueError`` when
     p is so small that 1 - p rounds to 1.0 in float64 and the inversion
     would divide by log(1.0) = 0.
+
+    ln q is ``log(float(q))`` for p >= 2**-26, where every sampled ensemble
+    keeps its bytes; below, float(q) keeps too few digits of p (ln q off by
+    2.2e-5 relative at p = 1e-12), so ln q is ``log1p(-float(p))``.
     """
     q = float(model.q)
     if q == 1.0:
         raise ValueError(
             f"geometric p = {model.p} is too small to sample: 1 - p rounds to 1.0 in float64"
         )
-    lnq = math.log(q)
+    lnq = math.log1p(-float(model.p)) if model.p < _LOG1P_BELOW else math.log(q)
     x = np.negative(u, out=None if out is None else u)
     np.log1p(x, out=x)
     np.divide(x, lnq, out=x)

@@ -22,6 +22,7 @@ faulted in and unmapped again, about 122 600 minor page faults for one
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -274,12 +275,20 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 # Both CSV kinds are a header line naming three columns, then rows of three
 # cells.  The writers format at most _CSV_CHUNK_ROWS rows with one ``%`` and
 # write them with one call, so their memory stays flat whatever N and m are:
-# the endpoint writer on a repeated row format (``%r`` gives the
-# repr-shortest float), the path writer on a template per path segment that
-# already holds the j column.  The readers check the header and hand the
-# rest of the file to ``np.loadtxt`` with a three-field record dtype: numpy's
-# C parser reads the numbers, floats correctly rounded, and rejects a row
-# with the wrong number of fields.
+# the endpoint writer on a repeated row format, the path writer on a template
+# per path segment that already holds the j column.  z is a function of the
+# integer endpoint, so the endpoint writer takes the repr-shortest text of
+# each distinct z of a chunk once (distinct by bit pattern, so that 0.0 and
+# -0.0 stay apart) and formats it with ``%s``.
+#
+# The readers check, on an open handle, the header and that a nonblank line
+# follows it, then hand ``np.loadtxt`` the file's path with a three-field
+# record dtype: numpy's C parser reads the file in blocks (given a handle, it
+# takes one Python line at a time, about 1.7x slower on a 1M-row path CSV),
+# reads the numbers, floats correctly rounded, and rejects a row with the
+# wrong number of fields.  numpy opens a path by its suffix, so a plain CSV
+# named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma`` would be taken for a
+# compressed file and fail; such a file is parsed from the open handle.
 # ---------------------------------------------------------------------------
 
 # Rows per formatted chunk, under 1 MB of text for either CSV kind; chunks of
@@ -287,6 +296,8 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 _CSV_CHUNK_ROWS = 1 << 14
 _ENDPOINT_ROW = np.dtype([("trajectory", np.int64), ("endpoint", np.int64), ("z", np.float64)])
 _PATH_ROW = np.dtype([("trajectory", np.int64), ("j", np.int64), ("Q", np.int64)])
+# The suffixes by which numpy's loadtxt opens a path as a compressed file.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
@@ -296,12 +307,14 @@ def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
         first = fh.readline().strip()
         if first != header:
             raise ValueError(f"expected the {kind} CSV header {header!r}, got {first!r}")
-        start = fh.tell()  # np.loadtxt only warns on empty input: look first
-        if not fh.readline().strip():
+        if not any(line.strip() for line in fh):  # np.loadtxt only warns on empty input
             raise ValueError(f"{kind} CSV {path} has no data rows after its header")
-        fh.seek(start)
+        fh.seek(0)
+        name = os.fspath(path)
+        source = fh if name.endswith(_COMPRESSED_SUFFIXES) else os.path.abspath(name)
         try:
-            return np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+            return np.loadtxt(source, dtype=row, delimiter=",", comments=None, ndmin=1,
+                              skiprows=1, encoding="utf-8")
         except ValueError as e:  # drop numpy's advice to pass usecols
             where, reason = _first_rejected_line(fh, row) or ("", str(e).split(";")[0])
             raise ValueError(f"{kind} CSV {path}{where}: {reason}") from None
@@ -310,9 +323,9 @@ def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
 def _first_rejected_line(fh, row: np.dtype) -> tuple[str, str] | None:
     """(" line N", reason) for the first data line np.loadtxt rejects; the header is line 1.
 
-    numpy numbers rows its own way (from 0 or 1, without the header or blank
-    lines), so the error path parses the file again in chunks, then the lines
-    of the first chunk that fails one at a time.
+    numpy numbers rows its own way (from 0 or 1, without the header or empty
+    lines; a line of blanks is a row), so the error path parses the file again
+    in chunks, then the lines of the first chunk that fails one at a time.
     """
     def reason(lines) -> str | None:  # without numpy's row number and usecols advice
         try:
@@ -321,7 +334,7 @@ def _first_rejected_line(fh, row: np.dtype) -> tuple[str, str] | None:
             return str(e).split(" at row")[0]
 
     fh.seek(0)
-    numbered = ((n, s) for n, s in enumerate(fh, start=1) if n > 1 and s.strip())
+    numbered = ((n, s) for n, s in enumerate(fh, start=1) if n > 1 and s != "\n")
     while batch := list(islice(numbered, _CSV_CHUNK_ROWS)):
         if reason([s for _, s in batch]):
             return next(((f" line {n}", r) for n, s in batch if (r := reason([s]))), None)
@@ -343,8 +356,12 @@ def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
             cells = [None] * (3 * (hi - lo))
             cells[0::3] = range(lo, hi)
             cells[1::3] = endpoints[lo:hi].tolist()
-            cells[2::3] = z[lo:hi].tolist()
-            fh.write("%d,%d,%r\n" * (hi - lo) % tuple(cells))
+            chunk = z[lo:hi]
+            _, first, inverse = np.unique(chunk.view(np.int64), return_index=True,
+                                          return_inverse=True)
+            texts = np.array([repr(v) for v in chunk[first].tolist()], dtype=object)
+            cells[2::3] = texts[inverse].tolist()
+            fh.write("%d,%d,%s\n" * (hi - lo) % tuple(cells))
 
 
 def write_path_csv(ensemble: TrajectoryEnsemble, path) -> None:

@@ -421,6 +421,23 @@ def test_plot_trajectory_out_of_range(capsys, tmp_path):
     assert code == 1 and "out of range" in err
 
 
+@pytest.mark.parametrize("sidecar, problem", [
+    ("{not json", "is not valid JSON"),
+    ('{"sigma": 2.0}', "has no field 'mean_gap'"),
+    ('{"mean_gap": "7/3"}', "has no field 'sigma'"),
+])
+@pytest.mark.parametrize("kind", ["trajectory", "normalized"])
+def test_plot_malformed_sidecar_exits_one(capsys, tmp_path, kind, sidecar, problem):
+    paths_csv = tmp_path / "paths.csv"
+    assert run(capsys, *simulate_args(paths_csv, n="5", paths=True))[0] == 0
+    (tmp_path / "paths.json").write_text(sidecar)
+    code, out, err = run(capsys, "plot", "--kind", kind, "--input", str(paths_csv),
+                         "--out", str(tmp_path / "plots" / "x.svg"))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: config sidecar {tmp_path / 'paths.json'} {problem}")
+    assert not (tmp_path / "plots").exists()  # no SVG, not even its directory
+
+
 def test_render(capsys, tmp_path):
     out = tmp_path / "poly.svg"
     code, stdout, _ = run(capsys, "render", "--word", "2,3,1,3", "--out", str(out))

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,35 @@ def test_geometric_sampler_at_smallest_float_p():
     # p = 1e-15 still has float(1 - p) < 1: the letters are drawn, and large
     x = wp.sample_letters(wp.Model.geometric(Fraction(1, 10**15)), wp.trajectory_rng(0, 0), 50)
     assert x.min() >= 1 and np.median(x) > 10**13
+
+
+def exact_letter(p: Fraction, u: float) -> Decimal:
+    """ln(1 - u) / ln(1 - p) in 40-digit decimal arithmetic; the letter is its ceiling."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (1 - Decimal(u)).ln() / (1 - Decimal(p.numerator) / p.denominator).ln()
+
+
+def test_geometric_sampler_at_p_1e_12_is_the_exact_inversion():
+    # ln q = log(float(1 - p)) was off by 2.2e-5 relative here, a shift of
+    # 1.5e7 letters at u = 1/2
+    p = Fraction(1, 10**12)
+    u = np.array([2.0**-40, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1 - 2.0**-53])
+    exact = [exact_letter(p, v) for v in u]
+    # each ratio is far enough from an integer for float64 to round to its ceiling
+    assert all(0.1 < r % 1 < 0.95 for r in exact)
+    letters = models.geometric_letters(wp.Model.geometric(p), u)
+    assert letters.tolist() == [math.ceil(r) for r in exact]
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2**26 + 1, 10**15), u=st.floats(2.0**-30, 1 - 2.0**-30))
+def test_geometric_sampler_near_p_zero_keeps_its_precision(d, u):
+    # below p = 2**-26 the letter is the exact inversion up to float64 rounding
+    p = Fraction(1, d)
+    r = exact_letter(p, u)
+    letter = int(models.geometric_letters(wp.Model.geometric(p), np.array([u]))[0])
+    assert r <= letter + r * Decimal("1e-14") and letter < r + 1 + r * Decimal("1e-14")
 
 
 @settings(max_examples=25)

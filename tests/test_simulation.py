@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -78,6 +79,31 @@ def test_single_gap_endpoint_is_the_gap():
     ens = wp.simulate(cfg)
     letters = wp.sample_letters(U6, wp.trajectory_rng(99, 0), 2)
     assert ens.endpoints[0] == abs(int(letters[1]) - int(letters[0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 60), n=st.integers(1, 150), seed=st.integers(0, 2**64 - 1))
+def test_single_letter_model_is_degenerate(m, n, seed):
+    # k = 1: every gap is 0 and sigma = 0, so z is forced to 0.0
+    ens = wp.simulate(wp.SimulationConfig(model=wp.Model.uniform(1), m=m, trajectories=n,
+                                          seed=seed, record_full_paths=True))
+    assert ens.degenerate_scale and ens.sigma == 0.0
+    assert not ens.paths.any() and not ens.endpoints.any()
+    assert ens.z.tolist() == [0.0] * n
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=st.one_of(st.builds(wp.Model.uniform, st.integers(2, 40)),
+                       st.builds(wp.Model.geometric,
+                                 st.fractions(Fraction(1, 1000), Fraction(999, 1000)))),
+       n=st.integers(1, 150), seed=st.integers(0, 2**64 - 1))
+def test_one_gap_endpoint_is_the_letter_gap(model, n, seed):
+    # m = 1: each endpoint is |x1 - x0| of its trajectory's own two letters
+    ens = wp.simulate(wp.SimulationConfig(model=model, m=1, trajectories=n, seed=seed))
+    want = [abs(int(b) - int(a))
+            for a, b in (wp.sample_letters(model, wp.trajectory_rng(seed, l), 2) for l in range(n))]
+    assert ens.endpoints.tolist() == want
+    assert np.array_equal(ens.z, (ens.endpoints - float(ens.mean_gap)) / ens.sigma)
 
 
 def test_determinism_same_config():
@@ -244,6 +270,35 @@ def test_csv_writers_equal_row_loops(tmp_path, model, n, m):
     assert np.array_equal(sim.read_path_csv(p_csv), ens.paths)
 
 
+def chunk_crossing_ensemble():
+    """N = 2**14 + 5 endpoints at m = 7: the z values of the last rows repeat those of chunk 1."""
+    ens = wp.simulate(wp.SimulationConfig(model=U6, m=7, trajectories=sim._CSV_CHUNK_ROWS + 5,
+                                          seed=23))
+    assert set(ens.z[sim._CSV_CHUNK_ROWS:]) <= set(ens.z[:sim._CSV_CHUNK_ROWS])
+    return ens
+
+
+def special_z_ensemble():
+    """Signed zeros, NaNs of both signs and infinities in one chunk, each repeated."""
+    z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.1, 5e-324, -1.5])
+    z = np.concatenate([z, z[::-1]])
+    ens = wp.simulate(small_config(trajectories=z.size))
+    return dataclasses.replace(ens, endpoints=np.arange(z.size) * 3, z=z)
+
+
+@pytest.mark.parametrize("make", [chunk_crossing_ensemble, special_z_ensemble])
+def test_csv_writers_equal_row_loops_on_repeated_z(tmp_path, make):
+    ens = make()
+    e_csv = tmp_path / "e.csv"
+    sim.write_endpoint_csv(ens, e_csv)
+    assert e_csv.read_bytes() == reference_endpoint_csv(ens)
+    data = sim.read_endpoint_csv(e_csv)
+    assert np.array_equal(data["endpoint"], ens.endpoints)
+    assert np.array_equal(data["z"], ens.z, equal_nan=True)
+    zero = ens.z == 0
+    assert np.array_equal(np.signbit(data["z"][zero]), np.signbit(ens.z[zero]))
+
+
 @pytest.mark.parametrize("m", [
     sim._CSV_CHUNK_ROWS - 1,      # a path fills one segment exactly
     sim._CSV_CHUNK_ROWS,          # a second segment of one row
@@ -273,12 +328,48 @@ def test_path_csv_writer_splits_long_paths(tmp_path, m):
     ("0,0,0\n0,1\n0,2,2\n", "line 3: .*2 were found"),   # short row, file line 3
     ("0,0,0\n0,x,1\n0,2,2\n", "line 3: could not convert string 'x'"),  # non-numeric cell
     ("0,0,0\n\n0,1,x\n", "line 4: could not convert"),  # blank lines count as file lines
+    ("0,0,0\r\n0,1,x\r\n", "line 3: could not convert string 'x'"),  # CRLF line ends
+    ("0,0,0\n0,1,1\n1,0", "line 4: .*2 were found"),  # no final newline
+    ("0,0,0\n   \n0,1,1\n", "line 3: .*1 were found"),  # a line of blanks is a row
 ])
 def test_read_path_csv_rejects_malformed(tmp_path, body, problem):
     bad = tmp_path / "bad.csv"
     bad.write_text("trajectory,j,Q\n" + body)
     with pytest.raises(ValueError, match=problem):
         sim.read_path_csv(bad)
+
+
+@pytest.mark.parametrize("head, sep, end", [
+    ("\r\n", "\r\n", "\r\n"),  # CRLF line ends
+    ("\n\n", "\n\n\n", "\n"),    # empty lines after the header and between rows
+    ("\n", "\n", ""),            # no final newline
+], ids=["crlf", "empty-lines", "no-final-newline"])
+def test_read_csv_line_end_variants(tmp_path, head, sep, end):
+    def csv(name, header, rows):
+        path = tmp_path / name
+        path.write_bytes((header + head + sep.join(rows) + end).encode())
+        return path
+
+    paths = csv("p.csv", "trajectory,j,Q", ["0,0,0", "0,1,1", "1,0,0", "1,1,4"])
+    assert sim.read_path_csv(paths).tolist() == [[0, 1], [0, 4]]
+    ends = sim.read_endpoint_csv(csv("e.csv", "trajectory,endpoint,z", ["0,1,-0.5", "1,4,2.25"]))
+    assert [ends[name].tolist() for name in ("trajectory", "endpoint", "z")] == [
+        [0, 1], [1, 4], [-0.5, 2.25]]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_csv_with_compressed_suffix_reads(tmp_path, suffix):
+    # numpy would open these names as compressed files; the reader must not
+    ens = wp.simulate(small_config(trajectories=20, record_full_paths=True))
+    plain, odd = tmp_path / "e.csv", tmp_path / f"e{suffix}"
+    for path in (plain, odd):
+        sim.write_endpoint_csv(ens, path)
+    want, got = sim.read_endpoint_csv(plain), sim.read_endpoint_csv(odd)
+    assert all(np.array_equal(got[name], want[name]) for name in ("trajectory", "endpoint", "z"))
+    plain, odd = tmp_path / "p.csv", tmp_path / f"p{suffix}"
+    for path in (plain, odd):
+        sim.write_path_csv(ens, path)
+    assert np.array_equal(sim.read_path_csv(odd), sim.read_path_csv(plain))
 
 
 @pytest.mark.parametrize(
