@@ -68,6 +68,19 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _manifest_path(primary_out: Path) -> Path:
+    return primary_out.with_name(primary_out.name + ".manifest.json")
+
+
+def _require_distinct(outputs: dict[str, Path]) -> None:
+    """Refuse two outputs of one command that name the same file: the later would overwrite."""
+    seen: dict[Path, str] = {}
+    for what, path in outputs.items():
+        first = seen.setdefault(path.resolve(), what)
+        if first != what:
+            raise CliError(f"{first} and {what} both name {path}")
+
+
 def _write_manifest(primary_out: Path, command: str, flags: dict, outputs: list[Path]) -> Path:
     manifest = {
         "command": command,
@@ -75,7 +88,7 @@ def _write_manifest(primary_out: Path, command: str, flags: dict, outputs: list[
         "version": __version__,
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
-    path = primary_out.with_name(primary_out.name + ".manifest.json")
+    path = _manifest_path(primary_out)
     simulation._write_json(manifest, path)
     return path
 
@@ -166,6 +179,8 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     model = _model_from_args(args)
     out = Path(args.out)
+    sidecar = out.with_suffix(".json")
+    _require_distinct({"--out": out, "the config sidecar": sidecar, "the manifest": _manifest_path(out)})
     out.parent.mkdir(parents=True, exist_ok=True)
     try:
         config = simulation.SimulationConfig(
@@ -184,7 +199,6 @@ def cmd_simulate(args) -> int:
         simulation.write_path_csv(ensemble, out)
     else:
         simulation.write_endpoint_csv(ensemble, out)
-    sidecar = out.with_suffix(".json")
     simulation.write_config_sidecar(ensemble, sidecar)
     outputs.append(sidecar)
 
@@ -202,6 +216,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    out = Path(args.out)
+    gof_path = Path(args.gof) if args.gof else None
+    outputs = {"--out": out, "the manifest": _manifest_path(out)}
+    if gof_path:
+        outputs["--gof"] = gof_path
+    _require_distinct(outputs)
     try:
         data = simulation.read_endpoint_csv(args.input)
     except (OSError, ValueError) as e:
@@ -211,12 +231,11 @@ def cmd_histogram(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     empirics.write_histogram_csv(hist, out)
     outputs = [out]
-    if args.gof:
-        gof_path = Path(args.gof)
+    if gof_path:
+        gof_path.parent.mkdir(parents=True, exist_ok=True)
         empirics.write_gof_json(report, gof_path)
         outputs.append(gof_path)
     flags = {"input": args.input, "delta": args.delta, "out": args.out, "gof": args.gof or ""}
@@ -388,6 +407,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # every command turns its input-reading OSErrors into CliError
+        print(f"error: cannot write output: {e}", file=sys.stderr)
         return 1
 
 

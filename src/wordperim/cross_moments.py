@@ -53,6 +53,16 @@ class MomentIndex(NamedTuple):
         return MomentIndex(*exps)
 
 
+def _checked_index(idx) -> MomentIndex:
+    """``idx`` as a valid MomentIndex; one of plain ints within bounds is returned as is."""
+    if type(idx) is MomentIndex:
+        a, b, c, d = idx
+        if (type(a) is type(b) is type(c) is type(d) is int
+                and min(idx) >= 0 and max(idx) <= 3 and a + b + c + d <= 4):
+            return idx
+    return MomentIndex(*idx).validate()
+
+
 class NoClosedFormError(ValueError):
     """Raised for an index without a tabulated closed form; use the oracle."""
 
@@ -162,7 +172,7 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
     Raises NoClosedFormError for indices outside the table; the brute-force
     oracle covers those.
     """
-    idx = MomentIndex(*idx).validate()
+    idx = _checked_index(idx)
     table = _closed_table(model, centered)
     fn = table.get(idx)
     if fn is None:
@@ -191,7 +201,7 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
     the leading letter is not a defined operation here, so centered=True with
     alpha > 0 is rejected.
     """
-    idx = MomentIndex(*idx).validate()
+    idx = _checked_index(idx)
     if centered and idx.alpha > 0:
         raise ValueError("centered cross-moments are defined for gap variables only (alpha must be 0)")
     return _oracle_cached(model, idx, centered)

@@ -57,6 +57,12 @@ class Model:
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
 
+    def __hash__(self) -> int:
+        # p hashed by its int parts: hashing a Fraction costs a modular inverse.
+        # Computed per call, never stored, since str hashes vary with
+        # PYTHONHASHSEED and a pickled Model would carry a stale one.
+        return hash((self.kind, self.k, self.p.numerator, self.p.denominator))
+
     @staticmethod
     def uniform(k: int) -> "Model":
         return Model(UNIFORM, k=k)

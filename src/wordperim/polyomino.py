@@ -9,7 +9,9 @@ two independent ways:
   with Q the sum of absolute gaps; it reads only the letters and their gaps;
 * :func:`perimeter_edge_count_batch` -- literal geometry: an edge is on the
   boundary iff exactly one of its two adjacent cells belongs to the union; it
-  reads only the occupancy grid.
+  reads only the occupancy grid, which spans the block's columns and its
+  tallest letter with no border of empty cells: a cell on the grid's edge has
+  its outer neighbour outside the union.
 
 Both kernels take a block of words as a 2-D integer array, one word per row,
 padded on the right with 0 to the block's longest word.  A row is a nonempty
@@ -62,12 +64,11 @@ def _check_batch(words) -> tuple[np.ndarray, np.ndarray]:
     if letters.min() < 0:
         raise ValueError("letters must be positive integers")
     present = letters > 0
-    n = np.count_nonzero(present, axis=1)
-    if not n.all():
-        raise ValueError("every row of a batch must hold a nonempty word")
-    if not np.array_equal(present, np.arange(letters.shape[1]) < n[:, None]):
+    if (present[:, 1:] > present[:, :-1]).any():
         raise ValueError("a 0 may only pad a word on the right")
-    return letters, n
+    if not present[:, 0].all():
+        raise ValueError("every row of a batch must hold a nonempty word")
+    return letters, present.sum(axis=1)
 
 
 def perimeter_decomposed_batch(words) -> PerimeterBreakdown:
@@ -86,20 +87,23 @@ def perimeter_decomposed_batch(words) -> PerimeterBreakdown:
 def perimeter_edge_count_batch(words) -> np.ndarray:
     """Count every row's boundary edges on its occupancy grid (geometry oracle).
 
-    Builds the zero-padded occupancy grid of shape (B, L+2, H+2), with L the
-    padded word length and H the block's tallest letter, and counts per row,
-    separately for vertical and horizontal unit edges, the positions where
-    occupancy changes between the two adjacent cells (outside counts as
-    empty).  Padding columns are empty, so they add no edge.
+    Builds the occupancy array ``occ`` of shape (B, L, H), with L the padded
+    word length and H the block's tallest letter: ``occ[b, i, h-1]`` is True
+    iff cell (i, h) belongs to row b's polyomino.  A unit edge is on the
+    boundary iff exactly one of its two adjacent cells is occupied, so each
+    row counts, for vertical and horizontal edges separately, the occupancy
+    changes between adjacent cells of ``occ``, then adds one edge per side of
+    each occupied cell on the array's four borders, whose outer neighbour is
+    outside.  Padding columns are empty, so they add no edge.
     """
     letters, _ = _check_batch(words)
-    batch, length = letters.shape
     height = int(letters.max())
-    grid = np.zeros((batch, length + 2, height + 2), dtype=bool)  # zero padding = outside
-    grid[:, 1 : length + 1, 1 : height + 1] = np.arange(1, height + 1) <= letters[:, :, None]
-    vertical = np.count_nonzero(grid[:, :-1, :] != grid[:, 1:, :], axis=(1, 2))
-    horizontal = np.count_nonzero(grid[:, :, :-1] != grid[:, :, 1:], axis=(1, 2))
-    return vertical + horizontal
+    small = np.min_scalar_type(height)  # the narrowest integers compare fastest
+    occ = np.arange(1, height + 1, dtype=small) <= letters.astype(small)[:, :, None]
+    vertical = np.count_nonzero(occ[:, :-1, :] != occ[:, 1:, :], axis=(1, 2))
+    horizontal = np.count_nonzero(occ[:, :, :-1] != occ[:, :, 1:], axis=(1, 2))
+    border = occ[:, 0, :].sum(1) + occ[:, -1, :].sum(1) + occ[:, :, 0].sum(1) + occ[:, :, -1].sum(1)
+    return vertical + horizontal + border
 
 
 def perimeter_decomposed(word: Sequence[int]) -> PerimeterBreakdown:

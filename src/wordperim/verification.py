@@ -28,8 +28,12 @@ EXHAUSTIVE_PERIMETER = tuple(
     [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
 )
 # words per block of the batched perimeter checks: each occupancy grid stays
-# far below 1 MB (64 x 62 x 32 cells for the random check's largest words)
+# far below 1 MB (64 x 60 x 30 cells for the random check's largest words)
 _BLOCK_WORDS = 64
+# random words regrouped at once by (length, alphabet), held as uint8 (letters
+# are <= 30): a whole number of draw blocks, so memory stays flat in --random-words.
+# 2048 words group about as tightly as 4096, with a lower peak RSS.
+_WINDOW_WORDS = 32 * _BLOCK_WORDS
 
 
 @dataclass
@@ -191,23 +195,25 @@ def check_mean_decomposition(k_max: int, p_list, n_max: int) -> IdentityCheck:
     return chk
 
 
-def _compare_perimeter_routes(chk: IdentityCheck, words: np.ndarray) -> None:
-    """Check P == edge count == Q + x0 + x_last + 2n on every row of ``words``.
+def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, int, int]]:
+    """(row, P, edge count) of each row of ``block`` where the routes disagree.
 
-    ``words`` holds one zero-padded word per row; both kernels run on blocks
-    of _BLOCK_WORDS rows, which keeps each occupancy grid small.
+    ``block`` holds one zero-padded word per row; a row fails unless
+    P == edge count == Q + x0 + x_last + 2n.
     """
-    for start in range(0, words.shape[0], _BLOCK_WORDS):
-        block = words[start : start + _BLOCK_WORDS]
-        b = perimeter_decomposed_batch(block)
-        edges = perimeter_edge_count_batch(block)
-        n = np.count_nonzero(block, axis=1)
-        last = block[np.arange(block.shape[0]), n - 1]
-        bad = (b.P != edges) | (b.P != b.Q + block[:, 0] + last + 2 * n)
-        chk.instances += block.shape[0]
-        for row in np.flatnonzero(bad)[: 5 - len(chk.failures)]:
-            word = tuple(int(x) for x in block[row, : n[row]])
-            chk.failures.append(f"word {word}: P={b.P[row]} edges={edges[row]}")
+    b = perimeter_decomposed_batch(block)
+    edges = perimeter_edge_count_batch(block)
+    n = np.count_nonzero(block, axis=1)
+    last = block[np.arange(block.shape[0]), n - 1]
+    bad = (b.P != edges) | (b.P != b.Q + block[:, 0] + last + 2 * n)
+    return list(zip(np.flatnonzero(bad).tolist(), b.P[bad].tolist(), edges[bad].tolist()))
+
+
+def _name_failures(chk: IdentityCheck, words: np.ndarray, failed) -> None:
+    """Name the failing rows of ``words``, in the order given, until ``chk`` holds five."""
+    for row, p, edges in failed[: 5 - len(chk.failures)]:
+        word = tuple(int(x) for x in words[row] if x)
+        chk.failures.append(f"word {word}: P={p} edges={edges}")
 
 
 def check_perimeter_exhaustive() -> IdentityCheck:
@@ -215,22 +221,43 @@ def check_perimeter_exhaustive() -> IdentityCheck:
     for k, n in EXHAUSTIVE_PERIMETER:
         # all k**n words over [1,k], one per row, in lexicographic order
         words = np.indices((k,) * n).reshape(n, -1).T + 1
-        _compare_perimeter_routes(chk, words)
+        for start in range(0, words.shape[0], _BLOCK_WORDS):
+            block = words[start : start + _BLOCK_WORDS]
+            chk.instances += block.shape[0]
+            _name_failures(chk, block, _perimeter_mismatches(block))
     return chk
 
 
 def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
-    """``count`` words with n in [2,60], k in [2,30] and letters uniform on [1,k]."""
+    """``count`` words with n in [2,60], k in [2,30] and letters uniform on [1,k].
+
+    The words are drawn in blocks of _BLOCK_WORDS, each padded to its longest
+    word.  Each window of _WINDOW_WORDS draws is then regrouped by (n, k), so
+    that each block the kernels see is cut to its own longest word and its
+    occupancy grid is about as tall as its letters.  Failures are named in
+    draw order.
+    """
     chk = IdentityCheck("perimeter identity, randomized larger words")
     rng = np.random.default_rng(seed)
     lengths = rng.integers(2, 61, size=count)
     alphabets = rng.integers(2, 31, size=count)
-    for start in range(0, count, _BLOCK_WORDS):
-        n = lengths[start : start + _BLOCK_WORDS]
-        k = alphabets[start : start + _BLOCK_WORDS]
-        words = rng.integers(1, k[:, None] + 1, size=(n.size, int(n.max())))
-        words[np.arange(words.shape[1]) >= n[:, None]] = 0
-        _compare_perimeter_routes(chk, words)
+    for lo in range(0, count, _WINDOW_WORDS):
+        n = lengths[lo : lo + _WINDOW_WORDS]
+        k = alphabets[lo : lo + _WINDOW_WORDS]
+        window = np.zeros((n.size, int(n.max())), dtype=np.uint8)
+        for start in range(0, n.size, _BLOCK_WORDS):
+            rows = slice(start, start + _BLOCK_WORDS)
+            words = rng.integers(1, k[rows, None] + 1, size=(n[rows].size, int(n[rows].max())))
+            words[np.arange(words.shape[1]) >= n[rows, None]] = 0
+            window[rows, : words.shape[1]] = words
+        failed = []  # (row of the window, P, edges)
+        order = np.lexsort((k, n))
+        for start in range(0, order.size, _BLOCK_WORDS):
+            rows = order[start : start + _BLOCK_WORDS]  # sorted by n: the last is longest
+            block = window[rows, : n[rows[-1]]].astype(np.int64)
+            failed += [(rows[r], p, edges) for r, p, edges in _perimeter_mismatches(block)]
+        chk.instances += n.size
+        _name_failures(chk, window, sorted(failed))
     return chk
 
 

@@ -279,6 +279,54 @@ def test_simulate_bad_inputs_exit_one(capsys, tmp_path, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_simulate_out_naming_its_sidecar_exits_one(capsys, tmp_path):
+    # the sidecar of runs/ens.json is runs/ens.json itself: it would overwrite the ensemble
+    out = tmp_path / "runs" / "ens.json"
+    code, stdout, err = run(capsys, *simulate_args(out))
+    assert code == 1 and stdout == ""
+    assert err == f"error: --out and the config sidecar both name {out}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("gof, first", [("h.csv", "--out"), ("sub/../h.csv.manifest.json", "the manifest")])
+def test_histogram_outputs_naming_one_file_exit_one(capsys, tmp_path, monkeypatch, gof, first):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *simulate_args("ens.csv"))[0] == 0
+    code, stdout, err = run(capsys, "histogram", "--input", "ens.csv", "--out", "h.csv",
+                            "--gof", gof)
+    assert code == 1 and stdout == ""
+    assert err == f"error: {first} and --gof both name {gof}\n"
+    assert not Path("h.csv").exists() and not Path("h.csv.manifest.json").exists()
+
+
+def test_histogram_gof_creates_its_directory(capsys, tmp_path):
+    ens = tmp_path / "ens.csv"
+    gof = tmp_path / "nodir" / "deeper" / "gof.json"
+    assert run(capsys, *simulate_args(ens))[0] == 0
+    code, _, _ = run(capsys, "histogram", "--input", str(ens), "--out", str(tmp_path / "h.csv"),
+                     "--gof", str(gof))
+    assert code == 0
+    assert set(json.loads(gof.read_text())) == {"ks_statistic", "max_cell_abs_error"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "histogram", "plot", "render"])
+def test_out_naming_a_directory_exits_one(capsys, tmp_path, command):
+    ens = tmp_path / "ens.csv"
+    assert run(capsys, *simulate_args(ens))[0] == 0
+    target = tmp_path / "taken"
+    target.mkdir()
+    argv = {
+        "simulate": simulate_args(target),
+        "histogram": ["histogram", "--input", str(ens), "--out", str(target)],
+        "plot": ["plot", "--kind", "pmf", "--model", "uniform", "--k", "6", "--out", str(target)],
+        "render": ["render", "--word", "2,3,1", "--out", str(target)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: cannot write output: ") and str(target) in err
+    assert "Traceback" not in err and list(target.iterdir()) == []
+
+
 def full_pipeline(capsys, tmp_path):
     ens = tmp_path / "ens.csv"
     hist = tmp_path / "hist.csv"
@@ -566,3 +614,13 @@ def test_xmoment_stdout_golden(capsys, case, argv):
     code, out, _ = run(capsys, "xmoment", "--model", *argv)
     assert code == 0
     assert sha256_hex(out.encode("utf-8")) == XMOMENT_GOLDEN[case]
+
+
+# a default `wordperim verify` (seed 0; seed 9 prints the same report)
+VERIFY_GOLDEN = "94df8dfc69fd91b6330e4c3dc1084aad03bd1a5c317e9a19df059d8181ae5c67"
+
+
+def test_verify_default_stdout_golden(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert sha256_hex(out.encode("utf-8")) == VERIFY_GOLDEN

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -216,3 +217,14 @@ def test_gap_sequence_reversal_symmetry(k, b, c, d):
     assume(b + c + d <= 4)
     m = wp.Model.uniform(k)
     assert wp.cross_moment_oracle(m, (0, b, c, d)) == wp.cross_moment_oracle(m, (0, d, c, b))
+
+
+@pytest.mark.parametrize("route", [wp.cross_moment_oracle, wp.cross_moment_closed])
+def test_moment_index_instances_are_still_validated(route):
+    # a MomentIndex skips re-validation only when it holds plain ints within bounds
+    for bad in ((0, True, 0, 0), (0, 4, 0, 0), (-1, 1, 0, 0), (1, 1, 1, 2), (0, 1.0, 0, 0)):
+        with pytest.raises(ValueError, match="exponents must be integers|total weight"):
+            route(U6, xm.MomentIndex(*bad))
+    # numpy exponents inside a MomentIndex take the validating path to plain ints
+    np_idx = xm.MomentIndex(*np.array([0, 1, 1, 0], dtype=np.uint8))
+    assert route(U6, np_idx) == route(U6, xm.MomentIndex(0, 1, 1, 0)) == route(U6, (0, 1, 1, 0))

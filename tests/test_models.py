@@ -1,4 +1,5 @@
 import math
+import pickle
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -247,3 +248,19 @@ def test_bool_is_no_integer_input(flag):
         wp.MomentIndex(0, flag, 0, 0).validate()
     with pytest.raises(ValueError, match="word length n must be an integer"):
         wp.moment_report(wp.Model.uniform(3), flag)
+
+
+def test_equal_models_hash_equal():
+    assert wp.Model.uniform(np.int64(6)) == wp.Model.uniform(6)
+    assert hash(wp.Model.uniform(np.int64(6))) == hash(wp.Model.uniform(6))
+    assert wp.Model.geometric("2/4") == wp.Model.geometric(Fraction(1, 2))
+    assert hash(wp.Model.geometric("2/4")) == hash(wp.Model.geometric(Fraction(1, 2)))
+    assert len({wp.Model.uniform(2), wp.Model.geometric("1/2"), wp.Model.geometric("2/4")}) == 2
+
+
+def test_model_hash_is_not_stored():
+    # a stored hash would travel in a pickle and go stale under another PYTHONHASHSEED
+    m = wp.Model.geometric(Fraction(1, 3))
+    assert set(vars(m)) == {"kind", "k", "p"}
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and hash(copy) == hash(m)

@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wordperim as wp
@@ -178,3 +178,25 @@ def test_batch_kernels_reject_malformed(batch):
         wp.perimeter_decomposed_batch(batch)
     with pytest.raises(ValueError):
         wp.perimeter_edge_count_batch(batch)
+
+
+# blocks whose rows all have the same length: no row is padded
+full_width_words = st.tuples(st.integers(1, 20), st.integers(1, 12)).flatmap(
+    lambda kl: st.lists(st.lists(st.integers(1, kl[0]), min_size=kl[1], max_size=kl[1]),
+                        min_size=1, max_size=8)
+)
+
+
+# occupancy touching all four borders: full columns, one-cell-wide and one-cell-high arrays
+@example([[3, 3, 3]])
+@example([[1], [5]])
+@example([[5, 1, 5], [1, 5, 1]])
+@example([[1, 1, 1, 1]])
+@example([[2, 7, 7, 2], [7, 1, 1, 7]])
+@settings(max_examples=100, deadline=None)
+@given(full_width_words)
+def test_edge_kernel_counts_cells_on_every_border(words):
+    top = max(max(word) for word in words)
+    for word in words[::2]:  # these rows touch the left, right and top borders
+        word[0] = word[-1] = top
+    assert_batch_equals_words(words, np.array(words))

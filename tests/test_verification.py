@@ -1,7 +1,9 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import wordperim as wp
 from wordperim import cross_moments as xm
@@ -90,3 +92,72 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
 def test_run_verification_times_each_check():
     checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=10)
     assert all(c.seconds > 0 for c in checks)
+
+
+# ---------------------------------------------------------------------------
+# the random perimeter check against an ungrouped reference
+# ---------------------------------------------------------------------------
+
+def reference_random_blocks(count, seed):
+    """The random check's words in draw order: blocks of _BLOCK_WORDS zero-padded rows."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, 61, size=count)
+    alphabets = rng.integers(2, 31, size=count)
+    for start in range(0, count, ver._BLOCK_WORDS):
+        n = lengths[start : start + ver._BLOCK_WORDS]
+        k = alphabets[start : start + ver._BLOCK_WORDS]
+        words = rng.integers(1, k[:, None] + 1, size=(n.size, int(n.max())))
+        words[np.arange(words.shape[1]) >= n[:, None]] = 0
+        yield words
+
+
+def unpadded(row):
+    return tuple(int(x) for x in row[row > 0])
+
+
+def test_random_failures_are_the_first_in_draw_order(monkeypatch):
+    real = ver.perimeter_edge_count_batch
+
+    def off_by_one_on_short_words(words):
+        return real(words) + (np.count_nonzero(words, axis=1) < 5)
+
+    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
+    expected = []
+    for word in (unpadded(row) for block in reference_random_blocks(2000, seed=3) for row in block):
+        p = wp.perimeter_decomposed(word).P
+        edges = wp.perimeter_edge_count(word) + (len(word) < 5)
+        if p != edges:
+            expected.append(f"word {word}: P={p} edges={edges}")
+        if len(expected) == 5:
+            break
+    check = ver.check_perimeter_random(2000, seed=3)
+    assert len(expected) == 5
+    assert check.failures == expected
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
+def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
+    seen_p, seen_edges = Counter(), Counter()
+    real_decomposed, real_edges = ver.perimeter_decomposed_batch, ver.perimeter_edge_count_batch
+
+    def recording_decomposed(words):
+        b = real_decomposed(words)
+        seen_p.update(zip(map(unpadded, words), b.P.tolist()))
+        return b
+
+    def recording_edges(words):
+        edges = real_edges(words)
+        seen_edges.update(zip(map(unpadded, words), edges.tolist()))
+        return edges
+
+    monkeypatch.setattr(ver, "perimeter_decomposed_batch", recording_decomposed)
+    monkeypatch.setattr(ver, "perimeter_edge_count_batch", recording_edges)
+    check = ver.check_perimeter_random(count, seed=11)
+    want_p, want_edges = Counter(), Counter()
+    for block in reference_random_blocks(count, seed=11):
+        words = [unpadded(row) for row in block]
+        want_p.update(zip(words, wp.perimeter_decomposed_batch(block).P.tolist()))
+        want_edges.update(zip(words, wp.perimeter_edge_count_batch(block).tolist()))
+    assert check.passed and check.instances == count
+    assert sum(want_p.values()) == count
+    assert seen_p == want_p and seen_edges == want_edges
