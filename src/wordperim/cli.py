@@ -108,7 +108,7 @@ def cmd_moments(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print("field,exact,decimal")
-        for name in ("mean_P", "mean_R", "mean_Q", "var_P", "mu3_dominant", "vstar"):
+        for name in report.EXACT_FIELDS:
             cell = doc[name]
             print(f"{name},{cell['exact']},{cell['decimal']!r}")
         print(f"sigma,,{report.sigma!r}")
@@ -283,13 +283,8 @@ def cmd_plot(args) -> int:
         if kind == "trajectory":
             svg = svgplot.plot_trajectory(row, mg)
         else:
-            m = paths.shape[1] - 1
-            t = np.arange(m + 1) / m
-            if sigma == 0.0:
-                w = np.zeros(m + 1)
-            else:
-                w = (row - mg * m * t) / (sigma * np.sqrt(m))
-            svg = svgplot.plot_normalized_path(t, w)
+            t = np.arange(row.size) / (row.size - 1)
+            svg = svgplot.plot_normalized_path(t, simulation.scaled_path(row, mg, sigma, t))
     elif kind in ("histogram", "cumulative"):
         if not args.input:
             raise CliError(f"plot --kind {kind} requires --input (histogram CSV)")

@@ -7,14 +7,11 @@ Each public quantity is computed twice -- by the cross-moment assembly and
 by a closed-form rational function of the model parameter -- and the two
 routes are asserted equal (exactly; everything here is Fraction arithmetic).
 
-Outputs:
-
-* mean_perimeter, variance_perimeter           exact rationals
-* mu3_dominant        n * mu3_rate, the order-n term of the third centered
-                      moment (the O(1) remainder has no tabulated form and
-                      is not reconstructed)
-* vstar_sigma         per-gap variance rate V* and sigma = sqrt(V*), the
-                      normalization constants of the limit theorems
+E(P_n) and Var(P_n) are polynomials of degree 1 in n: each route gives them
+as a :class:`Form`, exact coefficients in n built once per model, and a value
+at one n is an evaluation.  The coefficient of n in Var(P_n) is V*, the
+per-gap variance rate; sigma = sqrt(V*) normalizes the limit theorems.  Of
+the third centered moment only its order-n term n * mu3* is tabulated.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable
 
 from .cross_moments import MomentIndex, cross_moment_closed
@@ -53,42 +51,80 @@ def _agreed(name: str, where: str, value: Fraction, other: Fraction) -> Fraction
     return value
 
 
-def _require(n: int, least: int = 2) -> int:
-    """n as a plain int (numpy integers pass; bool does not), checked to be >= least."""
+def _require(n: int) -> int:
+    """n as a plain int (numpy integers pass; bool does not), checked to be >= 2."""
     value = plain_int(n)
-    if value is None or value < least:
-        raise ValueError(f"word length n must be an integer >= {least}, got {n!r}")
+    if value is None or value < 2:
+        raise ValueError(f"word length n must be an integer >= 2, got {n!r}")
     return value
+
+
+@dataclass(frozen=True)
+class Form:
+    """A polynomial in the word length n: exact coefficients, lowest power first.
+
+    Forms add, subtract and multiply with forms and rationals and keep every
+    coefficient, zero or not; calling a form evaluates it at one n.
+    """
+
+    coefficients: tuple  # coefficients[1] is the slope, the coefficient of n
+
+    def __call__(self, n: int) -> Fraction:
+        return sum((c * n**i for i, c in enumerate(self.coefficients)), Fraction(0))
+
+    def __add__(self, other) -> Form:
+        pairs = zip_longest(self.coefficients, _coefficients(other), fillvalue=0)
+        return Form(tuple(a + b for a, b in pairs))
+
+    def __sub__(self, other) -> Form:
+        return self + -1 * other
+
+    def __mul__(self, other) -> Form:
+        out = [0] * (len(self.coefficients) + len(_coefficients(other)) - 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(_coefficients(other)):
+                out[i + j] += a * b
+        return Form(tuple(out))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _coefficients(x) -> tuple:
+    return x.coefficients if isinstance(x, Form) else (x,)
+
+
+_N = Form((0, 1))  # the word length n
+_GAPS = _N - 1  # m = n - 1
 
 
 # ---------------------------------------------------------------------------
 # mean
 # ---------------------------------------------------------------------------
 
-def mean_closed(model: Model, n: int) -> Fraction:
+def mean_closed(model: Model) -> Form:
     """Closed rational form of E(P_n)."""
-    n = _require(n)
     if model.kind == UNIFORM:
         k = model.k
-        return Fraction((3 * k + 2 * k * k + 1) + (k * k + 6 * k - 1) * n, 3 * k)
+        return Form((Fraction(3 * k + 2 * k * k + 1, 3 * k), Fraction(k * k + 6 * k - 1, 3 * k)))
     p = model.p
-    return (2 + (2 + 2 * p - 2 * p * p) * n) / (p * (2 - p))
+    return Form((2 / (p * (2 - p)), (2 + 2 * p - 2 * p * p) / (p * (2 - p))))
 
 
-def mean_assembly(model: Model, n: int, source: Source = cross_moment_closed) -> Fraction:
+def mean_assembly(model: Model, source: Source = cross_moment_closed) -> Form:
     """E(P_n) = (n-1)M + 2n + 2*E(x0), from cross-moments."""
-    n = _require(n)
-    return (n - 1) * source(model, _M) + 2 * n + 2 * source(model, _T1)
+    return _GAPS * source(model, _M) + 2 * _N + 2 * source(model, _T1)
 
 
 def mean_perimeter(model: Model, n: int) -> Fraction:
-    return _agreed("mean", f"{model.describe()}, n={n}", mean_closed(model, n),
-                   mean_assembly(model, n))
+    n = _require(n)
+    return _agreed("mean", f"{model.describe()}, n={n}", mean_closed(model)(n),
+                   mean_assembly(model)(n))
 
 
 def mean_vertical(model: Model, n: int) -> Fraction:
-    """E(R_n) where R_n = P_n - 2n is the vertical perimeter."""
-    return mean_perimeter(model, n) - 2 * n
+    """E(R_n) = E(Q_m) + E(x0) + E(x_m): R_n = P_n - 2n is the vertical perimeter."""
+    return mean_gap_sum(model, n) + 2 * cross_moment_closed(model, _T1)
 
 
 def mean_gap_sum(model: Model, n: int) -> Fraction:
@@ -101,26 +137,25 @@ def mean_gap_sum(model: Model, n: int) -> Fraction:
 # variance
 # ---------------------------------------------------------------------------
 
-def variance_closed(model: Model, n: int) -> Fraction:
-    """Closed rational form of Var(P_n) = Var(R_n)."""
-    n = _require(n)
+def variance_closed(model: Model) -> Form:
+    """Closed rational form of Var(P_n) = Var(R_n); its slope is V*."""
     if model.kind == UNIFORM:
         k = model.k
-        return Fraction((-5 * k * k + 4 * k**4 + 1) + (-3 + 3 * k**4) * n, 45 * k * k)
+        return Form((Fraction(-5 * k * k + 4 * k**4 + 1, 45 * k * k),
+                     Fraction(-3 + 3 * k**4, 45 * k * k)))
     p = model.p
-    num = n * (4 * (1 - p) * (p**4 + 9 * p * p - 4 * p**3 - 10 * p + 5)) + 4 * (
-        3 * p * p - 5 * p + 5
-    ) * (1 - p) ** 2
-    return num / (p * p * (2 - p) ** 2 * (p * p + 3 - 3 * p))
+    den = p * p * (2 - p) ** 2 * (p * p + 3 - 3 * p)
+    return Form((4 * (3 * p * p - 5 * p + 5) * (1 - p) ** 2 / den,
+                 4 * (1 - p) * (p**4 + 9 * p * p - 4 * p**3 - 10 * p + 5) / den))
 
 
-def variance_assembly(model: Model, n: int, source: Source = cross_moment_closed) -> Fraction:
+def variance_assembly(model: Model, source: Source = cross_moment_closed) -> Form:
     """Var(R_n) assembled by counting contributing variable tuples.
 
-    Expanding E(R_n**2) = E(x0 + x_m + y1 + ... + y_m)**2, the surviving
-    expectations and their multiplicities are:
+    Expanding E(R_n**2) = E(x0 + x_m + y1 + ... + y_m)**2 over the m = n-1
+    gaps, the surviving expectations and their multiplicities in n are:
 
-        y_i**2            -> m T[0,2]              (m = n-1 gaps)
+        y_i**2            -> m T[0,2]
         y_i y_{i+1}       -> 2(m-1) T[0,1,1]
         x0**2, x_m**2     -> 2 T[2]
         x0 y1, x_m y_m    -> 4 T[1,1]
@@ -128,33 +163,28 @@ def variance_assembly(model: Model, n: int, source: Source = cross_moment_closed
         x0 x_m            -> 2 T[1]**2             (independent)
         x0 y_i (i>1), x_m y_j (j<m) -> 4(m-1) T[1] M   (independent)
 
-    The multiplicities describe actual tuples only for n >= 4; as a rational
-    expression in n the result coincides with variance_closed for every
-    n >= 2 (polynomial identity), which the verification sweep exploits.
+    E(R_n)**2 = (m M + 2 T[1])**2 is subtracted as a form too, so the n**2
+    coefficient M**2 - M**2 is computed, not dropped.  The multiplicities
+    count actual tuples for n >= 4; as a polynomial the form equals
+    variance_closed, so it holds for every n >= 2.
     """
-    n = _require(n)
     T02 = source(model, _T02)
     T2 = source(model, _T2)
     T011 = source(model, _T011)
     T11 = source(model, _T11)
     M = source(model, _M)
     T1 = source(model, _T1)
-    mean_R = (n - 1) * M + 2 * T1
-    second = (
-        (n - 1) * T02
-        + 2 * T2
-        + (n - 2) * 2 * T011
-        + 4 * T11
-        + (n - 2) * (n - 3) * M * M
-        + 2 * T1 * T1
-        + 4 * T1 * M * (n - 2)
-    )
+    m = _GAPS
+    mean_R = m * M + 2 * T1
+    second = (m * T02 + 2 * (m - 1) * T011 + 2 * T2 + 4 * T11
+              + (m - 1) * (m - 2) * M * M + 2 * T1 * T1 + 4 * (m - 1) * T1 * M)
     return second - mean_R * mean_R
 
 
 def variance_perimeter(model: Model, n: int) -> Fraction:
-    return _agreed("variance", f"{model.describe()}, n={n}", variance_closed(model, n),
-                   variance_assembly(model, n))
+    n = _require(n)
+    return _agreed("variance", f"{model.describe()}, n={n}", variance_closed(model)(n),
+                   variance_assembly(model)(n))
 
 
 # ---------------------------------------------------------------------------
@@ -234,32 +264,10 @@ def mu3_dominant(model: Model, n: int) -> Fraction:
     return n * rate
 
 
-# ---------------------------------------------------------------------------
-# limit constants
-# ---------------------------------------------------------------------------
-
-def vstar_closed(model: Model) -> Fraction:
-    if model.kind == UNIFORM:
-        k = model.k
-        return Fraction((k - 1) * (k + 1) * (k * k + 1), 15 * k * k)
-    p = model.p
-    return (
-        4 * (1 - p) * (p**4 + 9 * p * p - 4 * p**3 - 10 * p + 5)
-        / (p * p * (2 - p) ** 2 * (p * p + 3 - 3 * p))
-    )
-
-
-def vstar_assembly(model: Model, source: Source = cross_moment_closed) -> Fraction:
-    """V* = (T[0,2] - M**2) + 2(T[0,1,1] - M**2), the per-gap variance rate."""
-    T02 = source(model, _T02)
-    T011 = source(model, _T011)
-    M = source(model, _M)
-    return (T02 - M * M) + 2 * (T011 - M * M)
-
-
 def vstar_sigma(model: Model) -> tuple[Fraction, float]:
     """(V*, sigma) with sigma = sqrt(V*) as the only floating-point output."""
-    vstar = _agreed("V*", model.describe(), vstar_closed(model), vstar_assembly(model))
+    vstar = _agreed("V*", model.describe(), variance_closed(model).coefficients[1],
+                    variance_assembly(model).coefficients[1])
     return vstar, math.sqrt(vstar.numerator / vstar.denominator)
 
 
@@ -282,22 +290,13 @@ class MomentReport:
     vstar: Fraction
     sigma: float
 
-    def as_dict(self) -> dict:
-        def cell(x: Fraction) -> dict:
-            return {"exact": str(x), "decimal": float(x)}
+    EXACT_FIELDS = ("mean_P", "mean_R", "mean_Q", "var_P", "mu3_dominant", "vstar")
 
-        return {
-            "model": self.model.as_dict(),
-            "n": self.n,
-            "m": self.m,
-            "mean_P": cell(self.mean_P),
-            "mean_R": cell(self.mean_R),
-            "mean_Q": cell(self.mean_Q),
-            "var_P": cell(self.var_P),
-            "mu3_dominant": cell(self.mu3_dominant),
-            "vstar": cell(self.vstar),
-            "sigma": self.sigma,
-        }
+    def as_dict(self) -> dict:
+        cells = {f: {"exact": str(getattr(self, f)), "decimal": float(getattr(self, f))}
+                 for f in self.EXACT_FIELDS}
+        return {"model": self.model.as_dict(), "n": self.n, "m": self.m, **cells,
+                "sigma": self.sigma}
 
 
 def moment_report(model: Model, n: int) -> MomentReport:

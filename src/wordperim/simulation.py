@@ -227,7 +227,7 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
 def normalized_path(
     ensemble: TrajectoryEnsemble, index: int, grid: Sequence[float]
 ) -> np.ndarray:
-    """W(t) = (Q(floor(m t)) - M m t) / (sigma sqrt(m)) on a grid of t in [0, 1].
+    """W(t) of one recorded path (see :func:`scaled_path`) on a grid of t in [0, 1].
 
     Requires the ensemble to have recorded full paths.  W(0) = 0 exactly and
     W(1) equals the stored normalized endpoint.
@@ -239,12 +239,22 @@ def normalized_path(
     t = np.asarray(grid, dtype=np.float64)
     if t.size and (t.min() < 0 or t.max() > 1):
         raise ValueError("grid values must lie in [0, 1]")
-    m = ensemble.config.m
-    j = np.floor(m * t).astype(np.int64)
-    q = ensemble.paths[index][j].astype(np.float64)
-    if ensemble.degenerate_scale:
+    return scaled_path(ensemble.paths[index], float(ensemble.mean_gap), ensemble.sigma, t)
+
+
+def scaled_path(path: np.ndarray, mean_gap: float, sigma: float, t: np.ndarray) -> np.ndarray:
+    """W(t) = (Q(floor(m t)) - M m t) / (sigma sqrt(m)) for a path Q(0..m), t in [0, 1].
+
+    A t within float rounding of j/m reads Q(j): the float m*t can fall just
+    below j (3 of the 101 points of arange(101)/100 do).  W is 0 if sigma is 0.
+    """
+    m = path.shape[0] - 1
+    x = m * t
+    near = np.rint(x)
+    j = np.where(np.abs(x - near) <= 4 * np.finfo(np.float64).eps * x, near, np.floor(x))
+    if sigma == 0.0:
         return np.zeros_like(t)
-    return (q - float(ensemble.mean_gap) * m * t) / (ensemble.sigma * sqrt(m))
+    return (path[j.astype(np.int64)] - mean_gap * m * t) / (sigma * sqrt(m))
 
 
 class EmpiricalMoments(NamedTuple):

@@ -57,17 +57,9 @@ class IdentityCheck:
                 self.failures.append(f"{label}: {lhs} != {rhs}")
 
 
-def _uniform_models(k_max: int):
-    return [Model.uniform(k) for k in range(1, k_max + 1)]
-
-
-def _geometric_models(p_list):
-    return [Model.geometric(p) for p in p_list]
-
-
-def check_gap_pmf(k_max: int, p_list) -> IdentityCheck:
+def check_gap_pmf(models) -> IdentityCheck:
     chk = IdentityCheck("gap pmf closed form vs letter-pair convolution")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
+    for m in models:
         uniform = m.kind == UNIFORM
         for u in range(0, m.k + 1 if uniform else 21):
             chk.exact(gap_pmf(m, u), gap_pmf_by_convolution(m, u), f"{m.describe()} u={u}")
@@ -92,30 +84,29 @@ def _check_closed_vs_oracle(name: str, models) -> IdentityCheck:
     return chk
 
 
-def check_cross_moments_uniform(k_max: int) -> IdentityCheck:
+def check_cross_moments_uniform(uniform_models) -> IdentityCheck:
+    return _check_closed_vs_oracle("cross-moment closed forms vs oracle (uniform)", uniform_models)
+
+
+def check_cross_moments_geometric(geometric_models) -> IdentityCheck:
     return _check_closed_vs_oracle(
-        "cross-moment closed forms vs oracle (uniform)", _uniform_models(k_max))
+        "cross-moment closed forms vs oracle (geometric)", geometric_models)
 
 
-def check_cross_moments_geometric(p_list) -> IdentityCheck:
-    return _check_closed_vs_oracle(
-        "cross-moment closed forms vs oracle (geometric)", _geometric_models(p_list))
-
-
-def check_reversibility(k_max: int, p_list) -> IdentityCheck:
+def check_reversibility(models) -> IdentityCheck:
     chk = IdentityCheck("gap-pair reversibility T[0,1,2] == T[0,2,1] (oracle)")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
+    for m in models:
         chk.exact(xm.cross_moment_oracle(m, xm.MomentIndex(0, 1, 2, 0)),
                   xm.cross_moment_oracle(m, xm.MomentIndex(0, 2, 1, 0)), m.describe())
     return chk
 
 
-def check_centering(k_max: int) -> IdentityCheck:
+def check_centering(uniform_models) -> IdentityCheck:
     chk = IdentityCheck("centering identities T~ == T - M**2 (oracle, uniform)")
     i02 = xm.MomentIndex(0, 2, 0, 0)
     i011 = xm.MomentIndex(0, 1, 1, 0)
     iM = xm.MomentIndex(0, 1, 0, 0)
-    for m in _uniform_models(k_max):
+    for m in uniform_models:
         M = xm.cross_moment_oracle(m, iM)
         for idx in (i02, i011):
             chk.exact(
@@ -126,43 +117,40 @@ def check_centering(k_max: int) -> IdentityCheck:
     return chk
 
 
-def check_independence(k_max: int, p_list) -> IdentityCheck:
+def check_independence(models) -> IdentityCheck:
     chk = IdentityCheck("independent gaps E(y1 y3) == M**2 (oracle, middle marginalized)")
     idx = xm.MomentIndex(0, 1, 0, 1)
     iM = xm.MomentIndex(0, 1, 0, 0)
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
+    for m in models:
         M = xm.cross_moment_oracle(m, iM)
         chk.exact(xm.cross_moment_oracle(m, idx), M * M, m.describe())
     return chk
 
 
-def check_mean(k_max: int, p_list, n_max: int) -> IdentityCheck:
-    chk = IdentityCheck("mean assembly (oracle cross-moments) vs closed form")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
-        for n in range(2, n_max + 1):
-            chk.exact(
-                mo.mean_assembly(m, n, source=xm.cross_moment_oracle),
-                mo.mean_closed(m, n),
-                f"{m.describe()} n={n}",
-            )
+def _check_forms(name: str, models, ns, assembly, closed) -> IdentityCheck:
+    """Build each model's two forms in n once, then compare their values at every n of ``ns``."""
+    chk = IdentityCheck(name)
+    for m in models:
+        lhs, rhs = assembly(m, source=xm.cross_moment_oracle), closed(m)
+        for n in ns:
+            chk.exact(lhs(n), rhs(n), f"{m.describe()} n={n}")
     return chk
 
 
-def check_variance(k_max: int, p_list, n_max: int) -> IdentityCheck:
-    chk = IdentityCheck("variance tuple-count assembly (oracle) vs closed form")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
-        for n in range(4, n_max + 1):  # multiplicities describe actual tuples from n=4 up
-            chk.exact(
-                mo.variance_assembly(m, n, source=xm.cross_moment_oracle),
-                mo.variance_closed(m, n),
-                f"{m.describe()} n={n}",
-            )
-    return chk
+def check_mean(models, n_max: int) -> IdentityCheck:
+    return _check_forms("mean assembly (oracle cross-moments) vs closed form",
+                        models, range(2, n_max + 1), mo.mean_assembly, mo.mean_closed)
 
 
-def check_mu3(k_max: int, p_list) -> IdentityCheck:
+def check_variance(models, n_max: int) -> IdentityCheck:
+    # from n = 4 up the multiplicities count actual tuples
+    return _check_forms("variance tuple-count assembly (oracle) vs closed form",
+                        models, range(4, n_max + 1), mo.variance_assembly, mo.variance_closed)
+
+
+def check_mu3(models) -> IdentityCheck:
     chk = IdentityCheck("mu3* routes: uncentered combination, centered combination, closed")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
+    for m in models:
         closed = mo.mu3_rate_closed(m)
         chk.exact(mo.mu3_rate_assembly(m, source=xm.cross_moment_oracle), closed,
                   f"{m.describe()} uncentered route")
@@ -171,22 +159,25 @@ def check_mu3(k_max: int, p_list) -> IdentityCheck:
     return chk
 
 
-def check_vstar(k_max: int, p_list) -> IdentityCheck:
+def check_vstar(models) -> IdentityCheck:
     chk = IdentityCheck("V* routes: (T02 - M**2) + 2(T011 - M**2) vs closed form")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
-        chk.exact(mo.vstar_assembly(m, source=xm.cross_moment_oracle),
-                  mo.vstar_closed(m), m.describe())
+    for m in models:
+        # V* is the coefficient of n of the variance forms
+        closed = mo.variance_closed(m).coefficients[1]
+        chk.exact(mo.variance_assembly(m, source=xm.cross_moment_oracle).coefficients[1], closed,
+                  m.describe())
         # V* is also the centered combination T~[0,2] + 2 T~[0,1,1]
         centered = xm.cross_moment_oracle(m, (0, 2, 0, 0), centered=True) + 2 * xm.cross_moment_oracle(
             m, (0, 1, 1, 0), centered=True
         )
-        chk.exact(centered, mo.vstar_closed(m), f"{m.describe()} centered combination")
+        chk.exact(centered, closed, f"{m.describe()} centered combination")
     return chk
 
 
-def check_mean_decomposition(k_max: int, p_list, n_max: int) -> IdentityCheck:
+def check_mean_decomposition(models, n_max: int) -> IdentityCheck:
+    """E(P) from its two routes against E(R) = E(Q) + E(x0) + E(x_m), plus 2n."""
     chk = IdentityCheck("mean decomposition mean_P - mean_R == 2n")
-    for m in _uniform_models(k_max) + _geometric_models(p_list):
+    for m in models:
         for n in (2, 3, n_max):
             chk.exact(
                 mo.mean_perimeter(m, n) - mo.mean_vertical(m, n), Fraction(2 * n),
@@ -269,19 +260,22 @@ def run_verification(
     seed: int = 0,
 ) -> list[IdentityCheck]:
     """Run every check in report order; each records its wall time in ``seconds``."""
-    p_list = tuple(Fraction(p) for p in p_list)
+    # each model is built once, so the oracle's cache finds the very same objects
+    uniform = [Model.uniform(k) for k in range(1, k_max + 1)]
+    models = uniform + [Model.geometric(Fraction(p)) for p in p_list]
+    geometric = models[len(uniform):]
     steps = [
-        (check_gap_pmf, (k_max, p_list)),
-        (check_cross_moments_uniform, (k_max,)),
-        (check_cross_moments_geometric, (p_list,)),
-        (check_reversibility, (k_max, p_list)),
-        (check_centering, (k_max,)),
-        (check_independence, (k_max, p_list)),
-        (check_mean, (k_max, p_list, n_max)),
-        (check_variance, (k_max, p_list, n_max)),
-        (check_mu3, (k_max, p_list)),
-        (check_vstar, (k_max, p_list)),
-        (check_mean_decomposition, (k_max, p_list, n_max)),
+        (check_gap_pmf, (models,)),
+        (check_cross_moments_uniform, (uniform,)),
+        (check_cross_moments_geometric, (geometric,)),
+        (check_reversibility, (models,)),
+        (check_centering, (uniform,)),
+        (check_independence, (models,)),
+        (check_mean, (models, n_max)),
+        (check_variance, (models, n_max)),
+        (check_mu3, (models,)),
+        (check_vstar, (models,)),
+        (check_mean_decomposition, (models, n_max)),
         (check_perimeter_exhaustive, ()),
         (check_perimeter_random, (random_words, seed)),
     ]

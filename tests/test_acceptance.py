@@ -29,24 +29,24 @@ def test_criterion_1_exact_formula_reproduction(capsys):
     for k in range(1, 13):
         model = wp.Model.uniform(k)
         for n in range(2, 41):
-            assert mo.mean_assembly(model, n) == mo.mean_closed(model, n), (k, n)
-            assert mo.variance_assembly(model, n) == mo.variance_closed(model, n), (k, n)
+            assert mo.mean_assembly(model)(n) == mo.mean_closed(model)(n), (k, n)
+            assert mo.variance_assembly(model)(n) == mo.variance_closed(model)(n), (k, n)
     # and the CLI emits those exact rationals
     assert main(["moments", "--model", "uniform", "--k", "6", "--n", "500"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["mean_P"]["exact"] == str(mo.mean_closed(wp.Model.uniform(6), 500))
+    assert doc["mean_P"]["exact"] == str(mo.mean_closed(wp.Model.uniform(6))(500))
     assert Fraction(doc["var_P"]["exact"]) == Fraction(1947505, 1620)
     with capsys.disabled():
         ok("criterion 1: closed-form mean/variance == assembly exactly for k=1..12, n=2..40")
 
 
-def test_criterion_2_mu3_anchor(capsys):
+def test_criterion_2_mu3_anchor(capsys, tmp_path):
     anchor = wp.mu3_dominant(wp.Model.uniform(6), 500)
     assert anchor == Fraction(1144000, 729)
     assert abs(float(anchor) - MU3_ANCHOR) <= 1e-6 * MU3_ANCHOR
     assert f"{float(anchor):.9f}".startswith("1569.272976680")
     # the simulate command prints the anchor as its theoretical comparator
-    out_csv = "/tmp/wordperim_anchor.csv"
+    out_csv = str(tmp_path / "anchor.csv")
     assert main([
         "simulate", "--model", "uniform", "--k", "6", "--m", "500",
         "--trajectories", "1", "--seed", "0", "--out", out_csv,
@@ -59,8 +59,8 @@ def test_criterion_2_mu3_anchor(capsys):
 
 def test_criterion_3_oracle_sweep(capsys):
     checks = [
-        ver.check_cross_moments_uniform(12),
-        ver.check_cross_moments_geometric(ver.DEFAULT_P_LIST),
+        ver.check_cross_moments_uniform([wp.Model.uniform(k) for k in range(1, 13)]),
+        ver.check_cross_moments_geometric([wp.Model.geometric(p) for p in ver.DEFAULT_P_LIST]),
     ]
     for c in checks:
         assert c.passed, wp.format_report([c])

@@ -551,6 +551,21 @@ RENDER_GOLDEN = {
     "poly.svg.manifest.json": "c84caa4e2663f440e03d0e3adca0cb169b5ccea4015f747835ba8618b8dde84d",
     "stdout": "8f905e9d2adf44d2449466f7108662ea32c51b4381f588923414025177b99c94",
 }
+# m = 100: at 3 of the t = j/m of the normalized plot the float m*t is just below j
+PLOT_PATH_GOLDEN = {
+    "trajectory": {
+        "trajectory.svg": "8095b8bb6495a08db2ccd18ff3a98c411606b00ff00a9915106dca5c59ce1fc8",
+        "trajectory.svg.manifest.json":
+            "aa4dcc59518ebfaab0790d10744763c0f172f756194a1a3f343719ae61b73df5",
+        "stdout": "94e177cb479110763e51b6bdb21469cc234dfbc285f8e7fed1e722781d07d807",
+    },
+    "normalized": {
+        "normalized.svg": "31d4fb7aa067ad34db5e65183303db4db412b61d1cd58f715489b06f2acc8727",
+        "normalized.svg.manifest.json":
+            "be4862189e4142c125a513ddc53232000ebbff69bc5f96131f4531d228fbba9e",
+        "stdout": "8a72ed86242c4ddd6e928beb85b8bd2a8f0d7e6f72900947e2e69bc0a6f32bff",
+    },
+}
 XMOMENT_GOLDEN = {
     "uniform-both": "866b4776d91685cc57134437fe720786f5904f60452ccf2eb81a384a1ac34351",
     "uniform-centered-both": "cff21af9c92759e434bd6b66a07c9ce1016d7afcf15159c2438e50351332ac04",
@@ -599,6 +614,17 @@ def test_render_svg_golden(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "render", "--word", "2,3,1,3,5,1", "--out", "poly.svg")
     assert code == 0
     assert digests(out, "poly.svg", "poly.svg.manifest.json") == RENDER_GOLDEN
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "normalized"])
+def test_plot_path_svg_golden(capsys, tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "simulate", "--model", "uniform", "--k", "6", "--m", "100",
+               "--trajectories", "4", "--seed", "3", "--paths", "--out", "paths.csv")[0] == 0
+    code, out, _ = run(capsys, "plot", "--kind", kind, "--input", "paths.csv",
+                       "--trajectory", "2", "--out", f"{kind}.svg")
+    assert code == 0
+    assert digests(out, f"{kind}.svg", f"{kind}.svg.manifest.json") == PLOT_PATH_GOLDEN[kind]
 
 
 @pytest.mark.parametrize("case, argv", [

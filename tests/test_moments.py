@@ -21,8 +21,8 @@ def test_variance_known_values():
 
 def test_variance_assembly_matches_closed_geometric():
     g = wp.Model.geometric(Fraction(1, 2))
-    assert mo.variance_assembly(g, 10) == mo.variance_closed(g, 10)
-    assert wp.variance_perimeter(g, 10) == mo.variance_closed(g, 10)
+    assert mo.variance_assembly(g)(10) == mo.variance_closed(g)(10)
+    assert wp.variance_perimeter(g, 10) == mo.variance_closed(g)(10)
 
 
 def test_mu3_known_values():
@@ -70,13 +70,13 @@ def test_assembly_equals_closed_small_sweep():
     for k in range(1, 7):
         m = wp.Model.uniform(k)
         for n in range(2, 13):
-            assert mo.mean_assembly(m, n) == mo.mean_closed(m, n)
-            assert mo.variance_assembly(m, n) == mo.variance_closed(m, n)
+            assert mo.mean_assembly(m)(n) == mo.mean_closed(m)(n)
+            assert mo.variance_assembly(m)(n) == mo.variance_closed(m)(n)
     for p in (Fraction(1, 3), Fraction(4, 5)):
         g = wp.Model.geometric(p)
         for n in range(2, 13):
-            assert mo.mean_assembly(g, n) == mo.mean_closed(g, n)
-            assert mo.variance_assembly(g, n) == mo.variance_closed(g, n)
+            assert mo.mean_assembly(g)(n) == mo.mean_closed(g)(n)
+            assert mo.variance_assembly(g)(n) == mo.variance_closed(g)(n)
 
 
 def test_mu3_three_routes_agree():
@@ -136,3 +136,25 @@ def test_each_route_guard_detects_a_corrupted_closed_form(monkeypatch, table, id
     monkeypatch.setattr(xm, table, broken)
     with pytest.raises(mo.RouteDisagreement, match=message):
         guarded(wp.Model.uniform(5))
+
+
+def test_form_arithmetic_and_evaluation():
+    n = mo.Form((0, 1))
+    m = n - 1
+    assert m.coefficients == (-1, 1)
+    cancelled = (m - 1) * (m - 2) - m * m  # the n**2 terms cancel, and stay as a zero
+    assert cancelled.coefficients == (5, -3, 0)
+    assert (Fraction(1, 2) * m + 3).coefficients == (Fraction(5, 2), Fraction(1, 2))
+    assert (3 + m).coefficients == (2, 1)
+    assert cancelled(7) == -16 and isinstance(cancelled(7), Fraction)
+
+
+def test_moments_are_forms_of_degree_one_in_n():
+    for model in (wp.Model.uniform(6), wp.Model.geometric(Fraction(1, 2))):
+        mean, var = mo.mean_closed(model), mo.variance_closed(model)
+        assert len(mean.coefficients) == len(var.coefficients) == 2
+        assert var.coefficients[1] == wp.vstar_sigma(model)[0]
+        for n in (2, 3, 500):
+            assert mean(n) == wp.mean_perimeter(model, n)
+            assert var(n) == wp.variance_perimeter(model, n)
+    assert mo.variance_closed(wp.Model.uniform(6)).coefficients[1] == Fraction(259, 108)

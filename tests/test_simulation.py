@@ -148,6 +148,17 @@ def test_normalized_path_endpoints(k6_paths):
     assert abs(w[1] - k6_paths.z[3]) < 1e-12
 
 
+@pytest.mark.parametrize("m, below", [(100, 3), (500, 0), (2000, 12)])
+def test_normalized_path_reads_q_j_at_each_grid_point(m, below):
+    # the float m*t falls just below j at some t = j/m; W(j/m) must still read Q(j)
+    assert np.count_nonzero(np.floor(m * (np.arange(m + 1) / m)) != np.arange(m + 1)) == below
+    ens = wp.simulate(small_config(m=m, trajectories=2, record_full_paths=True))
+    q = ens.paths[1]
+    for t in (np.arange(m + 1) / m, np.linspace(0, 1, m + 1)):
+        want = (q - float(ens.mean_gap) * m * t) / (ens.sigma * math.sqrt(m))
+        assert np.array_equal(wp.normalized_path(ens, 1, t), want)
+
+
 def test_normalized_path_validation():
     ens = wp.simulate(small_config())
     with pytest.raises(ValueError, match="paths"):

@@ -7,6 +7,7 @@ import pytest
 
 import wordperim as wp
 from wordperim import cross_moments as xm
+from wordperim import moments as mo
 from wordperim import verification as ver
 
 
@@ -39,7 +40,7 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
     broken = dict(xm.UNIFORM_CLOSED)
     broken[xm.MomentIndex(0, 2, 0, 0)] = lambda m: Fraction(1, 9)
     monkeypatch.setattr(xm, "UNIFORM_CLOSED", broken)
-    check = ver.check_cross_moments_uniform(k_max=4)
+    check = ver.check_cross_moments_uniform([wp.Model.uniform(k) for k in range(1, 5)])
     assert not check.passed
     assert any("T(0, 2, 0, 0)" in f for f in check.failures)
     report = wp.format_report([check])
@@ -62,7 +63,7 @@ def test_corrupted_geometric_closed_form_is_caught(monkeypatch):
     real = broken[xm.MomentIndex(0, 1, 1, 0)]
     broken[xm.MomentIndex(0, 1, 1, 0)] = lambda m: real(m) * (1 + Fraction(1, 10**30))
     monkeypatch.setattr(xm, "GEOMETRIC_CLOSED", broken)
-    check = ver.check_cross_moments_geometric([Fraction(1, 3)])
+    check = ver.check_cross_moments_geometric([wp.Model.geometric(Fraction(1, 3))])
     assert not check.passed and 0 < check.max_deviation < 1e-25
     assert any("T(0, 1, 1, 0)" in f for f in check.failures)
 
@@ -161,3 +162,84 @@ def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
     assert check.passed and check.instances == count
     assert sum(want_p.values()) == count
     assert seen_p == want_p and seen_edges == want_edges
+
+
+# ---------------------------------------------------------------------------
+# models built once per run; moments compared as forms in n
+# ---------------------------------------------------------------------------
+
+def test_every_check_of_a_run_sees_the_same_models(monkeypatch):
+    seen = {}  # check name -> the Model objects among its arguments
+    for name in [n for n in vars(ver) if n.startswith("check_")]:
+        real = getattr(ver, name)
+
+        def recording(*args, _real=real, _name=name):
+            models = [m for a in args if isinstance(a, list) for m in a]
+            seen[_name] = models
+            return _real(*args)
+
+        monkeypatch.setattr(ver, name, recording)
+    oracle_models = set()
+    real_oracle = xm.cross_moment_oracle
+
+    def recording_oracle(model, idx, centered=False):
+        oracle_models.add(id(model))
+        return real_oracle(model, idx, centered)
+
+    monkeypatch.setattr(xm, "cross_moment_oracle", recording_oracle)
+    checks = wp.run_verification(k_max=3, p_list=[Fraction(1, 2), "1/4"], n_max=6,
+                                 random_words=10)
+    assert all(c.passed for c in checks)
+    everything = seen["check_gap_pmf"]
+    assert everything == [wp.Model.uniform(1), wp.Model.uniform(2), wp.Model.uniform(3),
+                          wp.Model.geometric(Fraction(1, 2)), wp.Model.geometric(Fraction(1, 4))]
+    ids = {id(m) for m in everything}
+    for name, models in seen.items():
+        assert {id(m) for m in models} <= ids, name
+    split = seen["check_cross_moments_uniform"] + seen["check_cross_moments_geometric"]
+    assert {id(m) for m in split} == ids
+    assert oracle_models == ids
+
+
+def test_mean_decomposition_catches_an_off_by_one_gap_sum(monkeypatch):
+    models = [wp.Model.uniform(3), wp.Model.geometric(Fraction(1, 2))]
+    assert ver.check_mean_decomposition(models, 10).passed
+    real = mo.mean_gap_sum
+    monkeypatch.setattr(mo, "mean_gap_sum", lambda model, n: real(model, n + 1))
+    check = ver.check_mean_decomposition(models, 10)
+    assert not check.passed and check.instances == 6
+    assert len(check.failures) == 5
+
+
+def perturbed_variance_assembly(monkeypatch, extra):
+    real = mo.variance_assembly
+    monkeypatch.setattr(mo, "variance_assembly",
+                        lambda model, source=xm.cross_moment_closed: real(model, source) + extra)
+
+
+MODELS = [wp.Model.uniform(4), wp.Model.geometric(Fraction(1, 3))]
+
+
+def test_variance_assembly_carries_a_zero_n_squared_coefficient():
+    for model in MODELS:
+        form = mo.variance_assembly(model)
+        assert len(form.coefficients) == 3 and form.coefficients[2] == 0
+    assert ver.check_variance(MODELS, 8).passed and ver.check_vstar(MODELS).passed
+
+
+@pytest.mark.parametrize("extra, vstar_fails", [
+    (mo.Form((0, 0, Fraction(1, 10**9))), False),  # a nonzero n**2 coefficient
+    (mo.Form((0, Fraction(1, 10**9))), True),      # a wrong slope, V*
+    (mo.Form((Fraction(1, 10**9),)), False),       # a wrong constant
+], ids=["n-squared", "slope", "constant"])
+def test_perturbed_variance_form_fails_its_checks(monkeypatch, extra, vstar_fails):
+    perturbed_variance_assembly(monkeypatch, extra)
+    variance = ver.check_variance(MODELS, 8)
+    assert not variance.passed and variance.instances == 2 * 5
+    assert len(variance.failures) == 5  # the first five n, all failing
+    assert [f.split(":")[0] for f in variance.failures] == [
+        f"{MODELS[0].describe()} n={n}" for n in range(4, 9)]
+    vstar = ver.check_vstar(MODELS)
+    assert vstar.passed is not vstar_fails
+    if vstar_fails:  # the assembly's slope is off; the centered combination still holds
+        assert [f.split(":")[0] for f in vstar.failures] == [m.describe() for m in MODELS]
