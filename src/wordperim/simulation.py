@@ -25,6 +25,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import sqrt
 from typing import NamedTuple, Sequence
@@ -283,13 +284,16 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 # CSV / sidecar I/O (LF line endings, UTF-8, repr-shortest floats)
 #
 # Both CSV kinds are a header line naming three columns, then rows of three
-# cells.  The writers format at most _CSV_CHUNK_ROWS rows with one ``%`` and
-# write them with one call, so their memory stays flat whatever N and m are:
-# the endpoint writer on a repeated row format, the path writer on a template
-# per path segment that already holds the j column.  z is a function of the
-# integer endpoint, so the endpoint writer takes the repr-shortest text of
+# cells.  The writers build at most _CSV_CHUNK_ROWS rows at a time and write
+# them with one call, so their memory stays flat whatever N and m are.  The
+# endpoint writer formats a chunk with one ``%`` on a repeated row format.  z
+# is a function of the integer endpoint, so it takes the repr-shortest text of
 # each distinct z of a chunk once (distinct by bit pattern, so that 0.0 and
-# -0.0 stay apart) and formats it with ``%s``.
+# -0.0 stay apart) and formats it with ``%s``.  The path writer renders its
+# integers in numpy: a chunk is a block of whole paths, or one segment of a
+# long path, laid out as a uint8 array of fixed-width rows ``l,j,Q\n`` whose
+# fields are as wide as the chunk's longest text, right-aligned and padded
+# with NUL bytes (``_decimal_into``); deleting the NULs leaves the ``%d`` text.
 #
 # The readers check, on an open handle, the header and that a nonblank line
 # follows it, then hand ``np.loadtxt`` the file's path with a three-field
@@ -374,28 +378,90 @@ def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
             fh.write("%d,%d,%s\n" * (hi - lo) % tuple(cells))
 
 
+@lru_cache(maxsize=None)
+def _digit_groups() -> np.ndarray:
+    """The texts "000".."999", each padded with a NUL to one 4-byte uint32.
+
+    Gathering uint32 items with ``take`` is a plain integer copy, several times
+    faster than gathering rows of a (1000, 3) uint8 table.  Built on first use.
+    """
+    return np.frombuffer("".join(f"{i:03d}\0" for i in range(1000)).encode(), np.uint32)
+
+
+def _decimal_into(values: np.ndarray, out: np.ndarray) -> None:
+    """Write each integer of ``values`` into ``out`` as ``"%d" % v``, right-aligned.
+
+    ``out`` is a uint8 array whose last axis holds one text; ``values``
+    broadcasts against the other axes.  The bytes left of each text are set to
+    NUL.  The digits go in groups of three, one ``divmod`` by 1000 per group
+    but the leftmost, and leading zeros are blanked where the magnitude is
+    below 10**i.
+    """
+    w = out.shape[-1]
+    lo, hi = int(values.min()), int(values.max())
+    digits = len(str(max(-lo, hi)))  # of the largest magnitude
+    if max(len(str(lo)), len(str(hi))) > w:
+        raise ValueError(f"integers in [{lo}, {hi}] do not fit in {w} characters")
+    mag = values.astype(np.uint64)
+    if lo < 0:  # |v| modulo 2**64, right for the int64 minimum too
+        np.negative(mag, out=mag, where=values < 0)
+    out[..., : w - digits] = 0
+    groups, x = _digit_groups(), mag
+    for right in range(w, w - digits, -3):
+        left = max(right - 3, w - digits)
+        if left > w - digits:
+            x, r = np.divmod(x, 1000)
+        else:  # the leftmost group: x < 1000
+            r = x
+        text = groups.take(r.astype(np.intp)).view(np.uint8).reshape(*r.shape, 4)
+        for col in range(left, right):  # one column at a time: long inner loops
+            out[..., col] = text[..., col - right + 3]
+    for i in range(1, digits):
+        np.copyto(out[..., w - 1 - i], 0, where=mag < 10**i)
+    if lo < 0:  # '-' goes just left of the first digit
+        negative = values < 0
+        for i in range(1, digits + 1):
+            first = negative & (mag >= 10 ** (i - 1)) & (mag < 10**i)
+            np.copyto(out[..., w - 1 - i], ord("-"), where=first)
+
+
+def _text_width(values: np.ndarray) -> int:
+    """Length of the longest ``"%d" % v`` among ``values``."""
+    return max(len(str(int(values.min()))), len(str(int(values.max()))))
+
+
 def write_path_csv(ensemble: TrajectoryEnsemble, path) -> None:
     """Write the path CSV: rows ``l,j,Q`` for every trajectory l and j = 0..m.
 
-    Every path has the same j column, so each segment of up to
-    _CSV_CHUNK_ROWS rows of a path gets one ``%`` template, built once, with
-    the j values written in and ``\0`` standing for the trajectory index;
-    per path, ``%`` formats only the Q values.
+    Each chunk holds whole paths, or one segment of a path longer than
+    _CSV_CHUNK_ROWS rows.  Its rows are rendered by ``_decimal_into`` into one
+    uint8 buffer, reused from chunk to chunk: the l and j fields once per
+    chunk, broadcast over its rows, then the Q values.  The NUL padding is
+    deleted and the chunk written with one call.
     """
     if ensemble.paths is None:
         raise ValueError("paths were not recorded; rerun with record_full_paths=True")
-    width = ensemble.paths.shape[1]
-    segments = [
-        (lo, "".join(f"\0,{j},%d\n" for j in range(lo, min(lo + _CSV_CHUNK_ROWS, width))))
-        for lo in range(0, width, _CSV_CHUNK_ROWS)
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_PATH_ROW.names) + "\n")
-        for l, q in enumerate(ensemble.paths):
-            index = str(l)
-            for lo, template in segments:
-                cells = tuple(q[lo : lo + _CSV_CHUNK_ROWS].tolist())
-                fh.write(template.replace("\0", index) % cells)
+    paths = ensemble.paths
+    n, width = paths.shape
+    per = max(1, _CSV_CHUNK_ROWS // width)  # paths in a chunk
+    seg = min(width, _CSV_CHUNK_ROWS)  # rows of each of its paths
+    # the longest row: l and j at their widest, Q as long as any int64 text
+    widest = len(str(n - 1)) + len(str(width - 1)) + len(str(np.iinfo(np.int64).min)) + 3
+    space = np.empty(per * seg * widest, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(",".join(_PATH_ROW.names).encode() + b"\n")
+        for l0 in range(0, n, per):
+            for j0 in range(0, width, seg):
+                q = paths[l0 : l0 + per, j0 : j0 + seg]
+                p, s = q.shape
+                wl, wj = len(str(l0 + p - 1)), len(str(j0 + s - 1))
+                rows = space[: q.size * (wl + wj + _text_width(q) + 3)].reshape(p, s, -1)
+                rows[..., wl] = rows[..., wl + wj + 1] = ord(",")
+                rows[..., -1] = ord("\n")
+                _decimal_into(np.arange(l0, l0 + p)[:, None], rows[..., :wl])
+                _decimal_into(np.arange(j0, j0 + s), rows[..., wl + 1 : wl + 1 + wj])
+                _decimal_into(q, rows[..., wl + wj + 2 : -1])
+                fh.write(rows.tobytes().replace(b"\0", b""))
 
 
 def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:

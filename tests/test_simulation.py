@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -323,6 +324,81 @@ def test_path_csv_writer_splits_long_paths(tmp_path, m):
     sim.write_path_csv(ens, p_csv)
     assert p_csv.read_bytes() == reference_path_csv(ens)
     assert np.array_equal(sim.read_path_csv(p_csv), ens.paths)
+
+
+INT64 = np.iinfo(np.int64)
+DECIMAL_EDGES = [0, 1, -1, INT64.min, INT64.max] + [
+    sign * (10**i + d) for i in range(1, 19) for d in (-1, 0) for sign in (1, -1)
+]
+
+
+def assert_renders_percent_d(values, extra):
+    """``_decimal_into`` writes each value as ``"%d" % v``, right-aligned, NUL on its left."""
+    values = np.asarray(values, dtype=np.int64)
+    width = max(len(b"%d" % v) for v in values.tolist()) + extra
+    out = np.full((values.size, width), ord("x"), dtype=np.uint8)
+    sim._decimal_into(values, out)
+    for v, row in zip(values.tolist(), out):
+        text = b"%d" % v
+        assert row.tobytes() == b"\0" * (width - len(text)) + text
+
+
+@pytest.mark.parametrize("extra", [0, 1, 4])
+def test_decimal_into_edge_values(extra):
+    assert_renders_percent_d(DECIMAL_EDGES, extra)
+    for v in DECIMAL_EDGES:  # alone, the value sets the number of digit groups
+        assert_renders_percent_d([v], extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=40),
+       extra=st.integers(0, 3))
+def test_decimal_into_renders_percent_d(values, extra):
+    assert_renders_percent_d(values, extra)
+
+
+def test_decimal_into_broadcasts_and_refuses_a_narrow_field():
+    out = np.zeros((2, 3, 4), dtype=np.uint8)
+    sim._decimal_into(np.array([[7], [-123]]), out)
+    assert out.reshape(6, 4).tobytes() == (b"\0\0\0" + b"7") * 3 + b"-123" * 3
+    with pytest.raises(ValueError, match="do not fit"):
+        sim._decimal_into(np.array([-100]), np.zeros((1, 3), dtype=np.uint8))
+
+
+def hand_built_path_ensemble(paths):
+    """An ensemble whose recorded paths are ``paths``, which ``simulate`` cannot draw."""
+    paths = np.asarray(paths, dtype=np.int64)
+    ens = wp.simulate(small_config(trajectories=paths.shape[0]))
+    config = dataclasses.replace(ens.config, m=paths.shape[1] - 1, record_full_paths=True)
+    return dataclasses.replace(ens, config=config, paths=paths)
+
+
+@pytest.mark.parametrize("paths", [
+    pytest.param([[0, -1, 5, -10**12], [INT64.min, INT64.max, -999, 1000]], id="negatives-extremes"),
+    pytest.param([[0, 7]], id="N1-m1"),
+    pytest.param([np.arange(2 * sim._CSV_CHUNK_ROWS + 5) * 37 - 10**6], id="one-long-path"),
+    # chunks of 3276 paths whose longest Q texts are 14, 13 and 13 characters
+    pytest.param(np.arange(-20000, 20000).reshape(8000, 5) ** 3, id="widths-change-across-chunks"),
+])
+def test_path_csv_writer_on_hand_built_paths(tmp_path, paths):
+    ens = hand_built_path_ensemble(paths)
+    p_csv = tmp_path / "p.csv"
+    sim.write_path_csv(ens, p_csv)
+    assert p_csv.read_bytes() == reference_path_csv(ens)
+    assert np.array_equal(sim.read_path_csv(p_csv), ens.paths)
+
+
+@pytest.mark.parametrize("n, m", [(1000, 500), (4000, 500), (2, 3 * sim._CSV_CHUNK_ROWS + 5)])
+def test_path_csv_writer_memory_is_flat(tmp_path, n, m):
+    ens = wp.simulate(wp.SimulationConfig(model=wp.Model.geometric(Fraction(1, 2)), m=m,
+                                          trajectories=n, seed=5, record_full_paths=True))
+    tracemalloc.start()
+    try:
+        sim.write_path_csv(ens, tmp_path / "p.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("body, problem", [
