@@ -27,13 +27,19 @@ DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4
 EXHAUSTIVE_PERIMETER = tuple(
     [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
 )
-# words per block of the batched perimeter checks: each occupancy grid stays
-# far below 1 MB (64 x 60 x 30 cells for the random check's largest words)
+# words per draw block of the random perimeter check: one rng.integers call
+# draws a block's letters, so this size fixes which random bits become which
+# letters, and changing it changes the words a seed checks
 _BLOCK_WORDS = 64
-# random words regrouped at once by (length, alphabet), held as uint8 (letters
-# are <= 30): a whole number of draw blocks, so memory stays flat in --random-words.
+# random words regrouped at once by length, held as uint8 (letters are <= 30):
+# a whole number of draw blocks, so memory stays flat in --random-words.
 # 2048 words group about as tightly as 4096, with a lower peak RSS.
 _WINDOW_WORDS = 32 * _BLOCK_WORDS
+# words per kernel call of both perimeter checks: a packed occupancy column
+# costs one uint64 per 64 cells, so a block of 256 words of up to 60 letters
+# holds about 120 KB of bitset.  128 words made the random check about 10 %
+# slower; 512 made it no faster and raised verify's peak RSS by 0.3 MiB more.
+_KERNEL_WORDS = 256
 
 
 @dataclass
@@ -219,26 +225,39 @@ def check_perimeter_exhaustive() -> IdentityCheck:
     for k, n in EXHAUSTIVE_PERIMETER:
         # all k**n words over [1,k], one per row, in lexicographic order
         words = np.indices((k,) * n).reshape(n, -1).T + 1
-        for start in range(0, words.shape[0], _BLOCK_WORDS):
-            block = words[start : start + _BLOCK_WORDS]
+        for start in range(0, words.shape[0], _KERNEL_WORDS):
+            block = words[start : start + _KERNEL_WORDS]
             chk.instances += block.shape[0]
             _name_failures(chk, block, _perimeter_mismatches(block))
     return chk
+
+
+def _word_shapes(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each random word's length n in [2, 60] and alphabet k in [2, 30], as uint8.
+
+    Each is drawn in chunks of _WINDOW_WORDS values; the generator yields the
+    same values as one ``rng.integers`` call of ``count`` values would.
+    """
+    lengths = np.empty(count, dtype=np.uint8)
+    alphabets = np.empty(count, dtype=np.uint8)
+    for shapes, high in ((lengths, 61), (alphabets, 31)):
+        for lo in range(0, count, _WINDOW_WORDS):
+            chunk = shapes[lo : lo + _WINDOW_WORDS]
+            chunk[:] = rng.integers(2, high, size=chunk.size)
+    return lengths, alphabets
 
 
 def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     """``count`` words with n in [2,60], k in [2,30] and letters uniform on [1,k].
 
     The words are drawn in blocks of _BLOCK_WORDS, each padded to its longest
-    word.  Each window of _WINDOW_WORDS draws is then regrouped by (n, k), so
-    that each block the kernels see is cut to its own longest word and its
-    occupancy grid is about as tall as its letters.  Failures are named in
-    draw order.
+    word.  Each window of _WINDOW_WORDS draws is then regrouped by n, so that
+    each block of _KERNEL_WORDS words the kernels see is cut to its own
+    longest word.  Failures are named in draw order.
     """
     chk = IdentityCheck("perimeter identity, randomized larger words")
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(2, 61, size=count)
-    alphabets = rng.integers(2, 31, size=count)
+    lengths, alphabets = _word_shapes(rng, count)
     for lo in range(0, count, _WINDOW_WORDS):
         n = lengths[lo : lo + _WINDOW_WORDS]
         k = alphabets[lo : lo + _WINDOW_WORDS]
@@ -249,9 +268,9 @@ def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
             words[np.arange(words.shape[1]) >= n[rows, None]] = 0
             window[rows, : words.shape[1]] = words
         failed = []  # (row of the window, P, edges)
-        order = np.lexsort((k, n))
-        for start in range(0, order.size, _BLOCK_WORDS):
-            rows = order[start : start + _BLOCK_WORDS]  # sorted by n: the last is longest
+        order = np.argsort(n, kind="stable")
+        for start in range(0, order.size, _KERNEL_WORDS):
+            rows = order[start : start + _KERNEL_WORDS]  # sorted by n: the last is longest
             block = window[rows, : n[rows[-1]]].astype(np.int64)
             failed += [(rows[r], p, edges) for r, p, edges in _perimeter_mismatches(block)]
         chk.instances += n.size

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import wordperim as wp
 from wordperim import cross_moments as xm
@@ -147,6 +149,17 @@ def test_form_arithmetic_and_evaluation():
     assert (Fraction(1, 2) * m + 3).coefficients == (Fraction(5, 2), Fraction(1, 2))
     assert (3 + m).coefficients == (2, 1)
     assert cancelled(7) == -16 and isinstance(cancelled(7), Fraction)
+
+
+rationals = st.fractions(max_denominator=10**6)
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-10**9, 10**9)), max_size=5),
+       st.integers(-10**4, 10**4))
+def test_form_value_is_the_exact_sum_of_its_terms(coefficients, n):
+    value = mo.Form(tuple(coefficients))(n)
+    assert isinstance(value, Fraction)
+    assert value == sum((Fraction(c) * n**i for i, c in enumerate(coefficients)), Fraction(0))
 
 
 def test_moments_are_forms_of_degree_one_in_n():

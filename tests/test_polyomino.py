@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -200,3 +201,34 @@ def test_edge_kernel_counts_cells_on_every_border(words):
     for word in words[::2]:  # these rows touch the left, right and top borders
         word[0] = word[-1] = top
     assert_batch_equals_words(words, np.array(words))
+
+
+# ---------------------------------------------------------------------------
+# packed occupancy: columns of one uint64 per 64 cells
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tall", [63, 64, 65, 127, 128, 129])
+def test_edge_kernel_at_word_boundaries(tall):
+    # columns that end just below, at and just above a multiple of 64 cells,
+    # next to columns that end in another word
+    words = [[tall], [tall, tall], [1, tall, 2], [tall, tall - 1, tall + 1, 1], [tall + 1, 64, 65, tall]]
+    assert_batch_equals_words(words, pad(words))
+
+
+def test_edge_kernel_block_with_some_columns_in_two_words():
+    words = [[3, 70, 2, 64, 65, 1], [1, 2], [100, 100], [64, 64, 63, 64], [5, 128, 129, 1, 66]]
+    assert_batch_equals_words(words, pad(words))
+
+
+def test_edge_kernel_memory_follows_the_bitset():
+    tall = np.array([[10**6]])
+    bitset = 8 * -(-(10**6) // 64)  # one uint64 per 64 cells: 125 000 bytes
+    wp.perimeter_edge_count_batch(tall)
+    tracemalloc.start()
+    try:
+        edges = wp.perimeter_edge_count_batch(tall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges.tolist() == [2 * 10**6 + 2]
+    assert peak < 4 * bitset  # one byte per cell would take 8 bitsets

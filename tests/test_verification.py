@@ -136,6 +136,18 @@ def test_random_failures_are_the_first_in_draw_order(monkeypatch):
     assert check.failures == expected
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, ver._WINDOW_WORDS - 1, ver._WINDOW_WORDS,
+                                   ver._WINDOW_WORDS + 1, 3 * ver._WINDOW_WORDS + 5])
+def test_word_shapes_equal_one_shot_draws(count):
+    chunked, one_shot = np.random.default_rng(9), np.random.default_rng(9)
+    lengths, alphabets = ver._word_shapes(chunked, count)
+    assert lengths.dtype == alphabets.dtype == np.uint8
+    assert lengths.tolist() == one_shot.integers(2, 61, size=count).tolist()
+    assert alphabets.tolist() == one_shot.integers(2, 31, size=count).tolist()
+    # the letters drawn next are the same too
+    assert chunked.integers(1, 31, size=50).tolist() == one_shot.integers(1, 31, size=50).tolist()
+
+
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
 def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
     seen_p, seen_edges = Counter(), Counter()
