@@ -17,7 +17,11 @@ Two independent routes are provided:
   partial sums of z**w * w**n stay in that class (indefinite hypergeometric
   summation; Petkovsek, Wilf & Zeilberger, *A = B*, 1996, ch. 5), so exact
   integer arithmetic gives the untruncated value at a cost independent of k
-  and p.
+  and p.  Each z of a polynomial is keyed by its reduced integer pair
+  (numerator, denominator), so no stage hashes or multiplies a Fraction.
+  The stage chains are shared per model: the stages of a gap suffix
+  (beta, gamma, delta) are cached per (model, centering, suffix), and every
+  index that ends with the same gaps reuses them.
 * :func:`cross_moment_closed` -- tabulated closed-form rational expressions,
   evaluated exactly.
 
@@ -32,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .models import UNIFORM, Model, antidifference, letter_law, plain_int
+from .models import UNIFORM, Model, integer_antidifference, letter_law, plain_int
 
 
 class MomentIndex(NamedTuple):
@@ -210,30 +214,60 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
 @lru_cache(maxsize=None)
 def _oracle_cached(model: Model, idx: MomentIndex, centered: bool) -> Fraction:
     # P(x = v) = scale * z0**v on [1, U]; the stages sum z0**w, and each
-    # centered gap factor is scaled by s, the denominator of M = off / s, so
-    # that it has integer coefficients.  scale**4 and s**(b+c+d) divide out
-    # at the end.  M is the oracle's own mean gap, so centering never leans
-    # on the closed forms.
+    # centered gap factor is scaled by s, the denominator of M, so that it has
+    # integer coefficients.  scale**4 and s**(b+c+d) divide out at the end.
     a, b, c, d = idx
     scale, z0, U = letter_law(model)
-    M = _oracle_cached(model, MomentIndex(0, 1, 0, 0), False) if centered else Fraction(0)
-    off, s = M.numerator, M.denominator
-    inner = 1, {_ONE: [1]}
-    for e in (d, c, b):
-        inner = _gap_stage(z0, U, inner, e, s, off)
-    Q, _, _, total = _sums(z0, U, inner[1], a)
-    return Fraction(total[a], inner[0] * Q) * scale**4 / s ** (b + c + d)
+    s = _centering(model, centered)[0]
+    D, polys = _stages(model, centered, (b, c, d))
+    Q, _, _, total = _sums((z0.numerator, z0.denominator), U, polys, a)
+    return Fraction(total[a] * scale.numerator**4,
+                    D * Q * scale.denominator**4 * s ** (b + c + d))
 
 
-_ONE = Fraction(1)
+def _centering(model: Model, centered: bool) -> tuple[int, int]:
+    """(s, off) with M = off / s for centered gaps, (1, 0) otherwise.
+
+    M is the oracle's own mean gap, so centering never leans on the closed forms.
+    """
+    if not centered:
+        return 1, 0
+    M = _oracle_cached(model, MomentIndex(0, 1, 0, 0), False)
+    return M.denominator, M.numerator
 
 
-def _gap_stage(z0: Fraction, U: int | None, inner: tuple, e: int, s: int, off: int) -> tuple:
+_ONE = (1, 1)  # the key of z = 1: each z is keyed by its reduced (numerator, denominator)
+# stage chains kept: a default verify needs about 30 per model (480 in all),
+# and a sweep over many models would otherwise keep about 15 KB per model
+_STAGE_CHAINS = 1024
+
+
+@lru_cache(maxsize=_STAGE_CHAINS)
+def _stages(model: Model, centered: bool, suffix: tuple[int, ...]) -> tuple:
+    """The exponential polynomial (D, {z: P_z}) that the gap stages of ``suffix`` leave.
+
+    For suffix (b, c, d) it is, as a function of the leading letter v, the sum
+    over the later letters (j, l, r) of z0**(j+l+r) * G_b(|j - v|) *
+    G_c(|l - j|) * G_d(|r - l|).  One :func:`_gap_stage` of suffix[0] is
+    applied to the cached chain of suffix[1:], so the indices of a model that
+    end the same way share those stages: T[0,1,1,0] and T[0,2,1,0] share
+    their delta and gamma stages.  Callers read the result and never mutate it.
+    """
+    if not suffix:
+        return 1, {_ONE: [1]}
+    _, z0, U = letter_law(model)
+    s, off = _centering(model, centered)
+    inner = _stages(model, centered, suffix[1:])
+    return _gap_stage((z0.numerator, z0.denominator), U, inner, suffix[0], s, off)
+
+
+def _gap_stage(z0: tuple[int, int], U: int | None, inner: tuple, e: int, s: int, off: int) -> tuple:
     """out(v) = sum_{w=1..U} Y(w) * G(|w - v|), Y(w) = z0**w * inner(w), G(y) = (s*y - off)**e.
 
     ``inner`` and the result are exponential polynomials on [1, U]: a pair
-    (D, {z: P_z}) of integer coefficient lists standing for sum_z z**v * P_z(v) / D.
-    Split at w = v:
+    (D, {z: P_z}) of integer coefficient lists standing for sum_z z**v * P_z(v) / D,
+    each z (and z0) held as its reduced (numerator, denominator) pair, so no
+    Fraction is hashed or multiplied.  Split at w = v:
 
         out(v) = sum_w Y(w) G(w - v) + sum_{w < v} Y(w) (G(v - w) - G(w - v))
 
@@ -260,47 +294,39 @@ def _gap_stage(z0: Fraction, U: int | None, inner: tuple, e: int, s: int, off: i
     return D // common, {z: [x // common for x in P] for z, P in out.items()}
 
 
-def _sums(z0: Fraction, U: int | None, polys: dict, e: int) -> tuple:
+def _sums(z0: tuple[int, int], U: int | None, polys: dict, e: int) -> tuple:
     """Partial and full sums of Y(w) * w**j for j = 0..e, Y(w) = z0**w * sum_z z**w * P_z(w).
 
     Returns (Q, A, start, total) for integer P_z: the sum over 1 <= w < v is
     (sum_z z**v * A[z][j](v) - start[j]) / Q, the one over 1 <= w <= U is
-    total[j] / Q, and A[z][j], start[j] and total[j] are integers.  Each term
-    c * z**w * w**n contributes c * (z**v * R(v) - z * R(1)) by
-    :func:`models.antidifference`.  Q is the least common multiple of the
-    denominators of z and of the R, so z * A[z][j](1) is an integer too.
+    total[j] / Q, and A[z][j], start[j] and total[j] are integers.  A is keyed
+    by the reduced pair of z0 * z.  Each term c * z**w * w**n contributes
+    c * (z**v * R(v) - z * R(1)) by :func:`models.antidifference`.  Q is the
+    least common multiple of the denominators of z and of the R, so
+    z * A[z][j](1) is an integer too.
     """
-    parts = []  # (z, [(c, [(R, den) for j = 0..e]) for each term c * z**w * w**n])
-    for z, P in polys.items():
-        z = z0 * z
-        parts.append((z, [(c, [_integer_antidifference(z.numerator, z.denominator, n + j)
-                                for j in range(e + 1)]) for n, c in enumerate(P) if c]))
-    Q = math.lcm(*(z.denominator * den for z, terms in parts for _, Rs in terms for _, den in Rs))
+    zn0, zd0 = z0
+    parts = []  # ((zn, zd), [(c, [(R, den) for j = 0..e]) for each term c * z**w * w**n])
+    for (zn, zd), P in polys.items():
+        zn, zd = zn * zn0, zd * zd0
+        common = math.gcd(zn, zd)
+        zn, zd = zn // common, zd // common
+        parts.append(((zn, zd), [(c, [integer_antidifference(zn, zd, n + j) for j in range(e + 1)])
+                                 for n, c in enumerate(P) if c]))
+    Q = math.lcm(*(z[1] * den for z, terms in parts for _, Rs in terms for _, den in Rs))
     A: dict = {}
     for z, terms in parts:
         Az = A[z] = [[] for _ in range(e + 1)]
         for c, Rs in terms:
             for j, (R, den) in enumerate(Rs):
                 _accumulate(Az[j], 0, R, c * (Q // den))
-    start = [sum(z.numerator * sum(Az[j]) // z.denominator for z, Az in A.items())
-             for j in range(e + 1)]
+    start = [sum(zn * sum(Az[j]) // zd for (zn, zd), Az in A.items()) for j in range(e + 1)]
     if U is None:  # every |z| < 1, so z**v * A(v) vanishes as v grows
         return Q, A, start, [-x for x in start]
     # a bounded support is uniform, every z is 1: the partial sum at v = U + 1
     top = [sum(x * (U + 1) ** i for Az in A.values() for i, x in enumerate(Az[j]))
            for j in range(e + 1)]
     return Q, A, start, [x - y for x, y in zip(top, start)]
-
-
-@lru_cache(maxsize=None)
-def _integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], int]:
-    """models.antidifference(zn/zd, n) as (integer coefficients, their denominator).
-
-    Keyed by ints: hashing the Fraction z would cost a modular inverse per lookup.
-    """
-    R = antidifference(Fraction(zn, zd), n)
-    den = math.lcm(*(r.denominator for r in R))
-    return tuple(int(r * den) for r in R), den
 
 
 def _accumulate(acc: list, shift: int, poly, factor: int) -> None:

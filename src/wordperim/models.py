@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,16 +138,30 @@ def antidifference(z: Fraction, n: int) -> tuple[Fraction, ...]:
 
     Telescoping then gives sum_{1 <= w < v} z**w * w**n = z**v * R(v) - z * R(1).
     R has degree n for z != 1; for z = 1 it is Faulhaber's polynomial of
-    degree n + 1, taken with R(0) = 0.  The coefficient of v**m on the left
-    is (z - 1)*r[m] + z * sum_{i > m} C(i, m)*r[i]; matching it for m = n
-    down to 0 fixes r[m] (r[m + 1] when z = 1) from the ones above.
+    degree n + 1, taken with R(0) = 0.  Each R is derived once, by
+    :func:`integer_antidifference`.
     """
+    coefficients, den = integer_antidifference(z.numerator, z.denominator, n)
+    return tuple(Fraction(c, den) for c in coefficients)
+
+
+@lru_cache(maxsize=None)
+def integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], int]:
+    """R of :func:`antidifference` for z = zn/zd, as (integer coefficients, their denominator).
+
+    Cached under ints: hashing the Fraction z would cost a modular inverse per
+    lookup.  The coefficient of v**m in z*R(v+1) - R(v) is
+    (z - 1)*r[m] + z * sum_{i > m} C(i, m)*r[i]; matching it to v**n for
+    m = n down to 0 fixes r[m] (r[m + 1] when z = 1) from the ones above.
+    """
+    z = Fraction(zn, zd)
     lead = int(z == 1)
     r = [Fraction(0)] * (n + 1 + lead)
     for m in range(n, -1, -1):
         above = z * sum(math.comb(i, m) * r[i] for i in range(m + 1 + lead, len(r)))
         r[m + lead] = (Fraction(int(m == n)) - above) / (z * math.comb(m + lead, m) - 1 + lead)
-    return tuple(r)
+    den = math.lcm(*(x.denominator for x in r))
+    return tuple(x.numerator * (den // x.denominator) for x in r), den
 
 
 def power_sum(z: Fraction, n: int, U: int | None) -> Fraction:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
 from . import cross_moments as xm
 from . import moments as mo
 from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution
-from .polyomino import perimeter_decomposed_batch, perimeter_edge_count_batch
+from .polyomino import _check_batch, _decomposed, _edge_count
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -139,10 +140,21 @@ def check_independence(models) -> IdentityCheck:
 
 
 def _check_forms(name: str, models, ns, assembly, closed) -> IdentityCheck:
-    """Build each model's two forms in n once, then compare their values at every n of ``ns``."""
+    """Build each model's two forms in n once and compare their coefficients.
+
+    The assembly may carry zero coefficients the closed form lacks (its n**2
+    term), so the shorter tuple is padded with zeros.  Equal coefficients
+    prove the identity at every n, so each n of ``ns`` counts as a passing
+    instance.  Only forms that differ are evaluated at each n, to name the
+    failing n and set max_deviation.
+    """
     chk = IdentityCheck(name)
     for m in models:
         lhs, rhs = assembly(m, source=xm.cross_moment_oracle), closed(m)
+        pairs = zip_longest(lhs.coefficients, rhs.coefficients, fillvalue=0)
+        if all(a == b for a, b in pairs):
+            chk.instances += len(ns)
+            continue
         for n in ns:
             chk.exact(lhs(n), rhs(n), f"{m.describe()} n={n}")
     return chk
@@ -203,13 +215,15 @@ def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, int, int]]:
     """(row, P, edge count) of each row of ``block`` where the routes disagree.
 
     ``block`` holds one zero-padded word per row; a row fails unless
-    P == edge count == Q + x0 + x_last + 2n.
+    P == edge count == Q + x0 + x_last + 2n.  The block is validated once and
+    both kernel bodies read the checked int64 block; the edge count reads
+    only its occupancy.
     """
-    b = perimeter_decomposed_batch(block)
-    edges = perimeter_edge_count_batch(block)
-    n = np.count_nonzero(block, axis=1)
-    last = block[np.arange(block.shape[0]), n - 1]
-    bad = (b.P != edges) | (b.P != b.Q + block[:, 0] + last + 2 * n)
+    letters, n = _check_batch(block)
+    b = _decomposed(letters, n)
+    edges = _edge_count(letters)
+    last = letters[np.arange(letters.shape[0]), n - 1]
+    bad = (b.P != edges) | (b.P != b.Q + letters[:, 0] + last + 2 * n)
     return list(zip(np.flatnonzero(bad).tolist(), b.P[bad].tolist(), edges[bad].tolist()))
 
 

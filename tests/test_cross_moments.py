@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import wordperim as wp
 from wordperim import cross_moments as xm
+from wordperim import models, verification
 
 U6 = wp.Model.uniform(6)
 G_HALF = wp.Model.geometric(Fraction(1, 2))
@@ -228,3 +230,91 @@ def test_moment_index_instances_are_still_validated(route):
     # numpy exponents inside a MomentIndex take the validating path to plain ints
     np_idx = xm.MomentIndex(*np.array([0, 1, 1, 0], dtype=np.uint8))
     assert route(U6, np_idx) == route(U6, xm.MomentIndex(0, 1, 1, 0)) == route(U6, (0, 1, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# stage chains shared per model, against a per-index reference
+# ---------------------------------------------------------------------------
+
+STAGE_MODELS = [wp.Model.uniform(k) for k in range(1, 13)] + [
+    wp.Model.geometric(Fraction(p)) for p in ("1/10", "1/4", "1/2", "3/4", "9/10", "1/3", "2/7")
+]
+VALID_PAIRS = [(idx, centered) for idx in ALL_INDICES for centered in (False, True)
+               if not (centered and idx[0])]
+
+
+@pytest.fixture
+def cold_oracle():
+    """Empty the oracle's caches before and after (request it before monkeypatch)."""
+    xm._oracle_cached.cache_clear()
+    xm._stages.cache_clear()
+    yield
+    xm._oracle_cached.cache_clear()
+    xm._stages.cache_clear()
+
+
+def per_index_oracle(model, idx, centered):
+    """Test-side reference: three fresh gap stages for every index, nothing shared or cached."""
+    a, b, c, d = idx
+    scale, z0, U = models.letter_law(model)
+    z0 = (z0.numerator, z0.denominator)
+    s, off = 1, 0
+    if centered:
+        M = per_index_oracle(model, (0, 1, 0, 0), False)
+        s, off = M.denominator, M.numerator
+    inner = 1, {(1, 1): [1]}
+    for e in (d, c, b):
+        inner = xm._gap_stage(z0, U, inner, e, s, off)
+    Q, _, _, total = xm._sums(z0, U, inner[1], a)
+    return Fraction(total[a], inner[0] * Q) * scale**4 / s ** (b + c + d)
+
+
+def oracle_mismatches(model_list):
+    return [(m.describe(), idx, centered) for m in model_list for idx, centered in VALID_PAIRS
+            if wp.cross_moment_oracle(m, idx, centered) != per_index_oracle(m, idx, centered)]
+
+
+def test_shared_stages_equal_the_per_index_reference(cold_oracle):
+    assert len(STAGE_MODELS) * len(VALID_PAIRS) == 1862
+    assert oracle_mismatches(STAGE_MODELS) == []
+
+
+def test_oracle_values_are_pinned(cold_oracle):
+    # sha256 of every value above, one line per (model, index, centering);
+    # the digest was taken from the oracle before its stages were shared
+    h = hashlib.sha256()
+    for m in STAGE_MODELS:
+        for idx in ALL_INDICES:
+            for centered in (False, True):
+                if not (centered and idx[0]):
+                    value = wp.cross_moment_oracle(m, idx, centered)
+                    h.update(f"{m.describe()} {idx} {centered} {value}\n".encode())
+    assert h.hexdigest() == "234a55d754e17f7e3c91f706776bfa68dc8320e2b9af6d0366185455234cfed6"
+
+
+def test_default_sweep_runs_each_stage_chain_once(cold_oracle, monkeypatch):
+    # the arguments of the benchmark's verify: 272 distinct keys, 3 stages
+    # each, but only 448 distinct (model, centering, suffix) chains
+    calls = []
+    real = xm._gap_stage
+    monkeypatch.setattr(xm, "_gap_stage", lambda *args: calls.append(1) or real(*args))
+    p_list = [Fraction(p) for p in ("1/4", "1/2", "3/4", "9/10")]
+    checks = verification.run_verification(p_list=p_list, random_words=0)
+    assert all(c.passed for c in checks)
+    assert xm._oracle_cached.cache_info().currsize == 272
+    assert len(calls) == 448
+    # 448 chains and one empty suffix per (model, centering): nothing was evicted
+    assert xm._stages.cache_info().currsize == 448 + 32 < xm._STAGE_CHAINS
+
+
+def test_a_stage_cache_keyed_without_centering_is_caught(cold_oracle, monkeypatch):
+    uncached, chains = xm._stages.__wrapped__, {}
+
+    def keyed_without_centering(model, centered, suffix):
+        if (model, suffix) not in chains:
+            chains[model, suffix] = uncached(model, centered, suffix)
+        return chains[model, suffix]
+
+    monkeypatch.setattr(xm, "_stages", keyed_without_centering)
+    mismatches = oracle_mismatches([wp.Model.uniform(3), wp.Model.geometric(Fraction(1, 3))])
+    assert mismatches and all(centered for _, _, centered in mismatches)

@@ -264,3 +264,19 @@ def test_model_hash_is_not_stored():
     assert set(vars(m)) == {"kind", "k", "p"}
     copy = pickle.loads(pickle.dumps(m))
     assert copy == m and hash(copy) == hash(m)
+
+
+def test_each_antidifference_is_derived_once(monkeypatch):
+    models.integer_antidifference.cache_clear()
+    m = [wp.Model.uniform(6), wp.Model.geometric(Fraction(1, 3))]
+    for model in m:
+        for u in range(8):
+            wp.gap_pmf_by_convolution(model, u)
+    # one R per (z**2, 0): z = 1 and z = 2/3
+    info = models.integer_antidifference.cache_info()
+    assert (info.misses, info.hits) == (2, 14)
+    assert models.antidifference(Fraction(4, 9), 0) == (Fraction(-9, 5),)
+    # the closed form that check_gap_pmf compares against derives no R
+    monkeypatch.setattr(models, "integer_antidifference", None)
+    assert [wp.gap_pmf(model, u) for model in m for u in (0, 1)] == [
+        Fraction(1, 6), Fraction(5, 18), Fraction(1, 5), Fraction(4, 15)]

@@ -232,3 +232,18 @@ def test_edge_kernel_memory_follows_the_bitset():
         tracemalloc.stop()
     assert edges.tolist() == [2 * 10**6 + 2]
     assert peak < 4 * bitset  # one byte per cell would take 8 bitsets
+
+
+@pytest.mark.parametrize("kernel", [wp.perimeter_decomposed_batch, wp.perimeter_edge_count_batch],
+                         ids=["decomposed", "edge-count"])
+@pytest.mark.parametrize("batch, message", [
+    ([[3, 1], [2, -1]], "positive"),
+    ([[3, 0, 1], [1, 2, 3]], "pad a word on the right"),
+    ([[2, 2], [0, 0]], "nonempty word"),
+    ([4, 1, 2], "2-D"),
+], ids=["negative-letter", "zero-inside-a-word", "empty-row", "1-D"])
+def test_each_public_kernel_validates_its_own_input(kernel, batch, message):
+    # verify validates a block once and calls the kernel bodies; the public
+    # kernels still check every block they are given
+    with pytest.raises(ValueError, match=message):
+        kernel(batch)

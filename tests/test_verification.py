@@ -8,6 +8,7 @@ import pytest
 import wordperim as wp
 from wordperim import cross_moments as xm
 from wordperim import moments as mo
+from wordperim import polyomino as po
 from wordperim import verification as ver
 
 
@@ -69,13 +70,13 @@ def test_corrupted_geometric_closed_form_is_caught(monkeypatch):
 
 
 def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
-    real = ver.perimeter_edge_count_batch
+    real = ver._edge_count
 
     def off_by_one_on_short_words(words):
         edges = real(words)
         return edges + (np.count_nonzero(words, axis=1) < 5)
 
-    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "_edge_count", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert 1 <= len(check.failures) <= 5
@@ -117,12 +118,12 @@ def unpadded(row):
 
 
 def test_random_failures_are_the_first_in_draw_order(monkeypatch):
-    real = ver.perimeter_edge_count_batch
+    real = ver._edge_count
 
     def off_by_one_on_short_words(words):
         return real(words) + (np.count_nonzero(words, axis=1) < 5)
 
-    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "_edge_count", off_by_one_on_short_words)
     expected = []
     for word in (unpadded(row) for block in reference_random_blocks(2000, seed=3) for row in block):
         p = wp.perimeter_decomposed(word).P
@@ -151,10 +152,10 @@ def test_word_shapes_equal_one_shot_draws(count):
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
 def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
     seen_p, seen_edges = Counter(), Counter()
-    real_decomposed, real_edges = ver.perimeter_decomposed_batch, ver.perimeter_edge_count_batch
+    real_decomposed, real_edges = ver._decomposed, ver._edge_count
 
-    def recording_decomposed(words):
-        b = real_decomposed(words)
+    def recording_decomposed(words, n):
+        b = real_decomposed(words, n)
         seen_p.update(zip(map(unpadded, words), b.P.tolist()))
         return b
 
@@ -163,8 +164,8 @@ def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
         seen_edges.update(zip(map(unpadded, words), edges.tolist()))
         return edges
 
-    monkeypatch.setattr(ver, "perimeter_decomposed_batch", recording_decomposed)
-    monkeypatch.setattr(ver, "perimeter_edge_count_batch", recording_edges)
+    monkeypatch.setattr(ver, "_decomposed", recording_decomposed)
+    monkeypatch.setattr(ver, "_edge_count", recording_edges)
     check = ver.check_perimeter_random(count, seed=11)
     want_p, want_edges = Counter(), Counter()
     for block in reference_random_blocks(count, seed=11):
@@ -255,3 +256,66 @@ def test_perturbed_variance_form_fails_its_checks(monkeypatch, extra, vstar_fail
     assert vstar.passed is not vstar_fails
     if vstar_fails:  # the assembly's slope is off; the centered combination still holds
         assert [f.split(":")[0] for f in vstar.failures] == [m.describe() for m in MODELS]
+
+
+# ---------------------------------------------------------------------------
+# forms compared by their coefficients; values at each n only name failures
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lhs, rhs", [((1, 2, 0), (1, 2)), ((1, 2), (1, 2, 0, 0))],
+                         ids=["assembly-longer", "closed-longer"])
+def test_forms_differing_only_by_trailing_zeros_pass(lhs, rhs):
+    check = ver._check_forms("forms", MODELS, range(4, 9),
+                             lambda model, source: mo.Form(lhs), lambda model: mo.Form(rhs))
+    assert check.passed and check.instances == 2 * 5 and check.max_deviation == 0
+
+
+def test_equal_coefficients_need_no_evaluation(monkeypatch):
+    def no_evaluation(form, n):
+        raise AssertionError("equal forms were evaluated")
+
+    monkeypatch.setattr(mo.Form, "__call__", no_evaluation)
+    assert ver.check_mean(MODELS, 40).instances == 2 * 39
+    assert ver.check_variance(MODELS, 40).instances == 2 * 37
+
+
+@pytest.mark.parametrize("check, assembly, closed, first_n", [
+    (ver.check_mean, "mean_assembly", mo.mean_closed, 2),
+    (ver.check_variance, "variance_assembly", mo.variance_closed, 4),
+])
+def test_a_form_off_by_a_multiple_of_n4_n5_fails_at_every_other_n(monkeypatch, check, assembly,
+                                                                    closed, first_n):
+    eps = Fraction(1, 10**9)
+    real = getattr(mo, assembly)
+    monkeypatch.setattr(mo, assembly, lambda model, source=xm.cross_moment_closed: real(
+        model, source) + mo.Form((20 * eps, -9 * eps, eps)))  # eps (n - 4)(n - 5)
+    got = check(MODELS, 9)
+    # the reference evaluates both forms at each n, as the check did before
+    # it compared coefficients
+    ref = ver.IdentityCheck(got.name)
+    for m in MODELS:
+        lhs, rhs = getattr(mo, assembly)(m, source=xm.cross_moment_oracle), closed(m)
+        for n in range(first_n, 10):
+            ref.exact(lhs(n), rhs(n), f"{m.describe()} n={n}")
+    assert (got.instances, got.failures, got.max_deviation) == (
+        ref.instances, ref.failures, ref.max_deviation)
+    assert got.max_deviation == float(eps * 20)  # at n = 9, (9 - 4)(9 - 5) = 20
+    failing_n = [n for n in range(first_n, 10) if n not in (4, 5)]
+    names = [f"{m.describe()} n={n}" for m in MODELS for n in failing_n]
+    assert [f.split(":")[0] for f in got.failures] == names[:5]
+
+
+def test_each_perimeter_block_is_validated_once(monkeypatch):
+    seen = {"verification": 0, "polyomino": 0}
+    for module, name in ((ver, "verification"), (po, "polyomino")):
+        real = module._check_batch
+
+        def counting(words, _real=real, _name=name):
+            seen[_name] += 1
+            return _real(words)
+
+        monkeypatch.setattr(module, "_check_batch", counting)
+    check = ver.check_perimeter_exhaustive()
+    blocks = sum(-(-k**n // ver._KERNEL_WORDS) for k, n in ver.EXHAUSTIVE_PERIMETER)
+    assert check.passed
+    assert seen == {"verification": blocks, "polyomino": 0}
