@@ -2,9 +2,10 @@
 
 Commands: moments, xmoment, verify, simulate, histogram, plot, render.
 Exit codes: 0 success, 1 validation/verification failure, 2 usage error.
-Every command that writes files also writes ``<out-stem>.manifest.json``
-with sha256 digests of the outputs; identical flags reproduce identical
-digests (simulation is seeded, output formats are deterministic).
+Every command that writes files creates their directories and also writes
+``<out>.manifest.json`` with sha256 digests of all its outputs; identical
+flags reproduce identical digests (simulation is seeded, output formats are
+deterministic).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,23 +41,18 @@ def _fraction(text: str) -> Fraction:
 
 
 def _model_from_args(args) -> Model:
-    if args.model == "uniform":
-        if args.k is None:
-            raise CliError("--model uniform requires --k")
-        try:
-            return Model.uniform(args.k)
-        except ValueError as e:
-            raise CliError(str(e))
-    if args.p is None:
-        raise CliError("--model geometric requires --p")
+    flag = {"uniform": "k", "geometric": "p"}[args.model]
+    value = getattr(args, flag)
+    if value is None:
+        raise CliError(f"--model {args.model} requires --{flag}")
     try:
-        return Model.geometric(args.p)
+        return getattr(Model, args.model)(value)
     except ValueError as e:
         raise CliError(str(e))
 
 
-def _add_model_args(parser) -> None:
-    parser.add_argument("--model", choices=["uniform", "geometric"], required=True)
+def _add_model_args(parser, required: bool = True) -> None:
+    parser.add_argument("--model", choices=["uniform", "geometric"], required=required)
     parser.add_argument("--k", type=int, help="uniform upper bound (letters in [1,k])")
     parser.add_argument("--p", type=_fraction, help="geometric success probability, e.g. 1/2")
 
@@ -81,16 +78,37 @@ def _require_distinct(outputs: dict[str, Path]) -> None:
             raise CliError(f"{first} and {what} both name {path}")
 
 
-def _write_manifest(primary_out: Path, command: str, flags: dict, outputs: list[Path]) -> Path:
-    manifest = {
+def _write_outputs(command: str, flags: dict, writers: dict) -> None:
+    """Write each output, then the manifest of them all, and print one ``wrote`` line.
+
+    ``writers`` maps each output path, in order, to a function that writes
+    that path; each parent directory is created first.  The manifest is named
+    after the first path.
+    """
+    for path, write in writers.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    manifest = _manifest_path(next(iter(writers)))
+    simulation._write_json({
         "command": command,
         "flags": {k: str(v) for k, v in sorted(flags.items())},
         "version": __version__,
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
-    }
-    path = _manifest_path(primary_out)
-    simulation._write_json(manifest, path)
-    return path
+        "outputs": {p.name: _sha256(p) for p in sorted(writers)},
+    }, manifest)
+    print("wrote", *writers, manifest)
+
+
+def _svg(svg: str):
+    """A writer of ``svg`` as UTF-8 with LF line ends."""
+    return lambda path: path.write_text(svg, encoding="utf-8", newline="\n")
+
+
+def _read_input(reader, path):
+    """``reader(path)``, with an unreadable or malformed input reported as a CliError."""
+    try:
+        return reader(path)
+    except (OSError, ValueError) as e:
+        raise CliError(str(e))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +199,6 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
     _require_distinct({"--out": out, "the config sidecar": sidecar, "the manifest": _manifest_path(out)})
-    out.parent.mkdir(parents=True, exist_ok=True)
     try:
         config = simulation.SimulationConfig(
             model=model,
@@ -194,21 +211,14 @@ def cmd_simulate(args) -> int:
     except (ValueError, simulation.MemoryBudgetExceeded) as e:
         raise CliError(str(e))
 
-    outputs = [out]
-    if args.paths:
-        simulation.write_path_csv(ensemble, out)
-    else:
-        simulation.write_endpoint_csv(ensemble, out)
-    simulation.write_config_sidecar(ensemble, sidecar)
-    outputs.append(sidecar)
-
+    write = simulation.write_path_csv if args.paths else simulation.write_endpoint_csv
     flags = {"model": model.describe(), "m": args.m, "trajectories": args.trajectories,
              "seed": args.seed, "paths": args.paths, "out": args.out}
-    manifest = _write_manifest(out, "simulate", flags, outputs)
+    _write_outputs("simulate", flags, {out: partial(write, ensemble),
+                                       sidecar: partial(simulation.write_config_sidecar, ensemble)})
 
     stats = simulation.empirical_moments(ensemble)
     mu3_anchor = float(args.m * moments.mu3_rate_closed(model))
-    print(f"wrote {out} {sidecar} {manifest}")
     print(f"mean(z)            = {stats.mean_z!r}  (theory 0)")
     print(f"mean(z^2)          = {stats.meansq_z!r}  (theory 1)")
     print(f"mean((Q - mM)^3)   = {stats.sum_z3_raw!r}  (theory m*mu3* = {mu3_anchor!r})")
@@ -217,30 +227,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_histogram(args) -> int:
     out = Path(args.out)
-    gof_path = Path(args.gof) if args.gof else None
     outputs = {"--out": out, "the manifest": _manifest_path(out)}
-    if gof_path:
-        outputs["--gof"] = gof_path
+    if args.gof:
+        outputs["--gof"] = Path(args.gof)
     _require_distinct(outputs)
-    try:
-        data = simulation.read_endpoint_csv(args.input)
-    except (OSError, ValueError) as e:
-        raise CliError(str(e))
+    data = _read_input(simulation.read_endpoint_csv, args.input)
     try:
         hist = empirics.build_histogram(data["z"], args.delta)
     except ValueError as e:
         raise CliError(str(e))
     report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    empirics.write_histogram_csv(hist, out)
-    outputs = [out]
-    if gof_path:
-        gof_path.parent.mkdir(parents=True, exist_ok=True)
-        empirics.write_gof_json(report, gof_path)
-        outputs.append(gof_path)
+    writers = {out: partial(empirics.write_histogram_csv, hist)}
+    if args.gof:
+        writers[Path(args.gof)] = partial(empirics.write_gof_json, report)
     flags = {"input": args.input, "delta": args.delta, "out": args.out, "gof": args.gof or ""}
-    manifest = _write_manifest(out, "histogram", flags, outputs)
-    print(f"wrote {' '.join(str(p) for p in outputs)} {manifest}")
+    _write_outputs("histogram", flags, writers)
     print(f"ks_statistic       = {report.ks_statistic!r}")
     print(f"max_cell_abs_error = {report.max_cell_abs_error!r}")
     return 0
@@ -264,18 +265,17 @@ def _read_sidecar(csv_path) -> tuple[float, float]:
 
 
 def cmd_plot(args) -> int:
-    out = Path(args.out)
     kind = args.kind
+    flags = {"kind": kind, "input": args.input or "", "out": args.out,
+             "trajectory": args.trajectory}
     if kind == "pmf":
         model = _model_from_args(args)
+        flags["model"] = model.describe()
         svg = svgplot.plot_gap_pmf(model)
     elif kind in ("trajectory", "normalized"):
         if not args.input:
             raise CliError(f"plot --kind {kind} requires --input (path-mode ensemble CSV)")
-        try:
-            paths = simulation.read_path_csv(args.input)
-        except (OSError, ValueError) as e:
-            raise CliError(str(e))
+        paths = _read_input(simulation.read_path_csv, args.input)
         mg, sigma = _read_sidecar(args.input)
         if not 0 <= args.trajectory < paths.shape[0]:
             raise CliError(f"--trajectory {args.trajectory} out of range 0..{paths.shape[0] - 1}")
@@ -288,23 +288,14 @@ def cmd_plot(args) -> int:
     elif kind in ("histogram", "cumulative"):
         if not args.input:
             raise CliError(f"plot --kind {kind} requires --input (histogram CSV)")
-        try:
-            hist = empirics.read_histogram_csv(args.input)
-        except (OSError, ValueError) as e:
-            raise CliError(str(e))
+        hist = _read_input(empirics.read_histogram_csv, args.input)
         if kind == "histogram":
             svg = svgplot.plot_histogram(hist["center"], hist["freq"], hist["gauss_mass"])
         else:
             svg = svgplot.plot_cumulative(hist["right"], hist["freq"])
     else:  # pragma: no cover - argparse choices guard this
         raise CliError(f"unknown plot kind {kind!r}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-    flags = {"kind": kind, "input": args.input or "", "out": args.out,
-             "trajectory": args.trajectory}
-    manifest = _write_manifest(out, "plot", flags, [out])
-    print(f"wrote {out} {manifest}")
+    _write_outputs("plot", flags, {Path(args.out): _svg(svg)})
     return 0
 
 
@@ -314,13 +305,8 @@ def cmd_render(args) -> int:
         svg = render_polyomino(word)
     except ValueError as e:
         raise CliError(str(e))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
-    manifest = _write_manifest(out, "render", {"word": args.word, "out": args.out}, [out])
+    _write_outputs("render", {"word": args.word, "out": args.out}, {Path(args.out): _svg(svg)})
     b = perimeter_decomposed(word)
-    print(f"wrote {out} {manifest}")
     print(f"word={args.word} Q={b.Q} R={b.R} P={b.P}")
     return 0
 
@@ -379,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--input", default=None, help="input CSV (kind-dependent)")
     p.add_argument("--trajectory", type=int, default=0, help="trajectory index for path plots")
-    p.add_argument("--model", choices=["uniform", "geometric"], help="for --kind pmf")
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=_fraction)
+    _add_model_args(p, required=False)
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(fn=cmd_plot)
 

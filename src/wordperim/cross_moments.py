@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .models import UNIFORM, Model, integer_antidifference, letter_law, plain_int
+from .models import CACHE_ENTRIES, UNIFORM, Model, integer_antidifference, letter_law, plain_int
 
 
 class MomentIndex(NamedTuple):
@@ -211,7 +211,7 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
     return _oracle_cached(model, idx, centered)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _oracle_cached(model: Model, idx: MomentIndex, centered: bool) -> Fraction:
     # P(x = v) = scale * z0**v on [1, U]; the stages sum z0**w, and each
     # centered gap factor is scaled by s, the denominator of M, so that it has
@@ -237,12 +237,9 @@ def _centering(model: Model, centered: bool) -> tuple[int, int]:
 
 
 _ONE = (1, 1)  # the key of z = 1: each z is keyed by its reduced (numerator, denominator)
-# stage chains kept: a default verify needs about 30 per model (480 in all),
-# and a sweep over many models would otherwise keep about 15 KB per model
-_STAGE_CHAINS = 1024
 
 
-@lru_cache(maxsize=_STAGE_CHAINS)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _stages(model: Model, centered: bool, suffix: tuple[int, ...]) -> tuple:
     """The exponential polynomial (D, {z: P_z}) that the gap stages of ``suffix`` leave.
 

@@ -22,6 +22,11 @@ import numpy as np
 
 UNIFORM = "uniform"
 GEOMETRIC = "geometric"
+# Entries kept by each exact-arithmetic cache: the oracle's values and stage
+# chains (cross_moments) and the antidifferences below.  A default verify holds
+# 289 values, 510 chains and 53 antidifferences, so nothing is evicted there;
+# the bound keeps a caller that sweeps many models at flat memory.
+CACHE_ENTRIES = 1024
 
 
 def plain_int(value) -> int | None:
@@ -145,7 +150,7 @@ def antidifference(z: Fraction, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in coefficients)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], int]:
     """R of :func:`antidifference` for z = zn/zd, as (integer coefficients, their denominator).
 

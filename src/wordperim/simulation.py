@@ -12,11 +12,6 @@ ensemble does not depend on how it is computed.  ``simulate`` draws blocks of
 trajectories from one re-keyed Philox and turns the raw words into gaps with
 numpy array operations; each row equals the gaps of what the scalar path
 ``sample_letters(model, trajectory_rng(seed, l), m + 1)`` draws, bit for bit.
-The block's arrays are allocated once per ``simulate`` and every block is
-computed in place in them: a (64, 501) int64 temporary is 256 KB, above
-glibc's 128 KiB mmap threshold, so fresh temporaries per block were mapped,
-faulted in and unmapped again, about 122 600 minor page faults for one
-``simulate`` at k=6, m=500, N=1e5 (about 900 with the reused arrays).
 """
 
 from __future__ import annotations
@@ -39,9 +34,9 @@ from .moments import vstar_sigma
 _MASK64 = (1 << 64) - 1
 # Trajectories per sampler block.  The block's arrays are reused from block to
 # block, because one (64, m + 1) int64 array is 256 KB at m = 500: above
-# glibc's 128 KiB mmap threshold, a fresh one per block costs page faults
-# (see the module docstring).  With reuse, blocks of 16 to 256 rows took about
-# the same time; 64 rows keep the arrays near 1 MB at m = 500.
+# glibc's 128 KiB mmap threshold, a fresh one per block costs page faults.
+# With reuse, blocks of 16 to 256 rows took about the same time; 64 rows keep
+# the arrays near 1 MB at m = 500.
 _BLOCK_ROWS = 64
 
 

@@ -585,6 +585,25 @@ PLOT_PATH_GOLDEN = {
         "stdout": "8a72ed86242c4ddd6e928beb85b8bd2a8f0d7e6f72900947e2e69bc0a6f32bff",
     },
 }
+# the SVG and stdout digests were taken before the pmf manifest named the model
+PLOT_PMF_GOLDEN = {
+    "uniform": {
+        "pmf.svg": "4e302c202e1f56483425d2f732544b9e11e292dc2d271e8eb4ca2b668f806d22",
+        "pmf.svg.manifest.json": "215824924eaa0b00d003140871d4b3f5070aa267a3c03050220b4a1806712810",
+        "stdout": "19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+    },
+    "geometric": {
+        "pmf.svg": "becf09f92f6e75a4445c71a2f892d9436df1d27087b139abac231faee46523ff",
+        "pmf.svg.manifest.json": "84113143d064b9001172eba0a2dacffef5dcca5897de43d445a2ac63d39aa60b",
+        "stdout": "19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+    },
+}
+MOMENTS_GOLDEN = {
+    "uniform-json": "2554cd91623f2a78decf9fb183c83cfb021fa18f134aa1f2c0c738b6e0429608",
+    "uniform-csv": "e5b5042806b5423bef49b652d388a251b28d9ca06b6cd97f28f3eb4d1ef91186",
+    "geometric-json": "a15635528fd13473ff93708e38f80372a5e2b1cc8abfff452094c53581c2928b",
+    "geometric-csv": "b043ad0a944d257817db7b1048e92994528df3f7cbe37958ef386574d6bf6dad",
+}
 XMOMENT_GOLDEN = {
     "uniform-both": "866b4776d91685cc57134437fe720786f5904f60452ccf2eb81a384a1ac34351",
     "uniform-centered-both": "cff21af9c92759e434bd6b66a07c9ce1016d7afcf15159c2438e50351332ac04",
@@ -644,6 +663,27 @@ def test_plot_path_svg_golden(capsys, tmp_path, monkeypatch, kind):
                        "--trajectory", "2", "--out", f"{kind}.svg")
     assert code == 0
     assert digests(out, f"{kind}.svg", f"{kind}.svg.manifest.json") == PLOT_PATH_GOLDEN[kind]
+
+
+@pytest.mark.parametrize("model", [["uniform", "--k", "6"], ["geometric", "--p", "1/2"]],
+                         ids=lambda model: model[0])
+def test_plot_pmf_svg_golden(capsys, tmp_path, monkeypatch, model):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "plot", "--kind", "pmf", "--model", *model, "--out", "pmf.svg")
+    assert code == 0
+    assert digests(out, "pmf.svg", "pmf.svg.manifest.json") == PLOT_PMF_GOLDEN[model[0]]
+    flags = json.loads(Path("pmf.svg.manifest.json").read_text())["flags"]
+    assert flags["model"] == {"uniform": "uniform[1,6]", "geometric": "geometric(1/2)"}[model[0]]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("model, n", [(["uniform", "--k", "6"], "500"),
+                                      (["geometric", "--p", "1/2"], "40")],
+                         ids=["uniform", "geometric"])
+def test_moments_stdout_golden(capsys, model, n, fmt):
+    code, out, _ = run(capsys, "moments", "--model", *model, "--n", n, "--format", fmt)
+    assert code == 0
+    assert sha256_hex(out.encode("utf-8")) == MOMENTS_GOLDEN[f"{model[0]}-{fmt}"]
 
 
 @pytest.mark.parametrize("case, argv", [

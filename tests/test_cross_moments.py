@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,14 +244,17 @@ VALID_PAIRS = [(idx, centered) for idx in ALL_INDICES for centered in (False, Tr
                if not (centered and idx[0])]
 
 
+EXACT_CACHES = (xm._oracle_cached, xm._stages, models.integer_antidifference)
+
+
 @pytest.fixture
 def cold_oracle():
     """Empty the oracle's caches before and after (request it before monkeypatch)."""
-    xm._oracle_cached.cache_clear()
-    xm._stages.cache_clear()
+    for cache in EXACT_CACHES:
+        cache.cache_clear()
     yield
-    xm._oracle_cached.cache_clear()
-    xm._stages.cache_clear()
+    for cache in EXACT_CACHES:
+        cache.cache_clear()
 
 
 def per_index_oracle(model, idx, centered):
@@ -303,8 +307,30 @@ def test_default_sweep_runs_each_stage_chain_once(cold_oracle, monkeypatch):
     assert all(c.passed for c in checks)
     assert xm._oracle_cached.cache_info().currsize == 272
     assert len(calls) == 448
-    # 448 chains and one empty suffix per (model, centering): nothing was evicted
-    assert xm._stages.cache_info().currsize == 448 + 32 < xm._STAGE_CHAINS
+    # 448 chains and one empty suffix per (model, centering)
+    assert xm._stages.cache_info().currsize == 448 + 32 < models.CACHE_ENTRIES
+    # no cache evicted anything: every miss is still held
+    assert [c.cache_info().misses - c.cache_info().currsize for c in EXACT_CACHES] == [0, 0, 0]
+
+
+def test_a_sweep_over_many_models_holds_flat_memory(cold_oracle):
+    # E(y) and E(x) of 1000 geometric models: 2000 values, 5000 stage chains
+    # and 3000 antidifferences, each about twice its cache's bound or more.
+    # Once the caches are full, each new entry evicts an old one, and the
+    # last 250 models add about 0.04 MiB; with unbounded caches, about 0.4 MiB.
+    indices = [xm.MomentIndex(0, 1, 0, 0), xm.MomentIndex(1, 0, 0, 0)]
+    tracemalloc.start()
+    try:
+        traced = {}
+        for q in range(2, 1002):
+            model = wp.Model.geometric(Fraction(1, q))
+            for idx in indices:
+                wp.cross_moment_oracle(model, idx)
+            traced[q - 1] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [c.cache_info().currsize for c in EXACT_CACHES] == [models.CACHE_ENTRIES] * 3
+    assert traced[1000] - traced[750] < 0.15 * 2**20
 
 
 def test_a_stage_cache_keyed_without_centering_is_caught(cold_oracle, monkeypatch):

@@ -91,6 +91,28 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
         assert "FAIL" in wp.format_report([check])
 
 
+def test_a_broken_decomposition_fails_both_perimeter_checks(monkeypatch):
+    # the decomposition side of the identity: P one too large on short words
+    real = ver._decomposed
+
+    def off_by_one_on_short_words(letters, n):
+        b = real(letters, n)
+        return b._replace(P=b.P + (n < 5))
+
+    monkeypatch.setattr(ver, "_decomposed", off_by_one_on_short_words)
+    for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
+        assert not check.passed
+        assert len(check.failures) == 5
+        for failure in check.failures:
+            word = re.fullmatch(r"word \(([\d, ]+)\): P=(\d+) edges=(\d+)", failure)
+            assert word, failure
+            letters = [int(x) for x in word[1].split(",")]
+            assert 2 <= len(letters) < 5
+            assert int(word[2]) == wp.perimeter_decomposed(letters).P + 1
+            assert int(word[3]) == wp.perimeter_edge_count(letters)
+        assert "FAIL" in wp.format_report([check])
+
+
 def test_run_verification_times_each_check():
     checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=10)
     assert all(c.seconds > 0 for c in checks)
