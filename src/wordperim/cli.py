@@ -119,9 +119,11 @@ def cmd_moments(args) -> int:
     model = _model_from_args(args)
     try:
         report = moments.moment_report(model, args.n)
-    except ValueError as e:
+        doc = report.as_dict()
+    except OverflowError as e:  # a decimal beyond float range
+        raise CliError(f"a moment of {model.describe()} at n={args.n} is too large: {e}")
+    except ValueError as e:  # also an exact value past Python's int-to-str digit limit
         raise CliError(str(e))
-    doc = report.as_dict()
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -146,9 +148,11 @@ def cmd_xmoment(args) -> int:
     for method in methods:
         try:
             value = routes[method](model, idx, args.centered)
-        except ValueError as e:  # NoClosedFormError is one
+            results.append({"method": method, "exact": str(value), "decimal": float(value)})
+        except OverflowError as e:  # a decimal beyond float range
+            raise CliError(f"T{tuple(idx)} of {model.describe()} is too large: {e}")
+        except ValueError as e:  # NoClosedFormError is one, and so is a value with too many digits
             raise CliError(str(e))
-        results.append({"method": method, "exact": str(value), "decimal": float(value)})
     print(json.dumps({
         "model": model.as_dict(),
         "index": list(idx),

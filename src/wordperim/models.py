@@ -216,18 +216,17 @@ def geometric_letters(model: Model, u: np.ndarray, out: np.ndarray | None = None
     With ``out``, an int64 array of u's shape, the letters are written there
     and ``u`` serves as scratch space (it is overwritten), so that a caller
     drawing block after block allocates nothing.  Raises ``ValueError`` when
-    p is so small that 1 - p rounds to 1.0 in float64 and the inversion
-    would divide by log(1.0) = 0.
+    1 - p rounds to 1.0 in float64 (p too small: the inversion would divide
+    by log(1.0) = 0) or to 0.0 (p too close to 1: log(0.0) is undefined).
 
     ln q is ``log(float(q))`` for p >= 2**-26, where every sampled ensemble
     keeps its bytes; below, float(q) keeps too few digits of p (ln q off by
     2.2e-5 relative at p = 1e-12), so ln q is ``log1p(-float(p))``.
     """
     q = float(model.q)
-    if q == 1.0:
-        raise ValueError(
-            f"geometric p = {model.p} is too small to sample: 1 - p rounds to 1.0 in float64"
-        )
+    if q in (0.0, 1.0):
+        raise ValueError(f"geometric p = {model.p} is too {'small' if q else 'close to 1'} to "
+                         f"sample: 1 - p rounds to {q} in float64")
     lnq = math.log1p(-float(model.p)) if model.p < _LOG1P_BELOW else math.log(q)
     x = np.negative(u, out=None if out is None else u)
     np.log1p(x, out=x)

@@ -7,6 +7,14 @@ Each public quantity is computed twice -- by the cross-moment assembly and
 by a closed-form rational function of the model parameter -- and the two
 routes are asserted equal (exactly; everything here is Fraction arithmetic).
 
+Every assembly rests on one derivation, :func:`gap_sum_cumulant`.  The gaps
+are stationary and 1-dependent, so a joint cumulant of gaps vanishes unless
+their indices form an interval (Leonov & Shiryaev 1959; Janson 1988), and
+kappa_r(Q_m) = c_r + m * kappa_r* exactly for m >= r - 1.  Its values at
+m = r - 1 and r, integer combinations of cross-moments, are derived once per
+order from E(Q_m**j) by the multinomial theorem and the moment-cumulant
+recursion; V* and mu3* are the slopes kappa_2* and kappa_3*.
+
 E(P_n) and Var(P_n) are polynomials of degree 1 in n: each route gives them
 as a :class:`Form`, exact coefficients in n built once per model, and a value
 at one n is an evaluation.  The coefficient of n in Var(P_n) is V*, the
@@ -17,9 +25,11 @@ the third centered moment only its order-n term n * mu3* is tabulated.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import groupby, product, zip_longest
 from typing import Callable
 
 from .cross_moments import MomentIndex, cross_moment_closed
@@ -32,12 +42,6 @@ _T1 = MomentIndex(1, 0, 0, 0)
 _T2 = MomentIndex(2, 0, 0, 0)
 _T11 = MomentIndex(1, 1, 0, 0)
 _M = MomentIndex(0, 1, 0, 0)
-_T02 = MomentIndex(0, 2, 0, 0)
-_T03 = MomentIndex(0, 3, 0, 0)
-_T011 = MomentIndex(0, 1, 1, 0)
-_T012 = MomentIndex(0, 1, 2, 0)
-_T021 = MomentIndex(0, 2, 1, 0)
-_T0111 = MomentIndex(0, 1, 1, 1)
 
 
 class RouteDisagreement(AssertionError):
@@ -63,8 +67,8 @@ def _require(n: int) -> int:
 class Form:
     """A polynomial in the word length n: exact coefficients, lowest power first.
 
-    Forms add, subtract and multiply with forms and rationals and keep every
-    coefficient, zero or not; calling a form evaluates it at one n.
+    Forms add and subtract forms and rationals, multiply by a rational, and
+    keep every coefficient, zero or not; calling a form evaluates it at one n.
     """
 
     coefficients: tuple  # coefficients[1] is the slope, the coefficient of n
@@ -78,29 +82,77 @@ class Form:
         return Fraction(value, den)
 
     def __add__(self, other) -> Form:
-        pairs = zip_longest(self.coefficients, _coefficients(other), fillvalue=0)
-        return Form(tuple(a + b for a, b in pairs))
+        theirs = other.coefficients if isinstance(other, Form) else (other,)
+        return Form(tuple(a + b for a, b in zip_longest(self.coefficients, theirs, fillvalue=0)))
 
     def __sub__(self, other) -> Form:
         return self + -1 * other
 
-    def __mul__(self, other) -> Form:
-        out = [0] * (len(self.coefficients) + len(_coefficients(other)) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(_coefficients(other)):
-                out[i + j] += a * b
-        return Form(tuple(out))
+    def __mul__(self, number) -> Form:
+        if isinstance(number, Form):
+            return NotImplemented
+        return Form(tuple(number * c for c in self.coefficients))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
 
-def _coefficients(x) -> tuple:
-    return x.coefficients if isinstance(x, Form) else (x,)
-
-
 _N = Form((0, 1))  # the word length n
-_GAPS = _N - 1  # m = n - 1
+
+
+# ---------------------------------------------------------------------------
+# cumulants of the gap sum
+# ---------------------------------------------------------------------------
+
+def gap_sum_cumulant(model: Model, r: int, source: Source = cross_moment_closed,
+                     centered: bool = False) -> Form:
+    """kappa_r(Q_{n-1}), r = 1, 2, 3, as a form in n, exact for n >= r; its slope is kappa_r*.
+
+    ``centered`` reads each gap as y - M: kappa_1 becomes 0, the others do not change.
+    """
+    if plain_int(r) not in (1, 2, 3):
+        raise ValueError(f"cumulant order r must be 1, 2 or 3, got {r!r}")
+    return Form(_evaluate(_cumulant_terms(r, centered), model, source, centered))
+
+
+def _evaluate(parts: tuple, model: Model, source: Source, centered: bool) -> tuple:
+    """The value of each {monomial: integer} part, each cross-moment read once from ``source``."""
+    values = {i: source(model, i, centered) for i in {i for p in parts for mono in p for i in mono}}
+    return tuple(sum(c * math.prod(map(values.get, mono)) for mono, c in p.items()) for p in parts)
+
+
+@lru_cache(maxsize=6)  # one entry per (r, centered)
+def _cumulant_terms(r: int, centered: bool) -> tuple[dict, dict]:
+    """The constant and slope of :func:`gap_sum_cumulant` as {monomial: integer}.
+
+    A monomial is a sorted tuple of MomentIndex, the product of their
+    cross-moments.  E(Q_m**j) is expanded by the multinomial theorem; each
+    term splits at its zero exponents into runs of consecutive gaps, which
+    share no letter and so are independent, and a run is read as T[0, run]
+    by stationarity.  A centered lone gap has mean 0, so its terms drop.  The
+    recursion kappa_j = mu_j - sum_i C(j-1, i-1) kappa_i mu_(j-i) gives a and
+    b, kappa_r(Q_m) at m = r - 1 and r; its line in n is a + (n - r)(b - a).
+    Callers read the result and never mutate it.
+    """
+    ends = []
+    for m in (r - 1, r):
+        mu = [Counter() for _ in range(r)]  # mu[j - 1] is E(Q_m**j)
+        for exps in product(range(r + 1), repeat=m):
+            j = sum(exps)
+            runs = [tuple(run) for nonzero, run in groupby(exps, key=bool) if nonzero]
+            if 0 < j <= r and not (centered and (1,) in runs):
+                mono = tuple(sorted(MomentIndex(0, *run, *[0] * (3 - len(run))) for run in runs))
+                mu[j - 1][mono] += math.factorial(j) // math.prod(map(math.factorial, exps))
+        kappa = []
+        for j in range(1, r + 1):
+            kappa.append(Counter(mu[j - 1]))
+            for i in range(1, j):
+                for (x, cx), (y, cy) in product(kappa[i - 1].items(), mu[j - i - 1].items()):
+                    kappa[-1][tuple(sorted(x + y))] -= math.comb(j - 1, i - 1) * cx * cy
+        ends.append(kappa[-1])
+    a, b = ends
+    return tuple({mono: c for mono in a.keys() | b.keys() if (c := u * a[mono] + v * b[mono])}
+                 for u, v in ((r + 1, -r), (-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +169,8 @@ def mean_closed(model: Model) -> Form:
 
 
 def mean_assembly(model: Model, source: Source = cross_moment_closed) -> Form:
-    """E(P_n) = (n-1)M + 2n + 2*E(x0), from cross-moments."""
-    return _GAPS * source(model, _M) + 2 * _N + 2 * source(model, _T1)
+    """E(P_n) = E(Q_m) + 2n + 2*E(x0), from cross-moments; E(Q_m) = (n-1)M."""
+    return gap_sum_cumulant(model, 1, source) + 2 * _N + 2 * source(model, _T1)
 
 
 def mean_perimeter(model: Model, n: int) -> Fraction:
@@ -155,35 +207,14 @@ def variance_closed(model: Model) -> Form:
 
 
 def variance_assembly(model: Model, source: Source = cross_moment_closed) -> Form:
-    """Var(R_n) assembled by counting contributing variable tuples.
+    """Var(R_n) = Var(Q_m) + 2 Var(x0) + 4 Cov(x0, y1), from cross-moments.
 
-    Expanding E(R_n**2) = E(x0 + x_m + y1 + ... + y_m)**2 over the m = n-1
-    gaps, the surviving expectations and their multiplicities in n are:
-
-        y_i**2            -> m T[0,2]
-        y_i y_{i+1}       -> 2(m-1) T[0,1,1]
-        x0**2, x_m**2     -> 2 T[2]
-        x0 y1, x_m y_m    -> 4 T[1,1]
-        y_i y_j, |i-j|>=2 -> (m-1)(m-2) M**2       (independent)
-        x0 x_m            -> 2 T[1]**2             (independent)
-        x0 y_i (i>1), x_m y_j (j<m) -> 4(m-1) T[1] M   (independent)
-
-    E(R_n)**2 = (m M + 2 T[1])**2 is subtracted as a form too, so the n**2
-    coefficient M**2 - M**2 is computed, not dropped.  The multiplicities
-    count actual tuples for n >= 4; as a polynomial the form equals
-    variance_closed, so it holds for every n >= 2.
+    R_n = Q_m + x0 + x_m: x0 and x_m are independent for n >= 2, x0 meets
+    Q_m only through y1, and x_m through y_m, which reversal maps to x0, y1.
     """
-    T02 = source(model, _T02)
-    T2 = source(model, _T2)
-    T011 = source(model, _T011)
-    T11 = source(model, _T11)
-    M = source(model, _M)
-    T1 = source(model, _T1)
-    m = _GAPS
-    mean_R = m * M + 2 * T1
-    second = (m * T02 + 2 * (m - 1) * T011 + 2 * T2 + 4 * T11
-              + (m - 1) * (m - 2) * M * M + 2 * T1 * T1 + 4 * (m - 1) * T1 * M)
-    return second - mean_R * mean_R
+    T1, M = source(model, _T1), source(model, _M)
+    return (gap_sum_cumulant(model, 2, source) + 2 * (source(model, _T2) - T1 * T1)
+            + 4 * (source(model, _T11) - T1 * M))
 
 
 def variance_perimeter(model: Model, n: int) -> Fraction:
@@ -220,44 +251,13 @@ def mu3_rate_closed(model: Model) -> Fraction:
     return num / ((2 - p) ** 3 * p**3 * (p * p - 2 * p + 2) * (p * p + 3 - 3 * p) ** 2)
 
 
-def mu3_rate_assembly(model: Model, source: Source = cross_moment_closed) -> Fraction:
-    """mu3* from ordinary cross-moments.
+def mu3_rate_assembly(model: Model, source: Source = cross_moment_closed,
+                      centered: bool = False) -> Fraction:
+    """mu3* = kappa_3*, the slope alone of ``gap_sum_cumulant(model, 3, source, centered)``.
 
-    Only adjacent-gap triples contribute at order n; collecting them by the
-    three-step substitution gives
-
-        (T[0,3] + 3 T[0,1,2] + 6 T[0,1,1,1] + 3 T[0,2,1])
-        + (-9 T[0,2] - 24 T[0,1,1] - 6 M**2) M + 26 M**3.
-
-    The +26 M**3 constant is forced by the centered route and the factored
-    closed form (their common value is the ground truth here).
+    Centered closed forms exist only for the uniform model; the oracle has both.
     """
-    T03 = source(model, _T03)
-    T012 = source(model, _T012)
-    T0111 = source(model, _T0111)
-    T021 = source(model, _T021)
-    T02 = source(model, _T02)
-    T011 = source(model, _T011)
-    M = source(model, _M)
-    return (
-        (T03 + 3 * T012 + 6 * T0111 + 3 * T021)
-        + (-9 * T02 - 24 * T011 - 6 * M * M) * M
-        + 26 * M**3
-    )
-
-
-def mu3_rate_centered_assembly(model: Model, source: Source = cross_moment_closed) -> Fraction:
-    """mu3* as the centered combination T~[0,3] + 3T~[0,1,2] + 6T~[0,1,1,1] + 3T~[0,2,1].
-
-    Centered closed forms exist only for the uniform model; pass the oracle
-    as ``source`` to evaluate it for geometric models too.
-    """
-    return (
-        source(model, _T03, True)
-        + 3 * source(model, _T012, True)
-        + 6 * source(model, _T0111, True)
-        + 3 * source(model, _T021, True)
-    )
+    return _evaluate(_cumulant_terms(3, centered)[1:], model, source, centered)[0]
 
 
 def mu3_dominant(model: Model, n: int) -> Fraction:
@@ -265,7 +265,7 @@ def mu3_dominant(model: Model, n: int) -> Fraction:
     n = _require(n)
     rate = _agreed("mu3", model.describe(), mu3_rate_closed(model), mu3_rate_assembly(model))
     if model.kind == UNIFORM:
-        _agreed("mu3 centered", model.describe(), rate, mu3_rate_centered_assembly(model))
+        _agreed("mu3 centered", model.describe(), rate, mu3_rate_assembly(model, centered=True))
     return n * rate
 
 

@@ -142,11 +142,10 @@ def check_independence(models) -> IdentityCheck:
 def _check_forms(name: str, models, ns, assembly, closed) -> IdentityCheck:
     """Build each model's two forms in n once and compare their coefficients.
 
-    The assembly may carry zero coefficients the closed form lacks (its n**2
-    term), so the shorter tuple is padded with zeros.  Equal coefficients
-    prove the identity at every n, so each n of ``ns`` counts as a passing
-    instance.  Only forms that differ are evaluated at each n, to name the
-    failing n and set max_deviation.
+    Either form may carry trailing zero coefficients the other lacks, so the
+    shorter tuple is padded with zeros.  Equal coefficients prove the identity
+    at every n, so each n of ``ns`` counts as a passing instance; only forms
+    that differ are evaluated at each n, to name the failing n and max_deviation.
     """
     chk = IdentityCheck(name)
     for m in models:
@@ -166,7 +165,7 @@ def check_mean(models, n_max: int) -> IdentityCheck:
 
 
 def check_variance(models, n_max: int) -> IdentityCheck:
-    # from n = 4 up the multiplicities count actual tuples
+    # the forms agree for every n >= 2; the report counts n = 4..n_max
     return _check_forms("variance tuple-count assembly (oracle) vs closed form",
                         models, range(4, n_max + 1), mo.variance_assembly, mo.variance_closed)
 
@@ -177,7 +176,7 @@ def check_mu3(models) -> IdentityCheck:
         closed = mo.mu3_rate_closed(m)
         chk.exact(mo.mu3_rate_assembly(m, source=xm.cross_moment_oracle), closed,
                   f"{m.describe()} uncentered route")
-        chk.exact(mo.mu3_rate_centered_assembly(m, source=xm.cross_moment_oracle), closed,
+        chk.exact(mo.mu3_rate_assembly(m, source=xm.cross_moment_oracle, centered=True), closed,
                   f"{m.describe()} centered route")
     return chk
 
@@ -189,10 +188,8 @@ def check_vstar(models) -> IdentityCheck:
         closed = mo.variance_closed(m).coefficients[1]
         chk.exact(mo.variance_assembly(m, source=xm.cross_moment_oracle).coefficients[1], closed,
                   m.describe())
-        # V* is also the centered combination T~[0,2] + 2 T~[0,1,1]
-        centered = xm.cross_moment_oracle(m, (0, 2, 0, 0), centered=True) + 2 * xm.cross_moment_oracle(
-            m, (0, 1, 1, 0), centered=True
-        )
+        # V* is also kappa_2* of the centered gaps, T~[0,2] + 2 T~[0,1,1]
+        centered = mo.gap_sum_cumulant(m, 2, xm.cross_moment_oracle, centered=True).coefficients[1]
         chk.exact(centered, closed, f"{m.describe()} centered combination")
     return chk
 

@@ -119,6 +119,33 @@ def test_xmoment_bad_index(capsys):
     assert code == 1 and "index" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--model", "geometric", "--p", f"1/{10**120}", "--n", "10"],
+     f"error: a moment of geometric(1/{10**120}) at n=10 is too large: "),
+    (["xmoment", "--model", "geometric", "--index", "0,2,0,0", "--p", f"1/{10**160}"],
+     f"error: T(0, 2, 0, 0) of geometric(1/{10**160}) is too large: "),
+    # an exact value here has more digits than Python converts to text
+    (["moments", "--model", "geometric", "--p", f"{10**400 - 1}/{10**400}", "--n", "10"],
+     "error: Exceeds the limit"),
+], ids=["moments-float-overflow", "xmoment-float-overflow", "moments-too-many-digits"])
+def test_extreme_p_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+# p = 1/10**100: every decimal is still a finite float
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "ca07d20ce96f14cd37e62e485225c4637194f49c5ed245e4e5eb1027ab0cadf5"),
+    ("csv", "4961883a88b2ca26b76a0accaa637873d408e83db8a4ba1da829f8d4ebf344ff"),
+])
+def test_moments_at_small_p_keeps_its_bytes(capsys, fmt, digest):
+    code, out, _ = run(capsys, "moments", "--model", "geometric", "--p", f"1/{10**100}",
+                       "--n", "10", "--format", fmt)
+    assert code == 0
+    assert sha256_hex(out.encode("utf-8")) == digest
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -281,6 +308,41 @@ def test_simulate_geometric_p_below_float_resolution(capsys, tmp_path):
     assert code == 1
     assert stdout == "" and not out.exists()
     assert err.startswith("error: geometric p = 1/100000000000000000 is too small")
+
+
+# p = 1 - 10**-400: float(1 - p) is 0.0, and ln q would be log(0.0)
+P_NEAR_ONE = f"{10**400 - 1}/{10**400}"
+
+
+def test_simulate_geometric_p_too_close_to_one(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(
+        capsys, "simulate", "--model", "geometric", "--p", P_NEAR_ONE, "--m", "5",
+        "--trajectories", "3", "--seed", "1", "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == "" and not out.exists()
+    assert err == (f"error: geometric p = {P_NEAR_ONE} is too close to 1 to sample: "
+                   "1 - p rounds to 0.0 in float64\n")
+
+
+# p = 1 - 10**-300 still has float(1 - p) > 0: every draw is the letter 1
+SIMULATE_NEAR_ONE_GOLDEN = {
+    "ens.csv": "12ac5371aeacc180a91cdda236ad65ac36f8d1a6e96593a149b4f915182bc840",
+    "ens.json": "7c44b0f0eed1ce79cd91898e1327e30fee4e07539d0a87ee9f8a6fa521e329b9",
+    "ens.csv.manifest.json": "55a244db4ff7758db789cdb1de4b6e00cfcba5cf7f772c5b9da64097dd483fa6",
+    "stdout": "2cdd3ec404bc0e41b3023f270f03f667898175e337ab9906b38fbf8b25ae65c8",
+}
+
+
+def test_simulate_geometric_p_just_below_one_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "simulate", "--model", "geometric", "--p",
+                       f"{10**300 - 1}/{10**300}", "--m", "5", "--trajectories", "3",
+                       "--seed", "1", "--out", "ens.csv")
+    assert code == 0
+    assert digests(out, "ens.csv", "ens.json", "ens.csv.manifest.json") == \
+        SIMULATE_NEAR_ONE_GOLDEN
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -169,6 +169,16 @@ def test_geometric_sampler_rejects_p_below_float_resolution(p):
         wp.simulate(wp.SimulationConfig(model=model, m=3, trajectories=2, seed=0))
 
 
+def test_geometric_sampler_rejects_p_whose_complement_rounds_to_zero():
+    # float(1 - p) == 0.0: ln q would be log(0.0)
+    p = Fraction(10**400 - 1, 10**400)
+    with pytest.raises(ValueError, match=f"geometric p = {p} is too close to 1 to sample"):
+        models.geometric_letters(wp.Model.geometric(p), np.array([0.5]))
+    # p = 1 - 10**-300 keeps a float complement: every letter is 1
+    near = wp.Model.geometric(1 - Fraction(1, 10**300))
+    assert models.geometric_letters(near, np.array([0.0, 0.5, 1 - 2.0**-53])).tolist() == [1, 1, 1]
+
+
 def test_geometric_sampler_at_smallest_float_p():
     # p = 1e-15 still has float(1 - p) < 1: the letters are drawn, and large
     x = wp.sample_letters(wp.Model.geometric(Fraction(1, 10**15)), wp.trajectory_rng(0, 0), 50)

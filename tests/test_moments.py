@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,7 +87,7 @@ def test_mu3_three_routes_agree():
         m = wp.Model.uniform(k)
         closed = mo.mu3_rate_closed(m)
         assert mo.mu3_rate_assembly(m) == closed
-        assert mo.mu3_rate_centered_assembly(m) == closed
+        assert mo.mu3_rate_assembly(m, centered=True) == closed
     g = wp.Model.geometric(Fraction(2, 3))
     assert mo.mu3_rate_assembly(g) == mo.mu3_rate_closed(g)
 
@@ -144,11 +145,14 @@ def test_form_arithmetic_and_evaluation():
     n = mo.Form((0, 1))
     m = n - 1
     assert m.coefficients == (-1, 1)
-    cancelled = (m - 1) * (m - 2) - m * m  # the n**2 terms cancel, and stay as a zero
-    assert cancelled.coefficients == (5, -3, 0)
+    cancelled = 3 * (m - 1) - m * 3 + mo.Form((0, 0, 0))  # the n terms cancel, and stay as a zero
+    assert cancelled.coefficients == (-3, 0, 0)
     assert (Fraction(1, 2) * m + 3).coefficients == (Fraction(5, 2), Fraction(1, 2))
+    assert (m * Fraction(1, 2)).coefficients == (Fraction(-1, 2), Fraction(1, 2))
     assert (3 + m).coefficients == (2, 1)
-    assert cancelled(7) == -16 and isinstance(cancelled(7), Fraction)
+    assert cancelled(7) == -3 and isinstance(cancelled(7), Fraction)
+    with pytest.raises(TypeError):  # a form multiplies by numbers only
+        m * m
 
 
 rationals = st.fractions(max_denominator=10**6)
@@ -171,3 +175,81 @@ def test_moments_are_forms_of_degree_one_in_n():
             assert mean(n) == wp.mean_perimeter(model, n)
             assert var(n) == wp.variance_perimeter(model, n)
     assert mo.variance_closed(wp.Model.uniform(6)).coefficients[1] == Fraction(259, 108)
+
+
+# ---------------------------------------------------------------------------
+# cumulants of the gap sum against an integer count
+# ---------------------------------------------------------------------------
+
+def gap_sum_cumulants_by_count(k: int, m_max: int) -> dict:
+    """{m: (kappa_2, kappa_3)} of Q_m under uniform[1,k], from integer word counts.
+
+    counts[(l, q)] is the number of words of m + 1 letters whose last letter
+    is l and whose gap sum is q; each step appends one letter.
+    """
+    counts = {(l, 0): 1 for l in range(1, k + 1)}
+    out = {}
+    for m in range(1, m_max + 1):
+        step = {}
+        for (l, q), c in counts.items():
+            for nxt in range(1, k + 1):
+                key = (nxt, q + abs(nxt - l))
+                step[key] = step.get(key, 0) + c
+        counts = step
+        words = k ** (m + 1)
+        mu = [Fraction(sum(c * q**j for (_, q), c in counts.items()), words) for j in (1, 2, 3)]
+        out[m] = (mu[1] - mu[0] ** 2, mu[2] - 3 * mu[1] * mu[0] + 2 * mu[0] ** 3)
+    return out
+
+
+SOURCES = {
+    "closed": (xm.cross_moment_closed, False),
+    "oracle": (xm.cross_moment_oracle, False),
+    "centered-oracle": (xm.cross_moment_oracle, True),
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_gap_sum_cumulant_equals_an_integer_count(source):
+    fn, centered = SOURCES[source]
+    for k in range(1, 9):
+        model = wp.Model.uniform(k)
+        counted = gap_sum_cumulants_by_count(k, 10)
+        for r in (2, 3):
+            form = mo.gap_sum_cumulant(model, r, fn, centered)
+            for m in range(r - 1, 11):
+                assert form(m + 1) == counted[m][r - 2], (k, r, m)
+
+
+def test_gap_sum_cumulant_constants_at_k6():
+    model = wp.Model.uniform(6)
+    kappa2, kappa3 = (mo.gap_sum_cumulant(model, r) for r in (2, 3))
+    # kappa_r(Q_m) = c_r + m kappa_r*; m = 0 is n = 1
+    assert (kappa2(1), kappa2.coefficients[1]) == (Fraction(-28, 81), Fraction(259, 108))
+    assert (kappa3(1), kappa3.coefficients[1]) == (Fraction(-368, 243), Fraction(2288, 729))
+    assert kappa2.coefficients[1] == mo.variance_closed(model).coefficients[1]
+    assert kappa3.coefficients[1] == mo.mu3_rate_closed(model)
+    # below m = r - 1 the line need not hold, and the count sees it
+    assert gap_sum_cumulants_by_count(6, 1)[1][1] == Fraction(938, 729)
+    assert kappa3(2) == Fraction(1184, 729)
+
+
+def test_gap_sum_cumulant_orders_and_centering():
+    model = wp.Model.geometric(Fraction(1, 2))
+    M = xm.cross_moment_closed(model, (0, 1, 0, 0))
+    assert mo.gap_sum_cumulant(model, 1).coefficients == (-M, M)  # E(Q_m) = m M
+    assert mo.gap_sum_cumulant(model, 1, xm.cross_moment_oracle, centered=True)(9) == 0
+    assert mo.gap_sum_cumulant(model, np.int64(2)) == mo.gap_sum_cumulant(model, 2)
+    for r in (0, 4, True, 2.0):
+        with pytest.raises(ValueError, match="cumulant order"):
+            mo.gap_sum_cumulant(model, r)
+
+
+def test_each_cumulant_is_derived_once(monkeypatch):
+    mo._cumulant_terms.cache_clear()
+    for model in (wp.Model.uniform(5), wp.Model.geometric(Fraction(1, 3))):
+        for r in (1, 2, 3):
+            mo.gap_sum_cumulant(model, r)
+            mo.gap_sum_cumulant(model, r, xm.cross_moment_oracle, centered=True)
+    info = mo._cumulant_terms.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (6, 6, 6)
