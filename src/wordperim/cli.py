@@ -238,9 +238,9 @@ def cmd_histogram(args) -> int:
     data = _read_input(simulation.read_endpoint_csv, args.input)
     try:
         hist = empirics.build_histogram(data["z"], args.delta)
+        report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
     except ValueError as e:
         raise CliError(str(e))
-    report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
     writers = {out: partial(empirics.write_histogram_csv, hist)}
     if args.gof:
         writers[Path(args.gof)] = partial(empirics.write_gof_json, report)

@@ -5,10 +5,11 @@ The histogram grid is the cell family
     I(i) = [i*delta - 3 - 3*delta/2,  i*delta - 3 - delta/2),   i = 0 .. 6/delta + 2,
 
 each cell centered on i*delta - 3 - delta; the centers run from -3 - delta
-to 3 + delta.  Samples left of the first edge land in cell 0 and samples
-right of the last edge land in the last cell (the boundary cells therefore
-compare against semi-infinite Gaussian masses).  6/delta must be an integer
-so the grid closes exactly.
+to 3 + delta.  Samples left of the first edge (-inf included) land in cell 0
+and samples right of the last edge (+inf included) land in the last cell (the
+boundary cells therefore compare against semi-infinite Gaussian masses).
+6/delta must be an integer so the grid closes exactly.  A NaN sample is
+refused with ``ValueError``.
 
 Goodness of fit against the standard normal is summarized two ways: the
 exact one-sample Kolmogorov-Smirnov statistic of the raw sample, and the
@@ -80,12 +81,19 @@ def _grid(delta: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return left, right, center, np.subtract(hi, lo)
 
 
+# Samples binned at a time: a chunk's float cell indices take 128 KiB.
+_BIN_CHUNK = 1 << 14
+
+
 def build_histogram(sample: Sequence[float], delta) -> Histogram:
     """Histogram of a nonempty sample over the fixed grid, with edge clamping.
 
     Cells are half-open [left, right) except the last, which is closed;
-    out-of-cover values clamp into the boundary cells, so every finite value
-    lands in exactly one cell and the counts sum to the sample size.
+    out-of-cover values clamp into the boundary cells, so every value but NaN
+    (which raises ``ValueError``) lands in exactly one cell, -inf in the first
+    and +inf in the last, and the counts sum to the sample size.  The sample
+    is binned _BIN_CHUNK values at a time, its cell indices clamped in float
+    before the integer cast, and the chunks' ``bincount``s are added up.
     """
     d = _check_delta(delta)
     z = np.asarray(sample, dtype=np.float64)
@@ -93,9 +101,15 @@ def build_histogram(sample: Sequence[float], delta) -> Histogram:
         raise ValueError("sample must be nonempty")
     left, right, center, gauss_mass = _grid(d)
     left0 = float(-3 - Fraction(3, 2) * d)
-    idx = np.floor((z - left0) / float(d)).astype(np.int64)
-    idx = np.clip(idx, 0, left.size - 1)
-    counts = np.bincount(idx, minlength=left.size).astype(np.int64)
+    counts = np.zeros(left.size, dtype=np.int64)
+    for lo in range(0, z.size, _BIN_CHUNK):
+        t = z[lo : lo + _BIN_CHUNK] - left0
+        t /= float(d)
+        if np.isnan(t).any():
+            raise ValueError("sample contains NaN")
+        np.floor(t, out=t)
+        np.clip(t, 0, left.size - 1, out=t)
+        counts += np.bincount(t.astype(np.intp), minlength=left.size)
     return Histogram(
         delta=d,
         left=left,
@@ -116,17 +130,25 @@ def gaussian_cell_masses(delta) -> np.ndarray:
 def ks_statistic(sample: Sequence[float]) -> float:
     """Exact one-sample KS distance between the sample and the standard normal.
 
-    sup_x |F_hat(x) - Phi(x)| evaluated as the maximum of the two one-sided
-    gaps at every sorted sample point.  Phi is evaluated once per distinct
-    value (a normalized lattice sum takes few) and repeated over its ties.
+    sup_x |F_hat(x) - Phi(x)|, the maximum of the two one-sided gaps at every
+    sorted sample point.  In a run of ties at v, with c samples below v and c'
+    at or below it, the gaps i/n - Phi(v) and Phi(v) - (i - 1)/n (c < i <= c')
+    peak at the run's ends, c'/n - Phi(v) and Phi(v) - c/n: the same floats
+    the per-sample form computes.  So Phi and both gaps are evaluated once per
+    distinct value (a normalized lattice sum takes few), from cumulative
+    counts, and the working memory is about the one sorted copy of the sample
+    that ``np.unique`` makes.  NaN raises ``ValueError``.
     """
     values, counts = np.unique(np.asarray(sample, dtype=np.float64), return_counts=True)
-    n = int(counts.sum())
-    if n == 0:
+    if values.size == 0:
         raise ValueError("sample must be nonempty")
-    cdf = np.repeat([normal_cdf(v) for v in values], counts)
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
+    if np.isnan(values[-1]):  # np.unique sorts NaN last
+        raise ValueError("sample contains NaN")
+    cum = np.cumsum(counts)
+    n = int(cum[-1])
+    cdf = np.array([normal_cdf(v) for v in values.tolist()])
+    upper = cum / n - cdf
+    lower = cdf - (cum - counts) / n
     return float(max(upper.max(), lower.max()))
 
 

@@ -207,7 +207,8 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
     if degenerate:
         z = np.zeros(n_traj, dtype=np.float64)
     else:
-        z = (endpoints - float(m * M)) / (sigma * sqrt(m))
+        z = endpoints - float(m * M)
+        z /= sigma * sqrt(m)
     return TrajectoryEnsemble(
         config=config,
         mean_gap=M,
@@ -268,10 +269,11 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
     """
     z = ensemble.z
     dev = ensemble.endpoints - float(ensemble.config.m * ensemble.mean_gap)
+    dev **= 3
     return EmpiricalMoments(
         mean_z=float(np.mean(z)),
         meansq_z=float(np.mean(z * z)),
-        sum_z3_raw=float(np.mean(dev**3)),
+        sum_z3_raw=float(np.mean(dev)),
     )
 
 
@@ -280,15 +282,16 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 #
 # Both CSV kinds are a header line naming three columns, then rows of three
 # cells.  The writers build at most _CSV_CHUNK_ROWS rows at a time and write
-# them with one call, so their memory stays flat whatever N and m are.  The
-# endpoint writer formats a chunk with one ``%`` on a repeated row format.  z
-# is a function of the integer endpoint, so it takes the repr-shortest text of
-# each distinct z of a chunk once (distinct by bit pattern, so that 0.0 and
-# -0.0 stay apart) and formats it with ``%s``.  The path writer renders its
-# integers in numpy: a chunk is a block of whole paths, or one segment of a
-# long path, laid out as a uint8 array of fixed-width rows ``l,j,Q\n`` whose
-# fields are as wide as the chunk's longest text, right-aligned and padded
-# with NUL bytes (``_decimal_into``); deleting the NULs leaves the ``%d`` text.
+# them with one call, so their memory stays flat whatever N and m are.  Both
+# lay a chunk out in numpy, in one uint8 buffer reused from chunk to chunk, as
+# fixed-width rows whose fields are as wide as the chunk's longest text and
+# padded with NUL bytes; deleting the NULs leaves the text.  Integers are
+# rendered right-aligned by ``_decimal_into``, as ``%d`` writes them.  A path
+# chunk is a block of whole paths, or one segment of a long path, of rows
+# ``l,j,Q\n``.  An endpoint chunk has rows ``l,Q(m),z\n``: z is a function of
+# the integer endpoint, so the writer takes the repr-shortest text of each
+# distinct z of a chunk once (distinct by bit pattern, so that 0.0 and -0.0
+# stay apart) into a NUL-padded table, and gathers each row's z from it.
 #
 # The readers check, on an open handle, the header and that a nonblank line
 # follows it, then hand ``np.loadtxt`` the file's path with a three-field
@@ -357,20 +360,35 @@ def _write_json(doc: dict, path) -> None:
 
 
 def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
+    """Write the endpoint CSV: rows ``l,Q(m),z`` for every trajectory l.
+
+    Each chunk of up to _CSV_CHUNK_ROWS rows is laid out in one uint8 buffer,
+    reused from chunk to chunk: ``_decimal_into`` renders the l and endpoint
+    fields, and each z is copied from a NUL-padded table that holds the repr
+    of each distinct z of the chunk once.  The NUL padding is deleted and the
+    chunk written with one call.  Working memory is a few chunks of text,
+    whatever N is.
+    """
     endpoints, z = ensemble.endpoints, ensemble.z
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_ENDPOINT_ROW.names) + "\n")
+    space = np.empty(0, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(",".join(_ENDPOINT_ROW.names).encode() + b"\n")
         for lo in range(0, endpoints.size, _CSV_CHUNK_ROWS):
-            hi = min(lo + _CSV_CHUNK_ROWS, endpoints.size)
-            cells = [None] * (3 * (hi - lo))
-            cells[0::3] = range(lo, hi)
-            cells[1::3] = endpoints[lo:hi].tolist()
-            chunk = z[lo:hi]
-            _, first, inverse = np.unique(chunk.view(np.int64), return_index=True,
+            e, zc = endpoints[lo : lo + _CSV_CHUNK_ROWS], z[lo : lo + _CSV_CHUNK_ROWS]
+            _, first, inverse = np.unique(zc.view(np.int64), return_index=True,
                                           return_inverse=True)
-            texts = np.array([repr(v) for v in chunk[first].tolist()], dtype=object)
-            cells[2::3] = texts[inverse].tolist()
-            fh.write("%d,%d,%s\n" * (hi - lo) % tuple(cells))
+            texts = np.array([repr(v) for v in zc[first].tolist()], dtype=np.bytes_)
+            wl, we, wz = len(str(lo + e.size - 1)), _text_width(e), texts.itemsize
+            need = e.size * (wl + we + wz + 3)
+            if space.size < need:  # z's text can be wider in a later chunk
+                space = np.empty(need, dtype=np.uint8)
+            rows = space[:need].reshape(e.size, -1)
+            rows[:, wl] = rows[:, wl + we + 1] = ord(",")
+            rows[:, -1] = ord("\n")
+            _decimal_into(np.arange(lo, lo + e.size), rows[:, :wl])
+            _decimal_into(e, rows[:, wl + 1 : wl + 1 + we])
+            rows[:, wl + we + 2 : -1] = texts.view(np.uint8).reshape(-1, wz)[inverse]
+            fh.write(rows.tobytes().replace(b"\0", b""))
 
 
 @lru_cache(maxsize=None)

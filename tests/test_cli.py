@@ -450,6 +450,17 @@ def test_histogram_rejects_bad_delta(capsys, tmp_path):
     assert code == 1 and "6/delta" in err
 
 
+def test_histogram_refuses_a_nan_z(capsys, tmp_path):
+    ens = tmp_path / "ens.csv"
+    ens.write_text("trajectory,endpoint,z\n0,3,0.5\n1,4,nan\n2,5,inf\n")
+    hist, gof = tmp_path / "h.csv", tmp_path / "gof.json"
+    code, out, err = run(capsys, "histogram", "--input", str(ens), "--out", str(hist),
+                         "--gof", str(gof))
+    assert (code, out) == (1, "")
+    assert err == "error: sample contains NaN\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.csv"]
+
+
 def test_plot_kinds(capsys, tmp_path):
     ens, hist, gof, code, _ = full_pipeline(capsys, tmp_path)
     assert code == 0

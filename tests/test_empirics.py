@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -242,3 +244,77 @@ def test_gof_json(tmp_path):
     empirics.write_gof_json(rep, path)
     doc = json.loads(path.read_text())
     assert doc == {"ks_statistic": 0.01, "max_cell_abs_error": 0.002}
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def lattice_million():
+    """10**6 normalized binomial endpoints: a lattice of about 250 distinct z values."""
+    e = np.random.default_rng(17).binomial(2000, 0.5, size=10**6)
+    return (e - 1000.0) / math.sqrt(500.0)
+
+
+def test_ks_statistic_memory_is_one_sorted_copy(lattice_million):
+    z = lattice_million
+    # the sorted copy np.unique makes, and its two boolean masks of 1 byte a sample
+    assert traced_peak(wp.ks_statistic, z) <= 1.3 * z.nbytes
+
+
+def test_build_histogram_memory_is_flat(lattice_million):
+    assert traced_peak(wp.build_histogram, lattice_million, HALF) < 2**20
+
+
+def reference_counts(sample, delta) -> np.ndarray:
+    """Cell counts from one unchunked pass: floor, clamp in float, cast, bincount."""
+    d = Fraction(delta)
+    cells = int(6 / d) + 3
+    t = np.floor((np.asarray(sample, dtype=np.float64) - float(-3 - Fraction(3, 2) * d))
+                 / float(d))
+    return np.bincount(np.clip(t, 0, cells - 1).astype(np.int64), minlength=cells)
+
+
+@pytest.mark.parametrize("n", [
+    empirics._BIN_CHUNK - 1, empirics._BIN_CHUNK, empirics._BIN_CHUNK + 1,
+    3 * empirics._BIN_CHUNK + 5,
+])
+@pytest.mark.parametrize("delta", [HALF, Fraction(1, 10)])
+def test_chunked_counts_equal_an_unchunked_reference(n, delta):
+    z = np.random.default_rng(n).normal(scale=2.0, size=n)  # about 13 % out of cover
+    hist = wp.build_histogram(z, delta)
+    assert np.array_equal(hist.counts, reference_counts(z, delta))
+    assert hist.counts.dtype == np.int64 and int(hist.counts.sum()) == n
+
+
+def test_infinities_and_huge_values_clamp_into_the_boundary_cells():
+    sample = [np.inf, 0.0, 1e300, -np.inf, -1e300, 2.0**63, -(2.0**63)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in the integer cast
+        hist = wp.build_histogram(sample, HALF)
+        ks = wp.ks_statistic(sample)
+    expected = np.zeros(hist.cells, dtype=np.int64)
+    expected[[0, 7, -1]] = [3, 1, 3]  # 0.0 is in cell 7, [-0.25, 0.25)
+    assert np.array_equal(hist.counts, expected)
+    assert ks == reference_ks_statistic(sample)
+
+
+@pytest.mark.parametrize("at", [0, empirics._BIN_CHUNK + 7, 3 * empirics._BIN_CHUNK - 1])
+def test_nan_is_refused(at):
+    z = np.zeros(3 * empirics._BIN_CHUNK)
+    z[at] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            wp.build_histogram(z, HALF)
+        with pytest.raises(ValueError, match="NaN"):
+            wp.ks_statistic(z)
+    with pytest.raises(ValueError, match="NaN"):
+        wp.goodness_of_fit([np.nan], HALF)

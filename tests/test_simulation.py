@@ -311,6 +311,43 @@ def test_csv_writers_equal_row_loops_on_repeated_z(tmp_path, make):
     assert np.array_equal(np.signbit(data["z"][zero]), np.signbit(ens.z[zero]))
 
 
+def hand_built_endpoint_ensemble(endpoints, z):
+    """An ensemble with the given endpoints and z, which ``simulate`` cannot draw."""
+    ens = wp.simulate(small_config(trajectories=1))
+    config = dataclasses.replace(ens.config, trajectories=len(z))
+    return dataclasses.replace(ens, config=config,
+                               endpoints=np.asarray(endpoints, dtype=np.int64),
+                               z=np.asarray(z, dtype=np.float64))
+
+
+def test_endpoint_csv_writer_on_texts_that_widen_from_chunk_to_chunk(tmp_path, monkeypatch):
+    # chunks of 8 rows: short z and endpoints, then the longest float reprs and
+    # the int64 extremes, then (5 rows) short again
+    monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 8)
+    z = np.array([0.0, -0.5, 2.25, 1.0, -0.0, 3.5, -1.75, 0.5] * 2 + [0.25] * 5)
+    z[8:16] = [-2.2250738585072014e-308, -4.9406564584124654e-324, -1.2345678901234567e-300,
+               -0.00012345678901234567, 5e-324, -1.7976931348623157e308, np.inf, np.nan]
+    endpoints = np.arange(z.size) % 10
+    endpoints[8:10] = [INT64.min, INT64.max]
+    ens = hand_built_endpoint_ensemble(endpoints, z)
+    e_csv = tmp_path / "e.csv"
+    sim.write_endpoint_csv(ens, e_csv)
+    assert e_csv.read_bytes() == reference_endpoint_csv(ens)
+    assert max(len(repr(v)) for v in z.tolist()) == 24  # as wide as a float64 repr gets
+
+
+def test_endpoint_csv_writer_memory_is_flat(tmp_path):
+    e = np.random.default_rng(11).binomial(2000, 0.5, size=10**6)
+    ens = hand_built_endpoint_ensemble(e, (e - 1000.0) / math.sqrt(500.0))
+    tracemalloc.start()
+    try:
+        sim.write_endpoint_csv(ens, tmp_path / "e.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the path writer's bound
+
+
 @pytest.mark.parametrize("m", [
     sim._CSV_CHUNK_ROWS - 1,      # a path fills one segment exactly
     sim._CSV_CHUNK_ROWS,          # a second segment of one row
