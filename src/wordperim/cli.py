@@ -138,8 +138,12 @@ def cmd_moments(args) -> int:
 def cmd_xmoment(args) -> int:
     model = _model_from_args(args)
     try:
-        idx = xm.MomentIndex(*(int(t) for t in args.index.split(","))).validate()
-    except (TypeError, ValueError) as e:
+        exps = [int(t) for t in args.index.split(",")]
+        if len(exps) != 4:
+            raise ValueError("need four comma-separated integer exponents "
+                             f"alpha,beta,gamma,delta, got {len(exps)}")
+        idx = xm.MomentIndex(*exps).validate()
+    except ValueError as e:
         raise CliError(f"bad --index {args.index!r}: {e}")
     routes = {"closed_form": xm.cross_moment_closed, "brute_force": xm.cross_moment_oracle}
     methods = {"closed": ["closed_form"], "oracle": ["brute_force"],
@@ -308,7 +312,7 @@ def cmd_render(args) -> int:
         word = [int(t) for t in args.word.split(",")]
         svg = render_polyomino(word)
     except ValueError as e:
-        raise CliError(str(e))
+        raise CliError(f"bad --word {args.word!r}: {e}")
     _write_outputs("render", {"word": args.word, "out": args.out}, {Path(args.out): _svg(svg)})
     b = perimeter_decomposed(word)
     print(f"word={args.word} Q={b.Q} R={b.R} P={b.P}")

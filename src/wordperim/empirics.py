@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .simulation import _read_csv, _write_json
+from .simulation import _numbered_chunks, _read_csv, _write_csv, _write_json
 
 
 def normal_cdf(x: float) -> float:
@@ -171,14 +171,9 @@ _HISTOGRAM_ROW = np.dtype([("i", np.int64), ("left", np.float64), ("right", np.f
 
 
 def write_histogram_csv(hist: Histogram, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_HISTOGRAM_ROW.names) + "\n")
-        for i in range(hist.cells):
-            fh.write(
-                f"{i},{float(hist.left[i])!r},{float(hist.right[i])!r},"
-                f"{float(hist.center[i])!r},{int(hist.counts[i])},"
-                f"{float(hist.freq[i])!r},{float(hist.gauss_mass[i])!r}\n"
-            )
+    """Write the histogram CSV: one row ``i,left,right,center,count,freq,gauss_mass`` per cell."""
+    _write_csv(path, _HISTOGRAM_ROW, _numbered_chunks(
+        hist.left, hist.right, hist.center, hist.counts, hist.freq, hist.gauss_mass))
 
 
 def read_histogram_csv(path) -> dict:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import sqrt
+from math import prod, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -280,30 +280,23 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 # ---------------------------------------------------------------------------
 # CSV / sidecar I/O (LF line endings, UTF-8, repr-shortest floats)
 #
-# Both CSV kinds are a header line naming three columns, then rows of three
-# cells.  The writers build at most _CSV_CHUNK_ROWS rows at a time and write
-# them with one call, so their memory stays flat whatever N and m are.  Both
-# lay a chunk out in numpy, in one uint8 buffer reused from chunk to chunk, as
-# fixed-width rows whose fields are as wide as the chunk's longest text and
-# padded with NUL bytes; deleting the NULs leaves the text.  Integers are
-# rendered right-aligned by ``_decimal_into``, as ``%d`` writes them.  A path
-# chunk is a block of whole paths, or one segment of a long path, of rows
-# ``l,j,Q\n``.  An endpoint chunk has rows ``l,Q(m),z\n``: z is a function of
-# the integer endpoint, so the writer takes the repr-shortest text of each
-# distinct z of a chunk once (distinct by bit pattern, so that 0.0 and -0.0
-# stay apart) into a NUL-padded table, and gathers each row's z from it.
+# Every CSV is a header line naming the fields of a record dtype, then one row
+# of cells per record.  One writer, ``_write_csv``, lays out the rows of all
+# three kinds (endpoint, path, histogram) in numpy, at most _CSV_CHUNK_ROWS
+# rows at a time, so its memory stays flat whatever N and m are; the public
+# writers only cut their data into chunks.
 #
 # The readers check, on an open handle, the header and that a nonblank line
-# follows it, then hand ``np.loadtxt`` the file's path with a three-field
-# record dtype: numpy's C parser reads the file in blocks (given a handle, it
-# takes one Python line at a time, about 1.7x slower on a 1M-row path CSV),
-# reads the numbers, floats correctly rounded, and rejects a row with the
-# wrong number of fields.  numpy opens a path by its suffix, so a plain CSV
-# named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma`` would be taken for a
-# compressed file and fail; such a file is parsed from the open handle.
+# follows it, then hand ``np.loadtxt`` the file's path with the record dtype:
+# numpy's C parser reads the file in blocks (given a handle, it takes one
+# Python line at a time, about 1.7x slower on a 1M-row path CSV), reads the
+# numbers, floats correctly rounded, and rejects a row with the wrong number
+# of fields.  numpy opens a path by its suffix, so a plain CSV named ``*.gz``,
+# ``*.bz2``, ``*.xz`` or ``*.lzma`` would be taken for a compressed file and
+# fail; such a file is parsed from the open handle.
 # ---------------------------------------------------------------------------
 
-# Rows per formatted chunk, under 1 MB of text for either CSV kind; chunks of
+# Rows per formatted chunk, under 1 MB of text for an ensemble CSV; chunks of
 # 2**12 to 2**16 rows wrote a 1M-row path CSV in about the same time.
 _CSV_CHUNK_ROWS = 1 << 14
 _ENDPOINT_ROW = np.dtype([("trajectory", np.int64), ("endpoint", np.int64), ("z", np.float64)])
@@ -359,36 +352,63 @@ def _write_json(doc: dict, path) -> None:
         fh.write("\n")
 
 
-def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
-    """Write the endpoint CSV: rows ``l,Q(m),z`` for every trajectory l.
+def _write_csv(path, row: np.dtype, chunks) -> None:
+    """Write a CSV: a header naming the fields of ``row``, then the rows of each chunk.
 
-    Each chunk of up to _CSV_CHUNK_ROWS rows is laid out in one uint8 buffer,
-    reused from chunk to chunk: ``_decimal_into`` renders the l and endpoint
-    fields, and each z is copied from a NUL-padded table that holds the repr
-    of each distinct z of the chunk once.  The NUL padding is deleted and the
-    chunk written with one call.  Working memory is a few chunks of text,
-    whatever N is.
+    A chunk holds one array per field of ``row``; the arrays broadcast to one
+    shape, and each element of it is a row, in C order.  A chunk is laid out
+    in one uint8 buffer, reused from chunk to chunk, as fixed-width rows whose
+    fields are as wide as the chunk's longest text and padded with NUL bytes.
+    ``_decimal_into`` renders an integer field as ``%d`` writes it; a float
+    field is gathered from a table that holds the repr of each distinct bit
+    pattern of the chunk once (so 0.0 and -0.0 stay apart).  The NULs are
+    deleted and the chunk written with one call.
     """
-    endpoints, z = ensemble.endpoints, ensemble.z
     space = np.empty(0, dtype=np.uint8)
     with open(path, "wb") as fh:
-        fh.write(",".join(_ENDPOINT_ROW.names).encode() + b"\n")
-        for lo in range(0, endpoints.size, _CSV_CHUNK_ROWS):
-            e, zc = endpoints[lo : lo + _CSV_CHUNK_ROWS], z[lo : lo + _CSV_CHUNK_ROWS]
-            _, first, inverse = np.unique(zc.view(np.int64), return_index=True,
-                                          return_inverse=True)
-            texts = np.array([repr(v) for v in zc[first].tolist()], dtype=np.bytes_)
-            wl, we, wz = len(str(lo + e.size - 1)), _text_width(e), texts.itemsize
-            need = e.size * (wl + we + wz + 3)
-            if space.size < need:  # z's text can be wider in a later chunk
+        fh.write(",".join(row.names).encode() + b"\n")
+        for chunk in chunks:
+            shape = np.broadcast_shapes(*(np.shape(c) for c in chunk))
+            fields = []  # (values, text width, repr table or None) per field
+            for name, values in zip(row.names, chunk):
+                if row[name].kind == "f":
+                    values = np.ascontiguousarray(values, dtype=np.float64)
+                    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                                  return_inverse=True)
+                    texts = np.array([repr(v) for v in values.flat[first].tolist()],
+                                     dtype=np.bytes_)
+                    table = texts.view(np.uint8).reshape(-1, texts.itemsize)
+                    fields.append((inverse.reshape(values.shape), texts.itemsize, table))
+                else:  # the longer "%d" text of the two extremes
+                    width = max(len(str(int(values.min()))), len(str(int(values.max()))))
+                    fields.append((values, width, None))
+            need = prod(shape) * sum(w + 1 for _, w, _ in fields)
+            if space.size < need:  # a later chunk's texts can be wider
                 space = np.empty(need, dtype=np.uint8)
-            rows = space[:need].reshape(e.size, -1)
-            rows[:, wl] = rows[:, wl + we + 1] = ord(",")
-            rows[:, -1] = ord("\n")
-            _decimal_into(np.arange(lo, lo + e.size), rows[:, :wl])
-            _decimal_into(e, rows[:, wl + 1 : wl + 1 + we])
-            rows[:, wl + we + 2 : -1] = texts.view(np.uint8).reshape(-1, wz)[inverse]
+            rows = space[:need].reshape(*shape, -1)
+            start = 0
+            for values, w, table in fields:
+                if table is None:
+                    _decimal_into(values, rows[..., start : start + w])
+                else:
+                    rows[..., start : start + w] = table[values]
+                rows[..., start + w] = ord(",")
+                start += w + 1
+            rows[..., -1] = ord("\n")
             fh.write(rows.tobytes().replace(b"\0", b""))
+
+
+def _numbered_chunks(*columns):
+    """Chunks of up to _CSV_CHUNK_ROWS rows: the row numbers, then each column's slice."""
+    n = len(columns[0])
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, n)
+        yield (np.arange(lo, hi), *(c[lo:hi] for c in columns))
+
+
+def write_endpoint_csv(ensemble: TrajectoryEnsemble, path) -> None:
+    """Write the endpoint CSV: rows ``l,Q(m),z`` for every trajectory l."""
+    _write_csv(path, _ENDPOINT_ROW, _numbered_chunks(ensemble.endpoints, ensemble.z))
 
 
 @lru_cache(maxsize=None)
@@ -438,19 +458,11 @@ def _decimal_into(values: np.ndarray, out: np.ndarray) -> None:
             np.copyto(out[..., w - 1 - i], ord("-"), where=first)
 
 
-def _text_width(values: np.ndarray) -> int:
-    """Length of the longest ``"%d" % v`` among ``values``."""
-    return max(len(str(int(values.min()))), len(str(int(values.max()))))
-
-
 def write_path_csv(ensemble: TrajectoryEnsemble, path) -> None:
     """Write the path CSV: rows ``l,j,Q`` for every trajectory l and j = 0..m.
 
     Each chunk holds whole paths, or one segment of a path longer than
-    _CSV_CHUNK_ROWS rows.  Its rows are rendered by ``_decimal_into`` into one
-    uint8 buffer, reused from chunk to chunk: the l and j fields once per
-    chunk, broadcast over its rows, then the Q values.  The NUL padding is
-    deleted and the chunk written with one call.
+    _CSV_CHUNK_ROWS rows; its l and j broadcast over its Q values.
     """
     if ensemble.paths is None:
         raise ValueError("paths were not recorded; rerun with record_full_paths=True")
@@ -458,23 +470,11 @@ def write_path_csv(ensemble: TrajectoryEnsemble, path) -> None:
     n, width = paths.shape
     per = max(1, _CSV_CHUNK_ROWS // width)  # paths in a chunk
     seg = min(width, _CSV_CHUNK_ROWS)  # rows of each of its paths
-    # the longest row: l and j at their widest, Q as long as any int64 text
-    widest = len(str(n - 1)) + len(str(width - 1)) + len(str(np.iinfo(np.int64).min)) + 3
-    space = np.empty(per * seg * widest, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(",".join(_PATH_ROW.names).encode() + b"\n")
-        for l0 in range(0, n, per):
-            for j0 in range(0, width, seg):
-                q = paths[l0 : l0 + per, j0 : j0 + seg]
-                p, s = q.shape
-                wl, wj = len(str(l0 + p - 1)), len(str(j0 + s - 1))
-                rows = space[: q.size * (wl + wj + _text_width(q) + 3)].reshape(p, s, -1)
-                rows[..., wl] = rows[..., wl + wj + 1] = ord(",")
-                rows[..., -1] = ord("\n")
-                _decimal_into(np.arange(l0, l0 + p)[:, None], rows[..., :wl])
-                _decimal_into(np.arange(j0, j0 + s), rows[..., wl + 1 : wl + 1 + wj])
-                _decimal_into(q, rows[..., wl + wj + 2 : -1])
-                fh.write(rows.tobytes().replace(b"\0", b""))
+    _write_csv(path, _PATH_ROW, (
+        (np.arange(l0, min(l0 + per, n))[:, None], np.arange(j0, min(j0 + seg, width)),
+         paths[l0 : l0 + per, j0 : j0 + seg])
+        for l0 in range(0, n, per) for j0 in range(0, width, seg)
+    ))
 
 
 def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:

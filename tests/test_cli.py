@@ -119,6 +119,14 @@ def test_xmoment_bad_index(capsys):
     assert code == 1 and "index" in err
 
 
+@pytest.mark.parametrize("index", ["1,1,1", "1,1,1,1,1"])
+def test_xmoment_wrong_number_of_exponents(capsys, index):
+    code, out, err = run(capsys, "xmoment", "--model", "uniform", "--k", "3", "--index", index)
+    assert code == 1 and out == ""
+    assert err == (f"error: bad --index {index!r}: need four comma-separated integer exponents "
+                   f"alpha,beta,gamma,delta, got {index.count(',') + 1}\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["moments", "--model", "geometric", "--p", f"1/{10**120}", "--n", "10"],
      f"error: a moment of geometric(1/{10**120}) at n=10 is too large: "),
@@ -589,8 +597,10 @@ def test_render(capsys, tmp_path):
 
 
 def test_render_rejects_bad_word(capsys, tmp_path):
-    code, _, err = run(capsys, "render", "--word", "2,zebra", "--out", str(tmp_path / "x.svg"))
-    assert code == 1
+    for word in ("2,zebra", "3,,2"):
+        code, _, err = run(capsys, "render", "--word", word, "--out", str(tmp_path / "x.svg"))
+        assert code == 1
+        assert err.startswith(f"error: bad --word {word!r}: ")
     code, _, err = run(capsys, "render", "--word", "0,3", "--out", str(tmp_path / "x.svg"))
     assert code == 1
 

@@ -238,6 +238,45 @@ def test_histogram_csv_round_trip(tmp_path):
         empirics.read_histogram_csv(__file__)
 
 
+def reference_histogram_csv(hist, path) -> None:
+    """The histogram CSV as the per-row writer loop wrote it."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("i,left,right,center,count,freq,gauss_mass\n")
+        for i in range(hist.cells):
+            fh.write(
+                f"{i},{float(hist.left[i])!r},{float(hist.right[i])!r},"
+                f"{float(hist.center[i])!r},{int(hist.counts[i])},"
+                f"{float(hist.freq[i])!r},{float(hist.gauss_mass[i])!r}\n"
+            )
+
+
+def assert_histogram_csv_equals_the_row_loop(hist, tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    empirics.write_histogram_csv(hist, new)
+    reference_histogram_csv(hist, old)
+    assert new.read_bytes() == old.read_bytes()
+
+
+@pytest.mark.parametrize("delta", [
+    HALF, Fraction(1, 3), Fraction(6),
+    Fraction(6, 20000),  # 20 003 cells: more rows than one writer chunk
+])
+def test_histogram_csv_writer_equals_the_row_loop(tmp_path, delta):
+    z = np.random.default_rng(5).normal(scale=1.5, size=5000)
+    assert_histogram_csv_equals_the_row_loop(wp.build_histogram(z, delta), tmp_path)
+
+
+def test_histogram_csv_writer_on_a_hand_built_histogram(tmp_path):
+    floats = np.array([0.0, -0.0, 5e-324, -5e-324, -2.2250738585072014e-308,
+                       -1.2345678901234567e-300, -0.00012345678901234567, 0.5, -0.0, 0.0])
+    assert max(len(repr(v)) for v in floats.tolist()) == 24  # as wide as a float64 repr gets
+    counts = np.array([0, np.iinfo(np.int64).max, 1, 7, 0, 12, 10**18, 3, 0, 1], dtype=np.int64)
+    hist = empirics.Histogram(delta=HALF, left=floats, right=floats[::-1].copy(),
+                              center=-floats, gauss_mass=np.roll(floats, 3), counts=counts,
+                              freq=np.roll(floats, -2), n=sum(counts.tolist()))
+    assert_histogram_csv_equals_the_row_loop(hist, tmp_path)
+
+
 def test_gof_json(tmp_path):
     rep = empirics.GofReport(ks_statistic=0.01, max_cell_abs_error=0.002)
     path = tmp_path / "gof.json"
