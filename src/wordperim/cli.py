@@ -155,7 +155,9 @@ def cmd_xmoment(args) -> int:
             results.append({"method": method, "exact": str(value), "decimal": float(value)})
         except OverflowError as e:  # a decimal beyond float range
             raise CliError(f"T{tuple(idx)} of {model.describe()} is too large: {e}")
-        except ValueError as e:  # NoClosedFormError is one, and so is a value with too many digits
+        except xm.NoClosedFormError as e:
+            raise CliError(f"no closed form tabulated for {e.quantity}; use --method oracle")
+        except ValueError as e:  # a value with too many digits
             raise CliError(str(e))
     print(json.dumps({
         "model": model.as_dict(),

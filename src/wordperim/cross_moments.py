@@ -68,7 +68,15 @@ def _checked_index(idx) -> MomentIndex:
 
 
 class NoClosedFormError(ValueError):
-    """Raised for an index without a tabulated closed form; use the oracle."""
+    """Raised for an index without a tabulated closed form; use the oracle.
+
+    ``quantity`` names the moment and its model, for a caller that names its
+    own route to the oracle.
+    """
+
+    def __init__(self, quantity: str):
+        super().__init__(f"no closed form tabulated for {quantity}; use cross_moment_oracle")
+        self.quantity = quantity
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +189,7 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
     fn = table.get(idx)
     if fn is None:
         kind = "centered " if centered else ""
-        raise NoClosedFormError(
-            f"no closed form tabulated for {kind}T{tuple(idx)} under {model.describe()}; "
-            f"use cross_moment_oracle"
-        )
+        raise NoClosedFormError(f"{kind}T{tuple(idx)} under {model.describe()}")
     return fn(model)
 
 

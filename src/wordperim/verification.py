@@ -10,6 +10,7 @@ support (see :mod:`wordperim.cross_moments`).
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import cross_moments as xm
 from . import moments as mo
-from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution
+from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution, plain_int
 from .polyomino import _check_batch, _decomposed, _edge_count
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
@@ -28,14 +29,9 @@ DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4
 EXHAUSTIVE_PERIMETER = tuple(
     [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
 )
-# words per draw block of the random perimeter check: one rng.integers call
-# draws a block's letters, so this size fixes which random bits become which
-# letters, and changing it changes the words a seed checks
-_BLOCK_WORDS = 64
-# random words regrouped at once by length, held as uint8 (letters are <= 30):
-# a whole number of draw blocks, so memory stays flat in --random-words.
-# 2048 words group about as tightly as 4096, with a lower peak RSS.
-_WINDOW_WORDS = 32 * _BLOCK_WORDS
+# words per window of the random perimeter check, regrouped at once by length:
+# 2048 words group about as tightly as 4096, with a lower peak RSS
+_WINDOW_WORDS = 2048
 # words per kernel call of both perimeter checks: a packed occupancy column
 # costs one uint64 per 64 cells, so a block of 256 words of up to 60 letters
 # holds about 120 KB of bitset.  128 words made the random check about 10 %
@@ -208,8 +204,8 @@ def check_mean_decomposition(models, n_max: int) -> IdentityCheck:
     return chk
 
 
-def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, int, int]]:
-    """(row, P, edge count) of each row of ``block`` where the routes disagree.
+def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, np.ndarray, int, int]]:
+    """(row, word, P, edge count) of each row of ``block`` where the routes disagree.
 
     ``block`` holds one zero-padded word per row; a row fails unless P from
     the decomposition Q + x0 + x_last + 2n equals the count of its boundary
@@ -219,14 +215,14 @@ def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, int, int]]:
     letters, n = _check_batch(block)
     b = _decomposed(letters, n)
     edges = _edge_count(letters)
-    bad = b.P != edges
-    return list(zip(np.flatnonzero(bad).tolist(), b.P[bad].tolist(), edges[bad].tolist()))
+    rows = np.flatnonzero(b.P != edges)
+    return list(zip(rows.tolist(), block[rows], b.P[rows].tolist(), edges[rows].tolist()))
 
 
-def _name_failures(chk: IdentityCheck, words: np.ndarray, failed) -> None:
-    """Name the failing rows of ``words``, in the order given, until ``chk`` holds five."""
-    for row, p, edges in failed[: 5 - len(chk.failures)]:
-        word = tuple(int(x) for x in words[row] if x)
+def _name_failures(chk: IdentityCheck, failed) -> None:
+    """Name the failing words of ``failed``, in the order given, until ``chk`` holds five."""
+    for _, row, p, edges in failed[: 5 - len(chk.failures)]:
+        word = tuple(int(x) for x in row if x)
         chk.failures.append(f"word {word}: P={p} edges={edges}")
 
 
@@ -238,53 +234,52 @@ def check_perimeter_exhaustive() -> IdentityCheck:
         for start in range(0, words.shape[0], _KERNEL_WORDS):
             block = words[start : start + _KERNEL_WORDS]
             chk.instances += block.shape[0]
-            _name_failures(chk, block, _perimeter_mismatches(block))
+            _name_failures(chk, _perimeter_mismatches(block))
     return chk
 
 
-def _word_shapes(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each random word's length n in [2, 60] and alphabet k in [2, 30], as uint8.
-
-    Each is drawn in chunks of _WINDOW_WORDS values; the generator yields the
-    same values as one ``rng.integers`` call of ``count`` values would.
-    """
-    lengths = np.empty(count, dtype=np.uint8)
-    alphabets = np.empty(count, dtype=np.uint8)
-    for shapes, high in ((lengths, 61), (alphabets, 31)):
-        for lo in range(0, count, _WINDOW_WORDS):
-            chunk = shapes[lo : lo + _WINDOW_WORDS]
-            chunk[:] = rng.integers(2, high, size=chunk.size)
-    return lengths, alphabets
+def _nonnegative(name: str, value) -> int:
+    """``value`` as a plain int; ValueError unless it is a non-negative integer."""
+    number = plain_int(value)
+    if number is None or number < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return number
 
 
 def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
-    """``count`` words with n in [2,60], k in [2,30] and letters uniform on [1,k].
+    """``count`` words with n in [2,60], k in [2,30] and letters in [1,k], from a keyed stream.
 
-    The words are drawn in blocks of _BLOCK_WORDS, each padded to its longest
-    word.  Each window of _WINDOW_WORDS draws is then regrouped by n, so that
-    each block of _KERNEL_WORDS words the kernels see is cut to its own
-    longest word.  Failures are named in draw order.
+    Words 2048w .. 2048w + 2047 form window w, which reads the SHAKE-128 digest
+    of the ASCII key ``f"{seed},{w}"`` as little-endian uint16 values u, 62 to a
+    row and one row per word: n = 2 + (u*59 >> 16) from column 0, k = 2 +
+    (u*29 >> 16) from column 1 and the letters 1 + (u*k >> 16) from the first
+    n of the other 60.  Each of m outcomes gets 2**16 // m or one more of the
+    2**16 values of u, so each is within 0.1 % of uniform.  A shorter digest is
+    a prefix of a longer one, so a word does not depend on ``count``.
+
+    Each window's words are sorted by n into blocks of _KERNEL_WORDS, each
+    gathered at its own longest word and only then widened to int64, for the
+    kernels.  Failures are named in word order.
     """
+    count, seed = _nonnegative("count", count), _nonnegative("seed", seed)
     chk = IdentityCheck("perimeter identity, randomized larger words")
-    rng = np.random.default_rng(seed)
-    lengths, alphabets = _word_shapes(rng, count)
-    for lo in range(0, count, _WINDOW_WORDS):
-        n = lengths[lo : lo + _WINDOW_WORDS]
-        k = alphabets[lo : lo + _WINDOW_WORDS]
-        window = np.zeros((n.size, int(n.max())), dtype=np.uint8)
-        for start in range(0, n.size, _BLOCK_WORDS):
-            rows = slice(start, start + _BLOCK_WORDS)
-            words = rng.integers(1, k[rows, None] + 1, size=(n[rows].size, int(n[rows].max())))
-            words[np.arange(words.shape[1]) >= n[rows, None]] = 0
-            window[rows, : words.shape[1]] = words
-        failed = []  # (row of the window, P, edges)
+    for window, lo in enumerate(range(0, count, _WINDOW_WORDS)):
+        size = min(_WINDOW_WORDS, count - lo)
+        digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2 * 62 * size)
+        table = np.frombuffer(digest, dtype="<u2").reshape(size, 62)
+        n = 2 + (table[:, 0] * np.uint32(59) >> 16)
+        k = 2 + (table[:, 1] * np.uint32(29) >> 16)
+        failed = []  # (row of the window, word, P, edges)
         order = np.argsort(n, kind="stable")
-        for start in range(0, order.size, _KERNEL_WORDS):
+        for start in range(0, size, _KERNEL_WORDS):
             rows = order[start : start + _KERNEL_WORDS]  # sorted by n: the last is longest
-            block = window[rows, : n[rows[-1]]].astype(np.int64)
-            failed += [(rows[r], p, edges) for r, p, edges in _perimeter_mismatches(block)]
-        chk.instances += n.size
-        _name_failures(chk, window, sorted(failed))
+            width = int(n[rows[-1]])
+            letters = 1 + (table[rows, 2 : 2 + width] * k[rows, None] >> 16)
+            letters[np.arange(width) >= n[rows, None]] = 0
+            block = letters.astype(np.int64)
+            failed += [(rows[r], *rest) for r, *rest in _perimeter_mismatches(block)]
+        chk.instances += size
+        _name_failures(chk, sorted(failed, key=lambda f: f[0]))
     return chk
 
 
@@ -296,6 +291,7 @@ def run_verification(
     seed: int = 0,
 ) -> list[IdentityCheck]:
     """Run every check in report order; each records its wall time in ``seconds``."""
+    random_words, seed = _nonnegative("random_words", random_words), _nonnegative("seed", seed)
     # each model is built once, so the oracle's cache finds the very same objects
     uniform = [Model.uniform(k) for k in range(1, k_max + 1)]
     models = uniform + [Model.geometric(Fraction(p)) for p in p_list]

@@ -97,11 +97,17 @@ def test_xmoment_geometric_oracle_is_exact(capsys):
 
 
 def test_xmoment_no_closed_form(capsys):
-    code, _, err = run(
-        capsys, "xmoment", "--model", "uniform", "--k", "6", "--index", "0,1,0,1",
-        "--method", "closed",
-    )
-    assert code == 1 and "oracle" in err
+    # the CLI's route to the oracle is --method oracle; the default "both" asks for the closed form
+    for argv, quantity in [
+        (["--k", "6", "--index", "0,1,0,1", "--method", "closed"],
+         "T(0, 1, 0, 1) under uniform[1,6]"),
+        (["--k", "6", "--index", "0,1,0,1", "--method", "closed", "--centered"],
+         "centered T(0, 1, 0, 1) under uniform[1,6]"),
+        (["--k", "3", "--index", "1,1,1,1"], "T(1, 1, 1, 1) under uniform[1,3]"),
+    ]:
+        code, out, err = run(capsys, "xmoment", "--model", "uniform", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: no closed form tabulated for {quantity}; use --method oracle\n"
 
 
 def test_xmoment_rejects_centered_letter(capsys):

@@ -1,6 +1,13 @@
+import functools
+import hashlib
+import os
 import re
+import struct
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,21 +129,56 @@ def test_run_verification_times_each_check():
 # the random perimeter check against an ungrouped reference
 # ---------------------------------------------------------------------------
 
-def reference_random_blocks(count, seed):
-    """The random check's words in draw order: blocks of _BLOCK_WORDS zero-padded rows."""
-    rng = np.random.default_rng(seed)
-    lengths = rng.integers(2, 61, size=count)
-    alphabets = rng.integers(2, 31, size=count)
-    for start in range(0, count, ver._BLOCK_WORDS):
-        n = lengths[start : start + ver._BLOCK_WORDS]
-        k = alphabets[start : start + ver._BLOCK_WORDS]
-        words = rng.integers(1, k[:, None] + 1, size=(n.size, int(n.max())))
-        words[np.arange(words.shape[1]) >= n[:, None]] = 0
-        yield words
+def reference_random_words(count, seed):
+    """The random check's words in word order, read one at a time from the documented layout.
+
+    Word i is row i % 2048 of window i // 2048: 62 little-endian uint16 values
+    u of the SHAKE-128 digest keyed by the ASCII text "seed,window", giving
+    n = 2 + (u0*59 >> 16), k = 2 + (u1*29 >> 16) and n letters 1 + (u*k >> 16).
+    A whole window's digest is read even when ``count`` ends inside it.
+    """
+    for i in range(count):
+        window, row = divmod(i, 2048)
+        if row == 0:
+            digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2048 * 124)
+        u = struct.unpack_from("<62H", digest, 124 * row)
+        n, k = 2 + (u[0] * 59 >> 16), 2 + (u[1] * 29 >> 16)
+        yield tuple(1 + (x * k >> 16) for x in u[2 : 2 + n]), k
 
 
-def unpadded(row):
-    return tuple(int(x) for x in row[row > 0])
+def padded_blocks(words):
+    """``words`` in blocks of 64 zero-padded int64 rows, in order."""
+    for start in range(0, len(words), 64):
+        chunk = words[start : start + 64]
+        block = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
+        for row, word in zip(block, chunk):
+            row[: len(word)] = word
+        yield block
+
+
+def unpadded(block):
+    """Each row of ``block`` as a tuple of its letters, without the padding zeros."""
+    return [tuple(filter(None, row)) for row in block.tolist()]
+
+
+def record_kernel_words(monkeypatch):
+    """Counters of (word, P) and (word, edge count) of the words the kernels get from now on."""
+    seen_p, seen_edges = Counter(), Counter()
+    real_decomposed, real_edges = ver._decomposed, ver._edge_count
+
+    def recording_decomposed(words, n):
+        b = real_decomposed(words, n)
+        seen_p.update(zip(unpadded(words), b.P.tolist()))
+        return b
+
+    def recording_edges(words):
+        edges = real_edges(words)
+        seen_edges.update(zip(unpadded(words), edges.tolist()))
+        return edges
+
+    monkeypatch.setattr(ver, "_decomposed", recording_decomposed)
+    monkeypatch.setattr(ver, "_edge_count", recording_edges)
+    return seen_p, seen_edges
 
 
 def test_random_failures_are_the_first_in_draw_order(monkeypatch):
@@ -147,7 +189,7 @@ def test_random_failures_are_the_first_in_draw_order(monkeypatch):
 
     monkeypatch.setattr(ver, "_edge_count", off_by_one_on_short_words)
     expected = []
-    for word in (unpadded(row) for block in reference_random_blocks(2000, seed=3) for row in block):
+    for word, _ in reference_random_words(2000, seed=3):
         p = wp.perimeter_decomposed(word).P
         edges = wp.perimeter_edge_count(word) + (len(word) < 5)
         if p != edges:
@@ -159,44 +201,88 @@ def test_random_failures_are_the_first_in_draw_order(monkeypatch):
     assert check.failures == expected
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, ver._WINDOW_WORDS - 1, ver._WINDOW_WORDS,
-                                   ver._WINDOW_WORDS + 1, 3 * ver._WINDOW_WORDS + 5])
-def test_word_shapes_equal_one_shot_draws(count):
-    chunked, one_shot = np.random.default_rng(9), np.random.default_rng(9)
-    lengths, alphabets = ver._word_shapes(chunked, count)
-    assert lengths.dtype == alphabets.dtype == np.uint8
-    assert lengths.tolist() == one_shot.integers(2, 61, size=count).tolist()
-    assert alphabets.tolist() == one_shot.integers(2, 31, size=count).tolist()
-    # the letters drawn next are the same too
-    assert chunked.integers(1, 31, size=50).tolist() == one_shot.integers(1, 31, size=50).tolist()
-
-
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
 def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
-    seen_p, seen_edges = Counter(), Counter()
-    real_decomposed, real_edges = ver._decomposed, ver._edge_count
-
-    def recording_decomposed(words, n):
-        b = real_decomposed(words, n)
-        seen_p.update(zip(map(unpadded, words), b.P.tolist()))
-        return b
-
-    def recording_edges(words):
-        edges = real_edges(words)
-        seen_edges.update(zip(map(unpadded, words), edges.tolist()))
-        return edges
-
-    monkeypatch.setattr(ver, "_decomposed", recording_decomposed)
-    monkeypatch.setattr(ver, "_edge_count", recording_edges)
+    seen_p, seen_edges = record_kernel_words(monkeypatch)
     check = ver.check_perimeter_random(count, seed=11)
     want_p, want_edges = Counter(), Counter()
-    for block in reference_random_blocks(count, seed=11):
-        words = [unpadded(row) for row in block]
+    for block in padded_blocks([word for word, _ in reference_random_words(count, seed=11)]):
+        words = unpadded(block)
         want_p.update(zip(words, wp.perimeter_decomposed_batch(block).P.tolist()))
         want_edges.update(zip(words, wp.perimeter_edge_count_batch(block).tolist()))
     assert check.passed and check.instances == count
     assert sum(want_p.values()) == count
     assert seen_p == want_p and seen_edges == want_edges
+
+
+def checked_words(count, seed):
+    """Counter of the words ``check_perimeter_random(count, seed)`` gives the kernels."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen_p, _ = record_kernel_words(monkeypatch)
+        check = ver.check_perimeter_random(count, seed)
+    assert check.passed and check.instances == count
+    return Counter({word: times for (word, _), times in seen_p.items()})
+
+
+@functools.lru_cache(maxsize=1)
+def ten_thousand_words(seed):
+    return [word for word, _ in reference_random_words(10000, seed)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 2047, 2048, 2049, 5000, 6149, 10000])
+def test_random_words_are_a_prefix_of_a_longer_run(count):
+    # a word's place in the stream does not depend on the count: the words of
+    # count=5000 are the first 5000 of count=10000
+    assert checked_words(count, seed=5) == Counter(ten_thousand_words(5)[:count])
+
+
+def test_random_words_cover_every_shape_and_both_letter_ends():
+    # three windows: every n in 2..60 and k in 2..30 occurs, and each k draws
+    # its letters from [1, k] with both 1 and k drawn
+    lengths, letters = set(), {}
+    for word, k in reference_random_words(3 * 2048, seed=0):
+        lengths.add(len(word))
+        letters.setdefault(k, set()).update(word)
+    assert lengths == set(range(2, 61))
+    assert sorted(letters) == list(range(2, 31))
+    for k, drawn in letters.items():
+        assert min(drawn) == 1 and max(drawn) == k
+
+
+@pytest.mark.parametrize("bad", [-1, -(2**70), True, False, 1.0, 2.5, "3", None, Fraction(3)])
+def test_random_check_rejects_a_bad_count_or_seed(bad):
+    with pytest.raises(ValueError, match="count must be a non-negative integer"):
+        ver.check_perimeter_random(bad, seed=0)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        ver.check_perimeter_random(10, seed=bad)
+    with pytest.raises(ValueError, match="random_words must be a non-negative integer"):
+        wp.run_verification(k_max=1, p_list=[], n_max=4, random_words=bad)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        wp.run_verification(k_max=1, p_list=[], n_max=4, seed=bad)
+
+
+def test_run_verification_validates_before_any_check(monkeypatch):
+    monkeypatch.setattr(ver, "check_gap_pmf", lambda models: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match="seed"):
+        wp.run_verification(seed=-1)
+
+
+@pytest.mark.parametrize("cast", [np.int8, np.uint16, np.int64, np.uint64])
+def test_numpy_integer_count_and_seed_check_the_same_words(cast):
+    assert checked_words(cast(120), seed=cast(7)) == checked_words(120, seed=7)
+
+
+def test_verify_never_imports_numpy_random():
+    probe = ("import sys; from wordperim.cli import main; "
+             "code = main(['verify', '--k-max', '2', '--p-list', '1/2', '--n-max', '4', "
+             "'--random-words', '2100']); "
+             "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
+    path = [str(Path(wp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert done.returncode == 0, done.stderr
+    assert "13/13 identities pass" in done.stdout
+    assert done.stderr.splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------------------
