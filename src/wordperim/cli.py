@@ -274,6 +274,46 @@ def _read_sidecar(csv_path) -> tuple[float, float]:
         raise CliError(f"config sidecar {path}: {e}")
 
 
+def _simulated_grid(csv: Path) -> tuple[int, int] | None:
+    """(N, m) of a path CSV that ``simulate --paths`` of this version wrote, else None.
+
+    The proof is the manifest ``<csv>.manifest.json``: written by ``simulate``
+    of this version with ``--paths``, and listing the sha256 of the file as it
+    is now.  Such a file is a whole grid of N paths of m + 1 rows.
+    """
+    try:
+        doc = json.loads(_manifest_path(csv).read_text(encoding="utf-8"))
+        flags = doc["flags"]
+        if (doc["command"], doc["version"], flags["paths"]) != ("simulate", __version__, "True"):
+            return None
+        if doc["outputs"][csv.name] != _sha256(csv):
+            return None
+        return int(flags["trajectories"]), int(flags["m"])
+    except (OSError, ValueError, KeyError, TypeError):  # no manifest, or not one of simulate's
+        return None
+
+
+def _read_path(csv: str, trajectory: int) -> tuple[np.ndarray | None, int]:
+    """(Q(0..m) of path ``trajectory``, or None if out of range; N) of a path CSV.
+
+    A CSV proven by ``_simulated_grid`` is parsed for that one path only;
+    any other, or one whose path does not read back as its manifest says, is
+    parsed whole by ``read_path_csv``, which reports what is wrong with it.
+    """
+    grid = _simulated_grid(Path(csv))
+    if grid is not None:
+        n, m = grid
+        if not 0 <= trajectory < n:
+            return None, n
+        try:
+            return simulation.read_path_csv(csv, trajectory=trajectory, m=m)[0], n
+        except (OSError, ValueError):
+            pass
+    paths = _read_input(simulation.read_path_csv, csv)
+    n = paths.shape[0]
+    return (paths[trajectory] if 0 <= trajectory < n else None), n
+
+
 def cmd_plot(args) -> int:
     kind = args.kind
     flags = {"kind": kind, "input": args.input or "", "out": args.out,
@@ -285,11 +325,10 @@ def cmd_plot(args) -> int:
     elif kind in ("trajectory", "normalized"):
         if not args.input:
             raise CliError(f"plot --kind {kind} requires --input (path-mode ensemble CSV)")
-        paths = _read_input(simulation.read_path_csv, args.input)
+        row, n = _read_path(args.input, args.trajectory)
         mg, sigma = _read_sidecar(args.input)
-        if not 0 <= args.trajectory < paths.shape[0]:
-            raise CliError(f"--trajectory {args.trajectory} out of range 0..{paths.shape[0] - 1}")
-        row = paths[args.trajectory]
+        if row is None:
+            raise CliError(f"--trajectory {args.trajectory} out of range 0..{n - 1}")
         if kind == "trajectory":
             svg = svgplot.plot_trajectory(row, mg)
         else:

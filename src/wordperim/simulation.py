@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -293,7 +294,8 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 # numbers, floats correctly rounded, and rejects a row with the wrong number
 # of fields.  numpy opens a path by its suffix, so a plain CSV named ``*.gz``,
 # ``*.bz2``, ``*.xz`` or ``*.lzma`` would be taken for a compressed file and
-# fail; such a file is parsed from the open handle.
+# fail; such a file is parsed from the open handle.  ``read_path_csv`` can
+# also parse one path of a file known to be a whole grid, and nothing else.
 # ---------------------------------------------------------------------------
 
 # Rows per formatted chunk, under 1 MB of text for an ensemble CSV; chunks of
@@ -315,14 +317,23 @@ def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
         if not any(line.strip() for line in fh):  # np.loadtxt only warns on empty input
             raise ValueError(f"{kind} CSV {path} has no data rows after its header")
         fh.seek(0)
-        name = os.fspath(path)
-        source = fh if name.endswith(_COMPRESSED_SUFFIXES) else os.path.abspath(name)
         try:
-            return np.loadtxt(source, dtype=row, delimiter=",", comments=None, ndmin=1,
-                              skiprows=1, encoding="utf-8")
+            return _loadtxt(fh, path, row, skiprows=1)
         except ValueError as e:  # drop numpy's advice to pass usecols
             where, reason = _first_rejected_line(fh, row) or ("", str(e).split(";")[0])
             raise ValueError(f"{kind} CSV {path}{where}: {reason}") from None
+
+
+def _loadtxt(fh, path, row: np.dtype, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of ``row`` records from ``path``, open as ``fh``.
+
+    numpy is given the path, or ``fh`` where the suffix would make it open the
+    path as a compressed file.
+    """
+    name = os.fspath(path)
+    source = fh if name.endswith(_COMPRESSED_SUFFIXES) else os.path.abspath(name)
+    return np.loadtxt(source, dtype=row, delimiter=",", comments=None, ndmin=1,
+                      encoding="utf-8", **kwargs)
 
 
 def _first_rejected_line(fh, row: np.dtype) -> tuple[str, str] | None:
@@ -499,12 +510,22 @@ def read_endpoint_csv(path) -> dict:
     return {name: rows[name] for name in _ENDPOINT_ROW.names}
 
 
-def read_path_csv(path) -> np.ndarray:
+def read_path_csv(path, *, trajectory: int | None = None, m: int | None = None) -> np.ndarray:
     """Load a path CSV (schema: trajectory,j,Q) into an (N, m+1) array.
 
     The rows must be the grid ``write_path_csv`` writes: trajectories 0..N-1
     in order, each with its rows j = 0..m in order, and m >= 1.
+
+    Given ``trajectory`` l and ``m``, only path l is parsed, into a (1, m+1)
+    array: the file must be such a grid with this m, with no empty lines, as
+    a file ``write_path_csv`` wrote and nothing edited since is.  numpy skips
+    the 1 + l*(m+1) lines before it and reads m+1 rows and the row after
+    them, which must be (l + 1, 0) or absent, so memory is O(m) whatever N
+    is.  The header is not checked.  ValueError if those rows are not path l
+    whole.
     """
+    if trajectory is not None:
+        return _read_one_path(path, trajectory, m)
     rows = _read_csv(path, "path", _PATH_ROW)
     width = int(rows["j"][-1]) + 1  # the last row holds j = m
     if width < 2:
@@ -523,3 +544,19 @@ def read_path_csv(path) -> np.ndarray:
                 f"(m = {width - 1})"
             )
     return rows["Q"].reshape(-1, width)
+
+
+def _read_one_path(path, l: int, m: int) -> np.ndarray:
+    """Q(0..m) of path l as a (1, m+1) array; see ``read_path_csv``."""
+    if m is None or m < 1 or l < 0:
+        raise ValueError(f"need trajectory >= 0 and m >= 1, got trajectory {l}, m {m}")
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns, and reads no rows, past the last line
+        rows = _loadtxt(fh, path, _PATH_ROW, skiprows=1 + l * (m + 1), max_rows=m + 2)
+    path_l, after = rows[: m + 1], rows[m + 1 :]
+    if (path_l.size != m + 1 or (path_l["trajectory"] != l).any()
+            or (path_l["j"] != np.arange(m + 1)).any()
+            or (after.size and (after["trajectory"][0] != l + 1 or after["j"][0] != 0))):
+        raise ValueError(f"path CSV {path}: lines {l * (m + 1) + 2} to {(l + 1) * (m + 1) + 1} "
+                         f"are not trajectory {l}, j = 0..{m}")
+    return path_l["Q"].reshape(1, -1)

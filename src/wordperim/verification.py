@@ -238,11 +238,12 @@ def check_perimeter_exhaustive() -> IdentityCheck:
     return chk
 
 
-def _nonnegative(name: str, value) -> int:
-    """``value`` as a plain int; ValueError unless it is a non-negative integer."""
+def _at_least(name: str, value, low: int = 0) -> int:
+    """``value`` as a plain int; ValueError unless it is an integer >= ``low``."""
     number = plain_int(value)
-    if number is None or number < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    if number is None or number < low:
+        least = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {least}, got {value!r}")
     return number
 
 
@@ -261,7 +262,7 @@ def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     gathered at its own longest word and only then widened to int64, for the
     kernels.  Failures are named in word order.
     """
-    count, seed = _nonnegative("count", count), _nonnegative("seed", seed)
+    count, seed = _at_least("count", count), _at_least("seed", seed)
     chk = IdentityCheck("perimeter identity, randomized larger words")
     for window, lo in enumerate(range(0, count, _WINDOW_WORDS)):
         size = min(_WINDOW_WORDS, count - lo)
@@ -290,8 +291,14 @@ def run_verification(
     random_words: int = 10000,
     seed: int = 0,
 ) -> list[IdentityCheck]:
-    """Run every check in report order; each records its wall time in ``seconds``."""
-    random_words, seed = _nonnegative("random_words", random_words), _nonnegative("seed", seed)
+    """Run every check in report order; each records its wall time in ``seconds``.
+
+    ValueError, before any check runs, for k_max < 1 or n_max < 4 (the
+    variance check starts at n = 4), for which some checks would compare
+    nothing and pass, or for a negative ``random_words`` or ``seed``.
+    """
+    k_max, n_max = _at_least("k_max", k_max, 1), _at_least("n_max", n_max, 4)
+    random_words, seed = _at_least("random_words", random_words), _at_least("seed", seed)
     # each model is built once, so the oracle's cache finds the very same objects
     uniform = [Model.uniform(k) for k in range(1, k_max + 1)]
     models = uniform + [Model.geometric(Fraction(p)) for p in p_list]

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shutil
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 
 import wordperim as wp
 from wordperim import cross_moments as xm
+from wordperim import simulation
 from wordperim.cli import main
 
 
@@ -573,6 +576,153 @@ def test_plot_trajectory_out_of_range(capsys, tmp_path):
         "--trajectory", "99", "--out", str(tmp_path / "x.svg"),
     )
     assert code == 1 and "out of range" in err
+
+
+# plot reads one path of a path CSV that simulate's manifest proves, and the
+# whole file otherwise; the two routes must give the same bytes and errors
+
+@pytest.fixture
+def proven_dir(capsys, tmp_path):
+    """A directory holding simulate's paths.csv (N = 7, m = 50), sidecar and manifest."""
+    assert run(capsys, *simulate_args(tmp_path / "proven" / "paths.csv", n="7", paths=True))[0] == 0
+    return tmp_path / "proven"
+
+
+def spy_csv_reads(monkeypatch) -> list:
+    """The paths ``simulation._read_csv`` is called with from now on."""
+    calls, read = [], simulation._read_csv
+
+    def spy(path, *rest):
+        calls.append(path)
+        return read(path, *rest)
+
+    monkeypatch.setattr(simulation, "_read_csv", spy)
+    return calls
+
+
+def plot_in(capsys, monkeypatch, directory, kind, trajectory, csv="paths.csv"):
+    """Run ``plot`` in ``directory`` on ``csv``: its exit code, stdout, stderr and the
+    bytes of the SVG and its manifest (None where not written)."""
+    monkeypatch.chdir(directory)
+    result = run(capsys, "plot", "--kind", kind, "--input", csv,
+                 "--trajectory", str(trajectory), "--out", "x.svg")
+    files = tuple(Path(name).read_bytes() if Path(name).exists() else None
+                  for name in ("x.svg", "x.svg.manifest.json"))
+    return result + files
+
+
+def plain_copy(directory, tmp_path, csv="paths.csv"):
+    """A directory with a copy of ``csv`` and its sidecar, and no manifest."""
+    plain = tmp_path / "plain"
+    plain.mkdir(exist_ok=True)
+    for name in (csv, Path(csv).with_suffix(".json").name):
+        shutil.copy(directory / name, plain / name)
+    return plain
+
+
+@pytest.mark.parametrize("trajectory", [0, 3, 6])
+@pytest.mark.parametrize("kind", ["trajectory", "normalized"])
+def test_plot_of_a_proven_csv_reads_one_path(capsys, monkeypatch, tmp_path, proven_dir, kind,
+                                             trajectory):
+    plain = plain_copy(proven_dir, tmp_path)
+    reads = spy_csv_reads(monkeypatch)
+    got = plot_in(capsys, monkeypatch, proven_dir, kind, trajectory)
+    assert reads == []
+    want = plot_in(capsys, monkeypatch, plain, kind, trajectory)
+    assert reads == ["paths.csv"]
+    assert got[0] == 0 and got == want
+
+
+@pytest.mark.parametrize("trajectory", [7, 99, -1])
+def test_plot_out_of_range_is_the_same_on_both_routes(capsys, monkeypatch, tmp_path, proven_dir,
+                                                      trajectory):
+    plain = plain_copy(proven_dir, tmp_path)
+    reads = spy_csv_reads(monkeypatch)
+    got = plot_in(capsys, monkeypatch, proven_dir, "normalized", trajectory)
+    assert reads == []
+    assert got == plot_in(capsys, monkeypatch, plain, "normalized", trajectory)
+    assert got == (1, "", f"error: --trajectory {trajectory} out of range 0..6\n", None, None)
+
+
+def edit_q(d):  # one Q of the plotted path 0, one higher: still a well-formed grid
+    text = (d / "paths.csv").read_text()
+    head, row, tail = text.partition("\n0,7,")
+    q, rest = tail.split("\n", 1)
+    (d / "paths.csv").write_text(f"{head}{row}{int(q) + 1}\n{rest}")
+    return "paths.csv"
+
+
+def edit_manifest(**fields):
+    def edit(d):
+        path = d / "paths.csv.manifest.json"
+        doc = json.loads(path.read_text())
+        for key, value in fields.items():
+            (doc["flags"] if key in doc["flags"] else doc)[key] = value
+        path.write_text(json.dumps(doc))
+        return "paths.csv"
+    return edit
+
+
+def rename(d):  # the manifest renamed with it lists paths.csv, not renamed.csv
+    for old, new in [("paths.csv", "renamed.csv"), ("paths.json", "renamed.json"),
+                     ("paths.csv.manifest.json", "renamed.csv.manifest.json")]:
+        (d / old).rename(d / new)
+    return "renamed.csv"
+
+
+def delete_manifest(d):
+    (d / "paths.csv.manifest.json").unlink()
+    return "paths.csv"
+
+
+FALLBACKS = {
+    "edited-q": edit_q,
+    "other-version": edit_manifest(version="0.0.1"),
+    "other-command": edit_manifest(command="histogram"),
+    "without-paths": edit_manifest(paths="False"),
+    "wrong-m": edit_manifest(m="49"),  # proven, but path 0 does not read back with m = 49
+    "renamed": rename,
+    "no-manifest": delete_manifest,
+}
+
+
+@pytest.mark.parametrize("edit", FALLBACKS.values(), ids=FALLBACKS.keys())
+def test_plot_reads_every_other_csv_whole(capsys, monkeypatch, tmp_path, proven_dir, edit):
+    unedited = plot_in(capsys, monkeypatch, proven_dir, "trajectory", 0)
+    csv = edit(proven_dir)
+    plain = plain_copy(proven_dir, tmp_path, csv)
+    reads = spy_csv_reads(monkeypatch)
+    got = plot_in(capsys, monkeypatch, proven_dir, "trajectory", 0, csv)
+    assert reads == [csv]
+    assert got[0] == 0 and got == plot_in(capsys, monkeypatch, plain, "trajectory", 0, csv)
+    # the edited Q is drawn; the other edits leave the file, so the SVG, as it was
+    assert (got[3] != unedited[3]) == (edit is edit_q)
+
+
+def test_plot_of_a_csv_missing_a_row_of_its_last_path_fails(capsys, monkeypatch, proven_dir):
+    lines = (proven_dir / "paths.csv").read_text().splitlines(keepends=True)
+    assert lines[317].startswith("6,10,")  # file line 318: j = 10 of the last path
+    (proven_dir / "paths.csv").write_text("".join(lines[:317] + lines[318:]))
+    reads = spy_csv_reads(monkeypatch)
+    got = plot_in(capsys, monkeypatch, proven_dir, "normalized", 0)
+    assert reads == ["paths.csv"]  # path 0 is whole, but the file is not simulate's
+    assert got == (1, "", "error: path CSV paths.csv line 318: trajectory 6, j 11; "
+                          "expected trajectory 6, j 10 (m = 50)\n", None, None)
+
+
+def test_plot_of_a_proven_csv_holds_one_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "simulate", "--model", "geometric", "--p", "1/2", "--m", "500",
+               "--trajectories", "2000", "--seed", "9", "--paths", "--out", "paths.csv")[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(["plot", "--kind", "normalized", "--input", "paths.csv",
+                     "--trajectory", "1999", "--out", "normalized.svg"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20  # the CSV writer's bound; the whole file takes about 28 MiB
 
 
 @pytest.mark.parametrize("sidecar, problem", [

@@ -463,6 +463,44 @@ def test_read_path_csv_rejects_malformed(tmp_path, body, problem):
         sim.read_path_csv(bad)
 
 
+@pytest.mark.parametrize("name", ["p.csv", "p.gz"])  # numpy opens p.gz from the handle
+def test_read_path_csv_one_path_equals_the_whole_read(tmp_path, name):
+    ens = wp.simulate(small_config(trajectories=5, record_full_paths=True))
+    path = tmp_path / name
+    sim.write_path_csv(ens, path)
+    m = ens.config.m
+    for l in range(5):
+        one = sim.read_path_csv(path, trajectory=l, m=m)
+        assert one.shape == (1, m + 1)
+        assert np.array_equal(one[0], ens.paths[l])
+
+
+@pytest.mark.parametrize("l, m, problem", [
+    (0, 49, "lines 2 to 51 are not trajectory 0, j = 0..49"),  # the path goes on
+    (4, 49, "are not trajectory 4"),
+    (0, 51, "lines 2 to 53 are not trajectory 0"),  # runs into path 1
+    (4, 51, "are not trajectory 4"),                # runs out of rows
+    (5, 50, "lines 257 to 307 are not trajectory 5"),  # past the last row: no rows at all
+    (-1, 50, "need trajectory >= 0 and m >= 1"),
+    (0, 0, "need trajectory >= 0 and m >= 1"),
+])
+def test_read_path_csv_one_path_rejects_a_wrong_grid(tmp_path, l, m, problem):
+    ens = wp.simulate(small_config(trajectories=5, record_full_paths=True))
+    path = tmp_path / "p.csv"
+    sim.write_path_csv(ens, path)
+    assert ens.config.m == 50
+    with pytest.raises(ValueError, match=problem):
+        sim.read_path_csv(path, trajectory=l, m=m)
+
+
+def test_read_path_csv_one_path_checks_its_rows(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("trajectory,j,Q\n0,0,0\n0,1,1\n1,0,0\n1,2,4\n")  # path 1 lacks j = 1
+    assert sim.read_path_csv(path, trajectory=0, m=1).tolist() == [[0, 1]]
+    with pytest.raises(ValueError, match="lines 4 to 5 are not trajectory 1, j = 0..1"):
+        sim.read_path_csv(path, trajectory=1, m=1)
+
+
 @pytest.mark.parametrize("head, sep, end", [
     ("\r\n", "\r\n", "\r\n"),  # CRLF line ends
     ("\n\n", "\n\n\n", "\n"),    # empty lines after the header and between rows

@@ -261,10 +261,36 @@ def test_random_check_rejects_a_bad_count_or_seed(bad):
         wp.run_verification(k_max=1, p_list=[], n_max=4, seed=bad)
 
 
+@pytest.mark.parametrize("bad", [0, -1, True, 1.0, "3", None])
+def test_run_verification_rejects_a_bad_k_max(bad):
+    with pytest.raises(ValueError, match=r"k_max must be an integer >= 1, got "):
+        wp.run_verification(k_max=bad, p_list=[], n_max=4)
+
+
+@pytest.mark.parametrize("bad", [3, 2, -1, True, 4.0, "40", None])
+def test_run_verification_rejects_a_bad_n_max(bad):
+    with pytest.raises(ValueError, match=r"n_max must be an integer >= 4, got "):
+        wp.run_verification(k_max=1, p_list=[], n_max=bad)
+
+
 def test_run_verification_validates_before_any_check(monkeypatch):
     monkeypatch.setattr(ver, "check_gap_pmf", lambda models: pytest.fail("a check ran"))
     with pytest.raises(ValueError, match="seed"):
         wp.run_verification(seed=-1)
+
+
+@pytest.mark.parametrize("size", ["k_max", "n_max"])
+def test_run_verification_validates_sizes_before_any_check(monkeypatch, size):
+    monkeypatch.setattr(ver, "check_gap_pmf", lambda models: pytest.fail("a check ran"))
+    with pytest.raises(ValueError, match=size):
+        wp.run_verification(**{size: {"k_max": 0, "n_max": 3}[size]})
+
+
+def test_run_verification_takes_the_smallest_sizes_and_numpy_integers():
+    checks = wp.run_verification(k_max=np.int64(1), p_list=[], n_max=np.uint8(4), random_words=0)
+    assert all(c.passed for c in checks)
+    variance = next(c for c in checks if c.name.startswith("variance"))
+    assert variance.instances == 1  # n = 4 of the one model
 
 
 @pytest.mark.parametrize("cast", [np.int8, np.uint16, np.int64, np.uint64])
