@@ -3,11 +3,12 @@
 A word is a sequence of i.i.d. positive-integer letters.  Both models expose
 exact probability mass functions (as ``fractions.Fraction``) for a single
 letter and for the absolute gap ``|x1 - x0|`` between two consecutive
-letters, plus a reproducible numpy-based sampler used by the Monte Carlo
-engine.  Everything except the sampler is exact rational arithmetic.  Both
-letter laws are P(x = v) = c * z**v on [1, U] (:func:`letter_law`), and
-:func:`antidifference` sums z**w * w**n in closed form, also over the
-unbounded geometric support.
+letters, plus a reproducible sampler on numpy's ``Generator``
+(:func:`sample_letters`): the reference that the Monte Carlo engine, which
+reads raw Philox words, is tested against.  Everything except the sampler is
+exact rational arithmetic.  Both letter laws are P(x = v) = c * z**v on
+[1, U] (:func:`letter_law`), and :func:`antidifference` sums z**w * w**n in
+closed form, also over the unbounded geometric support.
 """
 
 from __future__ import annotations

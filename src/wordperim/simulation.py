@@ -7,11 +7,14 @@ together with the normalized endpoint
     z = (Q(m) - m*M) / (sigma * sqrt(m)),
 
 where M is the exact mean gap and sigma**2 = V* the per-gap variance rate.
-Trajectory ``l`` owns the counter-based Philox stream keyed (seed, l), so the
-ensemble does not depend on how it is computed.  ``simulate`` draws blocks of
-trajectories from one re-keyed Philox and turns the raw words into gaps with
-numpy array operations; each row equals the gaps of what the scalar path
-``sample_letters(model, trajectory_rng(seed, l), m + 1)`` draws, bit for bit.
+Trajectory ``l`` owns the counter-based Philox stream keyed (seed, l), and its
+letters are defined by that stream's raw 64-bit words: uniform ones by the rule
+of numpy's ``integers(1, k + 1)`` (:func:`_uniform_row`), geometric ones by
+inverting ``(word >> 11) * 2**-53``.  So the ensemble does not depend on how it
+is computed, nor on numpy's ``Generator``, which ``simulate`` never calls: it
+reads blocks of trajectories from one re-keyed Philox with numpy array
+operations.  ``sample_letters(model, trajectory_rng(seed, l), m + 1)`` draws the
+same letters through ``Generator``; the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import prod, sqrt
+from math import isqrt, prod, sqrt
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .cross_moments import mean_gap
-from .models import UNIFORM, Model, geometric_letters, plain_int, sample_letters
+from .models import UNIFORM, Model, geometric_letters, plain_int
 from .moments import vstar_sigma
 
 _MASK64 = (1 << 64) - 1
@@ -41,8 +44,9 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_ROWS = 64
 
 
-# Bytes ``simulate`` may allocate for its per-trajectory results: the paths
-# when they are recorded, else the endpoints and z (8 bytes each per trajectory).
+# Bytes ``simulate`` may allocate: for its per-trajectory results (the paths
+# when they are recorded, else the endpoints and z, 8 bytes each per
+# trajectory), and for the sampler's buffers, 32 bytes per letter of a block.
 MEMORY_BUDGET = 2 * 1024**3
 
 
@@ -56,6 +60,8 @@ class SimulationConfig:
 
     m, trajectories and seed may be Python or numpy integers (not bool); they
     are stored as plain ints.  The seed lies in [0, 2**64), the Philox key range.
+    A uniform k and m must keep letters and sums in int64: k <= 2**63 - 1 and
+    m*(k - 1) <= 2**63 - 1.
     """
 
     model: Model
@@ -72,6 +78,10 @@ class SimulationConfig:
             raise ValueError(f"need at least one trajectory, got {self.trajectories!r}")
         if seed is None or not 0 <= seed <= _MASK64:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        k = self.model.k
+        if self.model.kind == UNIFORM and max(k, m * (k - 1)) > 2**63 - 1:
+            raise ValueError(f"uniform k={k} with m={m} would overflow int64: need "
+                             f"k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "trajectories", n)
         object.__setattr__(self, "seed", seed)
@@ -104,35 +114,60 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _scaled(draws: np.ndarray, k: int, bits: int, hi: np.ndarray, scratch: np.ndarray):
+    """Write ``d*k >> b`` of the b-bit draws d into ``hi``; return ``d*k mod 2**b``, in ``scratch``.
+
+    For b = 64 the high half is summed from 32-bit halves (Hacker's Delight's ``mulhu``).
+    """
+    if bits == 32:
+        np.right_shift(np.multiply(draws, k, out=scratch, dtype=np.uint64), 32, out=hi)
+        return scratch.view("<u4")[..., 0::2]
+    dl, dh, t0, t1 = (x.view("<u4")[..., i::2] for x in (draws, scratch) for i in (0, 1))
+    kl, kh = k & 0xFFFFFFFF, k >> 32
+    np.right_shift(np.multiply(dl, kl, out=scratch, dtype=np.uint64), 32, out=scratch)
+    scratch += np.multiply(dh, kl, out=hi, dtype=np.uint64)  # t = dh*kl + carry
+    np.add(np.multiply(dl, kh, out=hi, dtype=np.uint64), t0, out=hi)
+    np.add(np.right_shift(hi, 32, out=hi), t1, out=hi)
+    hi += np.multiply(dh, kh, out=scratch, dtype=np.uint64)
+    return np.multiply(draws, k, out=scratch)  # wraps modulo 2**64
+
+
+def _uniform_row(bitgen, k: int, size: int, out: np.ndarray) -> None:
+    """Write letters - 1 of ``integers(1, k + 1, size)`` from ``bitgen``'s next words into ``out``.
+
+    numpy's rule: b-bit draws d (b = 32, the low half of each word first, for
+    k <= 2**32; else b = 64), letter ``(d*k >> b) + 1``, d rejected where
+    ``d*k mod 2**b < (2**b - k) mod k``.
+    """
+    bits = 32 if k <= 2**32 else 64
+    threshold = (2**bits - k) % k
+    # size / (1 - rate) draws are expected; read a margin more
+    draws = size * 2**bits // (2**bits - threshold) + 4 * isqrt(size) + 1
+    d = bitgen.random_raw(-(-draws * bits // 64)).astype("<u8", copy=False).view(f"<u{bits // 8}")
+    hi, scratch = np.empty((2, d.size), dtype="<u8")
+    kept = hi[_scaled(d, k, bits, hi, scratch) >= threshold][:size]
+    out[: kept.size] = kept
+    if kept.size < size:  # the row goes on in the next words
+        _uniform_row(bitgen, k, size - kept.size, out[kept.size :])
+
+
 def _gap_blocks(model: Model, seed: int, n_traj: int, m: int):
     """Yield ``(lo, hi, gaps)`` for consecutive blocks of trajectories.
 
-    Row ``i`` of the int64 array ``gaps`` holds the m gaps ``|diff(letters)|``
-    of ``sample_letters(model, trajectory_rng(seed, lo + i), m + 1)``.
-    ``gaps`` is a view of a buffer that every block overwrites: it is valid
-    only until the next block is drawn.  One Philox is set, per trajectory,
-    to the state ``Philox(key=(seed, l))`` starts in (counter 0, empty
-    buffer) and its raw 64-bit words fill one row of the block.  numpy's
-    Generator reads those words as follows, and the block applies the same
-    rules to all rows at once:
-
-    * uniform ``integers(1, k + 1)`` for k < 2**32 takes 32-bit draws, the low
-      half of each word first, and returns ``(u32 * k >> 32) + 1``; the
-      ``+ 1`` cancels in a gap.  Lemire's rule rejects a draw when
-      ``(u32 * k) mod 2**32 < (2**32 - k) mod k`` and draws again, which
-      shifts the rest of the row; a row with a rejected draw is recomputed
-      through the scalar path.
-    * ``random()`` is ``(word >> 11) * 2**-53``, then the same inversion as
-      ``sample_letters``.
-
-    Uniform k >= 2**32 takes 64-bit draws, which the block does not
-    reproduce; every row of such a model goes through the scalar path.
+    Row ``i`` of the int64 array ``gaps``, a view of a buffer that every block
+    overwrites, holds the m gaps ``|diff(letters)|`` of trajectory ``lo + i``.
+    One Philox is set, per trajectory, to the state ``Philox(key=(seed, l))``
+    starts in (counter 0, empty buffer); its raw 64-bit words fill one row of
+    the block, and all rows are read at once.  Uniform letters follow
+    :func:`_uniform_row` (the ``+ 1`` cancels in a gap), which reads a row with
+    a rejected draw again; geometric ones invert ``(word >> 11) * 2**-53`` by
+    :func:`geometric_letters`.  The buffers take at most 32 bytes a letter.
     """
     seed = int(seed) & _MASK64
     size = m + 1
     uniform = model.kind == UNIFORM
-    scalar_only = uniform and model.k >= 2**32
-    n_words = (size + 1) // 2 if uniform else size
+    bits = 32 if uniform and model.k <= 2**32 else 64
+    n_words = -(-size * bits // 64)
     rows = min(_BLOCK_ROWS, n_traj)
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     # The state Philox(key=(seed, l)) starts in, with plain-int fields: the
@@ -149,36 +184,27 @@ def _gap_blocks(model: Model, seed: int, n_traj: int, m: int):
     # Little-endian words and products, so that the <u4 views below read the
     # low half of each first on any machine.
     raw = np.empty((rows, n_words), dtype="<u8")
-    prod = np.empty((rows, size), dtype="<u8")
-    letters = prod.view("<i8")  # letters - 1 (uniform) or letters (geometric)
+    draws = raw.view("<u4")[:, :size] if bits == 32 else raw
+    hi, scratch = np.empty((2, rows, size), dtype="<u8")
+    letters = hi.view("<i8")  # letters - 1 (uniform) or letters (geometric)
     gaps = np.empty((rows, m), dtype=np.int64)
-    if uniform:
-        threshold = (2**32 - model.k) % model.k
-        low = prod.view("<u4")[:, 0::2]  # (u32 * k) mod 2**32
-    else:
-        u = np.empty((rows, size), dtype=np.float64)
     for lo in range(0, n_traj, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, n_traj - lo)
-        if scalar_only:
-            rejected = range(n)
-        else:
-            for i in range(n):
+        for i in range(n):
+            key[1] = lo + i
+            bitgen.state = start
+            raw[i] = bitgen.random_raw(n_words)
+        if uniform:
+            low = _scaled(draws[:n], model.k, bits, hi[:n], scratch[:n])
+            for i in np.flatnonzero(low.min(axis=1) < (2**bits - model.k) % model.k):
                 key[1] = lo + i
                 bitgen.state = start
-                raw[i] = bitgen.random_raw(n_words)
-            if uniform:
-                np.multiply(raw[:n].view("<u4")[:, :size], model.k, out=prod[:n], dtype=np.uint64)
-                rejected = np.flatnonzero(low[:n].min(axis=1) < threshold)
-                np.right_shift(prod[:n], 32, out=prod[:n])
-            else:
-                np.right_shift(raw[:n], 11, out=raw[:n])
-                np.multiply(raw[:n], 2.0**-53, out=u[:n])
-                geometric_letters(model, u[:n], out=letters[:n])
-                rejected = ()
-            np.subtract(letters[:n, 1:], letters[:n, :-1], out=gaps[:n])
-        for i in rejected:
-            x = sample_letters(model, trajectory_rng(seed, lo + i), size)
-            np.subtract(x[1:], x[:-1], out=gaps[i])
+                _uniform_row(bitgen, model.k, size, letters[i])
+        else:
+            np.right_shift(raw[:n], 11, out=raw[:n])
+            u = np.multiply(raw[:n], 2.0**-53, out=scratch[:n].view(np.float64))
+            geometric_letters(model, u, out=letters[:n])
+        np.subtract(letters[:n, 1:], letters[:n, :-1], out=gaps[:n])
         np.abs(gaps[:n], out=gaps[:n])
         yield lo, lo + n, gaps[:n]
 
@@ -190,9 +216,12 @@ def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
         what, need = f"{n_traj} paths of length {m + 1}", n_traj * (m + 1) * 8
     else:
         what, need = f"the endpoints and z of {n_traj} trajectories", n_traj * 16
-    if need > MEMORY_BUDGET:
-        raise MemoryBudgetExceeded(
-            f"recording {what} needs {need} bytes, budget is {MEMORY_BUDGET}")
+    rows = min(_BLOCK_ROWS, n_traj)
+    sampled = (f"{what} and sampling {rows} at a time", need + rows * (m + 1) * 32)
+    for what, need in ((what, need), sampled):
+        if need > MEMORY_BUDGET:
+            raise MemoryBudgetExceeded(
+                f"recording {what} needs {need} bytes, budget is {MEMORY_BUDGET}")
     paths = np.zeros((n_traj, m + 1), dtype=np.int64) if config.record_full_paths else None
     endpoints = np.zeros(n_traj, dtype=np.int64)
     for lo, hi, gaps in _gap_blocks(model, config.seed, n_traj, m):

@@ -377,6 +377,23 @@ def test_simulate_bad_inputs_exit_one(capsys, tmp_path, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--k", str(2**63), "--m", "1", "--trajectories", "3"],
+     f"uniform k={2**63} with m=1 would overflow int64: "
+     "need k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1"),
+    (["--k", "6", "--m", str(2 * 10**9), "--trajectories", "64"],
+     "recording the endpoints and z of 64 trajectories and sampling 64 at a time needs "
+     "4096000003072 bytes, budget is 2147483648"),
+], ids=["k-2**63", "sampler-buffers"])
+def test_simulate_refusal_is_one_error_line(capsys, tmp_path, monkeypatch, flags, message):
+    monkeypatch.setattr(simulation, "_gap_blocks", lambda *args: pytest.fail("sampled"))
+    out = tmp_path / "x.csv"
+    code, stdout, err = run(capsys, "simulate", "--model", "uniform", *flags, "--seed", "1",
+                            "--out", str(out))
+    assert (code, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_simulate_out_naming_its_sidecar_exits_one(capsys, tmp_path):
     # the sidecar of runs/ens.json is runs/ens.json itself: it would overwrite the ensemble
     out = tmp_path / "runs" / "ens.json"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wordperim as wp
+from wordperim import models
 from wordperim import simulation as sim
 
 U6 = wp.Model.uniform(6)
@@ -65,6 +66,39 @@ def test_endpoint_memory_budget_refusal():
     # N = 10**14 endpoints and z would take 1.6e15 bytes
     with pytest.raises(wp.MemoryBudgetExceeded, match="1600000000000000 bytes, budget is 2147483648"):
         wp.simulate(small_config(m=1, trajectories=10**14))
+
+
+def test_sampler_buffers_count_against_the_memory_budget(monkeypatch):
+    # 64 rows of 2e9 + 1 letters at 32 bytes a letter; nothing is sampled
+    monkeypatch.setattr(sim, "_gap_blocks", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(wp.MemoryBudgetExceeded) as refusal:
+        wp.simulate(small_config(m=2 * 10**9, trajectories=64))
+    assert str(refusal.value) == (
+        "recording the endpoints and z of 64 trajectories and sampling 64 at a time needs "
+        "4096000003072 bytes, budget is 2147483648")
+    # the largest m one 64-row block may take: the results plus 64 * (m + 1) * 32 bytes
+    m = (sim.MEMORY_BUDGET - 64 * 16) // (64 * 32) - 1
+    monkeypatch.setattr(sim, "_gap_blocks", lambda *args: iter(()))
+    wp.simulate(small_config(m=m, trajectories=64))
+    with pytest.raises(wp.MemoryBudgetExceeded, match="sampling 64 at a time"):
+        wp.simulate(small_config(m=m + 1, trajectories=64))
+
+
+@pytest.mark.parametrize("k, m", [(2**63, 1), (2**64 + 5, 3), (2**62 + 1, 2), (2**33, 2**33)])
+def test_uniform_k_and_m_must_keep_letters_and_sums_in_int64(k, m):
+    with pytest.raises(ValueError) as refusal:
+        small_config(model=wp.Model.uniform(k), m=m)
+    assert str(refusal.value) == (
+        f"uniform k={k} with m={m} would overflow int64: "
+        "need k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1")
+
+
+@pytest.mark.parametrize("k, m", [(2**63 - 1, 1), (2**62 + 1, 1), (2**33 + 1, 2**30 - 1)])
+def test_the_int64_bounds_themselves_are_accepted(k, m):
+    assert m * (k - 1) <= 2**63 - 1
+    small_config(model=wp.Model.uniform(k), m=m)
+    ens = wp.simulate(wp.SimulationConfig(model=wp.Model.uniform(k), m=1, trajectories=50, seed=9))
+    assert (ens.endpoints >= 0).all() and (ens.endpoints <= k - 1).all()
 
 
 def test_degenerate_model():
@@ -562,11 +596,16 @@ GOLDEN = {
         "3ae49f67e452d35e8c878c327fb5eb55e180e25173d9a92ca996feef4ce8740f",
         "ff3dbeeab982cee775de167a654686fa7c3001bc127998a178420c48ff5abf64",
     ),
+    "uniform[1,8589934592]": (  # 64-bit draws
+        "46c67364259f35e6461ef3a69bee6377447a5b11c571ded8df1a0469acbd185a",
+        "b0c47ee7a09e5bdfaaf9388da38968e4aec41a90cdcac86d1ce7cbbf043ad4fd",
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "model", [U6, wp.Model.geometric(Fraction(1, 2)), wp.Model.uniform(2**31 + 1)],
+    "model", [U6, wp.Model.geometric(Fraction(1, 2)), wp.Model.uniform(2**31 + 1),
+              wp.Model.uniform(2**33)],
     ids=lambda model: model.describe(),
 )
 def test_csv_bytes_golden(tmp_path, model):
@@ -587,39 +626,81 @@ def test_trajectory_rng_numpy_index(index):
     assert np.array_equal(wp.sample_letters(U6, wp.trajectory_rng(np.int64(9), index), 20), want)
 
 
+# Uniform k up to 2**32 takes 32-bit draws, larger k 64-bit ones; the comments
+# give the share of draws that numpy's rule rejects.
+UNIFORM_KS = [1, 2, 3, 6, 7, 1000,
+              2**31 + 1,         # about 1/2
+              3 * 2**30,         # 1/3
+              2**32 - 1, 2**32,  # 1/2**32 and none
+              2**32 + 5, 2**33, 2**40 + 3, 2**62 + 1,
+              (2**64 + 2) // 3,  # about 1/3 of 64-bit draws
+              2**63 - 1]
+
+
+@pytest.mark.parametrize("k", UNIFORM_KS)
+def test_uniform_rule_equals_generator_integers(k):
+    # the rule simulate reads raw Philox words by, against numpy's Generator
+    for seed in (9, 2**64 - 1):
+        for l in range(12):
+            key = np.array([seed, l], dtype=np.uint64)
+            for size in (1, 2, 3, 501):
+                want = np.random.Generator(np.random.Philox(key=key)).integers(
+                    1, k + 1, size=size, dtype=np.int64)
+                letters = np.empty(size, dtype=np.int64)
+                sim._uniform_row(np.random.Philox(key=key), k, size, letters)
+                assert np.array_equal(letters + 1, want), (k, seed, l, size)
+
+
 EQUIVALENCE_MODELS = [
-    wp.Model.uniform(1),
-    wp.Model.uniform(2),
-    U6,
-    wp.Model.uniform(2**31 + 1),  # about half of all draws are Lemire rejections
-    wp.Model.uniform(2**33),      # numpy draws 64-bit words: scalar path only
+    *(wp.Model.uniform(k) for k in UNIFORM_KS if 600 * (k - 1) < 2**63),
     wp.Model.geometric(Fraction(1, 1000)),
     wp.Model.geometric(Fraction(1, 2)),
     wp.Model.geometric(Fraction(999, 1000)),
 ]
 
 
-@pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda model: model.describe())
-@pytest.mark.parametrize("m", [1, 7, 50, 600])  # m = 600: a block buffer is above 128 KiB
-def test_block_sampler_equals_scalar_path(monkeypatch, model, m):
+@pytest.fixture
+def generator_spy(monkeypatch):
+    """The names of the Generator routes called while the fixture is active.
+
+    Every route to a numpy Generator is wrapped: its constructors, and
+    trajectory_rng and sample_letters under each name they are imported by.
+    """
     calls = []
 
-    def counting_rng(seed, index):
-        calls.append(index)
-        return wp.trajectory_rng(seed, index)
+    def spy(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sim, "trajectory_rng", counting_rng)
+    for module in (np.random, np.random._generator):
+        for name in ("Generator", "default_rng"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for module in (wp, sim, models):
+        for name in ("trajectory_rng", "sample_letters"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("model", EQUIVALENCE_MODELS, ids=lambda model: model.describe())
+@pytest.mark.parametrize("m", [1, 7, 50, 600])  # m = 600: a block buffer is above 128 KiB
+def test_block_sampler_equals_scalar_path(generator_spy, model, m):
     n = 2 * sim._BLOCK_ROWS + 3
     seed = 2**64 - 1  # the largest Philox key
-    cfg = dict(model=model, m=m, trajectories=n, seed=seed)
-    ends = wp.simulate(wp.SimulationConfig(**cfg))
-    with_paths = wp.simulate(wp.SimulationConfig(**cfg, record_full_paths=True))
-    fallback_rows = len(calls) // 2
-
     want = np.array([
         np.cumsum(np.abs(np.diff(wp.sample_letters(model, wp.trajectory_rng(seed, l), m + 1))))
         for l in range(n)
     ])
+    # the spy sees the reference's calls, and none of simulate's
+    assert {"trajectory_rng", "sample_letters", "Generator"} <= set(generator_spy)
+    generator_spy.clear()
+    cfg = dict(model=model, m=m, trajectories=n, seed=seed)
+    ends = wp.simulate(wp.SimulationConfig(**cfg))
+    with_paths = wp.simulate(wp.SimulationConfig(**cfg, record_full_paths=True))
+    assert generator_spy == []
+
     assert np.array_equal(with_paths.paths[:, 0], np.zeros(n))
     assert np.array_equal(with_paths.paths[:, 1:], want)
     for ens in (ends, with_paths):
@@ -627,10 +708,15 @@ def test_block_sampler_equals_scalar_path(monkeypatch, model, m):
         ref_z = np.zeros(n) if ens.degenerate_scale else (
             (want[:, -1] - float(m * ens.mean_gap)) / (ens.sigma * math.sqrt(m)))
         assert np.array_equal(ens.z, ref_z)
-    if model.k == 2**31 + 1:
-        # rows with a rejected draw take the scalar path; at m = 1 some have none
-        assert 0 < fallback_rows and (m > 1 or fallback_rows < n)
-    elif model.k == 2**33:
-        assert fallback_rows == n
-    else:
-        assert fallback_rows == 0
+
+
+@pytest.mark.parametrize("k", [k for k in UNIFORM_KS if 600 * (k - 1) >= 2**63])
+def test_block_sampler_reads_64_bit_draws_up_to_the_int64_bound(generator_spy, k):
+    # m = 1 is the only m these k allow; (2**64 + 2) // 3 re-reads about half of the rows
+    model, n, seed = wp.Model.uniform(k), 2 * sim._BLOCK_ROWS + 3, 2**64 - 1
+    want = [abs(int(b) - int(a))
+            for a, b in (wp.sample_letters(model, wp.trajectory_rng(seed, l), 2) for l in range(n))]
+    generator_spy.clear()
+    ens = wp.simulate(wp.SimulationConfig(model=model, m=1, trajectories=n, seed=seed))
+    assert generator_spy == []
+    assert ens.endpoints.tolist() == want
