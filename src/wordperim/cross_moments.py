@@ -57,16 +57,6 @@ class MomentIndex(NamedTuple):
         return MomentIndex(*exps)
 
 
-def _checked_index(idx) -> MomentIndex:
-    """``idx`` as a valid MomentIndex; one of plain ints within bounds is returned as is."""
-    if type(idx) is MomentIndex:
-        a, b, c, d = idx
-        if (type(a) is type(b) is type(c) is type(d) is int
-                and min(idx) >= 0 and max(idx) <= 3 and a + b + c + d <= 4):
-            return idx
-    return MomentIndex(*idx).validate()
-
-
 class NoClosedFormError(ValueError):
     """Raised for an index without a tabulated closed form; use the oracle.
 
@@ -184,7 +174,7 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
     Raises NoClosedFormError for indices outside the table; the brute-force
     oracle covers those.
     """
-    idx = _checked_index(idx)
+    idx = MomentIndex(*idx).validate()
     table = _closed_table(model, centered)
     fn = table.get(idx)
     if fn is None:
@@ -210,7 +200,7 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
     the leading letter is not a defined operation here, so centered=True with
     alpha > 0 is rejected.
     """
-    idx = _checked_index(idx)
+    idx = MomentIndex(*idx).validate()
     if centered and idx.alpha > 0:
         raise ValueError("centered cross-moments are defined for gap variables only (alpha must be 0)")
     return _oracle_cached(model, idx, centered)
@@ -303,7 +293,8 @@ def _sums(z0: tuple[int, int], U: int | None, polys: dict, e: int) -> tuple:
     (sum_z z**v * A[z][j](v) - start[j]) / Q, the one over 1 <= w <= U is
     total[j] / Q, and A[z][j], start[j] and total[j] are integers.  A is keyed
     by the reduced pair of z0 * z.  Each term c * z**w * w**n contributes
-    c * (z**v * R(v) - z * R(1)) by :func:`models.antidifference`.  Q is the
+    c * (z**v * R(v) - z * R(1)), with R of
+    :func:`models.integer_antidifference` over its denominator.  Q is the
     least common multiple of the denominators of z and of the R, so
     z * A[z][j](1) is an integer too.
     """

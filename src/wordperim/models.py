@@ -7,8 +7,8 @@ letters, plus a reproducible sampler on numpy's ``Generator``
 (:func:`sample_letters`): the reference that the Monte Carlo engine, which
 reads raw Philox words, is tested against.  Everything except the sampler is
 exact rational arithmetic.  Both letter laws are P(x = v) = c * z**v on
-[1, U] (:func:`letter_law`), and :func:`antidifference` sums z**w * w**n in
-closed form, also over the unbounded geometric support.
+[1, U] (:func:`letter_law`); :func:`integer_antidifference` gives the oracle
+its closed-form sums of z**w * w**n, also over the unbounded geometric support.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ class Model:
                 raise ValueError(f"geometric model needs rational 0 < p < 1, got {self.p!r}")
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
-
-    def __hash__(self) -> int:
-        # p hashed by its int parts: hashing a Fraction costs a modular inverse.
-        # Computed per call, never stored, since str hashes vary with
-        # PYTHONHASHSEED and a pickled Model would carry a stale one.
-        return hash((self.kind, self.k, self.p.numerator, self.p.denominator))
 
     @staticmethod
     def uniform(k: int) -> "Model":
@@ -139,21 +133,14 @@ def letter_pmf(model: Model, i: int) -> Fraction:
     return c * z**i if U is None or i <= U else Fraction(0)
 
 
-def antidifference(z: Fraction, n: int) -> tuple[Fraction, ...]:
-    """Coefficients r[0], r[1], ... of the polynomial R with z*R(v+1) - R(v) = v**n.
+@lru_cache(maxsize=CACHE_ENTRIES)
+def integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], int]:
+    """R with z*R(v+1) - R(v) = v**n for z = zn/zd, as (integer coefficients, their denominator).
 
     Telescoping then gives sum_{1 <= w < v} z**w * w**n = z**v * R(v) - z * R(1).
     R has degree n for z != 1; for z = 1 it is Faulhaber's polynomial of
-    degree n + 1, taken with R(0) = 0.  Each R is derived once, by
-    :func:`integer_antidifference`.
-    """
-    coefficients, den = integer_antidifference(z.numerator, z.denominator, n)
-    return tuple(Fraction(c, den) for c in coefficients)
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], int]:
-    """R of :func:`antidifference` for z = zn/zd, as (integer coefficients, their denominator).
+    degree n + 1, taken with R(0) = 0.  The coefficients are lowest power
+    first, r[i] = coefficients[i] / denominator.
 
     Cached under ints: hashing the Fraction z would cost a modular inverse per
     lookup.  The coefficient of v**m in z*R(v+1) - R(v) is
@@ -170,28 +157,17 @@ def integer_antidifference(zn: int, zd: int, n: int) -> tuple[tuple[int, ...], i
     return tuple(x.numerator * (den // x.denominator) for x in r), den
 
 
-def power_sum(z: Fraction, n: int, U: int | None) -> Fraction:
-    """sum_{w=1..U} z**w * w**n exactly; U = None sums the whole series (needs |z| < 1).
-
-    The z**(U+1) * R(U+1) term of :func:`antidifference` vanishes as U grows
-    when |z| < 1, so the unbounded sum is -z * R(1), with R(1) = sum(R).
-    """
-    R = antidifference(z, n)
-    top = 0 if U is None else z ** (U + 1) * sum(r * (U + 1) ** i for i, r in enumerate(R))
-    return top - z * sum(R)
-
-
 def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
     """Check of gap_pmf by the letter-pair sum f(u) = (2 - [u = 0]) * sum_i P(i) * P(i + u).
 
-    With P(i) = c * z**i on [1, U] the pair sum is c**2 * z**u times the power
-    sum of z**2 over i = 1 .. U - u: exact for both models, also over the
-    unbounded geometric support.
+    With P(i) = c * z**i on [1, U] the pair sum is c**2 * z**u times the sum
+    of z**(2i) over i = 1 .. U - u: max(U - u, 0) pairs for uniform (z = 1),
+    and z*z / (1 - z*z) over the unbounded geometric support.
     """
     if u < 0:
         raise ValueError(f"gap values are nonnegative, got {u}")
     c, z, U = letter_law(model)
-    pairs = c * c * z**u * power_sum(z * z, 0, None if U is None else max(U - u, 0))
+    pairs = c * c * z**u * (z * z / (1 - z * z) if U is None else max(U - u, 0))
     return pairs if u == 0 else 2 * pairs
 
 

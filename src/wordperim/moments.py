@@ -74,12 +74,7 @@ class Form:
     coefficients: tuple  # coefficients[1] is the slope, the coefficient of n
 
     def __call__(self, n: int) -> Fraction:
-        # Horner's rule on integer numerators over one common denominator
-        den = math.lcm(*(c.denominator for c in self.coefficients))
-        value = 0
-        for c in reversed(self.coefficients):
-            value = value * n + c.numerator * (den // c.denominator)
-        return Fraction(value, den)
+        return sum((c * n**i for i, c in enumerate(self.coefficients)), Fraction(0))
 
     def __add__(self, other) -> Form:
         theirs = other.coefficients if isinstance(other, Form) else (other,)

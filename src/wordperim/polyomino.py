@@ -79,11 +79,7 @@ def perimeter_decomposed_batch(words) -> PerimeterBreakdown:
     Q sums |x_j - x_(j-1)| over the gaps inside each row's word (0 < j < n),
     so the gap into the padding is left out; R adds x0 and x_(n-1).
     """
-    return _decomposed(*_check_batch(words))
-
-
-def _decomposed(letters: np.ndarray, n: np.ndarray) -> PerimeterBreakdown:
-    """perimeter_decomposed_batch's body: ``letters`` and ``n`` as :func:`_check_batch` returns them."""
+    letters, n = _check_batch(words)
     inside = np.arange(1, letters.shape[1]) < n[:, None]
     q = (np.abs(np.diff(letters, axis=1)) * inside).sum(axis=1)
     r = q + letters[:, 0] + letters[np.arange(letters.shape[0]), n - 1]
@@ -107,17 +103,11 @@ def perimeter_edge_count_batch(words) -> np.ndarray:
       one cell, bit 63 of the word underneath carried into bit 0; the carry
       out of the top word is the edge above a cell at height 64 * span.
 
-    Padding columns are empty, so they add no edge.  The kernel holds about
+    Padding columns are empty, so they add no edge.  It reads only the
+    occupancy: no word lengths, no letter differences.  The kernel holds about
     three bitsets at once, 24 bytes per 64 cells.
     """
-    return _edge_count(_check_batch(words)[0])
-
-
-def _edge_count(letters: np.ndarray) -> np.ndarray:
-    """perimeter_edge_count_batch's body, on an int64 block that :func:`_check_batch` accepted.
-
-    It reads only the occupancy: no word lengths, no letter differences.
-    """
+    letters = _check_batch(words)[0]
     span = (int(letters.max()) + 63) // 64
     # word w of column i holds clip(x_i - 64 w, 0, 64) cells: (1 << cells) - 1, built in place
     cells = letters[:, :, None] - np.arange(0, 64 * span, 64)

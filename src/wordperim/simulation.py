@@ -61,7 +61,8 @@ class SimulationConfig:
     m, trajectories and seed may be Python or numpy integers (not bool); they
     are stored as plain ints.  The seed lies in [0, 2**64), the Philox key range.
     A uniform k and m must keep letters and sums in int64: k <= 2**63 - 1 and
-    m*(k - 1) <= 2**63 - 1.
+    m*(k - 1) <= 2**63 - 1.  So must a geometric p and m: m*(L - 1) <= 2**63 - 1
+    for L the largest letter the sampler can return, at the uniform 1 - 2**-53.
     """
 
     model: Model
@@ -82,6 +83,11 @@ class SimulationConfig:
         if self.model.kind == UNIFORM and max(k, m * (k - 1)) > 2**63 - 1:
             raise ValueError(f"uniform k={k} with m={m} would overflow int64: need "
                              f"k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1")
+        if self.model.kind != UNIFORM:  # raises for a p too small or too close to 1 to sample
+            top = int(geometric_letters(self.model, np.array([1 - 2.0**-53]))[0])
+            if m * (top - 1) > 2**63 - 1:
+                raise ValueError(f"geometric p={self.model.p} with m={m} would overflow int64: "
+                                 f"need m*(L - 1) <= 2**63 - 1 for the largest letter L = {top}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "trajectories", n)
         object.__setattr__(self, "seed", seed)

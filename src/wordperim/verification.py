@@ -21,7 +21,7 @@ import numpy as np
 from . import cross_moments as xm
 from . import moments as mo
 from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution, plain_int
-from .polyomino import _check_batch, _decomposed, _edge_count
+from .polyomino import perimeter_decomposed_batch, perimeter_edge_count_batch
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -209,12 +209,10 @@ def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, np.ndarray, int,
 
     ``block`` holds one zero-padded word per row; a row fails unless P from
     the decomposition Q + x0 + x_last + 2n equals the count of its boundary
-    edges.  The block is validated once and both kernel bodies read the
-    checked int64 block; the edge count reads only its occupancy.
+    edges.  Each batched kernel validates the block itself.
     """
-    letters, n = _check_batch(block)
-    b = _decomposed(letters, n)
-    edges = _edge_count(letters)
+    b = perimeter_decomposed_batch(block)
+    edges = perimeter_edge_count_batch(block)
     rows = np.flatnonzero(b.P != edges)
     return list(zip(rows.tolist(), block[rows], b.P[rows].tolist(), edges[rows].tolist()))
 
@@ -328,10 +326,15 @@ def run_verification(
 
 
 def format_report(checks: list[IdentityCheck]) -> str:
+    """One line per check, then a summary; a check that compared nothing reads SKIP.
+
+    A skipped check still passes (it has no failures), but it is left out of
+    the summary's pass count and named there.
+    """
     lines = []
     width = max(len(c.name) for c in checks)
     for c in checks:
-        status = "PASS" if c.passed else "FAIL"
+        status = "FAIL" if not c.passed else "SKIP" if c.instances == 0 else "PASS"
         lines.append(
             f"{status}  {c.name:<{width}}  instances={c.instances:<6d} max_dev={c.max_deviation:.3e}"
         )
@@ -339,8 +342,11 @@ def format_report(checks: list[IdentityCheck]) -> str:
             lines.append(f"      offending: {f}")
     total = sum(c.instances for c in checks)
     bad = [c for c in checks if not c.passed]
+    skipped = [c for c in checks if c.passed and c.instances == 0]
+    passed = len(checks) - len(bad) - len(skipped)
     lines.append(
-        f"{len(checks) - len(bad)}/{len(checks)} identities pass over {total} instances"
+        f"{passed}/{len(checks)} identities pass over {total} instances"
+        + ("" if not skipped else f"; SKIPPED: {', '.join(c.name for c in skipped)}")
         + ("" if not bad else f"; FAILED: {', '.join(c.name for c in bad)}")
     )
     return "\n".join(lines)

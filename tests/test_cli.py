@@ -259,6 +259,12 @@ def test_verify_zero_random_words(capsys):
     )
     assert code == 0
     assert "randomized larger words" in out and "FAIL" not in out
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("SKIP")] == [
+        "SKIP  perimeter identity, randomized larger words                        "
+        "instances=0      max_dev=0.000e+00"]
+    assert lines[-1] == ("12/13 identities pass over 3077 instances; "
+                         "SKIPPED: perimeter identity, randomized larger words")
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +384,20 @@ def test_simulate_bad_inputs_exit_one(capsys, tmp_path, flags, message):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--k", str(2**63), "--m", "1", "--trajectories", "3"],
+    (["--model", "uniform", "--k", str(2**63), "--m", "1", "--trajectories", "3"],
      f"uniform k={2**63} with m=1 would overflow int64: "
      "need k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1"),
-    (["--k", "6", "--m", str(2 * 10**9), "--trajectories", "64"],
+    (["--model", "uniform", "--k", "6", "--m", str(2 * 10**9), "--trajectories", "64"],
      "recording the endpoints and z of 64 trajectories and sampling 64 at a time needs "
      "4096000003072 bytes, budget is 2147483648"),
-], ids=["k-2**63", "sampler-buffers"])
+    (["--model", "geometric", "--p", "1/10000000000000000", "--m", "2000", "--trajectories", "5"],
+     "geometric p=1/10000000000000000 with m=2000 would overflow int64: "
+     "need m*(L - 1) <= 2**63 - 1 for the largest letter L = 367368005696771008"),
+], ids=["k-2**63", "sampler-buffers", "geometric-p-1e-16"])
 def test_simulate_refusal_is_one_error_line(capsys, tmp_path, monkeypatch, flags, message):
     monkeypatch.setattr(simulation, "_gap_blocks", lambda *args: pytest.fail("sampled"))
     out = tmp_path / "x.csv"
-    code, stdout, err = run(capsys, "simulate", "--model", "uniform", *flags, "--seed", "1",
-                            "--out", str(out))
+    code, stdout, err = run(capsys, "simulate", *flags, "--seed", "1", "--out", str(out))
     assert (code, stdout, err) == (1, "", f"error: {message}\n")
     assert not out.exists()
 

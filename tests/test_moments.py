@@ -3,8 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import wordperim as wp
 from wordperim import cross_moments as xm
@@ -153,17 +151,6 @@ def test_form_arithmetic_and_evaluation():
     assert cancelled(7) == -3 and isinstance(cancelled(7), Fraction)
     with pytest.raises(TypeError):  # a form multiplies by numbers only
         m * m
-
-
-rationals = st.fractions(max_denominator=10**6)
-
-
-@given(st.lists(st.one_of(rationals, st.integers(-10**9, 10**9)), max_size=5),
-       st.integers(-10**4, 10**4))
-def test_form_value_is_the_exact_sum_of_its_terms(coefficients, n):
-    value = mo.Form(tuple(coefficients))(n)
-    assert isinstance(value, Fraction)
-    assert value == sum((Fraction(c) * n**i for i, c in enumerate(coefficients)), Fraction(0))
 
 
 def test_moments_are_forms_of_degree_one_in_n():

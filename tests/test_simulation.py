@@ -101,6 +101,27 @@ def test_the_int64_bounds_themselves_are_accepted(k, m):
     assert (ens.endpoints >= 0).all() and (ens.endpoints <= k - 1).all()
 
 
+# (p, L, m): L is the largest letter the geometric sampler can return at p, from
+# the uniform 1 - 2**-53.  L - 1 = 7 * 73 * 127 divides 2**63 - 1, so m*(L - 1)
+# is 2**63 - 1 exactly; L - 1 = 2**16, so (m + 1)*(L - 1) is 2**63 exactly.
+GEOMETRIC_INT64_EDGES = [(Fraction(20, 35341), 64898, (2**63 - 1) // 64897),
+                         (Fraction(20, 35689), 65537, 2**47 - 1)]
+
+
+@pytest.mark.parametrize("p, top, m", GEOMETRIC_INT64_EDGES)
+def test_geometric_p_and_m_must_keep_sums_in_int64(p, top, m):
+    model = wp.Model.geometric(p)
+    assert models.geometric_letters(model, np.array([1 - 2.0**-53])).tolist() == [top]
+    assert m * (top - 1) <= 2**63 - 1 < (m + 1) * (top - 1)
+    assert 2**63 - 1 in (m * (top - 1), (m + 1) * (top - 1) - 1)
+    assert small_config(model=model, m=m).m == m
+    with pytest.raises(ValueError) as refusal:
+        small_config(model=model, m=m + 1)
+    assert str(refusal.value) == (
+        f"geometric p={p} with m={m + 1} would overflow int64: "
+        f"need m*(L - 1) <= 2**63 - 1 for the largest letter L = {top}")
+
+
 def test_degenerate_model():
     ens = wp.simulate(wp.SimulationConfig(model=wp.Model.uniform(1), m=10, trajectories=5, seed=0))
     assert ens.degenerate_scale

@@ -15,7 +15,6 @@ import pytest
 import wordperim as wp
 from wordperim import cross_moments as xm
 from wordperim import moments as mo
-from wordperim import polyomino as po
 from wordperim import verification as ver
 
 
@@ -33,6 +32,31 @@ def test_instance_counts_are_reported():
     by_name = {c.name: c for c in checks}
     random_chk = by_name["perimeter identity, randomized larger words"]
     assert random_chk.instances == 50
+
+
+def test_a_check_without_instances_reads_skip():
+    checks = [ver.IdentityCheck("compared", instances=3), ver.IdentityCheck("empty"),
+              ver.IdentityCheck("broken", failures=["x: 1 != 2"])]
+    assert [c.passed for c in checks] == [True, True, False]
+    assert wp.format_report(checks).splitlines() == [
+        "PASS  compared  instances=3      max_dev=0.000e+00",
+        "SKIP  empty     instances=0      max_dev=0.000e+00",
+        "FAIL  broken    instances=0      max_dev=0.000e+00",
+        "      offending: x: 1 != 2",
+        "1/3 identities pass over 3 instances; SKIPPED: empty; FAILED: broken",
+    ]
+
+
+def test_an_empty_p_list_skips_the_geometric_cross_moments():
+    checks = wp.run_verification(k_max=2, p_list=[], n_max=5, random_words=0)
+    assert all(c.passed for c in checks)
+    skipped = ["cross-moment closed forms vs oracle (geometric)",
+               "perimeter identity, randomized larger words"]
+    assert [c.name for c in checks if c.instances == 0] == skipped
+    lines = wp.format_report(checks).splitlines()
+    assert [line.split("  ")[1] for line in lines if line.startswith("SKIP")] == skipped
+    assert lines[-1].startswith("11/13 identities pass over ")
+    assert lines[-1].endswith(f"; SKIPPED: {', '.join(skipped)}")
 
 
 def test_mu3_zero_at_k_two():
@@ -77,13 +101,13 @@ def test_corrupted_geometric_closed_form_is_caught(monkeypatch):
 
 
 def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
-    real = ver._edge_count
+    real = ver.perimeter_edge_count_batch
 
     def off_by_one_on_short_words(words):
         edges = real(words)
         return edges + (np.count_nonzero(words, axis=1) < 5)
 
-    monkeypatch.setattr(ver, "_edge_count", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert 1 <= len(check.failures) <= 5
@@ -100,13 +124,13 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
 
 def test_a_broken_decomposition_fails_both_perimeter_checks(monkeypatch):
     # the decomposition side of the identity: P one too large on short words
-    real = ver._decomposed
+    real = ver.perimeter_decomposed_batch
 
-    def off_by_one_on_short_words(letters, n):
-        b = real(letters, n)
-        return b._replace(P=b.P + (n < 5))
+    def off_by_one_on_short_words(words):
+        b = real(words)
+        return b._replace(P=b.P + (np.count_nonzero(words, axis=1) < 5))
 
-    monkeypatch.setattr(ver, "_decomposed", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeter_decomposed_batch", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert len(check.failures) == 5
@@ -164,10 +188,10 @@ def unpadded(block):
 def record_kernel_words(monkeypatch):
     """Counters of (word, P) and (word, edge count) of the words the kernels get from now on."""
     seen_p, seen_edges = Counter(), Counter()
-    real_decomposed, real_edges = ver._decomposed, ver._edge_count
+    real_decomposed, real_edges = ver.perimeter_decomposed_batch, ver.perimeter_edge_count_batch
 
-    def recording_decomposed(words, n):
-        b = real_decomposed(words, n)
+    def recording_decomposed(words):
+        b = real_decomposed(words)
         seen_p.update(zip(unpadded(words), b.P.tolist()))
         return b
 
@@ -176,18 +200,18 @@ def record_kernel_words(monkeypatch):
         seen_edges.update(zip(unpadded(words), edges.tolist()))
         return edges
 
-    monkeypatch.setattr(ver, "_decomposed", recording_decomposed)
-    monkeypatch.setattr(ver, "_edge_count", recording_edges)
+    monkeypatch.setattr(ver, "perimeter_decomposed_batch", recording_decomposed)
+    monkeypatch.setattr(ver, "perimeter_edge_count_batch", recording_edges)
     return seen_p, seen_edges
 
 
 def test_random_failures_are_the_first_in_draw_order(monkeypatch):
-    real = ver._edge_count
+    real = ver.perimeter_edge_count_batch
 
     def off_by_one_on_short_words(words):
         return real(words) + (np.count_nonzero(words, axis=1) < 5)
 
-    monkeypatch.setattr(ver, "_edge_count", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
     expected = []
     for word, _ in reference_random_words(2000, seed=3):
         p = wp.perimeter_decomposed(word).P
@@ -432,18 +456,3 @@ def test_a_form_off_by_a_multiple_of_n4_n5_fails_at_every_other_n(monkeypatch, c
     names = [f"{m.describe()} n={n}" for m in MODELS for n in failing_n]
     assert [f.split(":")[0] for f in got.failures] == names[:5]
 
-
-def test_each_perimeter_block_is_validated_once(monkeypatch):
-    seen = {"verification": 0, "polyomino": 0}
-    for module, name in ((ver, "verification"), (po, "polyomino")):
-        real = module._check_batch
-
-        def counting(words, _real=real, _name=name):
-            seen[_name] += 1
-            return _real(words)
-
-        monkeypatch.setattr(module, "_check_batch", counting)
-    check = ver.check_perimeter_exhaustive()
-    blocks = sum(-(-k**n // ver._KERNEL_WORDS) for k, n in ver.EXHAUSTIVE_PERIMETER)
-    assert check.passed
-    assert seen == {"verification": blocks, "polyomino": 0}
