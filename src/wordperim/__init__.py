@@ -6,7 +6,15 @@ Q the sum of absolute gaps.  This package computes the first three moments
 of P exactly (uniform [1,k] and geometric(p) letters), cross-validates every
 closed form against brute-force expectation sums, and verifies the Gaussian
 and Brownian limit laws of the gap-sum process by seeded Monte Carlo.
+
+The exact core (``models``, ``cross_moments``, ``moments``, ``polyomino``,
+``verification``) loads without numpy.  The names of ``simulation`` and
+``empirics``, and the modules ``simulation``, ``empirics`` and ``svgplot``,
+are loaded on first access (PEP 562), so ``import wordperim`` does not
+import numpy.
 """
+
+import importlib
 
 from .cross_moments import (
     MomentIndex,
@@ -14,15 +22,6 @@ from .cross_moments import (
     cross_moment_closed,
     cross_moment_oracle,
     mean_gap,
-)
-from .empirics import (
-    GofReport,
-    Histogram,
-    build_histogram,
-    gaussian_cell_masses,
-    goodness_of_fit,
-    ks_statistic,
-    normal_cdf,
 )
 from .models import (
     GEOMETRIC,
@@ -45,24 +44,39 @@ from .moments import (
 from .polyomino import (
     PerimeterBreakdown,
     perimeter_decomposed,
-    perimeter_decomposed_batch,
     perimeter_edge_count,
-    perimeter_edge_count_batch,
     render_polyomino,
-)
-from .simulation import (
-    EmpiricalMoments,
-    MemoryBudgetExceeded,
-    SimulationConfig,
-    TrajectoryEnsemble,
-    empirical_moments,
-    normalized_path,
-    simulate,
-    trajectory_rng,
 )
 from .verification import IdentityCheck, format_report, run_verification
 
 __version__ = "0.1.0"
+
+# the submodules that import numpy, and the public names each of them serves
+_LAZY_MODULES = {
+    "empirics": ("GofReport", "Histogram", "build_histogram", "gaussian_cell_masses",
+                 "goodness_of_fit", "ks_statistic", "normal_cdf"),
+    "simulation": ("EmpiricalMoments", "MemoryBudgetExceeded", "SimulationConfig",
+                   "TrajectoryEnsemble", "empirical_moments", "normalized_path", "simulate",
+                   "trajectory_rng"),
+    "svgplot": (),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a numpy-backed submodule, or the one that holds ``name``, on first access."""
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+        globals()[name] = value  # later lookups find it without this hook
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_MODULES) | set(_LAZY_NAMES))
+
 
 __all__ = [
     "EmpiricalMoments",
@@ -98,9 +112,7 @@ __all__ = [
     "normal_cdf",
     "normalized_path",
     "perimeter_decomposed",
-    "perimeter_decomposed_batch",
     "perimeter_edge_count",
-    "perimeter_edge_count_batch",
     "render_polyomino",
     "run_verification",
     "sample_letters",

@@ -6,6 +6,11 @@ Every command that writes files creates their directories and also writes
 ``<out>.manifest.json`` with sha256 digests of all its outputs; identical
 flags reproduce identical digests (simulation is seeded, output formats are
 deterministic).
+
+The commands import what they need when they run: ``simulate``,
+``histogram`` and ``plot`` load numpy and the modules built on it
+(``simulation``, ``empirics``, ``svgplot``); ``moments``, ``xmoment``,
+``verify`` and ``render`` run without numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +23,9 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import cross_moments as xm
-from . import empirics, moments, simulation, svgplot, verification
+from . import moments, verification
 from .models import Model
 from .polyomino import perimeter_decomposed, render_polyomino
 
@@ -89,12 +92,14 @@ def _write_outputs(command: str, flags: dict, writers: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
     manifest = _manifest_path(next(iter(writers)))
-    simulation._write_json({
+    doc = {
         "command": command,
         "flags": {k: str(v) for k, v in sorted(flags.items())},
         "version": __version__,
         "outputs": {p.name: _sha256(p) for p in sorted(writers)},
-    }, manifest)
+    }
+    manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8",
+                        newline="\n")
     print("wrote", *writers, manifest)
 
 
@@ -205,6 +210,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation
+
     model = _model_from_args(args)
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
@@ -236,6 +243,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    from . import empirics, simulation
+
     out = Path(args.out)
     outputs = {"--out": out, "the manifest": _manifest_path(out)}
     if args.gof:
@@ -259,6 +268,8 @@ def cmd_histogram(args) -> int:
 
 def _read_sidecar(csv_path) -> tuple[float, float]:
     """(mean gap, sigma) from the config sidecar ``<stem>.json`` next to a path CSV."""
+    from . import simulation
+
     path = Path(csv_path).with_suffix(".json")
     try:
         doc = simulation.read_config_sidecar(path)
@@ -293,13 +304,15 @@ def _simulated_grid(csv: Path) -> tuple[int, int] | None:
         return None
 
 
-def _read_path(csv: str, trajectory: int) -> tuple[np.ndarray | None, int]:
-    """(Q(0..m) of path ``trajectory``, or None if out of range; N) of a path CSV.
+def _read_path(csv: str, trajectory: int) -> tuple:
+    """(Q(0..m) of path ``trajectory``, int64, or None if out of range; N) of a path CSV.
 
     A CSV proven by ``_simulated_grid`` is parsed for that one path only;
     any other, or one whose path does not read back as its manifest says, is
     parsed whole by ``read_path_csv``, which reports what is wrong with it.
     """
+    from . import simulation
+
     grid = _simulated_grid(Path(csv))
     if grid is not None:
         n, m = grid
@@ -315,6 +328,10 @@ def _read_path(csv: str, trajectory: int) -> tuple[np.ndarray | None, int]:
 
 
 def cmd_plot(args) -> int:
+    import numpy as np
+
+    from . import empirics, simulation, svgplot
+
     kind = args.kind
     flags = {"kind": kind, "input": args.input or "", "out": args.out,
              "trajectory": args.trajectory}

@@ -6,7 +6,8 @@ letter and for the absolute gap ``|x1 - x0|`` between two consecutive
 letters, plus a reproducible sampler on numpy's ``Generator``
 (:func:`sample_letters`): the reference that the Monte Carlo engine, which
 reads raw Philox words, is tested against.  Everything except the sampler is
-exact rational arithmetic.  Both letter laws are P(x = v) = c * z**v on
+exact rational arithmetic, and only the sampler imports numpy, so the exact
+core loads without it.  Both letter laws are P(x = v) = c * z**v on
 [1, U] (:func:`letter_law`); :func:`integer_antidifference` gives the oracle
 its closed-form sums of z**w * w**n, also over the unbounded geometric support.
 """
@@ -18,8 +19,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 UNIFORM = "uniform"
 GEOMETRIC = "geometric"
@@ -175,24 +174,27 @@ def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
 _LOG1P_BELOW = Fraction(1, 2**26)
 
 
-def sample_letters(model: Model, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. letters as an int64 array.
+def sample_letters(model: Model, rng, size: int):
+    """Draw ``size`` i.i.d. letters as an int64 array from numpy's Generator ``rng``.
 
     Geometric letters come from inversion of the closed-form CDF 1 - q**i
     (no rejection), so a given uniform-bits stream always yields the same
     letters.
     """
+    import numpy as np
+
     if model.kind == UNIFORM:
         return rng.integers(1, model.k + 1, size=size, dtype=np.int64)
     return geometric_letters(model, rng.random(size))
 
 
-def geometric_letters(model: Model, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Geometric letters from uniforms ``u`` in [0, 1), by inversion of 1 - q**i.
+def geometric_letters(model: Model, u, out=None):
+    """Geometric letters from float64 uniforms ``u`` in [0, 1), by inverting 1 - q**i.
 
-    With ``out``, an int64 array of u's shape, the letters are written there
-    and ``u`` serves as scratch space (it is overwritten), so that a caller
-    drawing block after block allocates nothing.  Raises ``ValueError`` when
+    Returns an int64 array.  With ``out``, an int64 array of u's shape, the
+    letters are written there and ``u`` serves as scratch space (it is
+    overwritten), so that a caller drawing block after block allocates
+    nothing.  Raises ``ValueError`` when
     1 - p rounds to 1.0 in float64 (p too small: the inversion would divide
     by log(1.0) = 0) or to 0.0 (p too close to 1: log(0.0) is undefined).
 
@@ -200,6 +202,8 @@ def geometric_letters(model: Model, u: np.ndarray, out: np.ndarray | None = None
     keeps its bytes; below, float(q) keeps too few digits of p (ln q off by
     2.2e-5 relative at p = 1e-12), so ln q is ``log1p(-float(p))``.
     """
+    import numpy as np
+
     q = float(model.q)
     if q in (0.0, 1.0):
         raise ValueError(f"geometric p = {model.p} is too {'small' if q else 'close to 1'} to "

@@ -3,126 +3,150 @@
 A word (x0, ..., x_m) materializes as the union of unit cells
 {(i, h) : 0 <= i <= m, 1 <= h <= x_i}: column i is a stack of x_i cells on a
 common baseline.  The perimeter (number of unit boundary edges) is computed
-two independent ways:
+two independent ways, on plain Python ints:
 
-* :func:`perimeter_decomposed_batch` -- the decomposition P = Q + x0 + x_m + 2n
+* :func:`perimeter_from_gaps` -- the decomposition P = Q + x0 + x_m + 2n
   with Q the sum of absolute gaps; it reads only the letters and their gaps;
-* :func:`perimeter_edge_count_batch` -- literal geometry: an edge is on the
+* :func:`perimeter_from_edges` -- literal geometry: an edge is on the
   boundary iff exactly one of its two adjacent cells belongs to the union; it
-  reads only the occupancy, packed 64 cells to a ``uint64`` word, and counts
-  the cells whose neighbour differs with XOR and popcount (the bitboard
-  technique), so a block costs about one machine word per column whatever
-  its height; it takes no letter differences, no min/max of neighbouring
-  letters and no gap arithmetic.
+  reads only the occupancy, packed into one int with a field of bits per
+  column, and counts the cells whose neighbour differs with XOR and
+  ``int.bit_count`` (the bitboard technique); it takes no letter
+  differences, no min/max of neighbouring letters and no gap arithmetic.
 
-Both kernels take a block of words as a 2-D integer array, one word per row,
-padded on the right with 0 to the block's longest word.  A row is a nonempty
-run of positive letters followed by zeros only; its word length n is its
-number of nonzero entries.  Padding cannot change either result: a zero
-column holds no cell, so it adds no boundary edge, and the decomposition masks
-the gaps to each row's first n letters.  :func:`perimeter_decomposed` and
-:func:`perimeter_edge_count` are the one-word API; each validates a 1-D word
-and calls its route's kernel on a block of one row, so each route has a single
-implementation.  Their equality over all words is one of the library's
-acceptance checks.
+Both routes take a valid word: a nonempty sequence (list, tuple or bytes) of
+positive Python ints, which they do not check.  :func:`perimeter_decomposed`
+and :func:`perimeter_edge_count` are the one-word API: each validates a word
+once, through :func:`word_letters`, and calls its route, so each route has a
+single implementation.  Their equality over all words is one of the
+library's acceptance checks.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple, Sequence
 
-import numpy as np
+from .models import plain_int
 
 RENDER_MAX_HEIGHT = 10**4
 RENDER_CELL_PX = 24.0  # side of one drawn cell, and the margin around the drawing
+# the edge count refuses a word whose bitset would hold more bits (16 MiB)
+EDGE_COUNT_MAX_BITS = 2**27
+# Words of at most 64 letters, all below 32, get 4-byte fields in a few
+# whole-word operations: each field holds its letter x in all four bytes,
+# byte j tagged with 32 j, and one translate maps x + 32 j to byte j of the
+# column's occupancy (1 << x) - 1.
+_SHORT_WORD = 64
+_FIELD_TAGS = int.from_bytes(b"\x00\x20\x40\x60" * _SHORT_WORD, "little")
+_TALL_BITS = int.from_bytes(b"\xe0\x00\x00\x00" * _SHORT_WORD, "little")  # set by x >= 32
+_OCCUPANCY_BYTES = bytes(((1 << v % 32) - 1) >> 8 * (v // 32) & 255 for v in range(256))
 
 
 class PerimeterBreakdown(NamedTuple):
-    """Perimeter split P = Q + x0 + x_m + 2n (Q gap sum, R = P - 2n vertical part).
+    """Perimeter split P = Q + x0 + x_m + 2n (Q gap sum, R = P - 2n vertical part)."""
 
-    The one-word API holds ints; the batch kernel holds int64 arrays, one
-    entry per row.
+    Q: int
+    R: int
+    P: int
+
+
+def word_letters(word) -> list[int]:
+    """The letters of ``word`` as plain ints.
+
+    ValueError unless ``word`` is a nonempty 1-D sequence of positive
+    integers: Python and numpy integers pass; bool, float, str and nested
+    sequences do not.
     """
-
-    Q: int | np.ndarray
-    R: int | np.ndarray
-    P: int | np.ndarray
-
-
-def _check_word(word: Sequence[int]) -> np.ndarray:
-    letters = np.asarray(word, dtype=np.int64)
-    if letters.ndim != 1 or letters.size == 0:
+    try:
+        items = list(word)
+    except TypeError:  # not a sequence: a number, or a 0-d array
+        items = []
+    if not items:
         raise ValueError("a word is a nonempty 1-D sequence of letters")
-    if letters.min() < 1:
-        raise ValueError("letters must be positive integers")
+    letters = []
+    for item in items:
+        letter = plain_int(item)
+        if letter is None or letter < 1:
+            raise ValueError(f"letters must be positive integers, got {item!r}")
+        letters.append(letter)
     return letters
 
 
-def _check_batch(words) -> tuple[np.ndarray, np.ndarray]:
-    """The batch as int64 and each row's word length n; rejects malformed rows."""
-    letters = np.asarray(words, dtype=np.int64)
-    if letters.ndim != 2 or letters.size == 0:
-        raise ValueError("a batch is a nonempty 2-D array, one zero-padded word per row")
-    if letters.min() < 0:
-        raise ValueError("letters must be positive integers")
-    present = letters > 0
-    if (present[:, 1:] > present[:, :-1]).any():
-        raise ValueError("a 0 may only pad a word on the right")
-    if not present[:, 0].all():
-        raise ValueError("every row of a batch must hold a nonempty word")
-    return letters, present.sum(axis=1)
+def perimeter_from_gaps(letters: Sequence[int]) -> tuple[int, int, int]:
+    """(Q, R, P) of a valid word, from its letters and their gaps.
 
-
-def perimeter_decomposed_batch(words) -> PerimeterBreakdown:
-    """Breakdown of every row's perimeter, from the letters and their gaps.
-
-    Q sums |x_j - x_(j-1)| over the gaps inside each row's word (0 < j < n),
-    so the gap into the padding is left out; R adds x0 and x_(n-1).
+    Q sums |x_j - x_(j-1)| over 0 < j < n; R adds x0 and x_(n-1); P adds 2n.
     """
-    letters, n = _check_batch(words)
-    inside = np.arange(1, letters.shape[1]) < n[:, None]
-    q = (np.abs(np.diff(letters, axis=1)) * inside).sum(axis=1)
-    r = q + letters[:, 0] + letters[np.arange(letters.shape[0]), n - 1]
-    return PerimeterBreakdown(Q=q, R=r, P=r + 2 * n)
+    q = sum(map(abs, map(sub, letters[1:], letters)))
+    r = q + letters[0] + letters[-1]
+    return q, r, r + 2 * len(letters)
 
 
-def perimeter_edge_count_batch(words) -> np.ndarray:
-    """Count every row's boundary edges on its packed occupancy (geometry oracle).
+def _short_columns(letters: Sequence[int]) -> bytes | None:
+    """The 4-byte fields of a word of at most 64 letters below 32; None for any other word."""
+    n = len(letters)
+    if n > _SHORT_WORD:
+        return None
+    spread = bytearray(4 * n)
+    try:
+        spread[0::4] = letters  # each letter in byte 0 of its field
+    except ValueError:  # a letter above 255
+        return None
+    lanes = int.from_bytes(spread, "little")
+    if lanes & _TALL_BITS:
+        return None
+    tagged = lanes * 0x01010101 + (_FIELD_TAGS >> 32 * (_SHORT_WORD - n))
+    return tagged.to_bytes(4 * n, "little").translate(_OCCUPANCY_BYTES)
 
-    Column i of row b is held as ``span`` = ceil(H / 64) ``uint64`` words,
-    with H the block's tallest letter: bit h-1 of ``col[b, i]`` (word
-    (h-1) // 64, bit (h-1) % 64) is set iff cell (i, h) belongs to the row's
-    polyomino.  A unit edge is on the boundary iff exactly one of its two
-    adjacent cells is occupied, so the kernel counts occupancy changes with
-    XOR and popcount:
 
-    * vertical edges: ``col[i] ^ col[i+1]`` between neighbouring columns,
-      plus every cell of the first and the last column, whose outer
-      neighbours are outside;
-    * horizontal edges: ``col ^ below``, where ``below`` is ``col`` shifted up
-      one cell, bit 63 of the word underneath carried into bit 0; the carry
-      out of the top word is the edge above a cell at height 64 * span.
+def _columns(letters: Sequence[int]) -> tuple[bytes | bytearray, int]:
+    """The valid word's occupancy as little-endian bytes, and its field width F in bits.
 
-    Padding columns are empty, so they add no edge.  It reads only the
-    occupancy: no word lengths, no letter differences.  The kernel holds about
-    three bitsets at once, 24 bytes per 64 cells.
+    Bit i*F + h - 1 is set iff cell (i, h) belongs to the polyomino.  F
+    exceeds the tallest letter, so the top bit of every field is empty: 32
+    for a short word of letters below 32, else 8 * (tallest // 8 + 1), each
+    field written on its own into one buffer, so that nothing but the buffer
+    grows with the word.  ValueError, before the buffer is allocated, when
+    the bitset would hold more than EDGE_COUNT_MAX_BITS bits.
     """
-    letters = _check_batch(words)[0]
-    span = (int(letters.max()) + 63) // 64
-    # word w of column i holds clip(x_i - 64 w, 0, 64) cells: (1 << cells) - 1, built in place
-    cells = letters[:, :, None] - np.arange(0, 64 * span, 64)
-    np.clip(cells, 0, 64, out=cells)
-    col = cells.view(np.uint64)
-    np.left_shift(np.uint64(1), col, out=col)
-    col -= np.uint64(1)  # numpy shifts 64 places to 0, so a full word wraps to all ones
-    ones = np.bitwise_count
-    vertical = ones(col[:, :-1] ^ col[:, 1:]).sum(axis=(1, 2))
-    vertical += ones(col[:, 0]).sum(1) + ones(col[:, -1]).sum(1)
-    below = col << np.uint64(1)
-    below[:, :, 1:] |= col[:, :, :-1] >> np.uint64(63)
-    horizontal = ones(np.bitwise_xor(below, col, out=below)).sum(axis=(1, 2))
-    horizontal += (col[:, :, -1] >> np.uint64(63)).sum(1)
-    return (vertical + horizontal).astype(np.int64)
+    columns = _short_columns(letters)
+    if columns is not None:
+        return columns, 32
+    n, tallest = len(letters), max(letters)
+    size = tallest // 8 + 1
+    if 8 * size * n > EDGE_COUNT_MAX_BITS:
+        raise ValueError(f"edge count refuses letter {tallest}: a word of {n} letters up to it "
+                         f"needs {8 * size * n} bits of bitset, above {EDGE_COUNT_MAX_BITS}")
+    columns = bytearray(size * n)
+    for i, x in enumerate(letters):
+        columns[size * i : size * (i + 1)] = ((1 << x) - 1).to_bytes(size, "little")
+    return columns, 8 * size
+
+
+def perimeter_from_edges(letters: Sequence[int]) -> int:
+    """Count a valid word's boundary edges on its bitboard (geometry oracle).
+
+    The word's occupancy is one int, ``board``, with column i in field i of
+    F bits (see ``_columns``).  A unit edge is on the boundary iff exactly
+    one of its two adjacent cells is occupied, so the route counts occupancy
+    changes:
+
+    * vertical edges: ``board ^ board << F`` compares each column with its
+      left neighbour; the first column's left neighbour and the last
+      column's right neighbour are the empty fields around the word;
+    * horizontal edges: ``board ^ board << 1`` compares each cell with the
+      one beneath it; a field's bit 0 meets the empty top bit of the field
+      below, which stands for the ground.
+
+    It reads only the occupancy: no letter differences.  It holds the board,
+    a shifted copy and their XOR at once: about three bitsets for a long
+    word, five for a single letter, whose board a shift by one field doubles.
+    """
+    columns, field = _columns(letters)
+    board = int.from_bytes(columns, "little")
+    del columns
+    return (board ^ board << field).bit_count() + (board ^ board << 1).bit_count()
 
 
 def perimeter_decomposed(word: Sequence[int]) -> PerimeterBreakdown:
@@ -130,13 +154,15 @@ def perimeter_decomposed(word: Sequence[int]) -> PerimeterBreakdown:
 
     For a single-letter word Q = 0 and P = 2*x0 + 2.
     """
-    breakdown = perimeter_decomposed_batch(_check_word(word)[None])
-    return PerimeterBreakdown(*(int(v[0]) for v in breakdown))
+    return PerimeterBreakdown(*perimeter_from_gaps(word_letters(word)))
 
 
 def perimeter_edge_count(word: Sequence[int]) -> int:
-    """Count boundary edges of the cell union directly (geometry oracle)."""
-    return int(perimeter_edge_count_batch(_check_word(word)[None])[0])
+    """Count boundary edges of the cell union directly (geometry oracle).
+
+    ValueError for a word whose bitset would exceed EDGE_COUNT_MAX_BITS.
+    """
+    return perimeter_from_edges(word_letters(word))
 
 
 def render_polyomino(word: Sequence[int]) -> str:
@@ -146,11 +172,11 @@ def render_polyomino(word: Sequence[int]) -> str:
     a move-to/line-to pair per boundary edge, so the number of ``L`` commands
     in the path equals the perimeter.  Words taller than 10**4 are refused.
     """
-    letters = _check_word(word)
-    if letters.max() > RENDER_MAX_HEIGHT:
+    letters = word_letters(word)
+    height = max(letters)
+    if height > RENDER_MAX_HEIGHT:
         raise ValueError(f"render refuses letters above {RENDER_MAX_HEIGHT}")
-    n = letters.size
-    height = int(letters.max())
+    n = len(letters)
     cell_px = margin = RENDER_CELL_PX
     width_px = n * cell_px + 2 * margin
     height_px = height * cell_px + 2 * margin
@@ -168,14 +194,14 @@ def render_polyomino(word: Sequence[int]) -> str:
         '<g fill="#9ecae1" stroke="#6baed6" stroke-width="1">',
     ]
     for i, x in enumerate(letters):
-        for h in range(int(x)):
+        for h in range(x):
             parts.append(
                 f'<rect x="{sx(i):.2f}" y="{sy(h + 1):.2f}" '
                 f'width="{cell_px:.2f}" height="{cell_px:.2f}"/>'
             )
     parts.append("</g>")
 
-    cells = {(i, h) for i, x in enumerate(letters) for h in range(1, int(x) + 1)}
+    cells = {(i, h) for i, x in enumerate(letters) for h in range(1, x + 1)}
     edges = []
     for i, h in sorted(cells):
         # vertical edges: left of (i,h) vs (i-1,h), right vs (i+1,h)
@@ -195,8 +221,8 @@ def render_polyomino(word: Sequence[int]) -> str:
     parts.append(f'<path d="{d}" stroke="#08306b" stroke-width="2.5" fill="none"/>')
     parts.append(
         f'<text x="{margin:.0f}" y="{margin * 0.7:.0f}" font-family="monospace" '
-        f'font-size="12">word={",".join(str(int(x)) for x in letters)} '
-        f"P={perimeter_decomposed(letters).P}</text>"
+        f'font-size="12">word={",".join(map(str, letters))} '
+        f"P={perimeter_from_gaps(letters)[2]}</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -11,17 +11,17 @@ support (see :mod:`wordperim.cross_moments`).
 from __future__ import annotations
 
 import hashlib
+import struct
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
-
-import numpy as np
+from itertools import compress, product, zip_longest
+from operator import itemgetter, ne
 
 from . import cross_moments as xm
 from . import moments as mo
 from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution, plain_int
-from .polyomino import perimeter_decomposed_batch, perimeter_edge_count_batch
+from .polyomino import perimeter_from_edges, perimeter_from_gaps
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -29,14 +29,12 @@ DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4
 EXHAUSTIVE_PERIMETER = tuple(
     [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 7)] + [(4, n) for n in range(2, 6)]
 )
-# words per window of the random perimeter check, regrouped at once by length:
-# 2048 words group about as tightly as 4096, with a lower peak RSS
+# words per window of the random perimeter check: one SHAKE-128 digest each
 _WINDOW_WORDS = 2048
-# words per kernel call of both perimeter checks: a packed occupancy column
-# costs one uint64 per 64 cells, so a block of 256 words of up to 60 letters
-# holds about 120 KB of bitset.  128 words made the random check about 10 %
-# slower; 512 made it no faster and raised verify's peak RSS by 0.3 MiB more.
-_KERNEL_WORDS = 256
+# n and k of a word: the first two little-endian uint16 values of its 124-byte row
+_ROW_HEAD = struct.Struct("<2H120x")
+# a 1 in each of the low n 32-bit lanes, for n = 0 .. 60
+_LANE_ONES = tuple(int.from_bytes(b"\x01\x00\x00\x00" * n, "little") for n in range(61))
 
 
 @dataclass
@@ -204,35 +202,27 @@ def check_mean_decomposition(models, n_max: int) -> IdentityCheck:
     return chk
 
 
-def _perimeter_mismatches(block: np.ndarray) -> list[tuple[int, np.ndarray, int, int]]:
-    """(row, word, P, edge count) of each row of ``block`` where the routes disagree.
+def _compare_routes(chk: IdentityCheck, words: list) -> None:
+    """Count each of ``words`` into ``chk``, naming the first five failures in order.
 
-    ``block`` holds one zero-padded word per row; a row fails unless P from
-    the decomposition Q + x0 + x_last + 2n equals the count of its boundary
-    edges.  Each batched kernel validates the block itself.
+    A word fails unless P from the decomposition Q + x0 + x_last + 2n equals
+    the count of its boundary edges.  The words are built valid (letters in
+    [1, k]), so they go to the two routes unchecked, each mapped over the
+    whole list.
     """
-    b = perimeter_decomposed_batch(block)
-    edges = perimeter_edge_count_batch(block)
-    rows = np.flatnonzero(b.P != edges)
-    return list(zip(rows.tolist(), block[rows], b.P[rows].tolist(), edges[rows].tolist()))
-
-
-def _name_failures(chk: IdentityCheck, failed) -> None:
-    """Name the failing words of ``failed``, in the order given, until ``chk`` holds five."""
-    for _, row, p, edges in failed[: 5 - len(chk.failures)]:
-        word = tuple(int(x) for x in row if x)
-        chk.failures.append(f"word {word}: P={p} edges={edges}")
+    p = list(map(itemgetter(2), map(perimeter_from_gaps, words)))
+    edges = list(map(perimeter_from_edges, words))
+    failed = list(compress(zip(words, p, edges), map(ne, p, edges)))
+    chk.instances += len(words) - len(failed)
+    for word, p_word, edges_word in failed:
+        chk.fail(f"word {tuple(word)}: P={p_word} edges={edges_word}")
 
 
 def check_perimeter_exhaustive() -> IdentityCheck:
     chk = IdentityCheck("perimeter identity, exhaustive small words")
     for k, n in EXHAUSTIVE_PERIMETER:
-        # all k**n words over [1,k], one per row, in lexicographic order
-        words = np.indices((k,) * n).reshape(n, -1).T + 1
-        for start in range(0, words.shape[0], _KERNEL_WORDS):
-            block = words[start : start + _KERNEL_WORDS]
-            chk.instances += block.shape[0]
-            _name_failures(chk, _perimeter_mismatches(block))
+        # all k**n words over [1,k] in lexicographic order
+        _compare_routes(chk, list(product(range(1, k + 1), repeat=n)))
     return chk
 
 
@@ -245,6 +235,30 @@ def _at_least(name: str, value, low: int = 0) -> int:
     return number
 
 
+def _random_windows(count: int, seed: int):
+    """The ``count`` words of the random check's stream as one list per window, each word bytes.
+
+    Each window's uint16 values are widened into 32-bit lanes, so that a
+    word's letters are one int: one multiply by k puts u*k < 2**21 in each
+    lane, a shift by 16 leaves (u*k >> 16) < 30 in the lane's low byte (the
+    bytes above take bits of the next lane, and are never read), and adding
+    a 1 to each lane gives the letters, read out as every fourth byte.
+    """
+    for window, lo in enumerate(range(0, count, _WINDOW_WORDS)):
+        size = min(_WINDOW_WORDS, count - lo)
+        digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2 * 62 * size)
+        lanes = bytearray(2 * len(digest))
+        lanes[0::4], lanes[1::4] = digest[0::2], digest[1::2]
+        yield [_lane_letters(lanes, 248 * row + 8, 2 + (u0 * 59 >> 16), 2 + (u1 * 29 >> 16))
+               for row, (u0, u1) in enumerate(_ROW_HEAD.iter_unpack(digest))]
+
+
+def _lane_letters(lanes: bytearray, start: int, n: int, k: int) -> bytes:
+    """The n letters 1 + (u*k >> 16) of the 32-bit lanes of ``lanes`` from byte ``start`` on."""
+    word = int.from_bytes(lanes[start : start + 4 * n], "little") * k >> 16
+    return (word + _LANE_ONES[n]).to_bytes(4 * n, "little")[0::4]
+
+
 def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     """``count`` words with n in [2,60], k in [2,30] and letters in [1,k], from a keyed stream.
 
@@ -255,30 +269,12 @@ def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     n of the other 60.  Each of m outcomes gets 2**16 // m or one more of the
     2**16 values of u, so each is within 0.1 % of uniform.  A shorter digest is
     a prefix of a longer one, so a word does not depend on ``count``.
-
-    Each window's words are sorted by n into blocks of _KERNEL_WORDS, each
-    gathered at its own longest word and only then widened to int64, for the
-    kernels.  Failures are named in word order.
+    Failures are named in word order.
     """
     count, seed = _at_least("count", count), _at_least("seed", seed)
     chk = IdentityCheck("perimeter identity, randomized larger words")
-    for window, lo in enumerate(range(0, count, _WINDOW_WORDS)):
-        size = min(_WINDOW_WORDS, count - lo)
-        digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2 * 62 * size)
-        table = np.frombuffer(digest, dtype="<u2").reshape(size, 62)
-        n = 2 + (table[:, 0] * np.uint32(59) >> 16)
-        k = 2 + (table[:, 1] * np.uint32(29) >> 16)
-        failed = []  # (row of the window, word, P, edges)
-        order = np.argsort(n, kind="stable")
-        for start in range(0, size, _KERNEL_WORDS):
-            rows = order[start : start + _KERNEL_WORDS]  # sorted by n: the last is longest
-            width = int(n[rows[-1]])
-            letters = 1 + (table[rows, 2 : 2 + width] * k[rows, None] >> 16)
-            letters[np.arange(width) >= n[rows, None]] = 0
-            block = letters.astype(np.int64)
-            failed += [(rows[r], *rest) for r, *rest in _perimeter_mismatches(block)]
-        chk.instances += size
-        _name_failures(chk, sorted(failed, key=lambda f: f[0]))
+    for words in _random_windows(count, seed):
+        _compare_routes(chk, words)
     return chk
 
 

@@ -1,6 +1,10 @@
-"""Every name a module of the package imports is used in that module."""
+"""What the package's modules import: every name used, and numpy only where needed."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,97 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# ---------------------------------------------------------------------------
+# the exact core loads without numpy
+# ---------------------------------------------------------------------------
+
+NUMPY_FREE = ["__init__.py", "cli.py", "cross_moments.py", "models.py", "moments.py",
+              "polyomino.py", "verification.py"]
+
+
+def module_level_imports(source: str) -> list[str]:
+    """The modules ``source`` imports when it is loaded: every import outside a function body."""
+    found = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(node.module)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_the_check_finds_a_module_level_import():
+    source = ("import os\nif os.sep:\n    import numpy as np\n"
+              "class A:\n    from numpy import ndarray\n"
+              "def f():\n    import numpy\n")
+    assert module_level_imports(source) == ["numpy", "numpy", "os"]
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_the_exact_core_imports_numpy_nowhere_at_module_level(name):
+    source = (Path(__file__).parents[1] / "src" / "wordperim" / name).read_text(encoding="utf-8")
+    assert not [m for m in module_level_imports(source) if m.split(".")[0] == "numpy"]
+
+
+def test_every_public_name_resolves_and_is_listed_by_dir():
+    import wordperim as wp
+
+    listed = dir(wp)
+    for name in wp.__all__:
+        assert getattr(wp, name) is not None, name
+        assert name in listed, name
+    assert {"simulation", "empirics", "svgplot"} <= set(listed)
+
+
+EXACT_COMMANDS = [
+    ["verify", "--k-max", "3", "--p-list", "1/2,1/3", "--n-max", "6", "--random-words", "2100"],
+    ["moments", "--model", "uniform", "--k", "6", "--n", "500"],
+    ["moments", "--model", "geometric", "--p", "1/3", "--n", "40", "--format", "csv"],
+    ["xmoment", "--model", "geometric", "--p", "1/3", "--index", "0,1,1,0"],
+    ["render", "--word", "2,3,1,3", "--out", "word.svg"],
+]
+# runs each command in one interpreter; with BLOCK, ``import numpy`` raises ImportError
+PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "BLOCK":
+    sys.modules["numpy"] = None
+from wordperim.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+print(json.dumps({"runs": runs, "numpy_modules": loaded,
+                  "numpy_random": "numpy.random" in sys.modules}))
+"""
+
+
+def run_probe(mode: str, cwd: Path) -> dict:
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    cwd.mkdir()
+    done = subprocess.run([sys.executable, "-c", PROBE, mode, json.dumps(EXACT_COMMANDS)],
+                          capture_output=True, text=True, timeout=300, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_print_the_same_bytes_without_numpy(tmp_path):
+    blocked, free = run_probe("BLOCK", tmp_path / "blocked"), run_probe("ALLOW", tmp_path / "free")
+    assert blocked["runs"] == free["runs"]
+    for name in ("word.svg", "word.svg.manifest.json"):  # render's files
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+    assert [code for code, _ in blocked["runs"]] == [0] * len(EXACT_COMMANDS)
+    assert "13/13 identities pass" in blocked["runs"][0][1]
+    # numpy is never imported: the one entry is the None that blocks it
+    assert blocked["numpy_modules"] == ["numpy"] and not blocked["numpy_random"]
+    assert free["numpy_modules"] == [] and not free["numpy_random"]

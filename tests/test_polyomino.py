@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wordperim as wp
+from wordperim import polyomino as poly
 from wordperim import verification as ver
 
 
@@ -94,16 +95,8 @@ def test_render_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: one zero-padded word per row
+# the two routes, on the word types the one-word API and verify give them
 # ---------------------------------------------------------------------------
-
-def pad(words):
-    """The words as one batch, each row padded on the right with 0."""
-    batch = np.zeros((len(words), max(len(w) for w in words)), dtype=np.int64)
-    for row, word in enumerate(words):
-        batch[row, : len(word)] = word
-    return batch
-
 
 def reference_breakdown(word):
     """Q, R, P from the letters with plain Python integers."""
@@ -119,73 +112,59 @@ def reference_edges(word):
     return sum((i + di, h + dh) not in cells for i, h in cells for di, dh in sides)
 
 
-def assert_batch_equals_words(words, batch):
-    b = wp.perimeter_decomposed_batch(batch)
-    edges = wp.perimeter_edge_count_batch(batch)
-    assert b.P.shape == edges.shape == (len(words),)
-    for row, word in enumerate(words):
-        word = [int(x) for x in word]
-        assert tuple(int(v[row]) for v in b) == wp.perimeter_decomposed(word)
-        assert tuple(int(v[row]) for v in b) == reference_breakdown(word)
-        assert int(edges[row]) == wp.perimeter_edge_count(word) == reference_edges(word)
+def assert_routes_equal_references(words):
+    """Both routes and the one-word API on each word, as a list, a tuple and (if it fits) bytes."""
+    for word in words:
+        letters = [int(x) for x in word]
+        want, edges = reference_breakdown(letters), reference_edges(letters)
+        forms = [letters, tuple(letters)] + ([bytes(letters)] if max(letters) < 256 else [])
+        for form in forms:
+            assert poly.perimeter_from_gaps(form) == want
+            assert poly.perimeter_from_edges(form) == edges == want[2]
+        assert wp.perimeter_decomposed(letters) == want
+        assert wp.perimeter_edge_count(letters) == edges
 
 
-def test_batch_kernels_equal_words_on_exhaustive_cases():
+def test_routes_equal_references_on_exhaustive_cases():
+    # the words check_perimeter_exhaustive gives the routes, as itertools tuples
     for k, n in ver.EXHAUSTIVE_PERIMETER:
-        words = list(product(range(1, k + 1), repeat=n))
-        assert_batch_equals_words(words, np.array(words))
+        assert_routes_equal_references(product(range(1, k + 1), repeat=n))
 
 
-# batches over [1, k], k = 1 included, of words of length 1 to 30
-ragged_words = st.integers(1, 40).flatmap(
-    lambda k: st.lists(st.lists(st.integers(1, k), min_size=1, max_size=30), min_size=1, max_size=12)
+# lists of words over [1, k], k = 1 included, of 1 to 80 letters: words of
+# at most 64 letters below 32 take 4-byte fields in whole-word operations,
+# every other word one field at a time
+random_words = st.integers(1, 40).flatmap(
+    lambda k: st.lists(st.lists(st.integers(1, k), min_size=1, max_size=80), min_size=1, max_size=12)
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(ragged_words, st.integers(0, 5))
-def test_batch_kernels_equal_words_on_ragged_batches(words, extra_zeros):
-    batch = pad(words)
-    assert_batch_equals_words(words, batch)
-    # trailing zero columns change neither route
-    wider = np.pad(batch, ((0, 0), (0, extra_zeros)))
-    assert tuple(map(list, wp.perimeter_decomposed_batch(wider))) == tuple(
-        map(list, wp.perimeter_decomposed_batch(batch))
-    )
-    assert list(wp.perimeter_edge_count_batch(wider)) == list(wp.perimeter_edge_count_batch(batch))
+@given(random_words)
+def test_routes_equal_references_on_random_words(words):
+    assert_routes_equal_references(words)
 
 
-def test_batch_kernels_edge_rows():
-    # length-1 words, a row far below the batch maximum, and k = 1 words
+def test_routes_on_edge_words():
+    # length-1 words, a word far below the others' height, and k = 1 words
     words = [[1], [7], [1, 1, 1, 1, 1, 1], [2, 1], [30, 1, 30], [1, 1]]
-    assert_batch_equals_words(words, pad(words))
-    assert list(wp.perimeter_edge_count_batch(pad(words))) == [4, 16, 14, 8, 124, 6]
+    assert_routes_equal_references(words)
+    assert [poly.perimeter_from_edges(bytes(w)) for w in words] == [4, 16, 14, 8, 124, 6]
 
 
-@pytest.mark.parametrize(
-    "batch",
-    [
-        [[1, 0, 2]],             # a 0 inside a word
-        [[2, 3], [1, 0], [0, 4]],
-        [[1, -2]],               # a negative letter
-        [[1, 2], [0, 0]],        # an all-zero row
-        [1, 2, 3],               # 1-D input
-        [[[1, 2]]],              # 3-D input
-        np.zeros((0, 3), dtype=np.int64),
-    ],
-)
-def test_batch_kernels_reject_malformed(batch):
-    with pytest.raises(ValueError):
-        wp.perimeter_decomposed_batch(batch)
-    with pytest.raises(ValueError):
-        wp.perimeter_edge_count_batch(batch)
-
-
-# blocks whose rows all have the same length: no row is padded
-full_width_words = st.tuples(st.integers(1, 20), st.integers(1, 12)).flatmap(
-    lambda kl: st.lists(st.lists(st.integers(1, kl[0]), min_size=kl[1], max_size=kl[1]),
-                        min_size=1, max_size=8)
-)
+@pytest.mark.parametrize("kernel", [wp.perimeter_decomposed, wp.perimeter_edge_count],
+                         ids=["decomposed", "edge-count"])
+@pytest.mark.parametrize("word, message", [
+    ([3, -1], "positive integers, got -1"),
+    ([3, 0, 1], "positive integers, got 0"),
+    ([], "nonempty"),
+    ([[4, 1, 2]], r"positive integers, got \[4, 1, 2\]"),
+], ids=["negative-letter", "zero-inside-a-word", "empty-row", "1-D"])
+def test_each_public_kernel_validates_its_own_input(kernel, word, message):
+    # verify builds valid words and calls the routes unchecked; the one-word
+    # API still checks every word it is given
+    with pytest.raises(ValueError, match=message):
+        kernel(word)
 
 
 # occupancy touching all four borders: full columns, one-cell-wide and one-cell-high arrays
@@ -195,55 +174,105 @@ full_width_words = st.tuples(st.integers(1, 20), st.integers(1, 12)).flatmap(
 @example([[1, 1, 1, 1]])
 @example([[2, 7, 7, 2], [7, 1, 1, 7]])
 @settings(max_examples=100, deadline=None)
-@given(full_width_words)
+@given(st.tuples(st.integers(1, 20), st.integers(1, 12)).flatmap(
+    lambda kl: st.lists(st.lists(st.integers(1, kl[0]), min_size=kl[1], max_size=kl[1]),
+                        min_size=1, max_size=8)))
 def test_edge_kernel_counts_cells_on_every_border(words):
     top = max(max(word) for word in words)
-    for word in words[::2]:  # these rows touch the left, right and top borders
+    for word in words[::2]:  # these words touch the left, right and top borders
         word[0] = word[-1] = top
-    assert_batch_equals_words(words, np.array(words))
+    assert_routes_equal_references(words)
 
 
 # ---------------------------------------------------------------------------
-# packed occupancy: columns of one uint64 per 64 cells
+# field boundaries of the bitboard
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("tall", [63, 64, 65, 127, 128, 129])
+# 7-9: one and two bytes per field; 31-33: 4-byte fields from the table, then
+# 5-byte fields; 63-65 and 127-129: the 64-bit word boundaries of the deleted
+# numpy kernel; 255-257: letters that no longer fit a byte
+@pytest.mark.parametrize("tall", [7, 8, 9, 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257])
 def test_edge_kernel_at_word_boundaries(tall):
-    # columns that end just below, at and just above a multiple of 64 cells,
-    # next to columns that end in another word
-    words = [[tall], [tall, tall], [1, tall, 2], [tall, tall - 1, tall + 1, 1], [tall + 1, 64, 65, tall]]
-    assert_batch_equals_words(words, pad(words))
+    # columns that end just below, at and just above a field boundary, next
+    # to columns that end on the other side of it
+    words = [[tall], [tall, tall], [1, tall, 2], [tall, tall - 1, tall + 1, 1],
+             [tall + 1, 64, 65, tall]]
+    assert_routes_equal_references(words)
 
 
 def test_edge_kernel_block_with_some_columns_in_two_words():
+    # words whose columns straddle 64-bit boundaries next to short columns
     words = [[3, 70, 2, 64, 65, 1], [1, 2], [100, 100], [64, 64, 63, 64], [5, 128, 129, 1, 66]]
-    assert_batch_equals_words(words, pad(words))
+    assert_routes_equal_references(words)
+
+
+def test_long_words_take_fields_one_at_a_time():
+    # past 64 letters the table fields are not used, whatever the letters
+    for word in ([5] * 65, [1, 31] * 40, [31] * 64 + [1], list(range(1, 100))):
+        assert_routes_equal_references([word])
 
 
 def test_edge_kernel_memory_follows_the_bitset():
-    tall = np.array([[10**6]])
-    bitset = 8 * -(-(10**6) // 64)  # one uint64 per 64 cells: 125 000 bytes
-    wp.perimeter_edge_count_batch(tall)
+    bitset = 10**6 // 8 + 1  # one field of 125 001 bytes: the letter and an empty top bit
+    wp.perimeter_edge_count([10**6])
     tracemalloc.start()
     try:
-        edges = wp.perimeter_edge_count_batch(tall)
+        edges = wp.perimeter_edge_count([10**6])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert edges.tolist() == [2 * 10**6 + 2]
-    assert peak < 4 * bitset  # one byte per cell would take 8 bitsets
+    assert edges == 2 * 10**6 + 2
+    # the board, its shift by one field (two fields long) and their XOR: five
+    # bitsets; one byte per cell would take eight, a table of fields 10**6
+    assert peak < 6 * bitset
 
 
-@pytest.mark.parametrize("kernel", [wp.perimeter_decomposed_batch, wp.perimeter_edge_count_batch],
-                         ids=["decomposed", "edge-count"])
-@pytest.mark.parametrize("batch, message", [
-    ([[3, 1], [2, -1]], "positive"),
-    ([[3, 0, 1], [1, 2, 3]], "pad a word on the right"),
-    ([[2, 2], [0, 0]], "nonempty word"),
-    ([4, 1, 2], "2-D"),
-], ids=["negative-letter", "zero-inside-a-word", "empty-row", "1-D"])
-def test_each_public_kernel_validates_its_own_input(kernel, batch, message):
-    # verify validates a block once and calls the kernel bodies; the public
-    # kernels still check every block they are given
-    with pytest.raises(ValueError, match=message):
-        kernel(batch)
+# ---------------------------------------------------------------------------
+# letters: plain and numpy integers of any size; nothing else
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("word", [[2.5, 3], [True, 2], ["2", "3"], [1.7], [2, np.float64(3)]],
+                         ids=["float", "bool", "str", "one-float", "numpy-float"])
+@pytest.mark.parametrize("api", [wp.perimeter_decomposed, wp.perimeter_edge_count,
+                                 wp.render_polyomino], ids=["decomposed", "edge-count", "render"])
+def test_one_word_api_rejects_non_integer_letters(api, word):
+    with pytest.raises(ValueError, match="letters must be positive integers, got "):
+        api(word)
+
+
+@pytest.mark.parametrize("word", [5, "23", np.array(3), np.zeros((2, 2), dtype=np.int64),
+                                  [[1, 2], [3, 4]], (x for x in [])],
+                         ids=["int", "str", "0-d", "2-D", "nested", "empty-iterator"])
+def test_one_word_api_rejects_malformed_words(word):
+    with pytest.raises(ValueError):
+        wp.perimeter_decomposed(word)
+
+
+def test_numpy_integer_letters_of_every_width():
+    word = [np.int8(2), np.uint16(3), np.int64(1), np.uint64(3)]
+    assert wp.perimeter_decomposed(word) == (5, 10, 18)
+    assert wp.perimeter_edge_count(word) == 18
+    assert "word=2,3,1,3 " in wp.render_polyomino(word)
+
+
+def test_decomposition_takes_letters_of_any_size():
+    for word in ([2**63, 1], [np.uint64(2**63), 1], [1, 10**30, 1]):
+        letters = [int(x) for x in word]
+        assert wp.perimeter_decomposed(word) == reference_breakdown(letters)
+
+
+@pytest.mark.parametrize("word, tallest", [([2**62, 1], 2**62), ([1, 2**27], 2**27),
+                                           ([2**20] * 200, 2**20)],
+                         ids=["2**62", "2**27", "many-tall-letters"])
+def test_edge_count_refuses_an_oversize_bitset_before_allocating(word, tallest):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            wp.perimeter_edge_count(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(refused.value)
+    assert "\n" not in message
+    assert message.startswith(f"edge count refuses letter {tallest}: a word of {len(word)} letters")
+    assert peak < 2**16  # the refused bitset would hold at least 2**24 bytes

@@ -1,13 +1,8 @@
 import functools
 import hashlib
-import os
 import re
 import struct
-import subprocess
-import sys
-from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,13 +96,12 @@ def test_corrupted_geometric_closed_form_is_caught(monkeypatch):
 
 
 def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
-    real = ver.perimeter_edge_count_batch
+    real = ver.perimeter_from_edges
 
-    def off_by_one_on_short_words(words):
-        edges = real(words)
-        return edges + (np.count_nonzero(words, axis=1) < 5)
+    def off_by_one_on_short_words(word):
+        return real(word) + (len(word) < 5)
 
-    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeter_from_edges", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert 1 <= len(check.failures) <= 5
@@ -115,7 +109,7 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
             word = re.fullmatch(r"word \(([\d, ]+)\): P=(\d+) edges=(\d+)", failure)
             assert word, failure
             letters = [int(x) for x in word[1].split(",")]
-            # the named word is the row without its padding zeros
+            # the named word is the word's letters, nothing more
             assert min(letters) >= 1 and 2 <= len(letters) < 5
             assert int(word[2]) == wp.perimeter_decomposed(letters).P
             assert int(word[3]) == wp.perimeter_edge_count(letters) + 1
@@ -124,13 +118,13 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
 
 def test_a_broken_decomposition_fails_both_perimeter_checks(monkeypatch):
     # the decomposition side of the identity: P one too large on short words
-    real = ver.perimeter_decomposed_batch
+    real = ver.perimeter_from_gaps
 
-    def off_by_one_on_short_words(words):
-        b = real(words)
-        return b._replace(P=b.P + (np.count_nonzero(words, axis=1) < 5))
+    def off_by_one_on_short_words(word):
+        q, r, p = real(word)
+        return q, r, p + (len(word) < 5)
 
-    monkeypatch.setattr(ver, "perimeter_decomposed_batch", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeter_from_gaps", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert len(check.failures) == 5
@@ -150,7 +144,7 @@ def test_run_verification_times_each_check():
 
 
 # ---------------------------------------------------------------------------
-# the random perimeter check against an ungrouped reference
+# the random perimeter check against a reference that reads one word at a time
 # ---------------------------------------------------------------------------
 
 def reference_random_words(count, seed):
@@ -170,48 +164,33 @@ def reference_random_words(count, seed):
         yield tuple(1 + (x * k >> 16) for x in u[2 : 2 + n]), k
 
 
-def padded_blocks(words):
-    """``words`` in blocks of 64 zero-padded int64 rows, in order."""
-    for start in range(0, len(words), 64):
-        chunk = words[start : start + 64]
-        block = np.zeros((len(chunk), max(map(len, chunk))), dtype=np.int64)
-        for row, word in zip(block, chunk):
-            row[: len(word)] = word
-        yield block
+def record_route_words(monkeypatch):
+    """Lists of (word, P) and (word, edge count), in call order, of the words the routes get."""
+    seen_p, seen_edges = [], []
+    real_gaps, real_edges = ver.perimeter_from_gaps, ver.perimeter_from_edges
 
+    def recording_gaps(word):
+        breakdown = real_gaps(word)
+        seen_p.append((tuple(word), breakdown[2]))
+        return breakdown
 
-def unpadded(block):
-    """Each row of ``block`` as a tuple of its letters, without the padding zeros."""
-    return [tuple(filter(None, row)) for row in block.tolist()]
-
-
-def record_kernel_words(monkeypatch):
-    """Counters of (word, P) and (word, edge count) of the words the kernels get from now on."""
-    seen_p, seen_edges = Counter(), Counter()
-    real_decomposed, real_edges = ver.perimeter_decomposed_batch, ver.perimeter_edge_count_batch
-
-    def recording_decomposed(words):
-        b = real_decomposed(words)
-        seen_p.update(zip(unpadded(words), b.P.tolist()))
-        return b
-
-    def recording_edges(words):
-        edges = real_edges(words)
-        seen_edges.update(zip(unpadded(words), edges.tolist()))
+    def recording_edges(word):
+        edges = real_edges(word)
+        seen_edges.append((tuple(word), edges))
         return edges
 
-    monkeypatch.setattr(ver, "perimeter_decomposed_batch", recording_decomposed)
-    monkeypatch.setattr(ver, "perimeter_edge_count_batch", recording_edges)
+    monkeypatch.setattr(ver, "perimeter_from_gaps", recording_gaps)
+    monkeypatch.setattr(ver, "perimeter_from_edges", recording_edges)
     return seen_p, seen_edges
 
 
 def test_random_failures_are_the_first_in_draw_order(monkeypatch):
-    real = ver.perimeter_edge_count_batch
+    real = ver.perimeter_from_edges
 
-    def off_by_one_on_short_words(words):
-        return real(words) + (np.count_nonzero(words, axis=1) < 5)
+    def off_by_one_on_short_words(word):
+        return real(word) + (len(word) < 5)
 
-    monkeypatch.setattr(ver, "perimeter_edge_count_batch", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeter_from_edges", off_by_one_on_short_words)
     expected = []
     for word, _ in reference_random_words(2000, seed=3):
         p = wp.perimeter_decomposed(word).P
@@ -227,25 +206,23 @@ def test_random_failures_are_the_first_in_draw_order(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
 def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
-    seen_p, seen_edges = record_kernel_words(monkeypatch)
+    # the check reads each window's letters in whole-window operations; the
+    # reference unpacks one word at a time.  Both routes get every word, in order.
+    seen_p, seen_edges = record_route_words(monkeypatch)
     check = ver.check_perimeter_random(count, seed=11)
-    want_p, want_edges = Counter(), Counter()
-    for block in padded_blocks([word for word, _ in reference_random_words(count, seed=11)]):
-        words = unpadded(block)
-        want_p.update(zip(words, wp.perimeter_decomposed_batch(block).P.tolist()))
-        want_edges.update(zip(words, wp.perimeter_edge_count_batch(block).tolist()))
-    assert check.passed and check.instances == count
-    assert sum(want_p.values()) == count
-    assert seen_p == want_p and seen_edges == want_edges
+    words = [word for word, _ in reference_random_words(count, seed=11)]
+    assert check.passed and check.instances == count == len(words)
+    assert seen_p == [(word, wp.perimeter_decomposed(word).P) for word in words]
+    assert seen_edges == [(word, wp.perimeter_edge_count(word)) for word in words]
 
 
 def checked_words(count, seed):
-    """Counter of the words ``check_perimeter_random(count, seed)`` gives the kernels."""
+    """The words ``check_perimeter_random(count, seed)`` gives the routes, in order."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        seen_p, _ = record_kernel_words(monkeypatch)
+        seen_p, _ = record_route_words(monkeypatch)
         check = ver.check_perimeter_random(count, seed)
     assert check.passed and check.instances == count
-    return Counter({word: times for (word, _), times in seen_p.items()})
+    return [word for word, _ in seen_p]
 
 
 @functools.lru_cache(maxsize=1)
@@ -257,7 +234,7 @@ def ten_thousand_words(seed):
 def test_random_words_are_a_prefix_of_a_longer_run(count):
     # a word's place in the stream does not depend on the count: the words of
     # count=5000 are the first 5000 of count=10000
-    assert checked_words(count, seed=5) == Counter(ten_thousand_words(5)[:count])
+    assert checked_words(count, seed=5) == ten_thousand_words(5)[:count]
 
 
 def test_random_words_cover_every_shape_and_both_letter_ends():
@@ -320,19 +297,6 @@ def test_run_verification_takes_the_smallest_sizes_and_numpy_integers():
 @pytest.mark.parametrize("cast", [np.int8, np.uint16, np.int64, np.uint64])
 def test_numpy_integer_count_and_seed_check_the_same_words(cast):
     assert checked_words(cast(120), seed=cast(7)) == checked_words(120, seed=7)
-
-
-def test_verify_never_imports_numpy_random():
-    probe = ("import sys; from wordperim.cli import main; "
-             "code = main(['verify', '--k-max', '2', '--p-list', '1/2', '--n-max', '4', "
-             "'--random-words', '2100']); "
-             "print(code, 'numpy.random' in sys.modules, file=sys.stderr)")
-    path = [str(Path(wp.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
-    assert done.returncode == 0, done.stderr
-    assert "13/13 identities pass" in done.stdout
-    assert done.stderr.splitlines()[-1] == "0 False"
 
 
 # ---------------------------------------------------------------------------
