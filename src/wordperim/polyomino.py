@@ -3,44 +3,51 @@
 A word (x0, ..., x_m) materializes as the union of unit cells
 {(i, h) : 0 <= i <= m, 1 <= h <= x_i}: column i is a stack of x_i cells on a
 common baseline.  The perimeter (number of unit boundary edges) is computed
-two independent ways, on plain Python ints:
+two independent ways, on plain Python ints, each over a list of words:
 
-* :func:`perimeter_from_gaps` -- the decomposition P = Q + x0 + x_m + 2n
+* :func:`perimeters_from_gaps` -- the decomposition P = Q + x0 + x_m + 2n
   with Q the sum of absolute gaps; it reads only the letters and their gaps;
-* :func:`perimeter_from_edges` -- literal geometry: an edge is on the
+* :func:`perimeters_from_edges` -- literal geometry: an edge is on the
   boundary iff exactly one of its two adjacent cells belongs to the union; it
-  reads only the occupancy, packed into one int with a field of bits per
-  column, and counts the cells whose neighbour differs with XOR and
+  reads only the occupancy, packed into one int per word with a field of bits
+  per column, and counts the cells whose neighbour differs with XOR and
   ``int.bit_count`` (the bitboard technique); it takes no letter
   differences, no min/max of neighbouring letters and no gap arithmetic.
 
-Both routes take a valid word: a nonempty sequence (list, tuple or bytes) of
-positive Python ints, which they do not check.  :func:`perimeter_decomposed`
-and :func:`perimeter_edge_count` are the one-word API: each validates a word
-once, through :func:`word_letters`, and calls its route, so each route has a
-single implementation.  Their equality over all words is one of the
-library's acceptance checks.
+Each route reads its words in blocks of BLOCK_WORDS, with a few whole-block
+operations when the block's letters are small (below 128 for the gaps, below
+32 for the occupancy) and one word at a time otherwise.  Both take valid
+words: nonempty sequences (lists, tuples or bytes) of positive Python ints,
+which they do not check.  :func:`perimeter_decomposed` and
+:func:`perimeter_edge_count` are the one-word API: each validates a word
+once, through :func:`word_letters`, and calls its route on a block of one,
+so each route has a single implementation.  Their equality over all words is
+one of the library's acceptance checks.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from operator import sub
 from typing import NamedTuple, Sequence
 
 from .models import plain_int
 
 RENDER_MAX_HEIGHT = 10**4
+# render refuses a word of more cells (a drawing takes about 400 bytes of memory a cell)
+RENDER_MAX_CELLS = 10**5
 RENDER_CELL_PX = 24.0  # side of one drawn cell, and the margin around the drawing
 # the edge count refuses a word whose bitset would hold more bits (16 MiB)
 EDGE_COUNT_MAX_BITS = 2**27
-# Words of at most 64 letters, all below 32, get 4-byte fields in a few
-# whole-word operations: each field holds its letter x in all four bytes,
-# byte j tagged with 32 j, and one translate maps x + 32 j to byte j of the
-# column's occupancy (1 << x) - 1.
-_SHORT_WORD = 64
-_FIELD_TAGS = int.from_bytes(b"\x00\x20\x40\x60" * _SHORT_WORD, "little")
-_TALL_BITS = int.from_bytes(b"\xe0\x00\x00\x00" * _SHORT_WORD, "little")  # set by x >= 32
-_OCCUPANCY_BYTES = bytes(((1 << v % 32) - 1) >> 8 * (v // 32) & 255 for v in range(256))
+# words per block of the two routes
+BLOCK_WORDS = 256
+# |v - 128| for each byte v: the gap b - a of two letters below 128, read
+# from its byte lane b + 128 - a
+_ABS_GAPS = bytes(abs(v - 128) for v in range(256))
+# byte j of the occupancy (1 << x) - 1 of a column of x < 32 cells, for j = 0 .. 3
+_OCCUPANCY_BYTES = tuple(bytes(((1 << x) - 1) >> 8 * j & 255 for x in range(32)) + bytes(224)
+                         for j in range(4))
+_SHORT_LETTERS = bytes(range(32))
 
 
 class PerimeterBreakdown(NamedTuple):
@@ -73,46 +80,85 @@ def word_letters(word) -> list[int]:
     return letters
 
 
-def perimeter_from_gaps(letters: Sequence[int]) -> tuple[int, int, int]:
-    """(Q, R, P) of a valid word, from its letters and their gaps.
+def _blocks(words: Sequence) -> list:
+    """``words`` cut into consecutive lists of at most BLOCK_WORDS words."""
+    return [words[lo : lo + BLOCK_WORDS] for lo in range(0, len(words), BLOCK_WORDS)]
+
+
+def _joined_letters(block: Sequence, separator: bytes) -> bytes | None:
+    """The block's letters, one byte each, with ``separator`` between words; None for a letter above 255."""
+    try:
+        return separator.join(map(bytes, block))  # bytes(word) is word for a bytes word
+    except ValueError:
+        return None
+
+
+def _gap_sum(word: Sequence[int]) -> int:
+    """Q of one valid word, one gap at a time."""
+    return sum(map(abs, map(sub, word[1:], word)))
+
+
+def _gap_sums(block: Sequence) -> list[int]:
+    """Q of each word of the block.
+
+    When every letter lies below 128 the block is one int of byte lanes, a 0
+    between words, and one biased difference with its shift by a lane puts
+    b + 128 - a, for each letter a and the letter b after it, in a lane of
+    its own; one translate turns the lanes into |b - a|, and each word's Q
+    sums its own n - 1 lanes.  Any other block is read a word at a time.
+    """
+    joined = _joined_letters(block, b"\0")
+    if joined is None or not joined.isascii():
+        return list(map(_gap_sum, block))
+    lanes = len(joined)
+    letters = int.from_bytes(joined, "little")
+    biased = (letters >> 8) + int.from_bytes(b"\x80" * lanes, "little") - letters
+    gaps = biased.to_bytes(lanes, "little").translate(_ABS_GAPS)
+    sums, start = [], 0
+    for word in block:
+        end = start + len(word)
+        sums.append(sum(gaps[start : end - 1]))  # the lanes up to the word's last letter
+        start = end + 1  # past the separator
+    return sums
+
+
+def perimeters_from_gaps(words: Sequence) -> list[tuple[int, int, int]]:
+    """(Q, R, P) of each valid word, in order, from the letters and their gaps.
 
     Q sums |x_j - x_(j-1)| over 0 < j < n; R adds x0 and x_(n-1); P adds 2n.
     """
-    q = sum(map(abs, map(sub, letters[1:], letters)))
-    r = q + letters[0] + letters[-1]
-    return q, r, r + 2 * len(letters)
+    breakdowns = []
+    for block in _blocks(words):
+        breakdowns += [(q, r := q + word[0] + word[-1], r + 2 * len(word))
+                       for q, word in zip(_gap_sums(block), block)]
+    return breakdowns
 
 
-def _short_columns(letters: Sequence[int]) -> bytes | None:
-    """The 4-byte fields of a word of at most 64 letters below 32; None for any other word."""
-    n = len(letters)
-    if n > _SHORT_WORD:
-        return None
-    spread = bytearray(4 * n)
-    try:
-        spread[0::4] = letters  # each letter in byte 0 of its field
-    except ValueError:  # a letter above 255
-        return None
-    lanes = int.from_bytes(spread, "little")
-    if lanes & _TALL_BITS:
-        return None
-    tagged = lanes * 0x01010101 + (_FIELD_TAGS >> 32 * (_SHORT_WORD - n))
-    return tagged.to_bytes(4 * n, "little").translate(_OCCUPANCY_BYTES)
+def _short_columns(block: Sequence) -> bytearray | None:
+    """The 4-byte fields of every column of a block whose letters all lie below 32; else None.
 
-
-def _columns(letters: Sequence[int]) -> tuple[bytes | bytearray, int]:
-    """The valid word's occupancy as little-endian bytes, and its field width F in bits.
-
-    Bit i*F + h - 1 is set iff cell (i, h) belongs to the polyomino.  F
-    exceeds the tallest letter, so the top bit of every field is empty: 32
-    for a short word of letters below 32, else 8 * (tallest // 8 + 1), each
-    field written on its own into one buffer, so that nothing but the buffer
-    grows with the word.  ValueError, before the buffer is allocated, when
-    the bitset would hold more than EDGE_COUNT_MAX_BITS bits.
+    Byte j of each field is one translate of the letters, written into every
+    fourth byte.
     """
-    columns = _short_columns(letters)
-    if columns is not None:
-        return columns, 32
+    letters = _joined_letters(block, b"")
+    if letters is None or letters.translate(None, _SHORT_LETTERS):
+        return None
+    columns = bytearray(4 * len(letters))
+    for j, table in enumerate(_OCCUPANCY_BYTES):
+        columns[j::4] = letters.translate(table)
+    return columns
+
+
+def _board(letters: Sequence[int]) -> tuple[int, int]:
+    """The valid word's occupancy as one int, and its field width F in bits.
+
+    Bit i*F + h - 1 is set iff cell (i, h) belongs to the polyomino.  F =
+    8 * (tallest // 8 + 1) exceeds the tallest letter, so the top bit of
+    every field is empty; each field is written on its own into one buffer,
+    so that nothing but the buffer grows with the word.  ValueError, before
+    the buffer is allocated, when the bitset would hold more than
+    EDGE_COUNT_MAX_BITS bits.
+    """
     n, tallest = len(letters), max(letters)
     size = tallest // 8 + 1
     if 8 * size * n > EDGE_COUNT_MAX_BITS:
@@ -121,16 +167,27 @@ def _columns(letters: Sequence[int]) -> tuple[bytes | bytearray, int]:
     columns = bytearray(size * n)
     for i, x in enumerate(letters):
         columns[size * i : size * (i + 1)] = ((1 << x) - 1).to_bytes(size, "little")
-    return columns, 8 * size
+    return int.from_bytes(columns, "little"), 8 * size
 
 
-def perimeter_from_edges(letters: Sequence[int]) -> int:
-    """Count a valid word's boundary edges on its bitboard (geometry oracle).
+def _boards(block: Sequence):
+    """(board, F) of each word of the block: 4-byte fields when its letters allow, else ``_board``."""
+    columns = _short_columns(block)
+    if columns is None:
+        return map(_board, block)
+    ends = list(accumulate(4 * len(word) for word in block))
+    fields = map(columns.__getitem__, map(slice, [0] + ends, ends))
+    return zip(map(int.from_bytes, fields, repeat("little")), repeat(32))
 
-    The word's occupancy is one int, ``board``, with column i in field i of
-    F bits (see ``_columns``).  A unit edge is on the boundary iff exactly
-    one of its two adjacent cells is occupied, so the route counts occupancy
-    changes:
+
+def perimeters_from_edges(words: Sequence) -> list[int]:
+    """Count each valid word's boundary edges on its bitboard (geometry oracle), in order.
+
+    A word's occupancy is one int, ``board``, with column i in field i of F
+    bits: 32 when the block's letters all lie below 32 (``_short_columns``),
+    else 8 * (tallest // 8 + 1) (``_board``).  A unit edge is on the
+    boundary iff exactly one of its two adjacent cells is occupied, so the
+    route counts occupancy changes:
 
     * vertical edges: ``board ^ board << F`` compares each column with its
       left neighbour; the first column's left neighbour and the last
@@ -139,14 +196,15 @@ def perimeter_from_edges(letters: Sequence[int]) -> int:
       one beneath it; a field's bit 0 meets the empty top bit of the field
       below, which stands for the ground.
 
-    It reads only the occupancy: no letter differences.  It holds the board,
+    It reads only the occupancy: no letter differences.  It holds a board,
     a shifted copy and their XOR at once: about three bitsets for a long
     word, five for a single letter, whose board a shift by one field doubles.
     """
-    columns, field = _columns(letters)
-    board = int.from_bytes(columns, "little")
-    del columns
-    return (board ^ board << field).bit_count() + (board ^ board << 1).bit_count()
+    counts = []
+    for block in _blocks(words):
+        counts += [(board ^ board << field).bit_count() + (board ^ board << 1).bit_count()
+                   for board, field in _boards(block)]
+    return counts
 
 
 def perimeter_decomposed(word: Sequence[int]) -> PerimeterBreakdown:
@@ -154,7 +212,7 @@ def perimeter_decomposed(word: Sequence[int]) -> PerimeterBreakdown:
 
     For a single-letter word Q = 0 and P = 2*x0 + 2.
     """
-    return PerimeterBreakdown(*perimeter_from_gaps(word_letters(word)))
+    return PerimeterBreakdown(*perimeters_from_gaps([word_letters(word)])[0])
 
 
 def perimeter_edge_count(word: Sequence[int]) -> int:
@@ -162,7 +220,7 @@ def perimeter_edge_count(word: Sequence[int]) -> int:
 
     ValueError for a word whose bitset would exceed EDGE_COUNT_MAX_BITS.
     """
-    return perimeter_from_edges(word_letters(word))
+    return perimeters_from_edges([word_letters(word)])[0]
 
 
 def render_polyomino(word: Sequence[int]) -> str:
@@ -170,12 +228,17 @@ def render_polyomino(word: Sequence[int]) -> str:
 
     Unit cells are filled squares; the boundary is overdrawn as one path with
     a move-to/line-to pair per boundary edge, so the number of ``L`` commands
-    in the path equals the perimeter.  Words taller than 10**4 are refused.
+    in the path equals the perimeter.  Words taller than RENDER_MAX_HEIGHT,
+    or of more than RENDER_MAX_CELLS cells, are refused before anything is
+    built.
     """
     letters = word_letters(word)
     height = max(letters)
     if height > RENDER_MAX_HEIGHT:
         raise ValueError(f"render refuses letters above {RENDER_MAX_HEIGHT}")
+    cell_count = sum(letters)
+    if cell_count > RENDER_MAX_CELLS:
+        raise ValueError(f"render refuses a word of {cell_count} cells, above {RENDER_MAX_CELLS}")
     n = len(letters)
     cell_px = margin = RENDER_CELL_PX
     width_px = n * cell_px + 2 * margin
@@ -222,7 +285,7 @@ def render_polyomino(word: Sequence[int]) -> str:
     parts.append(
         f'<text x="{margin:.0f}" y="{margin * 0.7:.0f}" font-family="monospace" '
         f'font-size="12">word={",".join(map(str, letters))} '
-        f"P={perimeter_from_gaps(letters)[2]}</text>"
+        f"P={perimeters_from_gaps([letters])[0][2]}</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -15,13 +15,12 @@ import struct
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product, zip_longest
-from operator import itemgetter, ne
+from itertools import product, zip_longest
 
 from . import cross_moments as xm
 from . import moments as mo
 from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution, plain_int
-from .polyomino import perimeter_from_edges, perimeter_from_gaps
+from .polyomino import perimeters_from_edges, perimeters_from_gaps
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
 
@@ -31,10 +30,10 @@ EXHAUSTIVE_PERIMETER = tuple(
 )
 # words per window of the random perimeter check: one SHAKE-128 digest each
 _WINDOW_WORDS = 2048
-# n and k of a word: the first two little-endian uint16 values of its 124-byte row
-_ROW_HEAD = struct.Struct("<2H120x")
-# a 1 in each of the low n 32-bit lanes, for n = 0 .. 60
-_LANE_ONES = tuple(int.from_bytes(b"\x01\x00\x00\x00" * n, "little") for n in range(61))
+# n and k of a word: the first two little-endian uint16 values of its 64-byte row
+_ROW_HEAD = struct.Struct("<2H60x")
+# the letter 1 + (b*k >> 8) of each byte b, for k = 2 .. 30 (index k)
+_LETTER_TABLES = (b"", b"") + tuple(bytes(1 + (b * k >> 8) for b in range(256)) for k in range(2, 31))
 
 
 @dataclass
@@ -207,22 +206,26 @@ def _compare_routes(chk: IdentityCheck, words: list) -> None:
 
     A word fails unless P from the decomposition Q + x0 + x_last + 2n equals
     the count of its boundary edges.  The words are built valid (letters in
-    [1, k]), so they go to the two routes unchecked, each mapped over the
-    whole list.
+    [1, k]), so they go to the two routes unchecked, each given the whole
+    list; only when the two lists differ are the words walked one by one.
     """
-    p = list(map(itemgetter(2), map(perimeter_from_gaps, words)))
-    edges = list(map(perimeter_from_edges, words))
-    failed = list(compress(zip(words, p, edges), map(ne, p, edges)))
-    chk.instances += len(words) - len(failed)
-    for word, p_word, edges_word in failed:
-        chk.fail(f"word {tuple(word)}: P={p_word} edges={edges_word}")
+    p = [breakdown[2] for breakdown in perimeters_from_gaps(words)]
+    edges = perimeters_from_edges(words)
+    if p == edges:
+        chk.instances += len(words)
+        return
+    for word, p_word, edges_word in zip(words, p, edges):
+        if p_word == edges_word:
+            chk.instances += 1
+        else:
+            chk.fail(f"word {tuple(word)}: P={p_word} edges={edges_word}")
 
 
 def check_perimeter_exhaustive() -> IdentityCheck:
     chk = IdentityCheck("perimeter identity, exhaustive small words")
     for k, n in EXHAUSTIVE_PERIMETER:
         # all k**n words over [1,k] in lexicographic order
-        _compare_routes(chk, list(product(range(1, k + 1), repeat=n)))
+        _compare_routes(chk, list(map(bytes, product(range(1, k + 1), repeat=n))))
     return chk
 
 
@@ -238,38 +241,31 @@ def _at_least(name: str, value, low: int = 0) -> int:
 def _random_windows(count: int, seed: int):
     """The ``count`` words of the random check's stream as one list per window, each word bytes.
 
-    Each window's uint16 values are widened into 32-bit lanes, so that a
-    word's letters are one int: one multiply by k puts u*k < 2**21 in each
-    lane, a shift by 16 leaves (u*k >> 16) < 30 in the lane's low byte (the
-    bytes above take bits of the next lane, and are never read), and adding
-    a 1 to each lane gives the letters, read out as every fourth byte.
+    A word's letters are the first n bytes after its row's head, each turned
+    into its letter by the one translate table of the row's k.
     """
     for window, lo in enumerate(range(0, count, _WINDOW_WORDS)):
         size = min(_WINDOW_WORDS, count - lo)
-        digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2 * 62 * size)
-        lanes = bytearray(2 * len(digest))
-        lanes[0::4], lanes[1::4] = digest[0::2], digest[1::2]
-        yield [_lane_letters(lanes, 248 * row + 8, 2 + (u0 * 59 >> 16), 2 + (u1 * 29 >> 16))
+        digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(64 * size)
+        yield [digest[64 * row + 4 : 64 * row + 6 + (u0 * 59 >> 16)]
+               .translate(_LETTER_TABLES[2 + (u1 * 29 >> 16)])
                for row, (u0, u1) in enumerate(_ROW_HEAD.iter_unpack(digest))]
-
-
-def _lane_letters(lanes: bytearray, start: int, n: int, k: int) -> bytes:
-    """The n letters 1 + (u*k >> 16) of the 32-bit lanes of ``lanes`` from byte ``start`` on."""
-    word = int.from_bytes(lanes[start : start + 4 * n], "little") * k >> 16
-    return (word + _LANE_ONES[n]).to_bytes(4 * n, "little")[0::4]
 
 
 def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     """``count`` words with n in [2,60], k in [2,30] and letters in [1,k], from a keyed stream.
 
     Words 2048w .. 2048w + 2047 form window w, which reads the SHAKE-128 digest
-    of the ASCII key ``f"{seed},{w}"`` as little-endian uint16 values u, 62 to a
-    row and one row per word: n = 2 + (u*59 >> 16) from column 0, k = 2 +
-    (u*29 >> 16) from column 1 and the letters 1 + (u*k >> 16) from the first
-    n of the other 60.  Each of m outcomes gets 2**16 // m or one more of the
-    2**16 values of u, so each is within 0.1 % of uniform.  A shorter digest is
-    a prefix of a longer one, so a word does not depend on ``count``.
-    Failures are named in word order.
+    of the ASCII key ``f"{seed},{w}"`` in rows of 64 bytes, one row per word.
+    A row starts with two little-endian uint16 values u0 and u1, giving n = 2 +
+    (u0*59 >> 16) and k = 2 + (u1*29 >> 16); the letters 1 + (b*k >> 8) come
+    from its first n other bytes b.  Each of the 59 lengths gets 2**16 // 59 or
+    one more of the 2**16 values of u0, and each of the 29 k the same of u1, so
+    each is within 0.1 % of uniform; each of the k letters gets 256 // k or one
+    more of the 256 byte values, so a letter's probability is within 1/256 of
+    1/k.  A shorter digest is a prefix of a longer one, so a word does not
+    depend on ``count``.  Both routes read a window as a whole, in blocks of
+    ``polyomino.BLOCK_WORDS`` words; failures are named in word order.
     """
     count, seed = _at_least("count", count), _at_least("seed", seed)
     chk = IdentityCheck("perimeter identity, randomized larger words")

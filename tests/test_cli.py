@@ -267,6 +267,23 @@ def test_verify_zero_random_words(capsys):
                          "SKIPPED: perimeter identity, randomized larger words")
 
 
+@pytest.mark.parametrize("flags, random_words", [
+    (["--seed", "0"], 10000),
+    (["--seed", "18446744073709551615"], 10000),  # 2**64 - 1
+    (["--seed", "1180591620717411303424"], 10000),  # 2**70
+    (["--random-words", "1"], 1),
+    (["--random-words", "2048"], 2048),  # one whole window of words
+    (["--random-words", "2049"], 2049),  # and one word of the next
+], ids=["seed-0", "seed-2**64-1", "seed-2**70", "one-word", "one-window", "one-window-and-a-word"])
+def test_verify_edge_seeds_and_word_counts(capsys, flags, random_words):
+    code, out, err = run(capsys, "verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", *flags)
+    assert code == 0 and err.count("\n") == 13
+    lines = out.splitlines()
+    assert [line[:6] for line in lines[:-1]] == ["PASS  "] * 13
+    assert f"instances={random_words:<6d} " in lines[12]
+    assert lines[-1] == f"13/13 identities pass over {3077 + random_words} instances"
+
+
 # ---------------------------------------------------------------------------
 # simulate / histogram / plot / render
 # ---------------------------------------------------------------------------
@@ -784,6 +801,17 @@ def test_render_rejects_bad_word(capsys, tmp_path):
         assert err.startswith(f"error: bad --word {word!r}: ")
     code, _, err = run(capsys, "render", "--word", "0,3", "--out", str(tmp_path / "x.svg"))
     assert code == 1
+
+
+def test_render_at_max_cells_and_one_cell_above(capsys, tmp_path):
+    word = ",".join(["10000"] * 10)  # 10**5 cells, RENDER_MAX_CELLS
+    code, out, _ = run(capsys, "render", "--word", word, "--out", str(tmp_path / "max.svg"))
+    assert code == 0 and out.endswith(f"\nword={word} Q=0 R=20000 P=20020\n")
+    code, out, err = run(capsys, "render", "--word", f"{word},1", "--out", str(tmp_path / "over.svg"))
+    assert code == 1 and out == ""
+    assert err == (f"error: bad --word '{word},1': "
+                   "render refuses a word of 100001 cells, above 100000\n")
+    assert not (tmp_path / "over.svg").exists()
 
 
 def test_version_flag(capsys):

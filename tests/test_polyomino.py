@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import product
 
@@ -90,6 +91,28 @@ def test_render_refuses_oversize():
         wp.render_polyomino([10**4 + 1])
 
 
+def test_render_takes_a_word_of_max_cells():
+    assert poly.RENDER_MAX_CELLS == 10 * poly.RENDER_MAX_HEIGHT
+    svg = wp.render_polyomino([poly.RENDER_MAX_HEIGHT] * 10)
+    assert svg.count("<rect") == poly.RENDER_MAX_CELLS + 1
+    assert f"P={2 * poly.RENDER_MAX_HEIGHT + 20}<" in svg
+
+
+@pytest.mark.parametrize("word", [[poly.RENDER_MAX_HEIGHT] * 10 + [1], [1] * (10**5 + 1)],
+                         ids=["tall-letters", "many-letters"])
+def test_render_refuses_one_cell_above_max_cells_before_building(word):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            wp.render_polyomino(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "render refuses a word of 100001 cells, above 100000"
+    # the word's letters are copied once; a drawing of 100 001 cells would take about 40 MB
+    assert peak < 64 * len(word) + 2**16
+
+
 def test_render_is_deterministic():
     assert wp.render_polyomino([2, 3, 1, 3]) == wp.render_polyomino([2, 3, 1, 3])
 
@@ -112,17 +135,27 @@ def reference_edges(word):
     return sum((i + di, h + dh) not in cells for i, h in cells for di, dh in sides)
 
 
+def word_forms(letters):
+    """The word as a list, a tuple and, if its letters fit, bytes."""
+    return [letters, tuple(letters)] + ([bytes(letters)] if max(letters) < 256 else [])
+
+
 def assert_routes_equal_references(words):
-    """Both routes and the one-word API on each word, as a list, a tuple and (if it fits) bytes."""
-    for word in words:
-        letters = [int(x) for x in word]
-        want, edges = reference_breakdown(letters), reference_edges(letters)
-        forms = [letters, tuple(letters)] + ([bytes(letters)] if max(letters) < 256 else [])
-        for form in forms:
-            assert poly.perimeter_from_gaps(form) == want
-            assert poly.perimeter_from_edges(form) == edges == want[2]
-        assert wp.perimeter_decomposed(letters) == want
-        assert wp.perimeter_edge_count(letters) == edges
+    """Both routes on the words as one list and one at a time, and the one-word API on each
+    word, each word as a list, a tuple and (if it fits) bytes."""
+    words = [[int(x) for x in word] for word in words]
+    want = [reference_breakdown(letters) for letters in words]
+    edges = [reference_edges(letters) for letters in words]
+    assert edges == [p for _, _, p in want]
+    for forms in zip(*map(word_forms, words)):  # only the forms that every word has
+        assert poly.perimeters_from_gaps(list(forms)) == want
+        assert poly.perimeters_from_edges(list(forms)) == edges
+    for letters, breakdown, count in zip(words, want, edges):
+        for form in word_forms(letters):
+            assert poly.perimeters_from_gaps([form]) == [breakdown]
+            assert poly.perimeters_from_edges([form]) == [count]
+        assert wp.perimeter_decomposed(letters) == breakdown
+        assert wp.perimeter_edge_count(letters) == count
 
 
 def test_routes_equal_references_on_exhaustive_cases():
@@ -149,7 +182,7 @@ def test_routes_on_edge_words():
     # length-1 words, a word far below the others' height, and k = 1 words
     words = [[1], [7], [1, 1, 1, 1, 1, 1], [2, 1], [30, 1, 30], [1, 1]]
     assert_routes_equal_references(words)
-    assert [poly.perimeter_from_edges(bytes(w)) for w in words] == [4, 16, 14, 8, 124, 6]
+    assert poly.perimeters_from_edges(list(map(bytes, words))) == [4, 16, 14, 8, 124, 6]
 
 
 @pytest.mark.parametrize("kernel", [wp.perimeter_decomposed, wp.perimeter_edge_count],
@@ -207,8 +240,9 @@ def test_edge_kernel_block_with_some_columns_in_two_words():
 
 
 def test_long_words_take_fields_one_at_a_time():
-    # past 64 letters the table fields are not used, whatever the letters
-    for word in ([5] * 65, [1, 31] * 40, [31] * 64 + [1], list(range(1, 100))):
+    # letters below 32 take 4-byte fields whatever the word's length; a taller
+    # letter sends its block to fields written one word at a time
+    for word in ([5] * 65, [1, 31] * 40, [31] * 64 + [1], [31] * 500, list(range(1, 100))):
         assert_routes_equal_references([word])
 
 
@@ -276,3 +310,58 @@ def test_edge_count_refuses_an_oversize_bitset_before_allocating(word, tallest):
     assert "\n" not in message
     assert message.startswith(f"edge count refuses letter {tallest}: a word of {len(word)} letters")
     assert peak < 2**16  # the refused bitset would hold at least 2**24 bytes
+
+
+# ---------------------------------------------------------------------------
+# blocks of words: the sizes around BLOCK_WORDS, the words at block edges and
+# the letter limits of the whole-block layouts
+# ---------------------------------------------------------------------------
+
+B = poly.BLOCK_WORDS
+# n = 2 and 60 with letters 1 and 30, the extremes of verify's random words
+EXTREME_WORDS = [bytes([1, 30]), bytes([30] * 60), bytes([1] * 60), bytes([30, 1]),
+                 bytes([1, 1]), bytes([30, 30]), bytes([1, 30] * 30), bytes([30, 1] * 30)]
+
+
+def block_words(size, seed):
+    """``size`` words like verify's, with extreme words first, second, second last and last in each block."""
+    rng = random.Random(seed)
+    words = [bytes(rng.randint(1, 30) for _ in range(rng.randint(2, 60))) for _ in range(size)]
+    for i in range(size):
+        if i % B in (0, 1, B - 2, B - 1) or i == size - 1:
+            words[i] = EXTREME_WORDS[i % len(EXTREME_WORDS)]
+    return words
+
+
+@pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_routes_on_blocks_of_every_size(size):
+    words = block_words(size, seed=size)
+    assert poly.perimeters_from_gaps(words) == [reference_breakdown(word) for word in words]
+    assert poly.perimeters_from_edges(words) == [reference_edges(word) for word in words]
+
+
+def test_routes_take_no_words():
+    assert poly.perimeters_from_gaps([]) == [] == poly.perimeters_from_edges([])
+
+
+@pytest.mark.parametrize("route, general, limit, reference", [
+    (poly.perimeters_from_gaps, "_gap_sum", 128, reference_breakdown),
+    (poly.perimeters_from_edges, "_board", 32, reference_edges),
+], ids=["gaps-byte-lanes", "edges-4-byte-fields"])
+@pytest.mark.parametrize("side", [-1, 0], ids=["below-the-limit", "at-the-limit"])
+def test_block_layout_agrees_with_the_general_path_at_its_limit(monkeypatch, route, general, limit,
+                                                                 reference, side):
+    # a block's layout holds for letters below the limit; a letter at the limit
+    # sends the whole block to the general path, one word at a time
+    calls = []
+    real = getattr(poly, general)
+    monkeypatch.setattr(poly, general, lambda word: calls.append(word) or real(word))
+    words = block_words(B - 1, seed=limit)
+    on_the_general_path = route(words + [[300, 1]])[:-1]  # 300 fits no byte
+    assert len(calls) == B
+    calls.clear()
+    tall = limit + side
+    got = route(words + [bytes([1, tall, tall - 1, 1])])
+    assert len(calls) == (B if side == 0 else 0)
+    assert got[:-1] == on_the_general_path
+    assert got[-1] == reference([1, tall, tall - 1, 1])

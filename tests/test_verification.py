@@ -10,6 +10,7 @@ import pytest
 import wordperim as wp
 from wordperim import cross_moments as xm
 from wordperim import moments as mo
+from wordperim import polyomino as poly
 from wordperim import verification as ver
 
 
@@ -96,12 +97,12 @@ def test_corrupted_geometric_closed_form_is_caught(monkeypatch):
 
 
 def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
-    real = ver.perimeter_from_edges
+    real = ver.perimeters_from_edges
 
-    def off_by_one_on_short_words(word):
-        return real(word) + (len(word) < 5)
+    def off_by_one_on_short_words(words):
+        return [edges + (len(word) < 5) for word, edges in zip(words, real(words))]
 
-    monkeypatch.setattr(ver, "perimeter_from_edges", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeters_from_edges", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert 1 <= len(check.failures) <= 5
@@ -118,13 +119,12 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
 
 def test_a_broken_decomposition_fails_both_perimeter_checks(monkeypatch):
     # the decomposition side of the identity: P one too large on short words
-    real = ver.perimeter_from_gaps
+    real = ver.perimeters_from_gaps
 
-    def off_by_one_on_short_words(word):
-        q, r, p = real(word)
-        return q, r, p + (len(word) < 5)
+    def off_by_one_on_short_words(words):
+        return [(q, r, p + (len(word) < 5)) for word, (q, r, p) in zip(words, real(words))]
 
-    monkeypatch.setattr(ver, "perimeter_from_gaps", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeters_from_gaps", off_by_one_on_short_words)
     for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
         assert not check.passed
         assert len(check.failures) == 5
@@ -150,47 +150,48 @@ def test_run_verification_times_each_check():
 def reference_random_words(count, seed):
     """The random check's words in word order, read one at a time from the documented layout.
 
-    Word i is row i % 2048 of window i // 2048: 62 little-endian uint16 values
-    u of the SHAKE-128 digest keyed by the ASCII text "seed,window", giving
-    n = 2 + (u0*59 >> 16), k = 2 + (u1*29 >> 16) and n letters 1 + (u*k >> 16).
-    A whole window's digest is read even when ``count`` ends inside it.
+    Word i is row i % 2048 of window i // 2048: 64 bytes of the SHAKE-128
+    digest keyed by the ASCII text "seed,window".  Its first two little-endian
+    uint16 values u0 and u1 give n = 2 + (u0*59 >> 16) and k = 2 + (u1*29 >> 16),
+    and the n bytes b after them the letters 1 + (b*k >> 8).  A whole window's
+    digest is read even when ``count`` ends inside it.
     """
     for i in range(count):
         window, row = divmod(i, 2048)
         if row == 0:
-            digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2048 * 124)
-        u = struct.unpack_from("<62H", digest, 124 * row)
-        n, k = 2 + (u[0] * 59 >> 16), 2 + (u[1] * 29 >> 16)
-        yield tuple(1 + (x * k >> 16) for x in u[2 : 2 + n]), k
+            digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(2048 * 64)
+        u0, u1 = struct.unpack_from("<2H", digest, 64 * row)
+        n, k = 2 + (u0 * 59 >> 16), 2 + (u1 * 29 >> 16)
+        yield tuple(1 + (b * k >> 8) for b in digest[64 * row + 4 : 64 * row + 4 + n]), k
 
 
 def record_route_words(monkeypatch):
     """Lists of (word, P) and (word, edge count), in call order, of the words the routes get."""
     seen_p, seen_edges = [], []
-    real_gaps, real_edges = ver.perimeter_from_gaps, ver.perimeter_from_edges
+    real_gaps, real_edges = ver.perimeters_from_gaps, ver.perimeters_from_edges
 
-    def recording_gaps(word):
-        breakdown = real_gaps(word)
-        seen_p.append((tuple(word), breakdown[2]))
-        return breakdown
+    def recording_gaps(words):
+        breakdowns = real_gaps(words)
+        seen_p.extend((tuple(word), p) for word, (_, _, p) in zip(words, breakdowns))
+        return breakdowns
 
-    def recording_edges(word):
-        edges = real_edges(word)
-        seen_edges.append((tuple(word), edges))
+    def recording_edges(words):
+        edges = real_edges(words)
+        seen_edges.extend(zip(map(tuple, words), edges))
         return edges
 
-    monkeypatch.setattr(ver, "perimeter_from_gaps", recording_gaps)
-    monkeypatch.setattr(ver, "perimeter_from_edges", recording_edges)
+    monkeypatch.setattr(ver, "perimeters_from_gaps", recording_gaps)
+    monkeypatch.setattr(ver, "perimeters_from_edges", recording_edges)
     return seen_p, seen_edges
 
 
 def test_random_failures_are_the_first_in_draw_order(monkeypatch):
-    real = ver.perimeter_from_edges
+    real = ver.perimeters_from_edges
 
-    def off_by_one_on_short_words(word):
-        return real(word) + (len(word) < 5)
+    def off_by_one_on_short_words(words):
+        return [edges + (len(word) < 5) for word, edges in zip(words, real(words))]
 
-    monkeypatch.setattr(ver, "perimeter_from_edges", off_by_one_on_short_words)
+    monkeypatch.setattr(ver, "perimeters_from_edges", off_by_one_on_short_words)
     expected = []
     for word, _ in reference_random_words(2000, seed=3):
         p = wp.perimeter_decomposed(word).P
@@ -206,14 +207,58 @@ def test_random_failures_are_the_first_in_draw_order(monkeypatch):
 
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
 def test_grouped_random_check_equals_ungrouped_reference(monkeypatch, count):
-    # the check reads each window's letters in whole-window operations; the
-    # reference unpacks one word at a time.  Both routes get every word, in order.
+    # the check reads each window's letters with one translate a word and gives
+    # the routes whole windows; the reference reads one word at a time, one
+    # letter at a time.  Both routes get every word, in order.
     seen_p, seen_edges = record_route_words(monkeypatch)
     check = ver.check_perimeter_random(count, seed=11)
     words = [word for word, _ in reference_random_words(count, seed=11)]
     assert check.passed and check.instances == count == len(words)
     assert seen_p == [(word, wp.perimeter_decomposed(word).P) for word in words]
     assert seen_edges == [(word, wp.perimeter_edge_count(word)) for word in words]
+
+
+def shift_one_word_of_each_block(monkeypatch, side, position):
+    """Make one route wrong on the word at ``position`` (0 or -1) of each of its blocks."""
+    if side == "decomposition":
+        real_gap_sums = poly._gap_sums
+
+        def gap_sums(block):
+            sums = real_gap_sums(block)
+            sums[position] += 1
+            return sums
+
+        monkeypatch.setattr(poly, "_gap_sums", gap_sums)
+    else:
+        real_boards = poly._boards
+
+        def boards(block):
+            fields = list(real_boards(block))
+            board, field = fields[position]
+            fields[position] = board | 1 << 30, field  # a cell at height 31 of the first column
+            return fields
+
+        monkeypatch.setattr(poly, "_boards", boards)
+
+
+@pytest.mark.parametrize("side", ["decomposition", "edge-count"])
+@pytest.mark.parametrize("position", [0, -1], ids=["first-word", "last-word"])
+def test_a_fault_in_one_word_of_each_block_names_that_word(monkeypatch, side, position):
+    words = [word for word, _ in reference_random_words(2000, seed=3)]
+    # blocks of 256 words, the last of 208: the faulty words in draw order
+    starts = range(0, 2000, poly.BLOCK_WORDS)
+    faulty = [[start, min(start + poly.BLOCK_WORDS, 2000) - 1][position] for start in starts]
+    expected = []
+    for i in faulty[:5]:
+        p = wp.perimeter_decomposed(words[i]).P
+        if side == "decomposition":
+            expected.append(f"word {words[i]}: P={p + 1} edges={p}")
+        else:  # the extra cell rests on a first column of 30 cells, else it floats
+            expected.append(f"word {words[i]}: P={p} edges={p + (2 if words[i][0] == 30 else 4)}")
+    shift_one_word_of_each_block(monkeypatch, side, position)
+    check = ver.check_perimeter_random(2000, seed=3)
+    assert len(faulty) == 8 and check.instances == 2000
+    assert check.failures == expected
 
 
 def checked_words(count, seed):
@@ -248,6 +293,15 @@ def test_random_words_cover_every_shape_and_both_letter_ends():
     assert sorted(letters) == list(range(2, 31))
     for k, drawn in letters.items():
         assert min(drawn) == 1 and max(drawn) == k
+
+
+@pytest.mark.parametrize("k", range(2, 31))
+def test_each_letter_table_is_near_uniform_on_one_to_k(k):
+    table = ver._LETTER_TABLES[k]
+    assert table == bytes(1 + (b * k >> 8) for b in range(256))
+    counts = [table.count(letter) for letter in range(256)]
+    assert [letter for letter in range(256) if counts[letter]] == list(range(1, k + 1))
+    assert {counts[letter] for letter in range(1, k + 1)} <= {256 // k, 256 // k + 1}
 
 
 @pytest.mark.parametrize("bad", [-1, -(2**70), True, False, 1.0, 2.5, "3", None, Fraction(3)])
