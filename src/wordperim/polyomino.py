@@ -264,19 +264,19 @@ def render_polyomino(word: Sequence[int]) -> str:
             )
     parts.append("</g>")
 
-    cells = {(i, h) for i, x in enumerate(letters) for h in range(1, x + 1)}
+    # each cell (i, h), column by column and bottom to top, adds its boundary
+    # edges: left, right, below, above
     edges = []
-    for i, h in sorted(cells):
-        # vertical edges: left of (i,h) vs (i-1,h), right vs (i+1,h)
-        if (i - 1, h) not in cells:
-            edges.append(((i, h - 1), (i, h)))
-        if (i + 1, h) not in cells:
-            edges.append(((i + 1, h - 1), (i + 1, h)))
-        # horizontal edges: below vs (i,h-1), above vs (i,h+1)
-        if (i, h - 1) not in cells:
-            edges.append(((i, h - 1), (i + 1, h - 1)))
-        if (i, h + 1) not in cells:
-            edges.append(((i, h), (i + 1, h)))
+    for i, (left, x, right) in enumerate(zip([0, *letters], letters, [*letters[1:], 0])):
+        for h in range(1, x + 1):
+            if h > left:  # no cell (i-1, h)
+                edges.append(((i, h - 1), (i, h)))
+            if h > right:  # no cell (i+1, h)
+                edges.append(((i + 1, h - 1), (i + 1, h)))
+            if h == 1:  # the ground
+                edges.append(((i, 0), (i + 1, 0)))
+            if h == x:  # the column's top
+                edges.append(((i, x), (i + 1, x)))
     d = " ".join(
         f"M {sx(ax):.2f} {sy(ay):.2f} L {sx(bx):.2f} {sy(by):.2f}"
         for (ax, ay), (bx, by) in edges

@@ -32,8 +32,11 @@ EXHAUSTIVE_PERIMETER = tuple(
 _WINDOW_WORDS = 2048
 # n and k of a word: the first two little-endian uint16 values of its 64-byte row
 _ROW_HEAD = struct.Struct("<2H60x")
-# the letter 1 + (b*k >> 8) of each byte b, for k = 2 .. 30 (index k)
-_LETTER_TABLES = (b"", b"") + tuple(bytes(1 + (b * k >> 8) for b in range(256)) for k in range(2, 31))
+# the letter 1 + (b*k >> 8) of each byte b, for k = 2 .. 30 (index k): letter j + 1
+# is the image of the bytes ceil(256j/k) .. ceil(256(j+1)/k) - 1
+_LETTER_TABLES = (b"", b"") + tuple(
+    b"".join(bytes([j + 1]) * (-(-256 * (j + 1) // k) - -(-256 * j // k)) for j in range(k))
+    for k in range(2, 31))
 
 
 @dataclass

@@ -32,8 +32,7 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: system", "line 3: c"]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -75,6 +74,10 @@ def test_the_exact_core_imports_numpy_nowhere_at_module_level(name):
     assert not [m for m in module_level_imports(source) if m.split(".")[0] == "numpy"]
 
 
+SUBMODULES = {"cross_moments", "empirics", "models", "moments", "polyomino", "simulation",
+              "svgplot", "verification"}
+
+
 def test_every_public_name_resolves_and_is_listed_by_dir():
     import wordperim as wp
 
@@ -82,7 +85,58 @@ def test_every_public_name_resolves_and_is_listed_by_dir():
     for name in wp.__all__:
         assert getattr(wp, name) is not None, name
         assert name in listed, name
-    assert {"simulation", "empirics", "svgplot"} <= set(listed)
+    assert SUBMODULES <= set(listed)
+
+
+# the package's public names, in the order of ``__all__``
+PUBLIC_NAMES = [
+    "EmpiricalMoments", "GEOMETRIC", "GofReport", "Histogram", "IdentityCheck",
+    "MemoryBudgetExceeded", "Model", "MomentIndex", "MomentReport", "NoClosedFormError",
+    "PerimeterBreakdown", "SimulationConfig", "TrajectoryEnsemble", "UNIFORM", "build_histogram",
+    "cross_moment_closed", "cross_moment_oracle", "empirical_moments", "format_report", "gap_pmf",
+    "gap_pmf_by_convolution", "gaussian_cell_masses", "goodness_of_fit", "ks_statistic",
+    "letter_pmf", "mean_gap", "mean_perimeter", "moment_report", "mu3_dominant",
+    "mu3_rate_closed", "normal_cdf", "normalized_path", "perimeter_decomposed",
+    "perimeter_edge_count", "render_polyomino", "run_verification", "sample_letters", "simulate",
+    "trajectory_rng", "variance_perimeter", "vstar_sigma", "__version__",
+]
+
+# imports the package alone, then every name through ``import *``, in a fresh interpreter
+PACKAGE_PROBE = """
+import json, sys
+import wordperim as wp
+loaded = sorted(m for m in sys.modules if m.startswith(("wordperim.", "numpy")))
+names = {}
+exec("from wordperim import *", names)
+del names["__builtins__"]
+# each bound object is the object of that name in the module that defines it
+homes = {name: getattr(value, "__module__", None) for name, value in names.items()}
+served = {name: home is not None and getattr(sys.modules[home], name) is names[name]
+          for name, home in homes.items()}
+print(json.dumps({"loaded": loaded, "all": wp.__all__, "bound": sorted(names), "homes": homes,
+                  "served": served, "constants": [wp.Model is wp.models.Model,
+                                                  wp.UNIFORM is wp.models.UNIFORM,
+                                                  wp.GEOMETRIC is wp.models.GEOMETRIC]}))
+"""
+
+
+def test_the_package_imports_no_submodule_and_serves_each_name_from_its_module():
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", PACKAGE_PROBE], capture_output=True, text=True,
+                          timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    assert probe["loaded"] == []  # no wordperim submodule and no numpy
+    assert probe["all"] == PUBLIC_NAMES
+    assert probe["bound"] == sorted(PUBLIC_NAMES)
+    assert probe["constants"] == [True, True, True]
+    # every name but the two string constants and __version__ names its defining module
+    unplaced = sorted(name for name, home in probe["homes"].items() if home is None)
+    assert unplaced == ["GEOMETRIC", "UNIFORM", "__version__"]
+    homes = {home.split(".")[1] for home in probe["homes"].values() if home}
+    assert homes == SUBMODULES - {"svgplot"}
+    assert sorted(name for name, ok in probe["served"].items() if not ok) == unplaced
 
 
 EXACT_COMMANDS = [

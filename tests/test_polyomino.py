@@ -117,6 +117,37 @@ def test_render_is_deterministic():
     assert wp.render_polyomino([2, 3, 1, 3]) == wp.render_polyomino([2, 3, 1, 3])
 
 
+def reference_outline(word: list[int]) -> str:
+    """The outline path of the drawing, from the set of every cell: each sorted cell adds
+    each of its four sides (left, right, below, above) whose neighbour is not a cell."""
+    cells = {(i, h) for i, x in enumerate(word) for h in range(1, x + 1)}
+    edges = []
+    for i, h in sorted(cells):
+        for (di, dh), edge in [((-1, 0), ((i, h - 1), (i, h))),
+                               ((1, 0), ((i + 1, h - 1), (i + 1, h))),
+                               ((0, -1), ((i, h - 1), (i + 1, h - 1))),
+                               ((0, 1), ((i, h), (i + 1, h)))]:
+            if (i + di, h + dh) not in cells:
+                edges.append(edge)
+    px, top = poly.RENDER_CELL_PX, (max(word) + 1) * poly.RENDER_CELL_PX
+
+    def point(x, y):  # in px: a margin of one cell, the baseline at the bottom
+        return f"{px + x * px:.2f} {top - y * px:.2f}"
+
+    d = " ".join(f"M {point(*a)} L {point(*b)}" for a, b in edges)
+    return f'<path d="{d}" stroke="#08306b" stroke-width="2.5" fill="none"/>'
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=20))
+@example([2, 3, 1, 3, 5, 1])
+@example([1])
+@example([4, 4, 4])
+def test_render_outline_equals_a_cell_set_reference(word):
+    lines = wp.render_polyomino(word).splitlines()
+    assert lines[-3] == reference_outline(word)
+    assert lines[-3].count(" L ") == wp.perimeter_edge_count(word)
+
+
 # ---------------------------------------------------------------------------
 # the two routes, on the word types the one-word API and verify give them
 # ---------------------------------------------------------------------------
