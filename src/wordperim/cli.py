@@ -48,10 +48,7 @@ def _model_from_args(args) -> Model:
     value = getattr(args, flag)
     if value is None:
         raise CliError(f"--model {args.model} requires --{flag}")
-    try:
-        return getattr(Model, args.model)(value)
-    except ValueError as e:
-        raise CliError(str(e))
+    return getattr(Model, args.model)(value)
 
 
 def _add_model_args(parser, required: bool = True) -> None:
@@ -109,10 +106,10 @@ def _svg(svg: str):
 
 
 def _read_input(reader, path):
-    """``reader(path)``, with an unreadable or malformed input reported as a CliError."""
+    """``reader(path)``, with an unreadable input reported as a CliError."""
     try:
         return reader(path)
-    except (OSError, ValueError) as e:
+    except OSError as e:
         raise CliError(str(e))
 
 
@@ -127,8 +124,6 @@ def cmd_moments(args) -> int:
         doc = report.as_dict()
     except OverflowError as e:  # a decimal beyond float range
         raise CliError(f"a moment of {model.describe()} at n={args.n} is too large: {e}")
-    except ValueError as e:  # also an exact value past Python's int-to-str digit limit
-        raise CliError(str(e))
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -162,8 +157,6 @@ def cmd_xmoment(args) -> int:
             raise CliError(f"T{tuple(idx)} of {model.describe()} is too large: {e}")
         except xm.NoClosedFormError as e:
             raise CliError(f"no closed form tabulated for {e.quantity}; use --method oracle")
-        except ValueError as e:  # a value with too many digits
-            raise CliError(str(e))
     print(json.dumps({
         "model": model.as_dict(),
         "index": list(idx),
@@ -225,7 +218,7 @@ def cmd_simulate(args) -> int:
             record_full_paths=args.paths,
         )
         ensemble = simulation.simulate(config)
-    except (ValueError, simulation.MemoryBudgetExceeded) as e:
+    except simulation.MemoryBudgetExceeded as e:
         raise CliError(str(e))
 
     write = simulation.write_path_csv if args.paths else simulation.write_endpoint_csv
@@ -251,11 +244,8 @@ def cmd_histogram(args) -> int:
         outputs["--gof"] = Path(args.gof)
     _require_distinct(outputs)
     data = _read_input(simulation.read_endpoint_csv, args.input)
-    try:
-        hist = empirics.build_histogram(data["z"], args.delta)
-        report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
-    except ValueError as e:
-        raise CliError(str(e))
+    hist = empirics.build_histogram(data["z"], args.delta)
+    report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
     writers = {out: partial(empirics.write_histogram_csv, hist)}
     if args.gof:
         writers[Path(args.gof)] = partial(empirics.write_gof_json, report)
@@ -450,7 +440,7 @@ def main(argv=None) -> int:
         parser.error("plot --kind pmf requires --model")
     try:
         return args.fn(args)
-    except CliError as e:
+    except (CliError, ValueError) as e:  # a library ValueError names what it refuses
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:  # every command turns its input-reading OSErrors into CliError

@@ -59,7 +59,7 @@ class Model:
             object.__setattr__(self, "k", k)  # a numpy integer is stored as an int
         elif self.kind == GEOMETRIC:
             if not isinstance(self.p, Fraction) or not 0 < self.p < 1:
-                raise ValueError(f"geometric model needs rational 0 < p < 1, got {self.p!r}")
+                raise ValueError(f"geometric model needs rational 0 < p < 1, got {self.p}")
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
 

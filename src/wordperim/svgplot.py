@@ -10,10 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .empirics import normal_cdf
-from .models import Model, gap_pmf
+from .models import UNIFORM, Model, gap_pmf
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 20, 24, 44  # margins
+# Most points plot_gap_pmf draws, one per gap value u (a uniform k draws k);
+# a point is a Fraction and about 100 bytes of SVG.
+PMF_MAX_POINTS = 10**4
 
 
 class _Frame:
@@ -85,8 +88,15 @@ def _document(frame: _Frame, body: list[str], title: str, xlabel: str, ylabel: s
 
 
 def plot_gap_pmf(model: Model) -> str:
-    """Gap distribution f(u): markers on the exact masses, connected by a line."""
-    if model.kind == "uniform":
+    """Gap distribution f(u): markers on the exact masses, connected by a line.
+
+    A uniform k above PMF_MAX_POINTS is refused with ValueError before
+    anything is built.
+    """
+    if model.kind == UNIFORM:
+        if model.k > PMF_MAX_POINTS:
+            raise ValueError(f"gap pmf plot refuses {model.describe()}: {model.k} points, "
+                             f"above {PMF_MAX_POINTS}")
         us = list(range(0, model.k))
     else:  # up to the first u with q**u < 1e-15, at most 60
         last = next((u for u in range(1, 61) if model.q**u * 10**15 < 1), 60)

@@ -51,29 +51,6 @@ def test_moments_geometric_csv(capsys):
     assert cells["mean_P"] == "28/3"
 
 
-def test_moments_validation_failures(capsys):
-    code, _, err = run(capsys, "moments", "--model", "uniform", "--k", "6", "--n", "1")
-    assert code == 1 and "n" in err
-    code, _, err = run(capsys, "moments", "--model", "uniform", "--k", "0", "--n", "5")
-    assert code == 1
-    code, _, err = run(capsys, "moments", "--model", "uniform", "--n", "5")
-    assert code == 1 and "--k" in err
-    code, _, err = run(capsys, "moments", "--model", "geometric", "--p", "7/2", "--n", "5")
-    assert code == 1
-
-
-def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--model", "cauchy", "--n", "5"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--model", "geometric", "--p", "zebra", "--n", "5"])
-    assert exc.value.code == 2
-
-
 # ---------------------------------------------------------------------------
 # xmoment
 # ---------------------------------------------------------------------------
@@ -97,58 +74,6 @@ def test_xmoment_geometric_oracle_is_exact(capsys):
     assert (closed["method"], oracle["method"]) == ("closed_form", "brute_force")
     assert oracle["exact"] == closed["exact"] == "4"
     assert set(oracle) == {"method", "exact", "decimal"}  # no truncation_bound: nothing is cut
-
-
-def test_xmoment_no_closed_form(capsys):
-    # the CLI's route to the oracle is --method oracle; the default "both" asks for the closed form
-    for argv, quantity in [
-        (["--k", "6", "--index", "0,1,0,1", "--method", "closed"],
-         "T(0, 1, 0, 1) under uniform[1,6]"),
-        (["--k", "6", "--index", "0,1,0,1", "--method", "closed", "--centered"],
-         "centered T(0, 1, 0, 1) under uniform[1,6]"),
-        (["--k", "3", "--index", "1,1,1,1"], "T(1, 1, 1, 1) under uniform[1,3]"),
-    ]:
-        code, out, err = run(capsys, "xmoment", "--model", "uniform", *argv)
-        assert code == 1 and out == ""
-        assert err == f"error: no closed form tabulated for {quantity}; use --method oracle\n"
-
-
-def test_xmoment_rejects_centered_letter(capsys):
-    code, _, err = run(
-        capsys, "xmoment", "--model", "uniform", "--k", "6", "--index", "1,1,0,0",
-        "--centered", "--method", "oracle",
-    )
-    assert code == 1
-
-
-def test_xmoment_bad_index(capsys):
-    code, _, err = run(
-        capsys, "xmoment", "--model", "uniform", "--k", "6", "--index", "0,9,0,0"
-    )
-    assert code == 1 and "index" in err
-
-
-@pytest.mark.parametrize("index", ["1,1,1", "1,1,1,1,1"])
-def test_xmoment_wrong_number_of_exponents(capsys, index):
-    code, out, err = run(capsys, "xmoment", "--model", "uniform", "--k", "3", "--index", index)
-    assert code == 1 and out == ""
-    assert err == (f"error: bad --index {index!r}: need four comma-separated integer exponents "
-                   f"alpha,beta,gamma,delta, got {index.count(',') + 1}\n")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["moments", "--model", "geometric", "--p", f"1/{10**120}", "--n", "10"],
-     f"error: a moment of geometric(1/{10**120}) at n=10 is too large: "),
-    (["xmoment", "--model", "geometric", "--index", "0,2,0,0", "--p", f"1/{10**160}"],
-     f"error: T(0, 2, 0, 0) of geometric(1/{10**160}) is too large: "),
-    # an exact value here has more digits than Python converts to text
-    (["moments", "--model", "geometric", "--p", f"{10**400 - 1}/{10**400}", "--n", "10"],
-     "error: Exceeds the limit"),
-], ids=["moments-float-overflow", "xmoment-float-overflow", "moments-too-many-digits"])
-def test_extreme_p_is_one_error_line(capsys, argv, message):
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith(message) and err.count("\n") == 1
 
 
 # p = 1/10**100: every decimal is still a finite float
@@ -232,27 +157,6 @@ def test_verify_times_go_to_stderr_only(capsys):
     assert run(capsys, *argv)[1] == out
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--p-list", "1/0"], "--p-list"),
-        (["--p-list", "2"], "--p-list"),
-        (["--p-list", "abc"], "--p-list"),
-        (["--p-list", "1/2,"], "--p-list"),
-        (["--n-max", "1"], "--n-max"),
-        (["--k-max", "0"], "--k-max"),
-        (["--random-words", "-3"], "--random-words"),
-        (["--seed", "-1"], "--seed"),
-        (["--n-max", "3"], "--n-max must be >= 4, got 3"),  # the variance check starts at 4
-    ],
-)
-def test_verify_bad_arguments_exit_one(capsys, flags, message):
-    code, out, err = run(capsys, "verify", *flags)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and message in err
-
-
 def test_verify_zero_random_words(capsys):
     code, out, _ = run(
         capsys, "verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", "--random-words", "0",
@@ -331,41 +235,6 @@ def test_simulate_rerun_identical_bytes(capsys, tmp_path):
     assert m1["outputs"] == m2["outputs"]
 
 
-def test_simulate_validation(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "simulate", "--model", "uniform", "--k", "6", "--m", "0",
-        "--trajectories", "5", "--seed", "1", "--out", str(tmp_path / "x.csv"),
-    )
-    assert code == 1
-
-
-def test_simulate_geometric_p_below_float_resolution(capsys, tmp_path):
-    out = tmp_path / "x.csv"
-    code, stdout, err = run(
-        capsys, "simulate", "--model", "geometric", "--p", "1/100000000000000000", "--m", "5",
-        "--trajectories", "3", "--seed", "1", "--out", str(out),
-    )
-    assert code == 1
-    assert stdout == "" and not out.exists()
-    assert err.startswith("error: geometric p = 1/100000000000000000 is too small")
-
-
-# p = 1 - 10**-400: float(1 - p) is 0.0, and ln q would be log(0.0)
-P_NEAR_ONE = f"{10**400 - 1}/{10**400}"
-
-
-def test_simulate_geometric_p_too_close_to_one(capsys, tmp_path):
-    out = tmp_path / "x.csv"
-    code, stdout, err = run(
-        capsys, "simulate", "--model", "geometric", "--p", P_NEAR_ONE, "--m", "5",
-        "--trajectories", "3", "--seed", "1", "--out", str(out),
-    )
-    assert code == 1
-    assert stdout == "" and not out.exists()
-    assert err == (f"error: geometric p = {P_NEAR_ONE} is too close to 1 to sample: "
-                   "1 - p rounds to 0.0 in float64\n")
-
-
 # p = 1 - 10**-300 still has float(1 - p) > 0: every draw is the letter 1
 SIMULATE_NEAR_ONE_GOLDEN = {
     "ens.csv": "12ac5371aeacc180a91cdda236ad65ac36f8d1a6e96593a149b4f915182bc840",
@@ -385,60 +254,6 @@ def test_simulate_geometric_p_just_below_one_keeps_its_bytes(capsys, tmp_path, m
         SIMULATE_NEAR_ONE_GOLDEN
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--m", "5", "--trajectories", "3", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
-    (["--m", "5", "--trajectories", "3", "--seed", str(2**64)], "seed must be"),
-    # endpoint mode: 1.6e15 bytes are refused before anything is allocated
-    (["--m", "1", "--trajectories", str(10**14), "--seed", "1"], "budget is 2147483648"),
-], ids=["negative-seed", "seed-2**64", "huge-N"])
-def test_simulate_bad_inputs_exit_one(capsys, tmp_path, flags, message):
-    out = tmp_path / "x.csv"
-    code, stdout, err = run(capsys, "simulate", "--model", "uniform", "--k", "6", *flags,
-                            "--out", str(out))
-    assert code == 1
-    assert stdout == "" and not out.exists()
-    assert err.startswith("error: ") and message in err
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--model", "uniform", "--k", str(2**63), "--m", "1", "--trajectories", "3"],
-     f"uniform k={2**63} with m=1 would overflow int64: "
-     "need k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1"),
-    (["--model", "uniform", "--k", "6", "--m", str(2 * 10**9), "--trajectories", "64"],
-     "recording the endpoints and z of 64 trajectories and sampling 64 at a time needs "
-     "4096000003072 bytes, budget is 2147483648"),
-    (["--model", "geometric", "--p", "1/10000000000000000", "--m", "2000", "--trajectories", "5"],
-     "geometric p=1/10000000000000000 with m=2000 would overflow int64: "
-     "need m*(L - 1) <= 2**63 - 1 for the largest letter L = 367368005696771008"),
-], ids=["k-2**63", "sampler-buffers", "geometric-p-1e-16"])
-def test_simulate_refusal_is_one_error_line(capsys, tmp_path, monkeypatch, flags, message):
-    monkeypatch.setattr(simulation, "_gap_blocks", lambda *args: pytest.fail("sampled"))
-    out = tmp_path / "x.csv"
-    code, stdout, err = run(capsys, "simulate", *flags, "--seed", "1", "--out", str(out))
-    assert (code, stdout, err) == (1, "", f"error: {message}\n")
-    assert not out.exists()
-
-
-def test_simulate_out_naming_its_sidecar_exits_one(capsys, tmp_path):
-    # the sidecar of runs/ens.json is runs/ens.json itself: it would overwrite the ensemble
-    out = tmp_path / "runs" / "ens.json"
-    code, stdout, err = run(capsys, *simulate_args(out))
-    assert code == 1 and stdout == ""
-    assert err == f"error: --out and the config sidecar both name {out}\n"
-    assert not (tmp_path / "runs").exists()
-
-
-@pytest.mark.parametrize("gof, first", [("h.csv", "--out"), ("sub/../h.csv.manifest.json", "the manifest")])
-def test_histogram_outputs_naming_one_file_exit_one(capsys, tmp_path, monkeypatch, gof, first):
-    monkeypatch.chdir(tmp_path)
-    assert run(capsys, *simulate_args("ens.csv"))[0] == 0
-    code, stdout, err = run(capsys, "histogram", "--input", "ens.csv", "--out", "h.csv",
-                            "--gof", gof)
-    assert code == 1 and stdout == ""
-    assert err == f"error: {first} and --gof both name {gof}\n"
-    assert not Path("h.csv").exists() and not Path("h.csv.manifest.json").exists()
-
-
 def test_histogram_gof_creates_its_directory(capsys, tmp_path):
     ens = tmp_path / "ens.csv"
     gof = tmp_path / "nodir" / "deeper" / "gof.json"
@@ -447,24 +262,6 @@ def test_histogram_gof_creates_its_directory(capsys, tmp_path):
                      "--gof", str(gof))
     assert code == 0
     assert set(json.loads(gof.read_text())) == {"ks_statistic", "max_cell_abs_error"}
-
-
-@pytest.mark.parametrize("command", ["simulate", "histogram", "plot", "render"])
-def test_out_naming_a_directory_exits_one(capsys, tmp_path, command):
-    ens = tmp_path / "ens.csv"
-    assert run(capsys, *simulate_args(ens))[0] == 0
-    target = tmp_path / "taken"
-    target.mkdir()
-    argv = {
-        "simulate": simulate_args(target),
-        "histogram": ["histogram", "--input", str(ens), "--out", str(target)],
-        "plot": ["plot", "--kind", "pmf", "--model", "uniform", "--k", "6", "--out", str(target)],
-        "render": ["render", "--word", "2,3,1", "--out", str(target)],
-    }[command]
-    code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert err.startswith("error: cannot write output: ") and str(target) in err
-    assert "Traceback" not in err and list(target.iterdir()) == []
 
 
 def full_pipeline(capsys, tmp_path):
@@ -488,36 +285,6 @@ def test_histogram_pipeline(capsys, tmp_path):
     assert "ks_statistic" in out
     manifest = json.loads((tmp_path / "hist.csv.manifest.json").read_text())
     assert set(manifest["outputs"]) == {"hist.csv", "gof.json"}
-
-
-def test_histogram_rejects_wrong_schema(capsys, tmp_path):
-    paths_csv = tmp_path / "paths.csv"
-    assert run(capsys, *simulate_args(paths_csv, n="20", paths=True))[0] == 0
-    code, _, err = run(
-        capsys, "histogram", "--input", str(paths_csv), "--out", str(tmp_path / "h.csv")
-    )
-    assert code == 1 and "endpoint" in err
-
-
-def test_histogram_rejects_bad_delta(capsys, tmp_path):
-    ens = tmp_path / "ens.csv"
-    assert run(capsys, *simulate_args(ens, n="50"))[0] == 0
-    code, _, err = run(
-        capsys, "histogram", "--input", str(ens), "--delta", "5/7",
-        "--out", str(tmp_path / "h.csv"),
-    )
-    assert code == 1 and "6/delta" in err
-
-
-def test_histogram_refuses_a_nan_z(capsys, tmp_path):
-    ens = tmp_path / "ens.csv"
-    ens.write_text("trajectory,endpoint,z\n0,3,0.5\n1,4,nan\n2,5,inf\n")
-    hist, gof = tmp_path / "h.csv", tmp_path / "gof.json"
-    code, out, err = run(capsys, "histogram", "--input", str(ens), "--out", str(hist),
-                         "--gof", str(gof))
-    assert (code, out) == (1, "")
-    assert err == "error: sample contains NaN\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ens.csv"]
 
 
 def test_plot_kinds(capsys, tmp_path):
@@ -555,69 +322,6 @@ def test_plot_is_deterministic(capsys, tmp_path):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_plot_input_validation(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "plot", "--kind", "trajectory", "--out", str(tmp_path / "x.svg")
-    )
-    assert code == 1 and "--input" in err
-    ens = tmp_path / "ens.csv"
-    assert run(capsys, *simulate_args(ens, n="20"))[0] == 0
-    code, _, err = run(
-        capsys, "plot", "--kind", "trajectory", "--input", str(ens),
-        "--out", str(tmp_path / "x.svg"),
-    )
-    assert code == 1  # endpoint CSV is not a path CSV
-    with pytest.raises(SystemExit) as exc:
-        main(["plot", "--kind", "pmf", "--out", str(tmp_path / "p.svg")])
-    assert exc.value.code == 2
-
-
-def test_malformed_csv_inputs_exit_one(capsys, tmp_path):
-    paths_csv = tmp_path / "paths.csv"
-    assert run(capsys, *simulate_args(paths_csv, n="5", paths=True))[0] == 0
-    lines = paths_csv.read_text().splitlines(keepends=True)
-    paths_csv.write_text("".join(lines[:3] + lines[4:]))  # drop row j = 2 of path 0
-    code, _, err = run(
-        capsys, "plot", "--kind", "normalized", "--input", str(paths_csv),
-        "--out", str(tmp_path / "x.svg"),
-    )
-    assert code == 1 and err.startswith("error: path CSV") and "Traceback" not in err
-    assert "line 4" in err
-
-    ens = tmp_path / "ens.csv"
-    ens.write_text("trajectory,endpoint,z\n0,3,0.5\n1,2\n")
-    code, _, err = run(
-        capsys, "histogram", "--input", str(ens), "--out", str(tmp_path / "h.csv")
-    )
-    assert code == 1 and err.startswith("error: endpoint CSV") and "Traceback" not in err
-
-    # histogram CSVs: a short row, and a header without rows
-    _, hist, _, code, _ = full_pipeline(capsys, tmp_path)
-    assert code == 0
-    header, *rows = hist.read_text().splitlines(keepends=True)
-    short = rows[2].rsplit(",", 1)[0] + "\n"
-    for text, where in ((header + rows[0] + rows[1] + short + "".join(rows[3:]), "line 4"),
-                        (header, "no data rows")):
-        hist.write_text(text)
-        for kind in ("histogram", "cumulative"):
-            code, out, err = run(
-                capsys, "plot", "--kind", kind, "--input", str(hist),
-                "--out", str(tmp_path / "x.svg"),
-            )
-            assert code == 1 and out == "" and "Traceback" not in err
-            assert err.startswith("error: histogram CSV") and where in err
-
-
-def test_plot_trajectory_out_of_range(capsys, tmp_path):
-    paths_csv = tmp_path / "paths.csv"
-    assert run(capsys, *simulate_args(paths_csv, n="5", paths=True))[0] == 0
-    code, _, err = run(
-        capsys, "plot", "--kind", "trajectory", "--input", str(paths_csv),
-        "--trajectory", "99", "--out", str(tmp_path / "x.svg"),
-    )
-    assert code == 1 and "out of range" in err
 
 
 # plot reads one path of a path CSV that simulate's manifest proves, and the
@@ -767,23 +471,6 @@ def test_plot_of_a_proven_csv_holds_one_path(capsys, tmp_path, monkeypatch):
     assert peak < 4 * 2**20  # the CSV writer's bound; the whole file takes about 28 MiB
 
 
-@pytest.mark.parametrize("sidecar, problem", [
-    ("{not json", "is not valid JSON"),
-    ('{"sigma": 2.0}', "has no field 'mean_gap'"),
-    ('{"mean_gap": "7/3"}', "has no field 'sigma'"),
-])
-@pytest.mark.parametrize("kind", ["trajectory", "normalized"])
-def test_plot_malformed_sidecar_exits_one(capsys, tmp_path, kind, sidecar, problem):
-    paths_csv = tmp_path / "paths.csv"
-    assert run(capsys, *simulate_args(paths_csv, n="5", paths=True))[0] == 0
-    (tmp_path / "paths.json").write_text(sidecar)
-    code, out, err = run(capsys, "plot", "--kind", kind, "--input", str(paths_csv),
-                         "--out", str(tmp_path / "plots" / "x.svg"))
-    assert code == 1 and out == "" and "Traceback" not in err
-    assert err.startswith(f"error: config sidecar {tmp_path / 'paths.json'} {problem}")
-    assert not (tmp_path / "plots").exists()  # no SVG, not even its directory
-
-
 def test_render(capsys, tmp_path):
     out = tmp_path / "poly.svg"
     code, stdout, _ = run(capsys, "render", "--word", "2,3,1,3", "--out", str(out))
@@ -792,26 +479,6 @@ def test_render(capsys, tmp_path):
     svg = out.read_text()
     assert svg.count(" L ") == 18
     assert (tmp_path / "poly.svg.manifest.json").exists()
-
-
-def test_render_rejects_bad_word(capsys, tmp_path):
-    for word in ("2,zebra", "3,,2"):
-        code, _, err = run(capsys, "render", "--word", word, "--out", str(tmp_path / "x.svg"))
-        assert code == 1
-        assert err.startswith(f"error: bad --word {word!r}: ")
-    code, _, err = run(capsys, "render", "--word", "0,3", "--out", str(tmp_path / "x.svg"))
-    assert code == 1
-
-
-def test_render_at_max_cells_and_one_cell_above(capsys, tmp_path):
-    word = ",".join(["10000"] * 10)  # 10**5 cells, RENDER_MAX_CELLS
-    code, out, _ = run(capsys, "render", "--word", word, "--out", str(tmp_path / "max.svg"))
-    assert code == 0 and out.endswith(f"\nword={word} Q=0 R=20000 P=20020\n")
-    code, out, err = run(capsys, "render", "--word", f"{word},1", "--out", str(tmp_path / "over.svg"))
-    assert code == 1 and out == ""
-    assert err == (f"error: bad --word '{word},1': "
-                   "render refuses a word of 100001 cells, above 100000\n")
-    assert not (tmp_path / "over.svg").exists()
 
 
 def test_version_flag(capsys):
@@ -1001,3 +668,265 @@ def test_verify_default_stdout_golden(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert sha256_hex(out.encode("utf-8")) == VERIFY_GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# refusals and edge inputs, one row each
+# ---------------------------------------------------------------------------
+
+U6 = "simulate --model uniform --k 6"  # the model of most simulate rows
+PATH_RUN = f"{U6} --m 5 --trajectories 5 --seed 3 --paths --out paths.csv"
+ENSEMBLE = {"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,4,-0.5\n2,2,0.25\n"}
+HISTOGRAM_HEAD = "i,left,right,center,count,freq,gauss_mass\n"
+# three histogram rows; the last, file line 4, has no gauss_mass
+SHORT_ROW = "0,-1.0,0.0,-0.5,1,0.5,0.25\n1,0.0,1.0,0.5,1,0.5,0.25\n2,1.0,2.0,1.5,0,0.0\n"
+# p = 1 - 10**-400: float(1 - p) is 0.0, and ln q would be log(0.0)
+P_NEAR_ONE = f"{10**400 - 1}/{10**400}"
+CELLS = ",".join(["10000"] * 10)  # 10**5 cells, RENDER_MAX_CELLS
+NO_CLOSED_FORM = "no closed form tabulated for {}; use --method oracle"
+
+# (id, steps, exit code, expectation).  Each step but the last sets up the
+# working directory: a {name: text} dict of files to write (None makes a
+# directory) or an argv that must exit 0.  The last step is the argv under test.
+# Exit 1 expects its one stderr line after "error: ", an empty stdout, no new
+# file and, unless a write failed, nothing sampled; exit 2 expects argparse's
+# last stderr line; exit 0 expects the sha256 of stdout and of the manifest.
+CLI_CASES = [
+    ("moments-n-1", ["moments --model uniform --k 6 --n 1"], 1,
+     "word length n must be an integer >= 2, got 1"),
+    ("moments-k-0", ["moments --model uniform --k 0 --n 5"], 1,
+     "uniform model needs integer k >= 1, got 0"),
+    ("moments-without-k", ["moments --model uniform --n 5"], 1, "--model uniform requires --k"),
+    ("moments-without-p", ["moments --model geometric --n 5"], 1, "--model geometric requires --p"),
+    ("moments-p-7/2", ["moments --model geometric --p 7/2 --n 5"], 1,
+     "geometric model needs rational 0 < p < 1, got 7/2"),
+    ("moments-p-1e-120", [f"moments --model geometric --p 1/{10**120} --n 10"], 1,
+     f"a moment of geometric(1/{10**120}) at n=10 is too large: "
+     "integer division result too large for a float"),
+    ("moments-p-1-1e-300", [f"moments --model geometric --p {10**300 - 1}/{10**300} --n 10"], 0,
+     ("dfe435effc234696169fc784105e67e88b5d73b13a04e6bb5b33558d9b8c04d7", None)),
+    # an exact value here has more digits than Python converts to text
+    ("moments-p-1-1e-400", [f"moments --model geometric --p {P_NEAR_ONE} --n 10"], 1,
+     "Exceeds the limit (4300 digits) for integer string conversion; "
+     "use sys.set_int_max_str_digits() to increase the limit"),
+    ("moments-model-cauchy", ["moments --model cauchy --n 5"], 2,
+     "wordperim moments: error: argument --model: invalid choice: 'cauchy' "
+     "(choose from 'uniform', 'geometric')"),
+    ("frobnicate", ["frobnicate"], 2,
+     "wordperim: error: argument command: invalid choice: 'frobnicate' (choose from 'moments', "
+     "'xmoment', 'verify', 'simulate', 'histogram', 'plot', 'render')"),
+    *[(f"moments-p-{p}", [f"moments --model geometric --p {p} --n 5"], 2,
+       f"wordperim moments: error: argument --p: not a rational number: '{p}'")
+      for p in ("zebra", "1/2/3", "nan", "1/0")],
+
+    ("xmoment-closed", ["xmoment --model uniform --k 6 --index 0,1,0,1 --method closed"], 1,
+     NO_CLOSED_FORM.format("T(0, 1, 0, 1) under uniform[1,6]")),
+    ("xmoment-closed-centered",
+     ["xmoment --model uniform --k 6 --index 0,1,0,1 --method closed --centered"], 1,
+     NO_CLOSED_FORM.format("centered T(0, 1, 0, 1) under uniform[1,6]")),
+    # the default --method both asks for the closed form too
+    ("xmoment-both", ["xmoment --model uniform --k 3 --index 1,1,1,1"], 1,
+     NO_CLOSED_FORM.format("T(1, 1, 1, 1) under uniform[1,3]")),
+    ("xmoment-centered-letter",
+     ["xmoment --model uniform --k 6 --index 1,1,0,0 --centered --method oracle"], 1,
+     "centered cross-moments are defined for gap variables only (alpha must be 0)"),
+    ("xmoment-index-0,9,0,0", ["xmoment --model uniform --k 6 --index 0,9,0,0"], 1,
+     "bad --index '0,9,0,0': exponents must be integers in [0, 3], got (0, 9, 0, 0)"),
+    *[(f"xmoment-index-{index}", [f"xmoment --model uniform --k 3 --index {index}"], 1,
+       f"bad --index '{index}': need four comma-separated integer exponents "
+       f"alpha,beta,gamma,delta, got {index.count(',') + 1}") for index in ("1,1,1", "1,1,1,1,1")],
+    ("xmoment-p-1e-160", [f"xmoment --model geometric --index 0,2,0,0 --p 1/{10**160}"], 1,
+     f"T(0, 2, 0, 0) of geometric(1/{10**160}) is too large: "
+     "integer division result too large for a float"),
+
+    *[(f"verify-p-list-{entry}", [f"verify --p-list {entry}"], 1,
+       f"bad --p-list entry '{token}': need a rational 0 < p < 1")
+      for entry, token in [("1/0", "1/0"), ("2", "2"), ("abc", "abc"), ("1/2,", "")]],
+    # --n-max 3: the variance check starts at n = 4 and would compare nothing
+    *[(f"verify{flag}-{value}", [f"verify {flag} {value}"], 1, f"{flag} must be >= {least}, got {value}")
+      for flag, value, least in [("--n-max", 1, 4), ("--n-max", 3, 4), ("--k-max", 0, 1),
+                                 ("--random-words", -3, 0), ("--seed", -1, 0)]],
+
+    ("simulate-m-0", [f"{U6} --m 0 --trajectories 5 --seed 1 --out x.csv"], 1,
+     "need at least one gap, got m=0"),
+    ("simulate-N-0", [f"{U6} --m 5 --trajectories 0 --seed 1 --out x.csv"], 1,
+     "need at least one trajectory, got 0"),
+    ("simulate-k-1-m-1-N-1", ["simulate --model uniform --k 1 --m 1 --trajectories 1 --seed 1 "
+                              "--out x.csv"], 0,
+     ("76a0adfcd80ccab4b0f3816c4cb5c441a806c58de24dba6fbaff7292e47ff751",
+      "6211f54be63701994c86b6e925c400ba483c77ba6f72a5104c39039f9b920c86")),
+    ("simulate-seed-0", [f"{U6} --m 5 --trajectories 3 --seed 0 --out x.csv"], 0,
+     ("228412d4a280504488e7e694e550480a8abaf71171f906434be7ed12b19fbc0d",
+      "63c4b4906dbf7781b15f6a01c27b733c1a11aa130f3513119d17cc3ba362af07")),
+    ("simulate-seed-2**64-1", [f"{U6} --m 5 --trajectories 3 --seed {2**64 - 1} --out x.csv"], 0,
+     ("5ec90b542f34fa749b1df90e212ff1b83b0e5a8dfa54ef675d0d0c0415744199",
+      "d7e3f1b3dd41e6efddddb601d8a86f94bfe2934fb4cde04546a3d068044021d1")),
+    *[(f"simulate-seed-{seed}", [f"{U6} --m 5 --trajectories 3 --seed {value} --out x.csv"], 1,
+       f"seed must be an integer in [0, 2**64), got {value}")
+      for seed, value in [("-1", -1), ("2**64", 2**64)]],
+    ("simulate-k-2**63-1", [f"simulate --model uniform --k {2**63 - 1} --m 1 --trajectories 3 "
+                            "--seed 1 --out x.csv"], 0,
+     ("26f1d3ef1731594f5aa10d68e2df838a21c043ca30adc907966456235dd6b3a8",
+      "d9eb8cc4f278b0cdd36ff5c0eda2e1f901455979656e0d0bd5a299bc3b21c57e")),
+    ("simulate-k-2**63", [f"simulate --model uniform --k {2**63} --m 1 --trajectories 3 --seed 1 "
+                          "--out x.csv"], 1,
+     f"uniform k={2**63} with m=1 would overflow int64: "
+     "need k <= 2**63 - 1 and m*(k - 1) <= 2**63 - 1"),
+    # endpoint mode: 1.6e15 bytes are refused before anything is allocated
+    ("simulate-N-10**14", [f"{U6} --m 1 --trajectories {10**14} --seed 1 --out x.csv"], 1,
+     f"recording the endpoints and z of {10**14} trajectories needs 1600000000000000 bytes, "
+     "budget is 2147483648"),
+    ("simulate-m-2*10**9", [f"{U6} --m {2 * 10**9} --trajectories 64 --seed 1 --out x.csv"], 1,
+     "recording the endpoints and z of 64 trajectories and sampling 64 at a time needs "
+     "4096000003072 bytes, budget is 2147483648"),
+    # the sampler takes ln q as log1p(-p) below p = 2**-26 and as log(1 - p) from it on
+    ("simulate-p-2**-26", [f"simulate --model geometric --p 1/{2**26} --m 5 --trajectories 3 "
+                           "--seed 1 --out x.csv"], 0,
+     ("82b0e0cf027546dacd71a9285112e8ddcd14fc4c431f9761fb0b4deca3144ab2",
+      "7fe391d1cc716115934554e984d1eb36fba67510efa48dc6513d279904a08d8f")),
+    ("simulate-p-1/(2**26+1)", [f"simulate --model geometric --p 1/{2**26 + 1} --m 5 "
+                                "--trajectories 3 --seed 1 --out x.csv"], 0,
+     ("3252efd7cb0a4ba88085cd6abec4145c8073fc73d6a09a79f123cbdb931cc0f4",
+      "b61c864ba3ede041b0d2754c7f459fea6378b702b1aeb5775f5aa6f375fe1e7b")),
+    ("simulate-p-1e-16", ["simulate --model geometric --p 1/10000000000000000 --m 2000 "
+                          "--trajectories 5 --seed 1 --out x.csv"], 1,
+     "geometric p=1/10000000000000000 with m=2000 would overflow int64: "
+     "need m*(L - 1) <= 2**63 - 1 for the largest letter L = 367368005696771008"),
+    ("simulate-p-1e-17", ["simulate --model geometric --p 1/100000000000000000 --m 5 "
+                          "--trajectories 3 --seed 1 --out x.csv"], 1,
+     "geometric p = 1/100000000000000000 is too small to sample: 1 - p rounds to 1.0 in float64"),
+    ("simulate-p-1-1e-400", [f"simulate --model geometric --p {P_NEAR_ONE} --m 5 "
+                             "--trajectories 3 --seed 1 --out x.csv"], 1,
+     f"geometric p = {P_NEAR_ONE} is too close to 1 to sample: 1 - p rounds to 0.0 in float64"),
+    # the sidecar of runs/ens.json is runs/ens.json itself: it would overwrite the ensemble
+    ("simulate-out-is-its-sidecar", [f"{U6} --m 5 --trajectories 3 --seed 1 --out runs/ens.json"],
+     1, "--out and the config sidecar both name runs/ens.json"),
+
+    ("histogram-gof-is-out", [ENSEMBLE, "histogram --input ens.csv --out h.csv --gof h.csv"], 1,
+     "--out and --gof both name h.csv"),
+    ("histogram-gof-is-manifest",
+     [ENSEMBLE, "histogram --input ens.csv --out h.csv --gof sub/../h.csv.manifest.json"], 1,
+     "the manifest and --gof both name sub/../h.csv.manifest.json"),
+    ("histogram-input-missing", ["histogram --input ens.csv --out h.csv"], 1,
+     "[Errno 2] No such file or directory: 'ens.csv'"),
+    ("histogram-of-a-path-csv", [PATH_RUN, "histogram --input paths.csv --out h.csv"], 1,
+     "expected the endpoint CSV header 'trajectory,endpoint,z', got 'trajectory,j,Q'"),
+    ("histogram-short-row", [{"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,2\n"},
+                             "histogram --input ens.csv --out h.csv"], 1,
+     "endpoint CSV ens.csv line 3: the dtype passed requires 3 columns but 2 were found"),
+    ("histogram-nan", [{"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,4,nan\n2,5,inf\n"},
+                       "histogram --input ens.csv --out h.csv --gof gof.json"], 1,
+     "sample contains NaN"),
+    ("histogram-delta-5/7", [ENSEMBLE, "histogram --input ens.csv --delta 5/7 --out h.csv"], 1,
+     "6/delta must be an integer, got delta=5/7"),
+    # argparse takes a value that starts with "-" for a flag, unless "=" joins the two
+    ("histogram-delta=-1/2", [ENSEMBLE, "histogram --input ens.csv --delta=-1/2 --out h.csv"], 1,
+     "delta must be positive, got -1/2"),
+    ("histogram-delta--1/2", [ENSEMBLE, "histogram --input ens.csv --delta -1/2 --out h.csv"], 2,
+     "wordperim histogram: error: argument --delta: expected one argument"),
+
+    *[(f"{argv.split()[0]}-out-is-a-directory", [*setup, {"taken": None}, f"{argv} --out taken"],
+       1, "cannot write output: [Errno 21] Is a directory: 'taken'")
+      for setup, argv in [([], f"{U6} --m 5 --trajectories 3 --seed 1"),
+                          ([ENSEMBLE], "histogram --input ens.csv"),
+                          ([], "plot --kind pmf --model uniform --k 6"),
+                          ([], "render --word 2,3,1")]],
+
+    ("plot-pmf-without-model", ["plot --kind pmf --out p.svg"], 2,
+     "wordperim: error: plot --kind pmf requires --model"),
+    ("plot-pmf-k-10**4", [f"plot --kind pmf --model uniform --k {10**4} --out pmf.svg"], 0,
+     ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+      "c7e5c3f049cab3f1366f112236662d37e36db5d0a77b97b19851c39f908aacc5")),
+    ("plot-pmf-k-10**4+1", [f"plot --kind pmf --model uniform --k {10**4 + 1} --out plots/pmf.svg"],
+     1, "gap pmf plot refuses uniform[1,10001]: 10001 points, above 10000"),
+    ("plot-trajectory-without-input", ["plot --kind trajectory --out x.svg"], 1,
+     "plot --kind trajectory requires --input (path-mode ensemble CSV)"),
+    ("plot-histogram-without-input", ["plot --kind histogram --out x.svg"], 1,
+     "plot --kind histogram requires --input (histogram CSV)"),
+    ("plot-trajectory-of-an-endpoint-csv",
+     [ENSEMBLE, "plot --kind trajectory --input ens.csv --out x.svg"], 1,
+     "expected the path CSV header 'trajectory,j,Q', got 'trajectory,endpoint,z'"),
+    ("plot-trajectory-99", [PATH_RUN, "plot --kind trajectory --input paths.csv --trajectory 99 "
+                                      "--out x.svg"], 1, "--trajectory 99 out of range 0..4"),
+    # row j = 2 of path 0 is missing
+    ("plot-normalized-missing-row",
+     [{"paths.csv": "trajectory,j,Q\n0,0,0\n0,1,2\n0,3,5\n1,0,0\n1,1,1\n1,2,2\n1,3,4\n"},
+      "plot --kind normalized --input paths.csv --out x.svg"], 1,
+     "path CSV paths.csv line 4: trajectory 0, j 3; expected trajectory 0, j 2 (m = 3)"),
+    *[(f"plot-{kind}-{what}", [{"h.csv": HISTOGRAM_HEAD + rows},
+                               f"plot --kind {kind} --input h.csv --out x.svg"], 1, message)
+      for kind in ("histogram", "cumulative")
+      for what, rows, message in [
+          ("short-row", SHORT_ROW,
+           "histogram CSV h.csv line 4: the dtype passed requires 7 columns but 6 were found"),
+          ("no-rows", "", "histogram CSV h.csv has no data rows after its header")]],
+    *[(f"plot-{kind}-sidecar-{what}",
+       [PATH_RUN, {"paths.json": sidecar}, f"plot --kind {kind} --input paths.csv --out plots/x.svg"],
+       1, f"config sidecar paths.json {problem}")
+      for kind in ("trajectory", "normalized")
+      for what, sidecar, problem in [
+          ("not-json", "{not json", "is not valid JSON: "
+           "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+          ("without-mean-gap", '{"sigma": 2.0}', "has no field 'mean_gap'"),
+          ("without-sigma", '{"mean_gap": "7/3"}', "has no field 'sigma'")]],
+    ("plot-trajectory-sidecar-mean-gap-x",
+     [PATH_RUN, {"paths.json": '{"mean_gap": "x", "sigma": 1}'},
+      "plot --kind trajectory --input paths.csv --out x.svg"], 1,
+     "config sidecar paths.json: Invalid literal for Fraction: 'x'"),
+    ("plot-trajectory-without-sidecar", [{"paths.csv": "trajectory,j,Q\n0,0,0\n0,1,2\n"},
+                                         "plot --kind trajectory --input paths.csv --out x.svg"],
+     1, "config sidecar paths.json not found next to paths.csv"),
+
+    ("render-word-2,zebra", ["render --word 2,zebra --out x.svg"], 1,
+     "bad --word '2,zebra': invalid literal for int() with base 10: 'zebra'"),
+    ("render-word-3,,2", ["render --word 3,,2 --out x.svg"], 1,
+     "bad --word '3,,2': invalid literal for int() with base 10: ''"),
+    ("render-word-0,3", ["render --word 0,3 --out x.svg"], 1,
+     "bad --word '0,3': letters must be positive integers, got 0"),
+    ("render-word-1,10001", ["render --word 1,10001 --out x.svg"], 1,
+     "bad --word '1,10001': render refuses letters above 10000"),
+    ("render-word=-1,2", ["render --word=-1,2 --out x.svg"], 1,
+     "bad --word '-1,2': letters must be positive integers, got -1"),
+    ("render-word--1,2", ["render --word -1,2 --out x.svg"], 2,
+     "wordperim render: error: argument --word: expected one argument"),
+    # stdout: word=10000,...,10000 Q=0 R=20000 P=20020
+    ("render-10**5-cells", [f"render --word {CELLS} --out max.svg"], 0,
+     ("8db273abcf0136d473f602f99f7f58df45beadbedc4b878be6d066e892d00ede",
+      "f0377e8fd375346c8c59a65c34f4f46b66ae7778aaec631ca141c5ec13ef2dfe")),
+    ("render-10**5+1-cells", [f"render --word {CELLS},1 --out over.svg"], 1,
+     f"bad --word '{CELLS},1': render refuses a word of 100001 cells, above 100000"),
+]
+
+
+@pytest.mark.parametrize("steps, code, expect", [case[1:] for case in CLI_CASES],
+                         ids=[case[0] for case in CLI_CASES])
+def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
+    monkeypatch.chdir(tmp_path)
+    *setup, argv = steps
+    for step in setup:
+        if isinstance(step, dict):
+            for name, text in step.items():
+                if text is None:
+                    Path(name).mkdir()
+                else:
+                    Path(name).write_text(text)
+        else:
+            assert run(capsys, *step.split())[0] == 0
+    argv = argv.split()
+    before = sorted(Path().rglob("*"))
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err.splitlines()[-1]) == (2, "", expect)
+    elif code == 1:
+        if not expect.startswith("cannot write output: "):  # every other refusal comes first
+            monkeypatch.setattr(simulation, "_gap_blocks", lambda *args: pytest.fail("sampled"))
+        assert run(capsys, *argv) == (1, "", f"error: {expect}\n")
+    else:
+        got, out, err = run(capsys, *argv)
+        manifest = Path(f"{argv[argv.index('--out') + 1]}.manifest.json") if "--out" in argv else None
+        assert (got, err, sha256_hex(out.encode("utf-8"))) == (0, "", expect[0])
+        assert (manifest and sha256_hex(manifest.read_bytes())) == expect[1]
+    if code:
+        assert sorted(Path().rglob("*")) == before

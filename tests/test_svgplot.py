@@ -42,6 +42,14 @@ def test_pmf_plot_range_is_tight_cutoff():
             assert m.q**59 >= Fraction(1, 10**15)
 
 
+def test_pmf_plot_refuses_a_uniform_k_above_its_points_cap(monkeypatch):
+    assert svgplot.PMF_MAX_POINTS == 10**4
+    monkeypatch.setattr(svgplot, "gap_pmf", lambda *args: pytest.fail("built"))
+    with pytest.raises(ValueError) as exc:
+        svgplot.plot_gap_pmf(wp.Model.uniform(10**8))
+    assert str(exc.value) == "gap pmf plot refuses uniform[1,100000000]: 100000000 points, above 10000"
+
+
 # sha256 of plot_gap_pmf: the plot bytes go into run manifests, so they must not drift
 PMF_GOLDEN = {
     "uniform[1,6]": "4e302c202e1f56483425d2f732544b9e11e292dc2d271e8eb4ca2b668f806d22",
