@@ -10,14 +10,17 @@ deterministic).
 The commands import what they need when they run: ``simulate``,
 ``histogram`` and ``plot`` load numpy and the modules built on it
 (``simulation``, ``empirics``, ``svgplot``); ``moments``, ``xmoment``,
-``verify`` and ``render`` run without numpy.
+``verify`` and ``render`` run without numpy.  The same rule holds for
+``json`` and ``hashlib``: a function that reads or writes JSON, or hashes a
+file, imports them itself, so ``verify`` loads no ``json`` and ``moments``
+and ``xmoment`` load no OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
+import errno
+import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -30,6 +33,8 @@ from .models import Model
 from .polyomino import perimeter_decomposed, render_polyomino
 
 DEFAULT_DELTA = Fraction(1, 2)
+# the parameter of each model, given by the flag of its name
+MODEL_PARAMETER = {"uniform": "k", "geometric": "p"}
 
 
 class CliError(Exception):
@@ -44,11 +49,24 @@ def _fraction(text: str) -> Fraction:
 
 
 def _model_from_args(args) -> Model:
-    flag = {"uniform": "k", "geometric": "p"}[args.model]
+    flag = MODEL_PARAMETER[args.model]
     value = getattr(args, flag)
     if value is None:
         raise CliError(f"--model {args.model} requires --{flag}")
     return getattr(Model, args.model)(value)
+
+
+def _printed(convert, quantity: str, args):
+    """``convert()``, which turns exact values into text; a CliError if one has too many digits.
+
+    Python refuses to print an int of more than ``sys.get_int_max_str_digits()``
+    digits; the error names ``quantity`` and the flag of the model's parameter.
+    """
+    try:
+        return convert()
+    except ValueError:  # the one ValueError of str(Fraction)
+        raise CliError(f"{quantity} has more than {sys.get_int_max_str_digits()} digits, the "
+                       f"most Python prints; give --{MODEL_PARAMETER[args.model]} fewer digits")
 
 
 def _add_model_args(parser, required: bool = True) -> None:
@@ -58,6 +76,8 @@ def _add_model_args(parser, required: bool = True) -> None:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -69,13 +89,19 @@ def _manifest_path(primary_out: Path) -> Path:
     return primary_out.with_name(primary_out.name + ".manifest.json")
 
 
-def _require_distinct(outputs: dict[str, Path]) -> None:
-    """Refuse two outputs of one command that name the same file: the later would overwrite."""
+def _check_outputs(outputs: dict[str, Path]) -> None:
+    """Refuse, before any work, outputs that name one file twice or an existing directory.
+
+    Two outputs of one file: the later would overwrite the earlier.  A
+    directory is refused with the IsADirectoryError its write would raise.
+    """
     seen: dict[Path, str] = {}
     for what, path in outputs.items():
         first = seen.setdefault(path.resolve(), what)
         if first != what:
             raise CliError(f"{first} and {what} both name {path}")
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _write_outputs(command: str, flags: dict, writers: dict) -> None:
@@ -85,6 +111,8 @@ def _write_outputs(command: str, flags: dict, writers: dict) -> None:
     that path; each parent directory is created first.  The manifest is named
     after the first path.
     """
+    import json
+
     for path, write in writers.items():
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
@@ -106,11 +134,11 @@ def _svg(svg: str):
 
 
 def _read_input(reader, path):
-    """``reader(path)``, with an unreadable input reported as a CliError."""
+    """``reader(path)``, with an unreadable ``--input`` reported as a CliError."""
     try:
         return reader(path)
     except OSError as e:
-        raise CliError(str(e))
+        raise CliError(f"cannot read --input: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +146,15 @@ def _read_input(reader, path):
 # ---------------------------------------------------------------------------
 
 def cmd_moments(args) -> int:
+    import json
+
     model = _model_from_args(args)
+    quantity = f"a moment of {model.describe()} at n={args.n}"
     try:
         report = moments.moment_report(model, args.n)
-        doc = report.as_dict()
+        doc = _printed(report.as_dict, quantity, args)
     except OverflowError as e:  # a decimal beyond float range
-        raise CliError(f"a moment of {model.describe()} at n={args.n} is too large: {e}")
+        raise CliError(f"{quantity} is too large: {e}")
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -136,6 +167,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_xmoment(args) -> int:
+    import json
+
     model = _model_from_args(args)
     try:
         exps = [int(t) for t in args.index.split(",")]
@@ -148,13 +181,15 @@ def cmd_xmoment(args) -> int:
     routes = {"closed_form": xm.cross_moment_closed, "brute_force": xm.cross_moment_oracle}
     methods = {"closed": ["closed_form"], "oracle": ["brute_force"],
                "both": ["closed_form", "brute_force"]}[args.method]
+    quantity = f"T{tuple(idx)} of {model.describe()}"
     results = []
     for method in methods:
         try:
             value = routes[method](model, idx, args.centered)
-            results.append({"method": method, "exact": str(value), "decimal": float(value)})
+            exact = _printed(partial(str, value), quantity, args)
+            results.append({"method": method, "exact": exact, "decimal": float(value)})
         except OverflowError as e:  # a decimal beyond float range
-            raise CliError(f"T{tuple(idx)} of {model.describe()} is too large: {e}")
+            raise CliError(f"{quantity} is too large: {e}")
         except xm.NoClosedFormError as e:
             raise CliError(f"no closed form tabulated for {e.quantity}; use --method oracle")
     print(json.dumps({
@@ -208,7 +243,7 @@ def cmd_simulate(args) -> int:
     model = _model_from_args(args)
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
-    _require_distinct({"--out": out, "the config sidecar": sidecar, "the manifest": _manifest_path(out)})
+    _check_outputs({"--out": out, "the config sidecar": sidecar, "the manifest": _manifest_path(out)})
     try:
         config = simulation.SimulationConfig(
             model=model,
@@ -242,7 +277,7 @@ def cmd_histogram(args) -> int:
     outputs = {"--out": out, "the manifest": _manifest_path(out)}
     if args.gof:
         outputs["--gof"] = Path(args.gof)
-    _require_distinct(outputs)
+    _check_outputs(outputs)
     data = _read_input(simulation.read_endpoint_csv, args.input)
     hist = empirics.build_histogram(data["z"], args.delta)
     report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
@@ -282,6 +317,8 @@ def _simulated_grid(csv: Path) -> tuple[int, int] | None:
     of this version with ``--paths``, and listing the sha256 of the file as it
     is now.  Such a file is a whole grid of N paths of m + 1 rows.
     """
+    import json
+
     try:
         doc = json.loads(_manifest_path(csv).read_text(encoding="utf-8"))
         flags = doc["flags"]
@@ -322,7 +359,8 @@ def cmd_plot(args) -> int:
 
     from . import empirics, simulation, svgplot
 
-    kind = args.kind
+    kind, out = args.kind, Path(args.out)
+    _check_outputs({"--out": out, "the manifest": _manifest_path(out)})
     flags = {"kind": kind, "input": args.input or "", "out": args.out,
              "trajectory": args.trajectory}
     if kind == "pmf":
@@ -351,17 +389,19 @@ def cmd_plot(args) -> int:
             svg = svgplot.plot_cumulative(hist["right"], hist["freq"])
     else:  # pragma: no cover - argparse choices guard this
         raise CliError(f"unknown plot kind {kind!r}")
-    _write_outputs("plot", flags, {Path(args.out): _svg(svg)})
+    _write_outputs("plot", flags, {out: _svg(svg)})
     return 0
 
 
 def cmd_render(args) -> int:
+    out = Path(args.out)
+    _check_outputs({"--out": out, "the manifest": _manifest_path(out)})
     try:
         word = [int(t) for t in args.word.split(",")]
         svg = render_polyomino(word)
     except ValueError as e:
         raise CliError(f"bad --word {args.word!r}: {e}")
-    _write_outputs("render", {"word": args.word, "out": args.out}, {Path(args.out): _svg(svg)})
+    _write_outputs("render", {"word": args.word, "out": args.out}, {out: _svg(svg)})
     b = perimeter_decomposed(word)
     print(f"word={args.word} Q={b.Q} R={b.R} P={b.P}")
     return 0

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 UNIFORM = "uniform"
 GEOMETRIC = "geometric"
@@ -39,29 +39,40 @@ def plain_int(value) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class Model:
-    """Letter distribution: ``uniform`` on [1, k] or ``geometric(p)`` on {1, 2, ...}.
-
-    Build instances through :meth:`uniform` or :meth:`geometric`; the
-    constructor validates the parameters either way.
-    """
-
+class _ModelFields(NamedTuple):
     kind: str
     k: int = 0
     p: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        if self.kind == UNIFORM:
-            k = plain_int(self.k)
-            if k is None or k < 1:
-                raise ValueError(f"uniform model needs integer k >= 1, got {self.k!r}")
-            object.__setattr__(self, "k", k)  # a numpy integer is stored as an int
-        elif self.kind == GEOMETRIC:
-            if not isinstance(self.p, Fraction) or not 0 < self.p < 1:
-                raise ValueError(f"geometric model needs rational 0 < p < 1, got {self.p}")
+
+class Model(_ModelFields):
+    """Letter distribution: ``uniform`` on [1, k] or ``geometric(p)`` on {1, 2, ...}.
+
+    Build instances through :meth:`uniform` or :meth:`geometric`; the
+    constructor validates the parameters either way, and so do pickling and
+    ``_replace``.  A model is a tuple of its fields: it compares and hashes
+    as ``(kind, k, p)`` and stores nothing else.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, k: int = 0, p: Fraction = Fraction(0)):
+        if kind == UNIFORM:
+            value = plain_int(k)
+            if value is None or value < 1:
+                raise ValueError(f"uniform model needs integer k >= 1, got {k!r}")
+            k = value  # a numpy integer is stored as an int
+        elif kind == GEOMETRIC:
+            if not isinstance(p, Fraction) or not 0 < p < 1:
+                raise ValueError(f"geometric model needs rational 0 < p < 1, got {p}")
         else:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ValueError(f"unknown model kind {kind!r}")
+        return super().__new__(cls, kind, k, p)
+
+    @classmethod
+    def _make(cls, fields):
+        """A model of ``fields``, validated: ``_replace`` builds its result here."""
+        return cls(*fields)
 
     @staticmethod
     def uniform(k: int) -> "Model":

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product, zip_longest
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cross_moments import MomentIndex, cross_moment_closed
 from .models import UNIFORM, Model, plain_int
@@ -63,12 +62,12 @@ def _require(n: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(NamedTuple):
     """A polynomial in the word length n: exact coefficients, lowest power first.
 
     Forms add and subtract forms and rationals, multiply by a rational, and
     keep every coefficient, zero or not; calling a form evaluates it at one n.
+    A form is a one-field tuple, but its ``+`` and ``*`` are the polynomial's.
     """
 
     coefficients: tuple  # coefficients[1] is the slope, the coefficient of n
@@ -275,8 +274,7 @@ def vstar_sigma(model: Model) -> tuple[Fraction, float]:
 # report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     """Every exact moment of one (model, n) pair, plus the limit constants."""
 
     model: Model

@@ -10,10 +10,9 @@ support (see :mod:`wordperim.cross_moments`).
 
 from __future__ import annotations
 
-import hashlib
+import math
 import struct
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, zip_longest
 
@@ -39,13 +38,16 @@ _LETTER_TABLES = (b"", b"") + tuple(
     for k in range(2, 31))
 
 
-@dataclass
 class IdentityCheck:
-    name: str
-    instances: int = 0
-    max_deviation: float = 0.0
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0  # wall time of the check, set by run_verification
+    """One identity's tally: instances compared, the first five failures named."""
+
+    def __init__(self, name: str, instances: int = 0, max_deviation: float = 0.0,
+                 failures: list[str] | None = None, seconds: float = 0.0):
+        self.name = name
+        self.instances = instances
+        self.max_deviation = max_deviation
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds  # wall time of the check, set by run_verification
 
     @property
     def passed(self) -> bool:
@@ -55,7 +57,11 @@ class IdentityCheck:
         if lhs == rhs:
             self.instances += 1
             return
-        self.max_deviation = max(self.max_deviation, abs(float(lhs - rhs)))
+        try:
+            deviation = abs(float(lhs - rhs))
+        except OverflowError:  # a difference beyond float range
+            deviation = math.inf
+        self.max_deviation = max(self.max_deviation, deviation)
         self.fail(f"{label}: {lhs} != {rhs}")
 
     def fail(self, failure: str) -> None:
@@ -247,6 +253,8 @@ def _random_windows(count: int, seed: int):
     A word's letters are the first n bytes after its row's head, each turned
     into its letter by the one translate table of the row's k.
     """
+    import hashlib  # here, not at the top: moments and xmoment never load OpenSSL
+
     for window, lo in enumerate(range(0, count, _WINDOW_WORDS)):
         size = min(_WINDOW_WORDS, count - lo)
         digest = hashlib.shake_128(f"{seed},{window}".encode()).digest(64 * size)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import wordperim as wp
@@ -24,5 +26,15 @@ def k6_paths():
         trajectories=20000,
         seed=ACCEPTANCE_SEED,
         record_full_paths=True,
+    )
+    return wp.simulate(cfg)
+
+
+@pytest.fixture(scope="session")
+def geometric_half_endpoints():
+    """Geometric p=1/2, m=500, N=100000 endpoint ensemble (the parity check's odd case)."""
+    cfg = wp.SimulationConfig(
+        model=wp.Model.geometric(Fraction(1, 2)), m=500, trajectories=100000,
+        seed=ACCEPTANCE_SEED,
     )
     return wp.simulate(cfg)

@@ -9,6 +9,7 @@ import json
 import math
 from fractions import Fraction
 import numpy as np
+import pytest
 
 import wordperim as wp
 from wordperim import moments as mo
@@ -108,6 +109,43 @@ def test_criterion_6_gaussian_fit(k6_endpoints, capsys):
             f"criterion 6: delta=1/2 histogram max cell error "
             f"{report.max_cell_abs_error:.5f} <= 0.01, KS {report.ks_statistic:.5f} <= 0.01"
         )
+
+
+def binomial_band_mass(n: int, p: Fraction, lo: int, hi: int) -> tuple[int, int]:
+    """P(lo <= X <= hi) for X ~ Binomial(n, p), exactly, as (numerator, denominator).
+
+    With p = a/b and c = b - a, P(X = j) = C(n, j) a**j c**(n-j) / b**n; each
+    term follows from the last by the factor a(n - j) / (c(j + 1)), exactly.
+    """
+    a, b = p.numerator, p.denominator
+    c = b - a
+    term, total = math.comb(n, lo) * a**lo * c ** (n - lo), 0
+    for j in range(lo, hi + 1):
+        total += term
+        term = term * a * (n - j) // (c * (j + 1))
+    return total, b**n
+
+
+@pytest.mark.parametrize("ensemble, epsilon", [
+    ("k6_endpoints", Fraction(0)),                  # E(-1)**x = 0 for even k
+    ("geometric_half_endpoints", -Fraction(1, 3)),  # -p/(2 - p) at p = 1/2
+], ids=["uniform-k6", "geometric-p1/2"])
+def test_parity_of_the_gap_sum_is_binomial(request, capsys, ensemble, epsilon):
+    # |d| = d (mod 2), so Q_m = x_m - x_0 (mod 2) with x_0 and x_m independent:
+    # P(Q_m even) = (1 + eps**2)/2, and the count of even endpoints is Binomial
+    ens = request.getfixturevalue(ensemble)
+    n = ens.config.trajectories
+    p_even = (1 + epsilon**2) / 2
+    center, spread = n * p_even, math.sqrt(n * p_even * (1 - p_even))
+    lo, hi = math.ceil(center - 5 * spread), math.floor(center + 5 * spread)
+    inside, total = binomial_band_mass(n, p_even, lo, hi)
+    outside = (total - inside) / total
+    assert inside * 10**6 >= (10**6 - 1) * total  # the band passes with probability >= 1 - 1e-6
+    even = int(np.count_nonzero(ens.endpoints % 2 == 0))
+    assert lo <= even <= hi
+    with capsys.disabled():
+        ok(f"parity of Q: {ens.config.model.describe()}, {even} of {n} endpoints even, band "
+           f"[{lo}, {hi}] around N*{p_even}; exact pass probability 1 - {outside:.3e}")
 
 
 def test_criterion_7_brownian_marginals(k6_paths, capsys):

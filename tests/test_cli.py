@@ -684,13 +684,14 @@ SHORT_ROW = "0,-1.0,0.0,-0.5,1,0.5,0.25\n1,0.0,1.0,0.5,1,0.5,0.25\n2,1.0,2.0,1.5
 P_NEAR_ONE = f"{10**400 - 1}/{10**400}"
 CELLS = ",".join(["10000"] * 10)  # 10**5 cells, RENDER_MAX_CELLS
 NO_CLOSED_FORM = "no closed form tabulated for {}; use --method oracle"
+TOO_MANY_DIGITS = "has more than 4300 digits, the most Python prints; give --p fewer digits"
 
 # (id, steps, exit code, expectation).  Each step but the last sets up the
 # working directory: a {name: text} dict of files to write (None makes a
 # directory) or an argv that must exit 0.  The last step is the argv under test.
 # Exit 1 expects its one stderr line after "error: ", an empty stdout, no new
-# file and, unless a write failed, nothing sampled; exit 2 expects argparse's
-# last stderr line; exit 0 expects the sha256 of stdout and of the manifest.
+# file and nothing sampled; exit 2 expects argparse's last stderr line; exit 0
+# expects the sha256 of stdout and of the manifest.
 CLI_CASES = [
     ("moments-n-1", ["moments --model uniform --k 6 --n 1"], 1,
      "word length n must be an integer >= 2, got 1"),
@@ -707,8 +708,7 @@ CLI_CASES = [
      ("dfe435effc234696169fc784105e67e88b5d73b13a04e6bb5b33558d9b8c04d7", None)),
     # an exact value here has more digits than Python converts to text
     ("moments-p-1-1e-400", [f"moments --model geometric --p {P_NEAR_ONE} --n 10"], 1,
-     "Exceeds the limit (4300 digits) for integer string conversion; "
-     "use sys.set_int_max_str_digits() to increase the limit"),
+     f"a moment of geometric({P_NEAR_ONE}) at n=10 {TOO_MANY_DIGITS}"),
     ("moments-model-cauchy", ["moments --model cauchy --n 5"], 2,
      "wordperim moments: error: argument --model: invalid choice: 'cauchy' "
      "(choose from 'uniform', 'geometric')"),
@@ -738,6 +738,9 @@ CLI_CASES = [
     ("xmoment-p-1e-160", [f"xmoment --model geometric --index 0,2,0,0 --p 1/{10**160}"], 1,
      f"T(0, 2, 0, 0) of geometric(1/{10**160}) is too large: "
      "integer division result too large for a float"),
+    ("xmoment-p-1e-1500",
+     [f"xmoment --model geometric --p 1/{10**1500} --index 0,1,1,1 --method closed"], 1,
+     f"T(0, 1, 1, 1) of geometric(1/{10**1500}) {TOO_MANY_DIGITS}"),
 
     *[(f"verify-p-list-{entry}", [f"verify --p-list {entry}"], 1,
        f"bad --p-list entry '{token}': need a rational 0 < p < 1")
@@ -808,7 +811,7 @@ CLI_CASES = [
      [ENSEMBLE, "histogram --input ens.csv --out h.csv --gof sub/../h.csv.manifest.json"], 1,
      "the manifest and --gof both name sub/../h.csv.manifest.json"),
     ("histogram-input-missing", ["histogram --input ens.csv --out h.csv"], 1,
-     "[Errno 2] No such file or directory: 'ens.csv'"),
+     "cannot read --input: [Errno 2] No such file or directory: 'ens.csv'"),
     ("histogram-of-a-path-csv", [PATH_RUN, "histogram --input paths.csv --out h.csv"], 1,
      "expected the endpoint CSV header 'trajectory,endpoint,z', got 'trajectory,j,Q'"),
     ("histogram-short-row", [{"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,2\n"},
@@ -831,6 +834,15 @@ CLI_CASES = [
                           ([ENSEMBLE], "histogram --input ens.csv"),
                           ([], "plot --kind pmf --model uniform --k 6"),
                           ([], "render --word 2,3,1")]],
+    # the sidecar, --gof and the manifest are checked as --out is
+    *[(f"{argv.split()[0]}-{what}-is-a-directory", [*setup, {name: None}, argv], 1,
+       f"cannot write output: [Errno 21] Is a directory: '{name}'")
+      for setup, what, name, argv in [
+          ([], "sidecar", "x.json", f"{U6} --m 5 --trajectories 3 --seed 1 --out x.csv"),
+          ([ENSEMBLE], "gof", "g.json", "histogram --input ens.csv --out h.csv --gof g.json"),
+          ([], "manifest", "p.svg.manifest.json",
+           "plot --kind pmf --model uniform --k 6 --out p.svg"),
+          ([], "manifest", "w.svg.manifest.json", "render --word 2,3,1 --out w.svg")]],
 
     ("plot-pmf-without-model", ["plot --kind pmf --out p.svg"], 2,
      "wordperim: error: plot --kind pmf requires --model"),
@@ -843,6 +855,8 @@ CLI_CASES = [
      "plot --kind trajectory requires --input (path-mode ensemble CSV)"),
     ("plot-histogram-without-input", ["plot --kind histogram --out x.svg"], 1,
      "plot --kind histogram requires --input (histogram CSV)"),
+    ("plot-histogram-input-missing", ["plot --kind histogram --input h.csv --out x.svg"], 1,
+     "cannot read --input: [Errno 2] No such file or directory: 'h.csv'"),
     ("plot-trajectory-of-an-endpoint-csv",
      [ENSEMBLE, "plot --kind trajectory --input ens.csv --out x.svg"], 1,
      "expected the path CSV header 'trajectory,j,Q', got 'trajectory,endpoint,z'"),
@@ -919,9 +933,8 @@ def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
             main(argv)
         out, err = capsys.readouterr()
         assert (exc.value.code, out, err.splitlines()[-1]) == (2, "", expect)
-    elif code == 1:
-        if not expect.startswith("cannot write output: "):  # every other refusal comes first
-            monkeypatch.setattr(simulation, "_gap_blocks", lambda *args: pytest.fail("sampled"))
+    elif code == 1:  # every refusal comes before any work
+        monkeypatch.setattr(simulation, "_gap_blocks", lambda *args: pytest.fail("sampled"))
         assert run(capsys, *argv) == (1, "", f"error: {expect}\n")
     else:
         got, out, err = run(capsys, *argv)

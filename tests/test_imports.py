@@ -184,3 +184,39 @@ def test_exact_commands_print_the_same_bytes_without_numpy(tmp_path):
     # numpy is never imported: the one entry is the None that blocks it
     assert blocked["numpy_modules"] == ["numpy"] and not blocked["numpy_random"]
     assert free["numpy_modules"] == [] and not free["numpy_random"]
+
+
+# ---------------------------------------------------------------------------
+# what each exact command loads at start-up and when it runs
+# ---------------------------------------------------------------------------
+
+WATCHED = ("dataclasses", "inspect", "json", "hashlib", "_hashlib", "numpy")
+# imports the CLI, then runs the argv it is given, if any; its last stdout line
+# lists the watched modules loaded after the import and after the run
+LOADED_PROBE = f"""
+import sys
+watched = {WATCHED!r}
+import wordperim.cli
+after_import = [m for m in watched if m in sys.modules]
+code = wordperim.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, after_import, [m for m in watched if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["moments", "--model", "uniform", "--k", "6", "--n", "500"], ["json"]),
+    (["xmoment", "--model", "geometric", "--p", "1/3", "--index", "0,1,1,0"], ["json"]),
+    # the random perimeter words are SHAKE-128 digests; the report is text, not JSON
+    (["verify", "--k-max", "3", "--p-list", "1/2", "--n-max", "6", "--random-words", "100"],
+     ["hashlib", "_hashlib"]),
+    # the manifest is JSON and holds the sha256 of the SVG
+    (["render", "--word", "2,3,1,3", "--out", "word.svg"], ["json", "hashlib", "_hashlib"]),
+], ids=["import", "moments", "xmoment", "verify", "render"])
+def test_each_exact_command_loads_only_what_it_runs(tmp_path, argv, loaded):
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True,
+                          text=True, timeout=300, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 [] {loaded}"

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,7 @@ def test_form_arithmetic_and_evaluation():
     assert (Fraction(1, 2) * m + 3).coefficients == (Fraction(5, 2), Fraction(1, 2))
     assert (m * Fraction(1, 2)).coefficients == (Fraction(-1, 2), Fraction(1, 2))
     assert (3 + m).coefficients == (2, 1)
+    assert (m + m).coefficients == (-2, 2) and (2 * m).coefficients == (-2, 2)  # not tuple ops
     assert cancelled(7) == -3 and isinstance(cancelled(7), Fraction)
     with pytest.raises(TypeError):  # a form multiplies by numbers only
         m * m
@@ -162,6 +164,36 @@ def test_moments_are_forms_of_degree_one_in_n():
             assert mean(n) == wp.mean_perimeter(model, n)
             assert var(n) == wp.variance_perimeter(model, n)
     assert mo.variance_closed(wp.Model.uniform(6)).coefficients[1] == Fraction(259, 108)
+
+
+def test_model_form_and_report_are_tuples_of_their_fields():
+    model = wp.Model.geometric(Fraction(1, 3))
+    form = mo.mean_closed(wp.Model.uniform(6))
+    report = wp.moment_report(wp.Model.uniform(6), 7)
+    assert repr(model) == "Model(kind='geometric', k=0, p=Fraction(1, 3))"
+    assert repr(form) == "Form(coefficients=(Fraction(91, 18), Fraction(71, 18)))"
+    assert repr(report) == (
+        "MomentReport(model=Model(kind='uniform', k=6, p=Fraction(0, 1)), n=7, m=6, "
+        "mean_P=Fraction(98, 3), mean_R=Fraction(56, 3), mean_Q=Fraction(35, 3), "
+        "var_P=Fraction(1610, 81), mu3_dominant=Fraction(16016, 729), vstar=Fraction(259, 108), "
+        "sigma=1.548595540529595)")
+    for record in (model, form, report):
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert record == fields and hash(record) == hash(fields)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):  # no instance dict to take a new name
+            record.extra = None
+    # _replace stands in for dataclasses.replace, and a model's validates as its constructor does
+    assert report._replace(n=8).n == 8 and form._replace(coefficients=(1,))(5) == 1
+    assert model._replace(p=Fraction(1, 2)) == wp.Model.geometric(Fraction(1, 2))
+    assert type(wp.Model.uniform(6)._replace(k=np.int64(7)).k) is int
+    with pytest.raises(ValueError, match="geometric model needs rational 0 < p < 1, got 2"):
+        model._replace(p=Fraction(2))
+    with pytest.raises(ValueError, match="uniform model needs integer k >= 1, got 0"):
+        wp.Model.uniform(6)._replace(k=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 import re
 import struct
 from fractions import Fraction
@@ -40,6 +41,17 @@ def test_a_check_without_instances_reads_skip():
         "FAIL  broken    instances=0      max_dev=0.000e+00",
         "      offending: x: 1 != 2",
         "1/3 identities pass over 3 instances; SKIPPED: empty; FAILED: broken",
+    ]
+
+
+def test_a_failure_beyond_float_range_reads_inf():
+    chk = ver.IdentityCheck("huge")
+    chk.exact(Fraction(10**400), Fraction(0), "huge")
+    assert (chk.passed, chk.instances, chk.max_deviation) == (False, 1, math.inf)
+    assert wp.format_report([chk]).splitlines() == [
+        "FAIL  huge  instances=1      max_dev=inf",
+        f"      offending: huge: {10**400} != 0",
+        "0/1 identities pass over 1 instances; FAILED: huge",
     ]
 
 
