@@ -90,10 +90,11 @@ def _manifest_path(primary_out: Path) -> Path:
 
 
 def _check_outputs(outputs: dict[str, Path]) -> None:
-    """Refuse, before any work, outputs that name one file twice or an existing directory.
+    """Refuse, before any work, outputs naming one file twice, a directory or a path under a file.
 
     Two outputs of one file: the later would overwrite the earlier.  A
-    directory is refused with the IsADirectoryError its write would raise.
+    directory is refused with the IsADirectoryError its write would raise, and
+    an output under a plain file with the error the ``mkdir`` of its parent would.
     """
     seen: dict[Path, str] = {}
     for what, path in outputs.items():
@@ -102,6 +103,10 @@ def _check_outputs(outputs: dict[str, Path]) -> None:
             raise CliError(f"{first} and {what} both name {path}")
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        nearest = next(d for d in path.parents if d.exists())
+        if not nearest.is_dir():
+            code = errno.EEXIST if nearest == path.parent else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(path.parent))
 
 
 def _write_outputs(command: str, flags: dict, writers: dict) -> None:
@@ -178,20 +183,19 @@ def cmd_xmoment(args) -> int:
         idx = xm.MomentIndex(*exps).validate()
     except ValueError as e:
         raise CliError(f"bad --index {args.index!r}: {e}")
+    # the closed form where the table has one, then the oracle
     routes = {"closed_form": xm.cross_moment_closed, "brute_force": xm.cross_moment_oracle}
-    methods = {"closed": ["closed_form"], "oracle": ["brute_force"],
-               "both": ["closed_form", "brute_force"]}[args.method]
+    if idx not in xm.supported_closed_indices(model, args.centered):
+        del routes["closed_form"]
     quantity = f"T{tuple(idx)} of {model.describe()}"
     results = []
-    for method in methods:
+    for method, route in routes.items():
         try:
-            value = routes[method](model, idx, args.centered)
+            value = route(model, idx, args.centered)
             exact = _printed(partial(str, value), quantity, args)
             results.append({"method": method, "exact": exact, "decimal": float(value)})
         except OverflowError as e:  # a decimal beyond float range
             raise CliError(f"{quantity} is too large: {e}")
-        except xm.NoClosedFormError as e:
-            raise CliError(f"no closed form tabulated for {e.quantity}; use --method oracle")
     print(json.dumps({
         "model": model.as_dict(),
         "index": list(idx),
@@ -379,7 +383,7 @@ def cmd_plot(args) -> int:
         else:
             t = np.arange(row.size) / (row.size - 1)
             svg = svgplot.plot_normalized_path(t, simulation.scaled_path(row, mg, sigma, t))
-    elif kind in ("histogram", "cumulative"):
+    else:  # histogram or cumulative, the last of argparse's choices
         if not args.input:
             raise CliError(f"plot --kind {kind} requires --input (histogram CSV)")
         hist = _read_input(empirics.read_histogram_csv, args.input)
@@ -387,8 +391,6 @@ def cmd_plot(args) -> int:
             svg = svgplot.plot_histogram(hist["center"], hist["freq"], hist["gauss_mass"])
         else:
             svg = svgplot.plot_cumulative(hist["right"], hist["freq"])
-    else:  # pragma: no cover - argparse choices guard this
-        raise CliError(f"unknown plot kind {kind!r}")
     _write_outputs("plot", flags, {out: _svg(svg)})
     return 0
 
@@ -429,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--index", required=True, help="four comma-separated exponents, e.g. 0,1,1,0")
     p.add_argument("--centered", action="store_true")
-    p.add_argument("--method", choices=["closed", "oracle", "both"], default="both")
     p.set_defaults(fn=cmd_xmoment)
 
     p = sub.add_parser("verify", help="run the closed-form vs oracle identity sweep")

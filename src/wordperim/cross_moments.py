@@ -58,15 +58,7 @@ class MomentIndex(NamedTuple):
 
 
 class NoClosedFormError(ValueError):
-    """Raised for an index without a tabulated closed form; use the oracle.
-
-    ``quantity`` names the moment and its model, for a caller that names its
-    own route to the oracle.
-    """
-
-    def __init__(self, quantity: str):
-        super().__init__(f"no closed form tabulated for {quantity}; use cross_moment_oracle")
-        self.quantity = quantity
+    """Raised for an index without a tabulated closed form; use the oracle."""
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,8 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
     fn = table.get(idx)
     if fn is None:
         kind = "centered " if centered else ""
-        raise NoClosedFormError(f"{kind}T{tuple(idx)} under {model.describe()}")
+        raise NoClosedFormError(f"no closed form tabulated for {kind}T{tuple(idx)} under "
+                                f"{model.describe()}; use cross_moment_oracle")
     return fn(model)
 
 

@@ -39,6 +39,18 @@ def plain_int(value) -> int | None:
         return None
 
 
+def exact_text(value: Fraction) -> str:
+    """``str(value)``, a part past Python's int-to-str limit (str() raises) as ``<N digits>``."""
+    parts = []
+    for n in (value.numerator, value.denominator)[: 1 + (value.denominator != 1)]:
+        try:
+            parts.append(str(n))
+        except ValueError:  # d or d + 1 digits, d from the bit length and log10(2)
+            d = int((abs(n).bit_length() - 1) * 0.30102999566398120) + 1
+            parts.append("-" * (n < 0) + f"<{d + (abs(n) >= 10**d)} digits>")
+    return "/".join(parts)
+
+
 class _ModelFields(NamedTuple):
     kind: str
     k: int = 0

@@ -32,7 +32,7 @@ from itertools import groupby, product, zip_longest
 from typing import Callable, NamedTuple
 
 from .cross_moments import MomentIndex, cross_moment_closed
-from .models import UNIFORM, Model, plain_int
+from .models import UNIFORM, Model, exact_text, plain_int
 
 # cross-moment source signature: (model, index, centered) -> Fraction
 Source = Callable[..., Fraction]
@@ -50,7 +50,8 @@ class RouteDisagreement(AssertionError):
 def _agreed(name: str, where: str, value: Fraction, other: Fraction) -> Fraction:
     """``value``, once a second route gave ``other`` equal to it; else RouteDisagreement."""
     if value != other:
-        raise RouteDisagreement(f"{name} routes disagree at {where}: {value} vs {other}")
+        raise RouteDisagreement(f"{name} routes disagree at {where}: "
+                                f"{exact_text(value)} vs {exact_text(other)}")
     return value
 
 

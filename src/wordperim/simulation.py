@@ -262,8 +262,9 @@ def normalized_path(
 ) -> np.ndarray:
     """W(t) of one recorded path (see :func:`scaled_path`) on a grid of t in [0, 1].
 
-    Requires the ensemble to have recorded full paths.  W(0) = 0 exactly and
-    W(1) equals the stored normalized endpoint.
+    Requires the ensemble to have recorded full paths.  W(0) = 0 exactly, and
+    W(1) is the stored normalized endpoint up to the rounding of the drift:
+    float(M) * m here, float(m * M) there (4.4e-16 apart at k = 3, m = 7).
     """
     if ensemble.paths is None:
         raise ValueError("paths were not recorded; rerun with record_full_paths=True")
@@ -384,11 +385,16 @@ def _first_rejected_line(fh, row: np.dtype) -> tuple[str, str] | None:
         except ValueError as e:
             return str(e).split(" at row")[0]
 
-    fh.seek(0)
-    numbered = ((n, s) for n, s in enumerate(fh, start=1) if n > 1 and s != "\n")
+    numbered = _data_lines(fh)
     while batch := list(islice(numbered, _CSV_CHUNK_ROWS)):
         if reason([s for _, s in batch]):
             return next(((f" line {n}", r) for n, s in batch if (r := reason([s]))), None)
+
+
+def _data_lines(fh):
+    """(N, text) of each line of ``fh`` that numpy reads as a row, N counting the header as 1."""
+    fh.seek(0)
+    return ((n, s) for n, s in enumerate(fh, start=1) if n > 1 and s != "\n")
 
 
 def _write_json(doc: dict, path) -> None:
@@ -540,8 +546,13 @@ def read_config_sidecar(path) -> dict:
 
 
 def read_endpoint_csv(path) -> dict:
-    """Load an endpoint CSV back into arrays (schema: trajectory,endpoint,z)."""
+    """Load an endpoint CSV (trajectory,endpoint,z) into arrays; a NaN z is refused by its line."""
     rows = _read_csv(path, "endpoint", _ENDPOINT_ROW)
+    nan = np.isnan(rows["z"])
+    if nan.any():
+        with open(path, encoding="utf-8") as fh:
+            line = next(islice(_data_lines(fh), int(np.argmax(nan)), None))[0]
+        raise ValueError(f"endpoint CSV {path} line {line}: z is NaN")
     return {name: rows[name] for name in _ENDPOINT_ROW.names}
 
 

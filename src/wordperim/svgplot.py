@@ -20,7 +20,7 @@ PMF_MAX_POINTS = 10**4
 
 
 class _Frame:
-    """Maps data coordinates into the fixed plot rectangle."""
+    """Maps data coordinates into the fixed plot rectangle; an empty range is widened by 1."""
 
     def __init__(self, xmin, xmax, ymin, ymax):
         if xmax <= xmin:
@@ -102,7 +102,7 @@ def plot_gap_pmf(model: Model) -> str:
         last = next((u for u in range(1, 61) if model.q**u * 10**15 < 1), 60)
         us = list(range(0, last + 1))
     fs = [float(gap_pmf(model, u)) for u in us]
-    frame = _Frame(min(us), max(us) if len(us) > 1 else 1.0, 0.0, max(fs) * 1.1)
+    frame = _Frame(min(us), max(us), 0.0, max(fs) * 1.1)
     body = [
         _polyline(frame, us, fs, "#1f77b4"),
         _circles(frame, us, fs, "#1f77b4"),
@@ -115,7 +115,7 @@ def plot_trajectory(path_row: np.ndarray, mean_gap: float) -> str:
     j = np.arange(path_row.size)
     drift = j * mean_gap
     top = max(float(path_row.max()), float(drift.max()))
-    frame = _Frame(0.0, float(j[-1]), 0.0, top * 1.05 if top > 0 else 1.0)
+    frame = _Frame(0.0, float(j[-1]), 0.0, top * 1.05)
     body = [
         _polyline(frame, j, path_row, "#1f77b4"),
         _polyline(frame, j, drift, "#d62728"),

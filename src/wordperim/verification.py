@@ -18,7 +18,7 @@ from itertools import product, zip_longest
 
 from . import cross_moments as xm
 from . import moments as mo
-from .models import UNIFORM, Model, gap_pmf, gap_pmf_by_convolution, plain_int
+from .models import UNIFORM, Model, exact_text, gap_pmf, gap_pmf_by_convolution, plain_int
 from .polyomino import perimeters_from_edges, perimeters_from_gaps
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
@@ -62,7 +62,7 @@ class IdentityCheck:
         except OverflowError:  # a difference beyond float range
             deviation = math.inf
         self.max_deviation = max(self.max_deviation, deviation)
-        self.fail(f"{label}: {lhs} != {rhs}")
+        self.fail(f"{label}: {exact_text(lhs)} != {exact_text(rhs)}")
 
     def fail(self, failure: str) -> None:
         """Count one failed instance; the first five are named."""

@@ -76,18 +76,6 @@ def test_xmoment_geometric_oracle_is_exact(capsys):
     assert set(oracle) == {"method", "exact", "decimal"}  # no truncation_bound: nothing is cut
 
 
-# p = 1/10**100: every decimal is still a finite float
-@pytest.mark.parametrize("fmt, digest", [
-    ("json", "ca07d20ce96f14cd37e62e485225c4637194f49c5ed245e4e5eb1027ab0cadf5"),
-    ("csv", "4961883a88b2ca26b76a0accaa637873d408e83db8a4ba1da829f8d4ebf344ff"),
-])
-def test_moments_at_small_p_keeps_its_bytes(capsys, fmt, digest):
-    code, out, _ = run(capsys, "moments", "--model", "geometric", "--p", f"1/{10**100}",
-                       "--n", "10", "--format", fmt)
-    assert code == 0
-    assert sha256_hex(out.encode("utf-8")) == digest
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -233,25 +221,6 @@ def test_simulate_rerun_identical_bytes(capsys, tmp_path):
     m1 = json.loads((tmp_path / "a" / "e.csv.manifest.json").read_text())
     m2 = json.loads((tmp_path / "b" / "e.csv.manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
-
-
-# p = 1 - 10**-300 still has float(1 - p) > 0: every draw is the letter 1
-SIMULATE_NEAR_ONE_GOLDEN = {
-    "ens.csv": "12ac5371aeacc180a91cdda236ad65ac36f8d1a6e96593a149b4f915182bc840",
-    "ens.json": "7c44b0f0eed1ce79cd91898e1327e30fee4e07539d0a87ee9f8a6fa521e329b9",
-    "ens.csv.manifest.json": "55a244db4ff7758db789cdb1de4b6e00cfcba5cf7f772c5b9da64097dd483fa6",
-    "stdout": "2cdd3ec404bc0e41b3023f270f03f667898175e337ab9906b38fbf8b25ae65c8",
-}
-
-
-def test_simulate_geometric_p_just_below_one_keeps_its_bytes(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "simulate", "--model", "geometric", "--p",
-                       f"{10**300 - 1}/{10**300}", "--m", "5", "--trajectories", "3",
-                       "--seed", "1", "--out", "ens.csv")
-    assert code == 0
-    assert digests(out, "ens.csv", "ens.json", "ens.csv.manifest.json") == \
-        SIMULATE_NEAR_ONE_GOLDEN
 
 
 def test_histogram_gof_creates_its_directory(capsys, tmp_path):
@@ -489,175 +458,11 @@ def test_version_flag(capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden bytes
+# verify's default report; its stderr carries timings, so it is not a CLI_CASES row
 # ---------------------------------------------------------------------------
-
-# sha256 of what the commands write and print.  Manifests record the flags, so
-# every run uses relative paths inside tmp_path.
-HISTOGRAM_GOLDEN = {
-    "1/2": {
-        "hist.csv": "7a22252ce1774ef86d36fea24a2cc442a54b6f648ee70a23a6b20b50d37bf07b",
-        "gof.json": "157b4fa4e81c20cfe2ae2267bdf59d38d585ffc8504168cbe2c744fdefa3295f",
-        "hist.csv.manifest.json": "7b595fbd439305aae1198a4cfc6298abcd3e4e239cf45accc2326782cf8faba6",
-        "histogram.svg": "5c17ff1a535fc41ee8ed837e0d88551c21ac11273c69d96e11c59e7bfb05a550",
-        "cumulative.svg": "30a4e1dc4b7116a9f9e0e4beb5e042fc8d286151624735faa055dcee67f7307d",
-        "stdout": "0a25e6389af86d8fbeec447ea716a9b987cff1d8d2179f299796c4d7e48f7711",
-    },
-    "1/3": {
-        "hist.csv": "8ce3a97906157cb9275949e09d0c779057f2c955eb32c2fdb95789d11d64c798",
-        "gof.json": "138e58024eb8b8c5ee2238c8b00c92d77406110d0dab812c4a28c8b937da66e4",
-        "hist.csv.manifest.json": "6134f4806d9cbd501e5e9a97295bd3f3db0220deff52e458883f1dfab135e170",
-        "histogram.svg": "1cc8cc7b9cba3f492e42d2bca96de1c27f9946fc204f13eafe7266289aea76c5",
-        "cumulative.svg": "b6394918bfc5e9ddd629ec65adb5c35a1c1494114edfe1e2df6646375bdd04ce",
-        "stdout": "375fd0fc40646f15bba0899e3189802802d3443ef290e3f03b93b38e27db1f55",
-    },
-}
-SIMULATE_GOLDEN = {
-    "uniform": {
-        "ens.json": "2a4af69d8c9c68a3ce836e586165c312ac2ba49214bb30851089baa7d23a0153",
-        "ens.csv.manifest.json": "cdeb2dabb0288b39e7704dfbee688396b1543c96d4fa006d0bccfeda1ea2ae05",
-        "stdout": "85a1b5802790c7644ed1e8436ad47227930c44f64d6909012bc340fc5987e29e",
-    },
-    "geometric": {
-        "ens.json": "96667f9271c8567ce1617bef37482d3d3c016df2bd463effa6a09f7a5a90e7b6",
-        "ens.csv.manifest.json": "94854dfbdc7b80fbb5833e2113666e5030e9bb05ad9a83bfa400f62d4aef5277",
-        "stdout": "287942e16bfe357b116b35753f48bfb921df7f4cd68a436e879b1d268bbe3c05",
-    },
-}
-RENDER_GOLDEN = {
-    "poly.svg": "74ff2ba93c64babfc28d574c69b3ba7992a8929780249393ad42629431745ef8",
-    "poly.svg.manifest.json": "c84caa4e2663f440e03d0e3adca0cb169b5ccea4015f747835ba8618b8dde84d",
-    "stdout": "8f905e9d2adf44d2449466f7108662ea32c51b4381f588923414025177b99c94",
-}
-# m = 100: at 3 of the t = j/m of the normalized plot the float m*t is just below j
-PLOT_PATH_GOLDEN = {
-    "trajectory": {
-        "trajectory.svg": "8095b8bb6495a08db2ccd18ff3a98c411606b00ff00a9915106dca5c59ce1fc8",
-        "trajectory.svg.manifest.json":
-            "aa4dcc59518ebfaab0790d10744763c0f172f756194a1a3f343719ae61b73df5",
-        "stdout": "94e177cb479110763e51b6bdb21469cc234dfbc285f8e7fed1e722781d07d807",
-    },
-    "normalized": {
-        "normalized.svg": "31d4fb7aa067ad34db5e65183303db4db412b61d1cd58f715489b06f2acc8727",
-        "normalized.svg.manifest.json":
-            "be4862189e4142c125a513ddc53232000ebbff69bc5f96131f4531d228fbba9e",
-        "stdout": "8a72ed86242c4ddd6e928beb85b8bd2a8f0d7e6f72900947e2e69bc0a6f32bff",
-    },
-}
-# the SVG and stdout digests were taken before the pmf manifest named the model
-PLOT_PMF_GOLDEN = {
-    "uniform": {
-        "pmf.svg": "4e302c202e1f56483425d2f732544b9e11e292dc2d271e8eb4ca2b668f806d22",
-        "pmf.svg.manifest.json": "215824924eaa0b00d003140871d4b3f5070aa267a3c03050220b4a1806712810",
-        "stdout": "19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
-    },
-    "geometric": {
-        "pmf.svg": "becf09f92f6e75a4445c71a2f892d9436df1d27087b139abac231faee46523ff",
-        "pmf.svg.manifest.json": "84113143d064b9001172eba0a2dacffef5dcca5897de43d445a2ac63d39aa60b",
-        "stdout": "19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
-    },
-}
-MOMENTS_GOLDEN = {
-    "uniform-json": "2554cd91623f2a78decf9fb183c83cfb021fa18f134aa1f2c0c738b6e0429608",
-    "uniform-csv": "e5b5042806b5423bef49b652d388a251b28d9ca06b6cd97f28f3eb4d1ef91186",
-    "geometric-json": "a15635528fd13473ff93708e38f80372a5e2b1cc8abfff452094c53581c2928b",
-    "geometric-csv": "b043ad0a944d257817db7b1048e92994528df3f7cbe37958ef386574d6bf6dad",
-}
-XMOMENT_GOLDEN = {
-    "uniform-both": "866b4776d91685cc57134437fe720786f5904f60452ccf2eb81a384a1ac34351",
-    "uniform-centered-both": "cff21af9c92759e434bd6b66a07c9ce1016d7afcf15159c2438e50351332ac04",
-    "geometric-both": "131608a751ff00628175a0cb7d202a2282b01f135405c1644ec85e42fcbc970b",
-    "geometric-centered-oracle": "f38f1a20dd2e1922532c6efbbc2116c6076e96b08c412d511aab4e99c0d1b7bc",
-}
-
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def digests(out: str, *names: str) -> dict:
-    """sha256 of each named file in the working directory, and of ``out`` as "stdout"."""
-    found = {name: sha256_hex(Path(name).read_bytes()) for name in names}
-    found["stdout"] = sha256_hex(out.encode("utf-8"))
-    return found
-
-
-@pytest.mark.parametrize("delta", ["1/2", "1/3"])
-def test_histogram_outputs_golden(capsys, tmp_path, monkeypatch, delta):
-    monkeypatch.chdir(tmp_path)
-    assert run(capsys, *simulate_args("ens.csv", n="2000"))[0] == 0
-    code, out, _ = run(capsys, "histogram", "--input", "ens.csv", "--delta", delta,
-                       "--out", "hist.csv", "--gof", "gof.json")
-    assert code == 0
-    for kind in ("histogram", "cumulative"):
-        assert run(capsys, "plot", "--kind", kind, "--input", "hist.csv",
-                   "--out", f"{kind}.svg")[0] == 0
-    assert digests(out, "hist.csv", "gof.json", "hist.csv.manifest.json",
-                   "histogram.svg", "cumulative.svg") == HISTOGRAM_GOLDEN[delta]
-
-
-@pytest.mark.parametrize("model", [["uniform", "--k", "6"], ["geometric", "--p", "1/2"]],
-                         ids=lambda model: model[0])
-def test_simulate_sidecar_golden(capsys, tmp_path, monkeypatch, model):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "simulate", "--model", *model, "--m", "50",
-                       "--trajectories", "200", "--seed", "3", "--out", "ens.csv")
-    assert code == 0
-    assert digests(out, "ens.json", "ens.csv.manifest.json") == SIMULATE_GOLDEN[model[0]]
-
-
-def test_render_svg_golden(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "render", "--word", "2,3,1,3,5,1", "--out", "poly.svg")
-    assert code == 0
-    assert digests(out, "poly.svg", "poly.svg.manifest.json") == RENDER_GOLDEN
-
-
-@pytest.mark.parametrize("kind", ["trajectory", "normalized"])
-def test_plot_path_svg_golden(capsys, tmp_path, monkeypatch, kind):
-    monkeypatch.chdir(tmp_path)
-    assert run(capsys, "simulate", "--model", "uniform", "--k", "6", "--m", "100",
-               "--trajectories", "4", "--seed", "3", "--paths", "--out", "paths.csv")[0] == 0
-    code, out, _ = run(capsys, "plot", "--kind", kind, "--input", "paths.csv",
-                       "--trajectory", "2", "--out", f"{kind}.svg")
-    assert code == 0
-    assert digests(out, f"{kind}.svg", f"{kind}.svg.manifest.json") == PLOT_PATH_GOLDEN[kind]
-
-
-@pytest.mark.parametrize("model", [["uniform", "--k", "6"], ["geometric", "--p", "1/2"]],
-                         ids=lambda model: model[0])
-def test_plot_pmf_svg_golden(capsys, tmp_path, monkeypatch, model):
-    monkeypatch.chdir(tmp_path)
-    code, out, _ = run(capsys, "plot", "--kind", "pmf", "--model", *model, "--out", "pmf.svg")
-    assert code == 0
-    assert digests(out, "pmf.svg", "pmf.svg.manifest.json") == PLOT_PMF_GOLDEN[model[0]]
-    flags = json.loads(Path("pmf.svg.manifest.json").read_text())["flags"]
-    assert flags["model"] == {"uniform": "uniform[1,6]", "geometric": "geometric(1/2)"}[model[0]]
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("model, n", [(["uniform", "--k", "6"], "500"),
-                                      (["geometric", "--p", "1/2"], "40")],
-                         ids=["uniform", "geometric"])
-def test_moments_stdout_golden(capsys, model, n, fmt):
-    code, out, _ = run(capsys, "moments", "--model", *model, "--n", n, "--format", fmt)
-    assert code == 0
-    assert sha256_hex(out.encode("utf-8")) == MOMENTS_GOLDEN[f"{model[0]}-{fmt}"]
-
-
-@pytest.mark.parametrize("case, argv", [
-    ("uniform-both", ["uniform", "--k", "6", "--index", "0,1,1,0", "--method", "both"]),
-    ("uniform-centered-both",
-     ["uniform", "--k", "6", "--index", "0,1,1,0", "--centered", "--method", "both"]),
-    ("geometric-both", ["geometric", "--p", "1/3", "--index", "0,1,2,0", "--method", "both"]),
-    # no centered geometric closed form is tabulated, so only the oracle answers
-    ("geometric-centered-oracle",
-     ["geometric", "--p", "1/3", "--index", "0,2,1,0", "--centered", "--method", "oracle"]),
-])
-def test_xmoment_stdout_golden(capsys, case, argv):
-    code, out, _ = run(capsys, "xmoment", "--model", *argv)
-    assert code == 0
-    assert sha256_hex(out.encode("utf-8")) == XMOMENT_GOLDEN[case]
 
 
 # a default `wordperim verify` (seed 0; seed 9 prints the same report)
@@ -671,11 +476,17 @@ def test_verify_default_stdout_golden(capsys):
 
 
 # ---------------------------------------------------------------------------
-# refusals and edge inputs, one row each
+# what the CLI prints and writes: ordinary runs, refusals and edge inputs, one row each
 # ---------------------------------------------------------------------------
 
 U6 = "simulate --model uniform --k 6"  # the model of most simulate rows
 PATH_RUN = f"{U6} --m 5 --trajectories 5 --seed 3 --paths --out paths.csv"
+# every path of k = 1 is flat: Q(j) = 0, M = 0 and sigma = 0
+K1_PATH_RUN = ("simulate --model uniform --k 1 --m 5 --trajectories 2 --seed 1 --paths "
+               "--out paths.csv")
+# the ensemble of the histogram rows, and the histogram of the plots of it
+ENSEMBLE_2000 = f"{U6} --m 50 --trajectories 2000 --seed 3 --out ens.csv"
+HISTOGRAM_RUN = "histogram --input ens.csv --delta {} --out hist.csv --gof gof.json"
 ENSEMBLE = {"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,4,-0.5\n2,2,0.25\n"}
 HISTOGRAM_HEAD = "i,left,right,center,count,freq,gauss_mass\n"
 # three histogram rows; the last, file line 4, has no gauss_mass
@@ -683,7 +494,6 @@ SHORT_ROW = "0,-1.0,0.0,-0.5,1,0.5,0.25\n1,0.0,1.0,0.5,1,0.5,0.25\n2,1.0,2.0,1.5
 # p = 1 - 10**-400: float(1 - p) is 0.0, and ln q would be log(0.0)
 P_NEAR_ONE = f"{10**400 - 1}/{10**400}"
 CELLS = ",".join(["10000"] * 10)  # 10**5 cells, RENDER_MAX_CELLS
-NO_CLOSED_FORM = "no closed form tabulated for {}; use --method oracle"
 TOO_MANY_DIGITS = "has more than 4300 digits, the most Python prints; give --p fewer digits"
 
 # (id, steps, exit code, expectation).  Each step but the last sets up the
@@ -691,7 +501,9 @@ TOO_MANY_DIGITS = "has more than 4300 digits, the most Python prints; give --p f
 # directory) or an argv that must exit 0.  The last step is the argv under test.
 # Exit 1 expects its one stderr line after "error: ", an empty stdout, no new
 # file and nothing sampled; exit 2 expects argparse's last stderr line; exit 0
-# expects the sha256 of stdout and of the manifest.
+# expects an empty stderr and the sha256 of stdout and of the manifest (None
+# for a command that writes no file), and the manifest must list the sha256
+# of every output, each written next to it.
 CLI_CASES = [
     ("moments-n-1", ["moments --model uniform --k 6 --n 1"], 1,
      "word length n must be an integer >= 2, got 1"),
@@ -718,17 +530,42 @@ CLI_CASES = [
     *[(f"moments-p-{p}", [f"moments --model geometric --p {p} --n 5"], 2,
        f"wordperim moments: error: argument --p: not a rational number: '{p}'")
       for p in ("zebra", "1/2/3", "nan", "1/0")],
+    *[(f"moments-{model.split()[0]}-{fmt}", [f"moments --model {model} --format {fmt}"], 0,
+       (digest, None)) for model, fmt, digest in [
+          ("uniform --k 6 --n 500", "json",
+           "2554cd91623f2a78decf9fb183c83cfb021fa18f134aa1f2c0c738b6e0429608"),
+          ("uniform --k 6 --n 500", "csv",
+           "e5b5042806b5423bef49b652d388a251b28d9ca06b6cd97f28f3eb4d1ef91186"),
+          ("geometric --p 1/2 --n 40", "json",
+           "a15635528fd13473ff93708e38f80372a5e2b1cc8abfff452094c53581c2928b"),
+          ("geometric --p 1/2 --n 40", "csv",
+           "b043ad0a944d257817db7b1048e92994528df3f7cbe37958ef386574d6bf6dad")]],
+    # p = 1/10**100: every decimal is still a finite float
+    *[(f"moments-p-1e-100-{fmt}",
+       [f"moments --model geometric --p 1/{10**100} --n 10 --format {fmt}"], 0, (digest, None))
+      for fmt, digest in [
+          ("json", "ca07d20ce96f14cd37e62e485225c4637194f49c5ed245e4e5eb1027ab0cadf5"),
+          ("csv", "4961883a88b2ca26b76a0accaa637873d408e83db8a4ba1da829f8d4ebf344ff")]],
 
-    ("xmoment-closed", ["xmoment --model uniform --k 6 --index 0,1,0,1 --method closed"], 1,
-     NO_CLOSED_FORM.format("T(0, 1, 0, 1) under uniform[1,6]")),
-    ("xmoment-closed-centered",
-     ["xmoment --model uniform --k 6 --index 0,1,0,1 --method closed --centered"], 1,
-     NO_CLOSED_FORM.format("centered T(0, 1, 0, 1) under uniform[1,6]")),
-    # the default --method both asks for the closed form too
-    ("xmoment-both", ["xmoment --model uniform --k 3 --index 1,1,1,1"], 1,
-     NO_CLOSED_FORM.format("T(1, 1, 1, 1) under uniform[1,3]")),
-    ("xmoment-centered-letter",
-     ["xmoment --model uniform --k 6 --index 1,1,0,0 --centered --method oracle"], 1,
+    # the closed form where the table has one, then the oracle
+    ("xmoment-uniform", ["xmoment --model uniform --k 6 --index 0,1,1,0"], 0,
+     ("866b4776d91685cc57134437fe720786f5904f60452ccf2eb81a384a1ac34351", None)),
+    ("xmoment-uniform-centered", ["xmoment --model uniform --k 6 --index 0,1,1,0 --centered"], 0,
+     ("cff21af9c92759e434bd6b66a07c9ce1016d7afcf15159c2438e50351332ac04", None)),
+    ("xmoment-geometric", ["xmoment --model geometric --p 1/3 --index 0,1,2,0"], 0,
+     ("131608a751ff00628175a0cb7d202a2282b01f135405c1644ec85e42fcbc970b", None)),
+    # no centered geometric closed form is tabulated, nor these uniform ones: the oracle alone
+    ("xmoment-geometric-centered", ["xmoment --model geometric --p 1/3 --index 0,2,1,0 --centered"],
+     0, ("f38f1a20dd2e1922532c6efbbc2116c6076e96b08c412d511aab4e99c0d1b7bc", None)),
+    ("xmoment-0,1,0,1", ["xmoment --model uniform --k 6 --index 0,1,0,1"], 0,
+     ("6b15db46684bdbf19c23cf099d193f4a7aed5133b4df018f3c6049693868282d", None)),
+    ("xmoment-0,1,0,1-centered", ["xmoment --model uniform --k 6 --index 0,1,0,1 --centered"], 0,
+     ("350e1fcf1ce63918560fdffcb2fc27332da2e64a73b2de23e5e400dfc64db4f7", None)),
+    ("xmoment-1,1,1,1", ["xmoment --model uniform --k 3 --index 1,1,1,1"], 0,
+     ("edb7403308ed6be88c70e89da186ce29f4c587c8286374ef51b04f5916af5145", None)),
+    ("xmoment-closed", ["xmoment --model uniform --k 6 --index 0,1,0,1 --method closed"], 2,
+     "wordperim: error: unrecognized arguments: --method closed"),
+    ("xmoment-centered-letter", ["xmoment --model uniform --k 6 --index 1,1,0,0 --centered"], 1,
      "centered cross-moments are defined for gap variables only (alpha must be 0)"),
     ("xmoment-index-0,9,0,0", ["xmoment --model uniform --k 6 --index 0,9,0,0"], 1,
      "bad --index '0,9,0,0': exponents must be integers in [0, 3], got (0, 9, 0, 0)"),
@@ -739,7 +576,7 @@ CLI_CASES = [
      f"T(0, 2, 0, 0) of geometric(1/{10**160}) is too large: "
      "integer division result too large for a float"),
     ("xmoment-p-1e-1500",
-     [f"xmoment --model geometric --p 1/{10**1500} --index 0,1,1,1 --method closed"], 1,
+     [f"xmoment --model geometric --p 1/{10**1500} --index 0,1,1,1"], 1,
      f"T(0, 1, 1, 1) of geometric(1/{10**1500}) {TOO_MANY_DIGITS}"),
 
     *[(f"verify-p-list-{entry}", [f"verify --p-list {entry}"], 1,
@@ -750,6 +587,13 @@ CLI_CASES = [
       for flag, value, least in [("--n-max", 1, 4), ("--n-max", 3, 4), ("--k-max", 0, 1),
                                  ("--random-words", -3, 0), ("--seed", -1, 0)]],
 
+    ("simulate-uniform", [f"{U6} --m 50 --trajectories 200 --seed 3 --out ens.csv"], 0,
+     ("85a1b5802790c7644ed1e8436ad47227930c44f64d6909012bc340fc5987e29e",
+      "cdeb2dabb0288b39e7704dfbee688396b1543c96d4fa006d0bccfeda1ea2ae05")),
+    ("simulate-geometric", ["simulate --model geometric --p 1/2 --m 50 --trajectories 200 --seed 3 "
+                            "--out ens.csv"], 0,
+     ("287942e16bfe357b116b35753f48bfb921df7f4cd68a436e879b1d268bbe3c05",
+      "94854dfbdc7b80fbb5833e2113666e5030e9bb05ad9a83bfa400f62d4aef5277")),
     ("simulate-m-0", [f"{U6} --m 0 --trajectories 5 --seed 1 --out x.csv"], 1,
      "need at least one gap, got m=0"),
     ("simulate-N-0", [f"{U6} --m 5 --trajectories 0 --seed 1 --out x.csv"], 1,
@@ -791,6 +635,11 @@ CLI_CASES = [
                                 "--trajectories 3 --seed 1 --out x.csv"], 0,
      ("3252efd7cb0a4ba88085cd6abec4145c8073fc73d6a09a79f123cbdb931cc0f4",
       "b61c864ba3ede041b0d2754c7f459fea6378b702b1aeb5775f5aa6f375fe1e7b")),
+    # p = 1 - 10**-300 still has float(1 - p) > 0: every draw is the letter 1
+    ("simulate-p-1-1e-300", [f"simulate --model geometric --p {10**300 - 1}/{10**300} --m 5 "
+                             "--trajectories 3 --seed 1 --out ens.csv"], 0,
+     ("2cdd3ec404bc0e41b3023f270f03f667898175e337ab9906b38fbf8b25ae65c8",
+      "55a244db4ff7758db789cdb1de4b6e00cfcba5cf7f772c5b9da64097dd483fa6")),
     ("simulate-p-1e-16", ["simulate --model geometric --p 1/10000000000000000 --m 2000 "
                           "--trajectories 5 --seed 1 --out x.csv"], 1,
      "geometric p=1/10000000000000000 with m=2000 would overflow int64: "
@@ -805,6 +654,12 @@ CLI_CASES = [
     ("simulate-out-is-its-sidecar", [f"{U6} --m 5 --trajectories 3 --seed 1 --out runs/ens.json"],
      1, "--out and the config sidecar both name runs/ens.json"),
 
+    *[(f"histogram-delta-{delta}", [ENSEMBLE_2000, HISTOGRAM_RUN.format(delta)], 0, digests)
+      for delta, digests in [
+          ("1/2", ("0a25e6389af86d8fbeec447ea716a9b987cff1d8d2179f299796c4d7e48f7711",
+                   "7b595fbd439305aae1198a4cfc6298abcd3e4e239cf45accc2326782cf8faba6")),
+          ("1/3", ("375fd0fc40646f15bba0899e3189802802d3443ef290e3f03b93b38e27db1f55",
+                   "6134f4806d9cbd501e5e9a97295bd3f3db0220deff52e458883f1dfab135e170"))]],
     ("histogram-gof-is-out", [ENSEMBLE, "histogram --input ens.csv --out h.csv --gof h.csv"], 1,
      "--out and --gof both name h.csv"),
     ("histogram-gof-is-manifest",
@@ -819,7 +674,11 @@ CLI_CASES = [
      "endpoint CSV ens.csv line 3: the dtype passed requires 3 columns but 2 were found"),
     ("histogram-nan", [{"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,4,nan\n2,5,inf\n"},
                        "histogram --input ens.csv --out h.csv --gof gof.json"], 1,
-     "sample contains NaN"),
+     "endpoint CSV ens.csv line 3: z is NaN"),
+    # lines are numbered in the file, the header and empty lines counted
+    ("histogram-nan-after-an-empty-line",
+     [{"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n\n1,4,-nan\n"},
+      "histogram --input ens.csv --out h.csv"], 1, "endpoint CSV ens.csv line 4: z is NaN"),
     ("histogram-delta-5/7", [ENSEMBLE, "histogram --input ens.csv --delta 5/7 --out h.csv"], 1,
      "6/delta must be an integer, got delta=5/7"),
     # argparse takes a value that starts with "-" for a flag, unless "=" joins the two
@@ -843,7 +702,52 @@ CLI_CASES = [
           ([], "manifest", "p.svg.manifest.json",
            "plot --kind pmf --model uniform --k 6 --out p.svg"),
           ([], "manifest", "w.svg.manifest.json", "render --word 2,3,1 --out w.svg")]],
+    # an output under a plain file: the error of the mkdir of its directory
+    *[(f"{argv.split()[0]}-out-under-a-file{sub.replace('/', '-')}",
+       [*setup, {"afile": ""}, f"{argv} --out afile{sub}/x"], 1, f"cannot write output: {error}")
+      for setup, argv in [([], f"{U6} --m 5 --trajectories 3 --seed 1"),
+                          ([ENSEMBLE], "histogram --input ens.csv"),
+                          ([], "plot --kind pmf --model uniform --k 6"),
+                          ([], "render --word 2,3,1")]
+      for sub, error in [("", "[Errno 17] File exists: 'afile'"),
+                         ("/sub", "[Errno 20] Not a directory: 'afile/sub'")]],
 
+    ("plot-pmf-uniform", ["plot --kind pmf --model uniform --k 6 --out pmf.svg"], 0,
+     ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+      "215824924eaa0b00d003140871d4b3f5070aa267a3c03050220b4a1806712810")),
+    ("plot-pmf-geometric", ["plot --kind pmf --model geometric --p 1/2 --out pmf.svg"], 0,
+     ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+      "84113143d064b9001172eba0a2dacffef5dcca5897de43d445a2ac63d39aa60b")),
+    # one gap value: the x axis is flat and widened
+    ("plot-pmf-k-1", ["plot --kind pmf --model uniform --k 1 --out pmf.svg"], 0,
+     ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+      "a7bfe4d16088d1a0bd80bcf68298d4e0d89b05ef73be374f0242ec7ff9b42174")),
+    # a flat path: the y axis of the trajectory is widened, and W is 0 where sigma is 0
+    *[(f"plot-{kind}-k-1", [K1_PATH_RUN, f"plot --kind {kind} --input paths.csv --out {kind}.svg"],
+       0, digests) for kind, digests in [
+          ("trajectory", ("94e177cb479110763e51b6bdb21469cc234dfbc285f8e7fed1e722781d07d807",
+                          "0f8ddafa0f29da79b8af7cb09a1dfb61a26d316a10a8912239f637a5e69a3791")),
+          ("normalized", ("8a72ed86242c4ddd6e928beb85b8bd2a8f0d7e6f72900947e2e69bc0a6f32bff",
+                          "61a692d2acbfcc37700a4ca0c16f95355d503c1bc1bee88cdf7e4d00018ec093"))]],
+    # m = 100: at 3 of the t = j/m of the normalized plot the float m*t is just below j
+    *[(f"plot-{kind}-m-100",
+       [f"{U6} --m 100 --trajectories 4 --seed 3 --paths --out paths.csv",
+        f"plot --kind {kind} --input paths.csv --trajectory 2 --out {kind}.svg"], 0, digests)
+      for kind, digests in [
+          ("trajectory", ("94e177cb479110763e51b6bdb21469cc234dfbc285f8e7fed1e722781d07d807",
+                          "aa4dcc59518ebfaab0790d10744763c0f172f756194a1a3f343719ae61b73df5")),
+          ("normalized", ("8a72ed86242c4ddd6e928beb85b8bd2a8f0d7e6f72900947e2e69bc0a6f32bff",
+                          "be4862189e4142c125a513ddc53232000ebbff69bc5f96131f4531d228fbba9e"))]],
+    *[(f"plot-{kind}-delta-{delta}", [ENSEMBLE_2000, HISTOGRAM_RUN.format(delta),
+                                      f"plot --kind {kind} --input hist.csv --out {kind}.svg"],
+       0, (stdout, manifest)) for kind, stdout, manifests in [
+          ("histogram", "ef374d7818c0e3996f43abaa907e71e1eab00201af1f0c00c43f0e911567cd9a",
+           {"1/2": "0d361de7edcf8f5b23c3916f1f0785fe243aae5e32d2b16b8c1731c0df70380c",
+            "1/3": "e25ad0be4bf39d750501b2a482c5be417c2da7ce2d93234e947ef81815dfb040"}),
+          ("cumulative", "473ba6f4c118869dc1b5ebbd0d5520d167459354e2d3108553a46c9f00a4be87",
+           {"1/2": "de93682ac726be6eaa0071e43493119380ea4a2160e37f54172b51103278a696",
+            "1/3": "d9bf168fd40a437443edb522b32fd8cf7b830474dd18b5160757b3fc27864b65"})]
+      for delta, manifest in manifests.items()],
     ("plot-pmf-without-model", ["plot --kind pmf --out p.svg"], 2,
      "wordperim: error: plot --kind pmf requires --model"),
     ("plot-pmf-k-10**4", [f"plot --kind pmf --model uniform --k {10**4} --out pmf.svg"], 0,
@@ -891,6 +795,9 @@ CLI_CASES = [
                                          "plot --kind trajectory --input paths.csv --out x.svg"],
      1, "config sidecar paths.json not found next to paths.csv"),
 
+    ("render-2,3,1,3,5,1", ["render --word 2,3,1,3,5,1 --out poly.svg"], 0,
+     ("8f905e9d2adf44d2449466f7108662ea32c51b4381f588923414025177b99c94",
+      "c84caa4e2663f440e03d0e3adca0cb169b5ccea4015f747835ba8618b8dde84d")),
     ("render-word-2,zebra", ["render --word 2,zebra --out x.svg"], 1,
      "bad --word '2,zebra': invalid literal for int() with base 10: 'zebra'"),
     ("render-word-3,,2", ["render --word 3,,2 --out x.svg"], 1,
@@ -941,5 +848,9 @@ def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
         manifest = Path(f"{argv[argv.index('--out') + 1]}.manifest.json") if "--out" in argv else None
         assert (got, err, sha256_hex(out.encode("utf-8"))) == (0, "", expect[0])
         assert (manifest and sha256_hex(manifest.read_bytes())) == expect[1]
+        if manifest:
+            listed = json.loads(manifest.read_text())["outputs"]
+            assert listed == {name: sha256_hex(manifest.with_name(name).read_bytes())
+                              for name in listed}
     if code:
         assert sorted(Path().rglob("*")) == before

@@ -42,6 +42,8 @@ def test_delta_validation():
         wp.build_histogram([0.0], 0)
     with pytest.raises(ValueError):
         wp.build_histogram([], HALF)
+    with pytest.raises(ValueError, match="sample must be nonempty"):
+        wp.ks_statistic([])
     for delta, cells in ((HALF, 15), (1, 9), (Fraction(3, 2), 7)):
         assert wp.build_histogram([0.0], delta).cells == cells
         assert wp.gaussian_cell_masses(delta).size == cells

@@ -28,6 +28,9 @@ def test_geometric_letter_pmf():
 def test_letter_pmf_rejects_nonpositive():
     with pytest.raises(ValueError):
         wp.letter_pmf(wp.Model.uniform(3), 0)
+    for route in (wp.gap_pmf, wp.gap_pmf_by_convolution):
+        with pytest.raises(ValueError, match="gap values are nonnegative, got -1"):
+            route(wp.Model.uniform(3), -1)
 
 
 def test_model_validation():

@@ -140,6 +140,12 @@ def test_each_route_guard_detects_a_corrupted_closed_form(monkeypatch, table, id
         guarded(wp.Model.uniform(5))
 
 
+def test_a_route_disagreement_past_the_int_to_str_limit_is_named_by_its_digits():
+    with pytest.raises(mo.RouteDisagreement) as exc:
+        mo._agreed("mean", "m", Fraction(10**5000), Fraction(1))
+    assert str(exc.value) == "mean routes disagree at m: <5001 digits> vs 1"
+
+
 def test_form_arithmetic_and_evaluation():
     n = mo.Form((0, 1))
     m = n - 1

@@ -55,6 +55,14 @@ def test_a_failure_beyond_float_range_reads_inf():
     ]
 
 
+def test_a_failure_past_the_int_to_str_limit_is_named_by_its_digits():
+    # str() of an int of more than 4300 digits raises ValueError
+    chk = ver.IdentityCheck("huge")
+    chk.exact(Fraction(10**5000), Fraction(-7, 3 * 10**4400), "huge")
+    assert (chk.passed, chk.instances, chk.max_deviation) == (False, 1, math.inf)
+    assert chk.failures == ["huge: <5001 digits> != -7/<4401 digits>"]
+
+
 def test_an_empty_p_list_skips_the_geometric_cross_moments():
     checks = wp.run_verification(k_max=2, p_list=[], n_max=5, random_words=0)
     assert all(c.passed for c in checks)
