@@ -116,14 +116,23 @@ class Model(_ModelFields):
         return Model.geometric(Fraction(d["p"]))
 
 
+def _gap_value(u) -> int:
+    """``u`` as a plain int (numpy integers pass; bool does not); ValueError unless it is >= 0."""
+    value = plain_int(u)
+    if value is None:
+        raise ValueError(f"gap values are integers, got {u!r}")
+    if value < 0:
+        raise ValueError(f"gap values are nonnegative, got {value}")
+    return value
+
+
 def gap_pmf(model: Model, u: int) -> Fraction:
     """P(|x1 - x0| = u) for two i.i.d. letters, exact closed form.
 
     Uniform:    f(0) = 1/k,       f(u) = 2(k-u)/k**2   for 1 <= u <= k-1.
     Geometric:  f(0) = p/(2-p),   f(u) = 2p(1-p)**u/(2-p).
     """
-    if u < 0:
-        raise ValueError(f"gap values are nonnegative, got {u}")
+    u = _gap_value(u)
     if model.kind == UNIFORM:
         k = model.k
         if u == 0:
@@ -149,10 +158,11 @@ def letter_law(model: Model) -> tuple[Fraction, Fraction, int | None]:
 
 def letter_pmf(model: Model, i: int) -> Fraction:
     """P(x = i) for a single letter; zero outside the support."""
-    if i < 1:
-        raise ValueError(f"letters are positive integers, got {i}")
+    letter = plain_int(i)
+    if letter is None or letter < 1:
+        raise ValueError(f"letters are positive integers, got {i!r}")
     c, z, U = letter_law(model)
-    return c * z**i if U is None or i <= U else Fraction(0)
+    return c * z**letter if U is None or letter <= U else Fraction(0)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -186,8 +196,7 @@ def gap_pmf_by_convolution(model: Model, u: int) -> Fraction:
     of z**(2i) over i = 1 .. U - u: max(U - u, 0) pairs for uniform (z = 1),
     and z*z / (1 - z*z) over the unbounded geometric support.
     """
-    if u < 0:
-        raise ValueError(f"gap values are nonnegative, got {u}")
+    u = _gap_value(u)
     c, z, U = letter_law(model)
     pairs = c * c * z**u * (z * z / (1 - z * z) if U is None else max(U - u, 0))
     return pairs if u == 0 else 2 * pairs

@@ -268,12 +268,15 @@ def normalized_path(
     """
     if ensemble.paths is None:
         raise ValueError("paths were not recorded; rerun with record_full_paths=True")
-    if not 0 <= index < ensemble.config.trajectories:
+    value = plain_int(index)  # numpy integers pass; bool and float do not
+    if value is None:
+        raise ValueError(f"trajectory index must be an integer, got {index!r}")
+    if not 0 <= value < ensemble.config.trajectories:
         raise IndexError(f"trajectory index {index} out of range")
     t = np.asarray(grid, dtype=np.float64)
-    if t.size and (t.min() < 0 or t.max() > 1):
+    if not ((t >= 0) & (t <= 1)).all():  # NaN fails both comparisons
         raise ValueError("grid values must lie in [0, 1]")
-    return scaled_path(ensemble.paths[index], float(ensemble.mean_gap), ensemble.sigma, t)
+    return scaled_path(ensemble.paths[value], float(ensemble.mean_gap), ensemble.sigma, t)
 
 
 def scaled_path(path: np.ndarray, mean_gap: float, sigma: float, t: np.ndarray) -> np.ndarray:

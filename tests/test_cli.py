@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import wordperim as wp
-from wordperim import cross_moments as xm
 from wordperim import simulation
 from wordperim.cli import main
 
@@ -98,38 +97,6 @@ def test_verify_tiny_p_is_exact(capsys):
     assert code == 0 and "FAIL" not in out
     geometric = next(line for line in out.splitlines() if "(geometric)" in line)
     assert geometric.endswith("max_dev=0.000e+00")
-
-
-def test_verify_names_corrupted_identity(capsys, monkeypatch):
-    broken = dict(xm.UNIFORM_CLOSED)
-    broken[xm.MomentIndex(0, 3, 0, 0)] = lambda m: 0 * m.k
-    monkeypatch.setattr(xm, "UNIFORM_CLOSED", broken)
-    code, out, _ = run(
-        capsys, "verify", "--k-max", "3", "--p-list", "1/2", "--n-max", "6",
-        "--random-words", "50",
-    )
-    assert code == 1
-    assert "FAIL" in out
-    assert "cross-moment closed forms vs oracle (uniform)" in out
-
-
-def test_verify_reports_a_mean_route_disagreement(capsys, monkeypatch):
-    # T[1,0,0,0] feeds mean_perimeter's assembly route, which then raises
-    # RouteDisagreement inside the mean decomposition check
-    broken = dict(xm.UNIFORM_CLOSED)
-    broken[xm.MomentIndex(1, 0, 0, 0)] = lambda m: Fraction(1, 7)
-    monkeypatch.setattr(xm, "UNIFORM_CLOSED", broken)
-    code, out, _ = run(
-        capsys, "verify", "--k-max", "3", "--p-list", "1/2", "--n-max", "6",
-        "--random-words", "50",
-    )
-    assert code == 1
-    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 2
-    assert "cross-moment closed forms vs oracle (uniform)" in failed[0]
-    assert "mean decomposition mean_P - mean_R == 2n" in failed[1]
-    assert "instances=12 " in failed[1]  # 3 uniform and 1 geometric model, 3 n each
-    assert "offending: mean routes disagree at uniform[1,1], n=2: 6 vs 30/7" in out
 
 
 def test_verify_times_go_to_stderr_only(capsys):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "wordperim").glob("*.py"))
+# the package, the tests and the demos; not perfbench, which changes only with the benchmark
+SOURCES = [path for folder in ("src/wordperim", "tests", "demos")
+           for path in sorted((Path(__file__).parents[1] / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -31,6 +32,19 @@ def test_letter_pmf_rejects_nonpositive():
     for route in (wp.gap_pmf, wp.gap_pmf_by_convolution):
         with pytest.raises(ValueError, match="gap values are nonnegative, got -1"):
             route(wp.Model.uniform(3), -1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "2", None, Fraction(2)])
+@pytest.mark.parametrize("route, message", [
+    (wp.letter_pmf, "letters are positive integers"),
+    (wp.gap_pmf, "gap values are integers"),
+    (wp.gap_pmf_by_convolution, "gap values are integers"),
+], ids=["letter_pmf", "gap_pmf", "gap_pmf_by_convolution"])
+def test_pmfs_take_integers_only(route, message, bad):
+    for model in (wp.Model.uniform(3), wp.Model.geometric(Fraction(1, 2))):
+        with pytest.raises(ValueError, match=f"{message}, got {re.escape(repr(bad))}$"):
+            route(model, bad)
+        assert route(model, np.uint8(2)) == route(model, 2)
 
 
 def test_model_validation():

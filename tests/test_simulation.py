@@ -222,8 +222,14 @@ def test_normalized_path_validation():
     with_paths = wp.simulate(small_config(record_full_paths=True))
     with pytest.raises(IndexError):
         wp.normalized_path(with_paths, 10**6, [0.5])
-    with pytest.raises(ValueError):
-        wp.normalized_path(with_paths, 0, [1.5])
+    for grid in ([1.5], [math.nan], [0, math.nan, 1]):  # a NaN lies in no interval
+        with pytest.raises(ValueError, match=r"grid values must lie in \[0, 1\]"):
+            wp.normalized_path(with_paths, 0, grid)
+    for index in (True, 1.5):
+        with pytest.raises(ValueError, match=f"trajectory index must be an integer, got {index}"):
+            wp.normalized_path(with_paths, index, [0.5])
+    assert (wp.normalized_path(with_paths, np.int64(1), [0.5, 1])
+            == wp.normalized_path(with_paths, 1, [0.5, 1])).all()
 
 
 def test_brownian_marginal_variance(k6_paths):
