@@ -113,6 +113,23 @@ def test_moment_report_consistency():
         assert math.isclose(d["var_P"]["decimal"], float(rep.var_P))
 
 
+@pytest.mark.parametrize("table, idx, guarded, message", [
+    ("UNIFORM_CLOSED", (1, 0, 0, 0), lambda m: wp.mean_perimeter(m, 12), "mean routes"),
+    ("UNIFORM_CLOSED", (0, 1, 1, 1), lambda m: wp.mu3_dominant(m, 12), "mu3 routes"),
+    # the uncentered guard passes; only the centered assembly sees this entry
+    ("UNIFORM_CLOSED_CENTERED", (0, 1, 1, 1), lambda m: wp.mu3_dominant(m, 12),
+     "mu3 centered routes"),
+    ("UNIFORM_CLOSED", (0, 2, 0, 0), wp.vstar_sigma, r"V\* routes"),
+], ids=["mean", "mu3", "mu3-centered", "vstar"])
+def test_each_route_guard_detects_a_corrupted_closed_form(monkeypatch, table, idx, guarded,
+                                                          message):
+    broken = dict(getattr(xm, table))
+    broken[xm.MomentIndex(*idx)] = lambda m: Fraction(1, 7)
+    monkeypatch.setattr(xm, table, broken)
+    with pytest.raises(mo.RouteDisagreement, match=message):
+        guarded(wp.Model.uniform(5))
+
+
 def test_a_route_disagreement_past_the_int_to_str_limit_is_named_by_its_digits():
     with pytest.raises(mo.RouteDisagreement) as exc:
         mo._agreed("mean", "m", Fraction(10**5000), Fraction(1))

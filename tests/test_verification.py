@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 import struct
 from fractions import Fraction
 
@@ -82,6 +83,17 @@ def test_mu3_zero_at_k_two():
     ].passed
 
 
+def test_corrupted_closed_form_is_caught(monkeypatch):
+    broken = dict(xm.UNIFORM_CLOSED)
+    broken[xm.MomentIndex(0, 2, 0, 0)] = lambda m: Fraction(1, 9)
+    monkeypatch.setattr(xm, "UNIFORM_CLOSED", broken)
+    check = ver.check_cross_moments_uniform([wp.Model.uniform(k) for k in range(1, 5)])
+    assert not check.passed
+    assert any("T(0, 2, 0, 0)" in f for f in check.failures)
+    report = wp.format_report([check])
+    assert "FAIL" in report and "cross-moment closed forms vs oracle (uniform)" in report
+
+
 def test_geometric_models_run_every_route_exactly():
     p_list = [Fraction(1, 10**6), Fraction(1, 2)]
     checks = {c.name: c for c in wp.run_verification(k_max=3, p_list=p_list, n_max=6, random_words=0)}
@@ -91,6 +103,27 @@ def test_geometric_models_run_every_route_exactly():
     assert checks["V* routes: (T02 - M**2) + 2(T011 - M**2) vs closed form"].instances == 10
     # 21 masses and the sum over the support per geometric model
     assert checks["gap pmf closed form vs letter-pair convolution"].instances == 9 + 3 + 2 * 22
+
+
+def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
+    real = ver.perimeters_from_edges
+
+    def off_by_one_on_short_words(words):
+        return [edges + (len(word) < 5) for word, edges in zip(words, real(words))]
+
+    monkeypatch.setattr(ver, "perimeters_from_edges", off_by_one_on_short_words)
+    for check in (ver.check_perimeter_exhaustive(), ver.check_perimeter_random(2000, seed=3)):
+        assert not check.passed
+        assert 1 <= len(check.failures) <= 5
+        for failure in check.failures:
+            word = re.fullmatch(r"word \(([\d, ]+)\): P=(\d+) edges=(\d+)", failure)
+            assert word, failure
+            letters = [int(x) for x in word[1].split(",")]
+            # the named word is the word's letters, nothing more
+            assert min(letters) >= 1 and 2 <= len(letters) < 5
+            assert int(word[2]) == wp.perimeter_decomposed(letters).P
+            assert int(word[3]) == wp.perimeter_edge_count(letters) + 1
+        assert "FAIL" in wp.format_report([check])
 
 
 def test_run_verification_times_each_check():
@@ -138,6 +171,26 @@ def record_route_words(monkeypatch):
     monkeypatch.setattr(ver, "perimeters_from_gaps", recording_gaps)
     monkeypatch.setattr(ver, "perimeters_from_edges", recording_edges)
     return seen_p, seen_edges
+
+
+def test_random_failures_are_the_first_in_draw_order(monkeypatch):
+    real = ver.perimeters_from_edges
+
+    def off_by_one_on_short_words(words):
+        return [edges + (len(word) < 5) for word, edges in zip(words, real(words))]
+
+    monkeypatch.setattr(ver, "perimeters_from_edges", off_by_one_on_short_words)
+    expected = []
+    for word, _ in reference_random_words(2000, seed=3):
+        p = wp.perimeter_decomposed(word).P
+        edges = wp.perimeter_edge_count(word) + (len(word) < 5)
+        if p != edges:
+            expected.append(f"word {word}: P={p} edges={edges}")
+        if len(expected) == 5:
+            break
+    check = ver.check_perimeter_random(2000, seed=3)
+    assert len(expected) == 5
+    assert check.failures == expected
 
 
 @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 4097, 8193])
