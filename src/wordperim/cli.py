@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import sys
 from fractions import Fraction
@@ -221,19 +222,12 @@ def cmd_verify(args) -> int:
     p_list = _verify_p_list(args.p_list)
     if args.k_max < 1:
         raise CliError(f"--k-max must be >= 1, got {args.k_max}")
-    if args.n_max < 4:  # check_variance starts at n = 4; below, it would compare nothing
-        raise CliError(f"--n-max must be >= 4, got {args.n_max}")
     if args.random_words < 0:
         raise CliError(f"--random-words must be >= 0, got {args.random_words}")
     if args.seed < 0:
         raise CliError(f"--seed must be >= 0, got {args.seed}")
-    checks = verification.run_verification(
-        k_max=args.k_max,
-        p_list=p_list,
-        n_max=args.n_max,
-        random_words=args.random_words,
-        seed=args.seed,
-    )
+    checks = verification.run_verification(k_max=args.k_max, p_list=p_list,
+                                           random_words=args.random_words, seed=args.seed)
     print(verification.format_report(checks))
     # timings vary from run to run, so they stay off stdout (the report's bytes)
     for c in checks:
@@ -306,12 +300,21 @@ def _read_sidecar(csv_path) -> tuple[float, float]:
         raise CliError(f"config sidecar {path} not found next to {csv_path}")
     except ValueError as e:  # not JSON, or not UTF-8
         raise CliError(f"config sidecar {path} is not valid JSON: {e}")
-    try:
-        return float(Fraction(doc["mean_gap"])), float(doc["sigma"])
-    except KeyError as e:
-        raise CliError(f"config sidecar {path} has no field {e}")
-    except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise CliError(f"config sidecar {path}: {e}")
+    numbers = []
+    for field in ("mean_gap", "sigma"):
+        try:  # mean_gap is exact text, such as "7/3"
+            value = doc[field]
+            numbers.append(float(Fraction(value) if field == "mean_gap" else value))
+        except KeyError as e:
+            raise CliError(f"config sidecar {path} has no field {e}")
+        except OverflowError:  # beyond float range
+            numbers.append(math.inf)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise CliError(f"config sidecar {path}: {e}")
+        if isinstance(value, bool) or not 0 <= numbers[-1] < math.inf:  # sigma is 0 when k = 1
+            raise CliError(f"config sidecar {path}: {field} must be a finite number >= 0, "
+                           f"got {value!r}")
+    return tuple(numbers)
 
 
 def _simulated_grid(csv: Path) -> tuple[int, int] | None:
@@ -436,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the closed-form vs oracle identity sweep")
     p.add_argument("--k-max", type=int, default=12)
     p.add_argument("--p-list", default="", help="comma-separated rationals (default 1/10,1/4,1/2,3/4,9/10)")
-    p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--random-words", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

@@ -22,6 +22,10 @@ from .models import UNIFORM, Model, exact_text, gap_pmf, gap_pmf_by_convolution,
 from .polyomino import perimeters_from_edges, perimeters_from_gaps
 
 DEFAULT_P_LIST = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10))
+# the n that the mean, variance and mean decomposition checks count and name on a failure
+MEAN_NS = range(2, 41)
+VARIANCE_NS = range(4, 41)
+DECOMPOSITION_NS = (2, 3, 40)
 
 # exhaustive perimeter cases: (k, n) ranges small enough to enumerate k**n words
 EXHAUSTIVE_PERIMETER = tuple(
@@ -161,15 +165,14 @@ def _check_forms(name: str, models, ns, assembly, closed) -> IdentityCheck:
     return chk
 
 
-def check_mean(models, n_max: int) -> IdentityCheck:
+def check_mean(models) -> IdentityCheck:
     return _check_forms("mean assembly (oracle cross-moments) vs closed form",
-                        models, range(2, n_max + 1), mo.mean_assembly, mo.mean_closed)
+                        models, MEAN_NS, mo.mean_assembly, mo.mean_closed)
 
 
-def check_variance(models, n_max: int) -> IdentityCheck:
-    # the forms agree for every n >= 2; the report counts n = 4..n_max
+def check_variance(models) -> IdentityCheck:
     return _check_forms("variance tuple-count assembly (oracle) vs closed form",
-                        models, range(4, n_max + 1), mo.variance_assembly, mo.variance_closed)
+                        models, VARIANCE_NS, mo.variance_assembly, mo.variance_closed)
 
 
 def check_mu3(models) -> IdentityCheck:
@@ -196,11 +199,11 @@ def check_vstar(models) -> IdentityCheck:
     return chk
 
 
-def check_mean_decomposition(models, n_max: int) -> IdentityCheck:
+def check_mean_decomposition(models) -> IdentityCheck:
     """E(P) from its two routes against E(R) = E(Q) + E(x0) + E(x_m), plus 2n."""
     chk = IdentityCheck("mean decomposition mean_P - mean_R == 2n")
     for m in models:
-        for n in (2, 3, n_max):
+        for n in DECOMPOSITION_NS:
             try:  # mean_perimeter raises when its two routes disagree
                 mean_p = mo.mean_perimeter(m, n)
             except mo.RouteDisagreement as e:
@@ -285,20 +288,14 @@ def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     return chk
 
 
-def run_verification(
-    k_max: int = 12,
-    p_list=DEFAULT_P_LIST,
-    n_max: int = 40,
-    random_words: int = 10000,
-    seed: int = 0,
-) -> list[IdentityCheck]:
+def run_verification(k_max: int = 12, p_list=DEFAULT_P_LIST, random_words: int = 10000,
+                     seed: int = 0) -> list[IdentityCheck]:
     """Run every check in report order; each records its wall time in ``seconds``.
 
-    ValueError, before any check runs, for k_max < 1 or n_max < 4 (the
-    variance check starts at n = 4), for which some checks would compare
-    nothing and pass, or for a negative ``random_words`` or ``seed``.
+    ValueError, before any check runs, for k_max < 1, for which some checks
+    would compare nothing and pass, or for a negative ``random_words`` or ``seed``.
     """
-    k_max, n_max = _at_least("k_max", k_max, 1), _at_least("n_max", n_max, 4)
+    k_max = _at_least("k_max", k_max, 1)
     random_words, seed = _at_least("random_words", random_words), _at_least("seed", seed)
     # each model is built once, so the oracle's cache finds the very same objects
     uniform = [Model.uniform(k) for k in range(1, k_max + 1)]
@@ -311,11 +308,11 @@ def run_verification(
         (check_reversibility, (models,)),
         (check_centering, (uniform,)),
         (check_independence, (models,)),
-        (check_mean, (models, n_max)),
-        (check_variance, (models, n_max)),
+        (check_mean, (models,)),
+        (check_variance, (models,)),
         (check_mu3, (models,)),
         (check_vstar, (models,)),
-        (check_mean_decomposition, (models, n_max)),
+        (check_mean_decomposition, (models,)),
         (check_perimeter_exhaustive, ()),
         (check_perimeter_random, (random_words, seed)),
     ]

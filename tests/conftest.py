@@ -1,4 +1,7 @@
+import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,3 +41,21 @@ def geometric_half_endpoints():
         seed=ACCEPTANCE_SEED,
     )
     return wp.simulate(cfg)
+
+
+@contextmanager
+def _traced():
+    traced = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield traced
+        traced.peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_memory():
+    """``with peak_memory() as traced:`` traces the block; ``traced.peak`` is then the
+    peak bytes allocated while it ran, by ``tracemalloc``."""
+    return _traced

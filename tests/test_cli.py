@@ -1,7 +1,6 @@
 import hashlib
 import json
 import shutil
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,8 +80,7 @@ def test_xmoment_geometric_oracle_is_exact(capsys):
 
 def test_verify_small_sweep(capsys):
     code, out, _ = run(
-        capsys, "verify", "--k-max", "3", "--p-list", "1/2", "--n-max", "6",
-        "--random-words", "100",
+        capsys, "verify", "--k-max", "3", "--p-list", "1/2", "--random-words", "100",
     )
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
@@ -91,8 +89,7 @@ def test_verify_small_sweep(capsys):
 def test_verify_tiny_p_is_exact(capsys):
     # the letter support of p = 1e-6 is unbounded and long; the oracle sums all of it
     code, out, _ = run(
-        capsys, "verify", "--k-max", "2", "--p-list", "1/1000000", "--n-max", "5",
-        "--random-words", "0",
+        capsys, "verify", "--k-max", "2", "--p-list", "1/1000000", "--random-words", "0",
     )
     assert code == 0 and "FAIL" not in out
     geometric = next(line for line in out.splitlines() if "(geometric)" in line)
@@ -100,11 +97,11 @@ def test_verify_tiny_p_is_exact(capsys):
 
 
 def test_verify_times_go_to_stderr_only(capsys):
-    argv = ["verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", "--random-words", "20"]
+    argv = ["verify", "--k-max", "2", "--p-list", "1/2", "--random-words", "20"]
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert out == wp.format_report(wp.run_verification(
-        k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=20)) + "\n"
+        k_max=2, p_list=[Fraction(1, 2)], random_words=20)) + "\n"
     assert " s  " not in out and "time" not in out
     names = [line.split(" s  ", 1)[1] for line in err.splitlines()]
     assert len(names) == 13 and all(name in out for name in names)
@@ -114,7 +111,7 @@ def test_verify_times_go_to_stderr_only(capsys):
 
 def test_verify_zero_random_words(capsys):
     code, out, _ = run(
-        capsys, "verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", "--random-words", "0",
+        capsys, "verify", "--k-max", "2", "--p-list", "1/2", "--random-words", "0",
     )
     assert code == 0
     assert "randomized larger words" in out and "FAIL" not in out
@@ -122,7 +119,7 @@ def test_verify_zero_random_words(capsys):
     assert [line for line in lines if line.startswith("SKIP")] == [
         "SKIP  perimeter identity, randomized larger words                        "
         "instances=0      max_dev=0.000e+00"]
-    assert lines[-1] == ("12/13 identities pass over 3077 instances; "
+    assert lines[-1] == ("12/13 identities pass over 3287 instances; "
                          "SKIPPED: perimeter identity, randomized larger words")
 
 
@@ -135,12 +132,12 @@ def test_verify_zero_random_words(capsys):
     (["--random-words", "2049"], 2049),  # and one word of the next
 ], ids=["seed-0", "seed-2**64-1", "seed-2**70", "one-word", "one-window", "one-window-and-a-word"])
 def test_verify_edge_seeds_and_word_counts(capsys, flags, random_words):
-    code, out, err = run(capsys, "verify", "--k-max", "2", "--p-list", "1/2", "--n-max", "5", *flags)
+    code, out, err = run(capsys, "verify", "--k-max", "2", "--p-list", "1/2", *flags)
     assert code == 0 and err.count("\n") == 13
     lines = out.splitlines()
     assert [line[:6] for line in lines[:-1]] == ["PASS  "] * 13
     assert f"instances={random_words:<6d} " in lines[12]
-    assert lines[-1] == f"13/13 identities pass over {3077 + random_words} instances"
+    assert lines[-1] == f"13/13 identities pass over {3287 + random_words} instances"
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +389,15 @@ def test_plot_of_a_csv_missing_a_row_of_its_last_path_fails(capsys, monkeypatch,
                           "expected trajectory 6, j 10 (m = 50)\n", None, None)
 
 
-def test_plot_of_a_proven_csv_holds_one_path(capsys, tmp_path, monkeypatch):
+def test_plot_of_a_proven_csv_holds_one_path(capsys, tmp_path, monkeypatch, peak_memory):
     monkeypatch.chdir(tmp_path)
     assert run(capsys, "simulate", "--model", "geometric", "--p", "1/2", "--m", "500",
                "--trajectories", "2000", "--seed", "9", "--paths", "--out", "paths.csv")[0] == 0
-    tracemalloc.start()
-    try:
+    with peak_memory() as traced:
         code = main(["plot", "--kind", "normalized", "--input", "paths.csv",
                      "--trajectory", "1999", "--out", "normalized.svg"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0
-    assert peak < 4 * 2**20  # the CSV writer's bound; the whole file takes about 28 MiB
+    assert traced.peak < 4 * 2**20  # the CSV writer's bound; the whole file takes about 28 MiB
 
 
 def test_render(capsys, tmp_path):
@@ -549,10 +542,11 @@ CLI_CASES = [
     *[(f"verify-p-list-{entry}", [f"verify --p-list {entry}"], 1,
        f"bad --p-list entry '{token}': need a rational 0 < p < 1")
       for entry, token in [("1/0", "1/0"), ("2", "2"), ("abc", "abc"), ("1/2,", "")]],
-    # --n-max 3: the variance check starts at n = 4 and would compare nothing
     *[(f"verify{flag}-{value}", [f"verify {flag} {value}"], 1, f"{flag} must be >= {least}, got {value}")
-      for flag, value, least in [("--n-max", 1, 4), ("--n-max", 3, 4), ("--k-max", 0, 1),
-                                 ("--random-words", -3, 0), ("--seed", -1, 0)]],
+      for flag, value, least in [("--k-max", 0, 1), ("--random-words", -3, 0), ("--seed", -1, 0)]],
+    # the range of n is no input: the forms in n are compared by their coefficients
+    ("verify-n-max-8", ["verify --n-max 8"], 2,
+     "wordperim: error: unrecognized arguments: --n-max 8"),
 
     ("simulate-uniform", [f"{U6} --m 50 --trajectories 200 --seed 3 --out ens.csv"], 0,
      ("85a1b5802790c7644ed1e8436ad47227930c44f64d6909012bc340fc5987e29e",
@@ -754,6 +748,18 @@ CLI_CASES = [
            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
           ("without-mean-gap", '{"sigma": 2.0}', "has no field 'mean_gap'"),
           ("without-sigma", '{"mean_gap": "7/3"}', "has no field 'sigma'")]],
+    # a sigma or mean gap that is not a finite number >= 0 would draw W(t) as nan, flipped or
+    # flat, or overflow; sigma = 0, of k = 1, draws W = 0 (plot-normalized-k-1)
+    *[(f"plot-normalized-sidecar-{what}",
+       [PATH_RUN, {"paths.json": f'{{"mean_gap": {mean_gap}, "sigma": {sigma}}}'},
+        "plot --kind normalized --input paths.csv --out x.svg"], 1,
+       f"config sidecar paths.json: {field} must be a finite number >= 0, got {got}")
+      for what, mean_gap, sigma, field, got in [
+          ("sigma-NaN", '"7/3"', "NaN", "sigma", "nan"),
+          ("sigma--1.0", '"7/3"', "-1.0", "sigma", "-1.0"),
+          ("sigma-Infinity", '"7/3"', "Infinity", "sigma", "inf"),
+          ("sigma-true", '"7/3"', "true", "sigma", "True"),
+          ("mean-gap-1e400", '"1e400"', "2.0", "mean_gap", "'1e400'")]],
     ("plot-trajectory-sidecar-mean-gap-x",
      [PATH_RUN, {"paths.json": '{"mean_gap": "x", "sigma": 1}'},
       "plot --kind trajectory --input paths.csv --out x.svg"], 1,

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -287,16 +286,6 @@ def test_gof_json(tmp_path):
     assert doc == {"ks_statistic": 0.01, "max_cell_abs_error": 0.002}
 
 
-def traced_peak(fn, *args) -> int:
-    """Peak bytes that ``fn(*args)`` allocates, by ``tracemalloc``."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def lattice_million():
     """10**6 normalized binomial endpoints: a lattice of about 250 distinct z values."""
@@ -304,14 +293,18 @@ def lattice_million():
     return (e - 1000.0) / math.sqrt(500.0)
 
 
-def test_ks_statistic_memory_is_one_sorted_copy(lattice_million):
+def test_ks_statistic_memory_is_one_sorted_copy(lattice_million, peak_memory):
     z = lattice_million
+    with peak_memory() as traced:
+        wp.ks_statistic(z)
     # the sorted copy np.unique makes, and its two boolean masks of 1 byte a sample
-    assert traced_peak(wp.ks_statistic, z) <= 1.3 * z.nbytes
+    assert traced.peak <= 1.3 * z.nbytes
 
 
-def test_build_histogram_memory_is_flat(lattice_million):
-    assert traced_peak(wp.build_histogram, lattice_million, HALF) < 2**20
+def test_build_histogram_memory_is_flat(lattice_million, peak_memory):
+    with peak_memory() as traced:
+        wp.build_histogram(lattice_million, HALF)
+    assert traced.peak < 2**20
 
 
 def reference_counts(sample, delta) -> np.ndarray:

@@ -22,7 +22,7 @@ from wordperim.cli import main
 
 from test_verification import reference_random_words
 
-VERIFY = "verify --k-max 4 --p-list 1/3,1/2 --n-max 8 --random-words 2000 --seed 3".split()
+VERIFY = "verify --k-max 4 --p-list 1/3,1/2 --random-words 2000 --seed 3".split()
 RUN_MODELS = [wp.Model.uniform(k) for k in range(1, 5)] + [
     wp.Model.geometric(Fraction(1, 3)), wp.Model.geometric(Fraction(1, 2))]
 # verify's 13 checks in report order, by a short key
@@ -158,19 +158,24 @@ FAULTS = [
         xm.UNIFORM_CLOSED, (1, 0, 0, 0), lambda m: Fraction(1, 7)), {"uniform", "decomposition"},
         {"decomposition": {"instances": 18, "offending": [
             f"mean routes disagree at {m.describe()}, n={n}: {c} vs {c + Fraction(2, 7) - m.k - 1}"
-            for m, n in product(RUN_MODELS[:2], (2, 3, 8)) for c in [mo.mean_closed(m)(n)]][:5]}}),
+            for m, n in product(RUN_MODELS[:2], ver.DECOMPOSITION_NS)
+            for c in [mo.mean_closed(m)(n)]][:5]}}),
     Fault("mean_gap_sum-of-n+1", replace(mo, "mean_gap_sum", lambda real: lambda model, n: real(
         model, n + 1)), {"decomposition"},  # uniform[1,1] has M = 0
-        {"decomposition": {"instances": 18, "labels": labels(RUN_MODELS[1:], (2, 3, 8))}}),
+        {"decomposition": {"instances": 18,
+                           "labels": labels(RUN_MODELS[1:], ver.DECOMPOSITION_NS)}}),
+    # every n fails but 4 and 5; the deviation is largest at the last n
     *(Fault(f"{assembly}-n4n5", replace(mo, assembly, after(lambda form, *args: form + N4N5)),
-            {check, other}, {check: {"instances": instances, "max_dev": "1.200e-08",
-                                     "labels": labels(RUN_MODELS, ns)}})
-      for assembly, check, other, instances, ns in [
-          ("mean_assembly", "mean", "decomposition", 42, (2, 3, 6, 7, 8)),
-          ("variance_assembly", "variance", "vstar", 30, (6, 7, 8))]),
+            {check, other}, {check: {"instances": len(RUN_MODELS) * len(ns),
+                                     "max_dev": f"{float(N4N5(ns[-1])):.3e}",
+                                     "labels": labels(RUN_MODELS, [n for n in ns if N4N5(n)])}})
+      for assembly, check, other, ns in [
+          ("mean_assembly", "mean", "decomposition", ver.MEAN_NS),
+          ("variance_assembly", "variance", "vstar", ver.VARIANCE_NS)]),
     *(Fault(f"variance_assembly-{name}", replace(mo, "variance_assembly", after(
         lambda form, *args, extra=mo.Form(extra): form + extra)), {"variance"} | vstar.keys(),
-            {"variance": {"instances": 30, "labels": labels(RUN_MODELS, range(4, 9))}, **vstar})
+            {"variance": {"instances": len(RUN_MODELS) * len(ver.VARIANCE_NS),
+                          "labels": labels(RUN_MODELS, ver.VARIANCE_NS)}, **vstar})
       for name, extra, vstar in [
           ("n-squared", (0, 0, E9), {}), ("constant", (E9,), {}),
           ("slope", (0, E9), {"vstar": {"labels": [m.describe() for m in RUN_MODELS[:5]]}})]),
@@ -194,7 +199,8 @@ FAULTS = [
                 words, edges=4)}})
       for position, name, words in BLOCK_ENDS),
     # verify's letters stay below 32, so neither one-word fallback runs:
-    # test_edge_kernel_at_word_boundaries (tests/test_polyomino.py) catches both
+    # test_routes_equal_references_on_random_words and test_edge_kernel_at_word_boundaries
+    # (tests/test_polyomino.py) catch both
     Fault("_gap_sum", replace(poly, "_gap_sum", after(lambda q, word: q + 1)), set()),
     Fault("_board", replace(poly, "_board", after(lambda out, word: (out[0] + 1, out[1]))), set()),
 ]

@@ -142,7 +142,7 @@ def test_the_package_imports_no_submodule_and_serves_each_name_from_its_module()
 
 
 EXACT_COMMANDS = [
-    ["verify", "--k-max", "3", "--p-list", "1/2,1/3", "--n-max", "6", "--random-words", "2100"],
+    ["verify", "--k-max", "3", "--p-list", "1/2,1/3", "--random-words", "2100"],
     ["moments", "--model", "uniform", "--k", "6", "--n", "500"],
     ["moments", "--model", "geometric", "--p", "1/3", "--n", "40", "--format", "csv"],
     ["xmoment", "--model", "geometric", "--p", "1/3", "--index", "0,1,1,0"],
@@ -210,7 +210,7 @@ print(code, after_import, [m for m in watched if m in sys.modules])
     (["moments", "--model", "uniform", "--k", "6", "--n", "500"], ["json"]),
     (["xmoment", "--model", "geometric", "--p", "1/3", "--index", "0,1,1,0"], ["json"]),
     # the random perimeter words are SHAKE-128 digests; the report is text, not JSON
-    (["verify", "--k-max", "3", "--p-list", "1/2", "--n-max", "6", "--random-words", "100"],
+    (["verify", "--k-max", "3", "--p-list", "1/2", "--random-words", "100"],
      ["hashlib", "_hashlib"]),
     # the manifest is JSON and holds the sha256 of the SVG
     (["render", "--word", "2,3,1,3", "--out", "word.svg"], ["json", "hashlib", "_hashlib"]),

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -100,17 +99,12 @@ def test_render_takes_a_word_of_max_cells():
 
 @pytest.mark.parametrize("word", [[poly.RENDER_MAX_HEIGHT] * 10 + [1], [1] * (10**5 + 1)],
                          ids=["tall-letters", "many-letters"])
-def test_render_refuses_one_cell_above_max_cells_before_building(word):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError) as refused:
-            wp.render_polyomino(word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_render_refuses_one_cell_above_max_cells_before_building(peak_memory, word):
+    with peak_memory() as traced, pytest.raises(ValueError) as refused:
+        wp.render_polyomino(word)
     assert str(refused.value) == "render refuses a word of 100001 cells, above 100000"
     # the word's letters are copied once; a drawing of 100 001 cells would take about 40 MB
-    assert peak < 64 * len(word) + 2**16
+    assert traced.peak < 64 * len(word) + 2**16
 
 
 def test_render_is_deterministic():
@@ -195,16 +189,24 @@ def test_routes_equal_references_on_exhaustive_cases():
         assert_routes_equal_references(product(range(1, k + 1), repeat=n))
 
 
-# lists of words over [1, k], k = 1 included, of 1 to 80 letters: words of
-# at most 64 letters below 32 take 4-byte fields in whole-word operations,
-# every other word one field at a time
-random_words = st.integers(1, 40).flatmap(
-    lambda k: st.lists(st.lists(st.integers(1, k), min_size=1, max_size=80), min_size=1, max_size=12)
-)
+def words_over(k_range, max_letters):
+    """Lists of 1 to 12 words of 1 to ``max_letters`` letters over [1, k], k drawn from k_range."""
+    return st.integers(*k_range).flatmap(lambda k: st.lists(
+        st.lists(st.integers(1, k), min_size=1, max_size=max_letters), min_size=1, max_size=12))
+
+
+# words over [1, k], k = 1 included, of 1 to 80 letters: words of at most 64
+# letters below 32 take 4-byte fields in whole-word operations, every other
+# word one field at a time.  Short words with letters up to 300 reach both
+# one-word fallbacks: a letter of 128 or more takes the gaps of its block
+# out of their byte lanes (_gap_sum), and one of 32 or more its edges out
+# of 4-byte fields (_board); a letter of 256 or more fits no byte at all.
+random_words = st.one_of(words_over((1, 40), 80), words_over((41, 300), 6))
 
 
 @settings(max_examples=150, deadline=None)
 @given(random_words)
+@example([[1, 300, 129, 2], [128, 5]])
 def test_routes_equal_references_on_random_words(words):
     assert_routes_equal_references(words)
 
@@ -277,19 +279,15 @@ def test_long_words_take_fields_one_at_a_time():
         assert_routes_equal_references([word])
 
 
-def test_edge_kernel_memory_follows_the_bitset():
+def test_edge_kernel_memory_follows_the_bitset(peak_memory):
     bitset = 10**6 // 8 + 1  # one field of 125 001 bytes: the letter and an empty top bit
     wp.perimeter_edge_count([10**6])
-    tracemalloc.start()
-    try:
+    with peak_memory() as traced:
         edges = wp.perimeter_edge_count([10**6])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert edges == 2 * 10**6 + 2
     # the board, its shift by one field (two fields long) and their XOR: five
     # bitsets; one byte per cell would take eight, a table of fields 10**6
-    assert peak < 6 * bitset
+    assert traced.peak < 6 * bitset
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +327,13 @@ def test_decomposition_takes_letters_of_any_size():
 @pytest.mark.parametrize("word, tallest", [([2**62, 1], 2**62), ([1, 2**27], 2**27),
                                            ([2**20] * 200, 2**20)],
                          ids=["2**62", "2**27", "many-tall-letters"])
-def test_edge_count_refuses_an_oversize_bitset_before_allocating(word, tallest):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError) as refused:
-            wp.perimeter_edge_count(word)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_edge_count_refuses_an_oversize_bitset_before_allocating(peak_memory, word, tallest):
+    with peak_memory() as traced, pytest.raises(ValueError) as refused:
+        wp.perimeter_edge_count(word)
     message = str(refused.value)
     assert "\n" not in message
     assert message.startswith(f"edge count refuses letter {tallest}: a word of {len(word)} letters")
-    assert peak < 2**16  # the refused bitset would hold at least 2**24 bytes
+    assert traced.peak < 2**16  # the refused bitset would hold at least 2**24 bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -400,16 +399,12 @@ def test_endpoint_csv_writer_on_texts_that_widen_from_chunk_to_chunk(tmp_path, m
     assert max(len(repr(v)) for v in z.tolist()) == 24  # as wide as a float64 repr gets
 
 
-def test_endpoint_csv_writer_memory_is_flat(tmp_path):
+def test_endpoint_csv_writer_memory_is_flat(tmp_path, peak_memory):
     e = np.random.default_rng(11).binomial(2000, 0.5, size=10**6)
     ens = hand_built_endpoint_ensemble(e, (e - 1000.0) / math.sqrt(500.0))
-    tracemalloc.start()
-    try:
+    with peak_memory() as traced:
         sim.write_endpoint_csv(ens, tmp_path / "e.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20  # the path writer's bound
+    assert traced.peak < 4 * 2**20  # the path writer's bound
 
 
 @pytest.mark.parametrize("m", [
@@ -490,16 +485,12 @@ def test_path_csv_writer_on_hand_built_paths(tmp_path, paths):
 
 
 @pytest.mark.parametrize("n, m", [(1000, 500), (4000, 500), (2, 3 * sim._CSV_CHUNK_ROWS + 5)])
-def test_path_csv_writer_memory_is_flat(tmp_path, n, m):
+def test_path_csv_writer_memory_is_flat(tmp_path, peak_memory, n, m):
     ens = wp.simulate(wp.SimulationConfig(model=wp.Model.geometric(Fraction(1, 2)), m=m,
                                           trajectories=n, seed=5, record_full_paths=True))
-    tracemalloc.start()
-    try:
+    with peak_memory() as traced:
         sim.write_path_csv(ens, tmp_path / "p.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    assert traced.peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("body, problem", [

@@ -15,7 +15,7 @@ from wordperim import verification as ver
 
 
 def test_small_sweep_passes():
-    checks = wp.run_verification(k_max=4, p_list=[Fraction(1, 2)], n_max=8, random_words=300)
+    checks = wp.run_verification(k_max=4, p_list=[Fraction(1, 2)], random_words=300)
     assert all(c.passed for c in checks)
     report = wp.format_report(checks)
     assert "FAIL" not in report
@@ -23,7 +23,7 @@ def test_small_sweep_passes():
 
 
 def test_instance_counts_are_reported():
-    checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=50)
+    checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], random_words=50)
     assert all(c.instances > 0 for c in checks)
     by_name = {c.name: c for c in checks}
     random_chk = by_name["perimeter identity, randomized larger words"]
@@ -63,7 +63,7 @@ def test_a_failure_past_the_int_to_str_limit_is_named_by_its_digits():
 
 
 def test_an_empty_p_list_skips_the_geometric_cross_moments():
-    checks = wp.run_verification(k_max=2, p_list=[], n_max=5, random_words=0)
+    checks = wp.run_verification(k_max=2, p_list=[], random_words=0)
     assert all(c.passed for c in checks)
     skipped = ["cross-moment closed forms vs oracle (geometric)",
                "perimeter identity, randomized larger words"]
@@ -76,7 +76,7 @@ def test_an_empty_p_list_skips_the_geometric_cross_moments():
 
 def test_mu3_zero_at_k_two():
     # the sweep covers k=2 where every mu3 route is exactly 0
-    checks = wp.run_verification(k_max=2, p_list=[], n_max=5, random_words=10)
+    checks = wp.run_verification(k_max=2, p_list=[], random_words=10)
     by_name = {c.name: c for c in checks}
     assert by_name[
         "mu3* routes: uncentered combination, centered combination, closed"
@@ -96,7 +96,7 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
 
 def test_geometric_models_run_every_route_exactly():
     p_list = [Fraction(1, 10**6), Fraction(1, 2)]
-    checks = {c.name: c for c in wp.run_verification(k_max=3, p_list=p_list, n_max=6, random_words=0)}
+    checks = {c.name: c for c in wp.run_verification(k_max=3, p_list=p_list, random_words=0)}
     assert all(c.passed and c.max_deviation == 0 for c in checks.values())
     # two routes per model each: the centered ones run for geometric letters too
     assert checks["mu3* routes: uncentered combination, centered combination, closed"].instances == 10
@@ -127,7 +127,7 @@ def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
 
 
 def test_run_verification_times_each_check():
-    checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], n_max=5, random_words=10)
+    checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], random_words=10)
     assert all(c.seconds > 0 for c in checks)
 
 
@@ -256,21 +256,15 @@ def test_random_check_rejects_a_bad_count_or_seed(bad):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         ver.check_perimeter_random(10, seed=bad)
     with pytest.raises(ValueError, match="random_words must be a non-negative integer"):
-        wp.run_verification(k_max=1, p_list=[], n_max=4, random_words=bad)
+        wp.run_verification(k_max=1, p_list=[], random_words=bad)
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        wp.run_verification(k_max=1, p_list=[], n_max=4, seed=bad)
+        wp.run_verification(k_max=1, p_list=[], seed=bad)
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 1.0, "3", None])
 def test_run_verification_rejects_a_bad_k_max(bad):
     with pytest.raises(ValueError, match=r"k_max must be an integer >= 1, got "):
-        wp.run_verification(k_max=bad, p_list=[], n_max=4)
-
-
-@pytest.mark.parametrize("bad", [3, 2, -1, True, 4.0, "40", None])
-def test_run_verification_rejects_a_bad_n_max(bad):
-    with pytest.raises(ValueError, match=r"n_max must be an integer >= 4, got "):
-        wp.run_verification(k_max=1, p_list=[], n_max=bad)
+        wp.run_verification(k_max=bad, p_list=[])
 
 
 def test_run_verification_validates_before_any_check(monkeypatch):
@@ -279,18 +273,18 @@ def test_run_verification_validates_before_any_check(monkeypatch):
         wp.run_verification(seed=-1)
 
 
-@pytest.mark.parametrize("size", ["k_max", "n_max"])
+@pytest.mark.parametrize("size", ["k_max"])
 def test_run_verification_validates_sizes_before_any_check(monkeypatch, size):
     monkeypatch.setattr(ver, "check_gap_pmf", lambda models: pytest.fail("a check ran"))
     with pytest.raises(ValueError, match=size):
-        wp.run_verification(**{size: {"k_max": 0, "n_max": 3}[size]})
+        wp.run_verification(**{size: 0})
 
 
 def test_run_verification_takes_the_smallest_sizes_and_numpy_integers():
-    checks = wp.run_verification(k_max=np.int64(1), p_list=[], n_max=np.uint8(4), random_words=0)
+    checks = wp.run_verification(k_max=np.int64(1), p_list=[], random_words=np.uint8(0))
     assert all(c.passed for c in checks)
     variance = next(c for c in checks if c.name.startswith("variance"))
-    assert variance.instances == 1  # n = 4 of the one model
+    assert variance.instances == 37  # n = 4..40 of the one model
 
 
 @pytest.mark.parametrize("cast", [np.int8, np.uint16, np.int64, np.uint64])
@@ -321,8 +315,7 @@ def test_every_check_of_a_run_sees_the_same_models(monkeypatch):
         return real_oracle(model, idx, centered)
 
     monkeypatch.setattr(xm, "cross_moment_oracle", recording_oracle)
-    checks = wp.run_verification(k_max=3, p_list=[Fraction(1, 2), "1/4"], n_max=6,
-                                 random_words=10)
+    checks = wp.run_verification(k_max=3, p_list=[Fraction(1, 2), "1/4"], random_words=10)
     assert all(c.passed for c in checks)
     everything = seen["check_gap_pmf"]
     assert everything == [wp.Model.uniform(1), wp.Model.uniform(2), wp.Model.uniform(3),
@@ -355,7 +348,7 @@ def test_equal_coefficients_need_no_evaluation(monkeypatch):
         raise AssertionError("equal forms were evaluated")
 
     monkeypatch.setattr(mo.Form, "__call__", no_evaluation)
-    assert ver.check_mean(MODELS, 40).instances == 2 * 39
-    assert ver.check_variance(MODELS, 40).instances == 2 * 37
+    assert ver.check_mean(MODELS).instances == 2 * 39
+    assert ver.check_variance(MODELS).instances == 2 * 37
 
 
