@@ -219,14 +219,8 @@ def _verify_p_list(text: str) -> list[Fraction]:
 
 
 def cmd_verify(args) -> int:
-    p_list = _verify_p_list(args.p_list)
-    if args.k_max < 1:
-        raise CliError(f"--k-max must be >= 1, got {args.k_max}")
-    if args.random_words < 0:
-        raise CliError(f"--random-words must be >= 0, got {args.random_words}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
-    checks = verification.run_verification(k_max=args.k_max, p_list=p_list,
+    # run_verification refuses a bad --k-max, --random-words or --seed before any check runs
+    checks = verification.run_verification(k_max=args.k_max, p_list=_verify_p_list(args.p_list),
                                            random_words=args.random_words, seed=args.seed)
     print(verification.format_report(checks))
     # timings vary from run to run, so they stay off stdout (the report's bytes)
@@ -438,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the closed-form vs oracle identity sweep")
     p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--p-list", default="", help="comma-separated rationals (default 1/10,1/4,1/2,3/4,9/10)")
+    p.add_argument("--p-list", default="", help="comma-separated rationals (default "
+                   f"{','.join(map(str, verification.DEFAULT_P_LIST))})")
     p.add_argument("--random-words", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)

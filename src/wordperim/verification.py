@@ -288,38 +288,42 @@ def check_perimeter_random(count: int, seed: int) -> IdentityCheck:
     return chk
 
 
+# verify's checks in report order, by short id.  Each call takes run_verification's inputs
+# and looks its check_* up in this module when it runs, so a patched check_* is the one run.
+CHECKS = {
+    "pmf": lambda run: check_gap_pmf(run["models"]),
+    "uniform": lambda run: check_cross_moments_uniform(run["uniform"]),
+    "geometric": lambda run: check_cross_moments_geometric(run["geometric"]),
+    "reversibility": lambda run: check_reversibility(run["models"]),
+    "centering": lambda run: check_centering(run["uniform"]),
+    "independence": lambda run: check_independence(run["models"]),
+    "mean": lambda run: check_mean(run["models"]),
+    "variance": lambda run: check_variance(run["models"]),
+    "mu3": lambda run: check_mu3(run["models"]),
+    "vstar": lambda run: check_vstar(run["models"]),
+    "decomposition": lambda run: check_mean_decomposition(run["models"]),
+    "exhaustive": lambda run: check_perimeter_exhaustive(),
+    "random": lambda run: check_perimeter_random(run["random_words"], run["seed"]),
+}
+
+
 def run_verification(k_max: int = 12, p_list=DEFAULT_P_LIST, random_words: int = 10000,
                      seed: int = 0) -> list[IdentityCheck]:
-    """Run every check in report order; each records its wall time in ``seconds``.
+    """Run the checks of ``CHECKS`` in report order; each records its wall time in ``seconds``.
 
     ValueError, before any check runs, for k_max < 1, for which some checks
     would compare nothing and pass, or for a negative ``random_words`` or ``seed``.
     """
     k_max = _at_least("k_max", k_max, 1)
-    random_words, seed = _at_least("random_words", random_words), _at_least("seed", seed)
+    run = {"random_words": _at_least("random_words", random_words), "seed": _at_least("seed", seed)}
     # each model is built once, so the oracle's cache finds the very same objects
-    uniform = [Model.uniform(k) for k in range(1, k_max + 1)]
-    models = uniform + [Model.geometric(Fraction(p)) for p in p_list]
-    geometric = models[len(uniform):]
-    steps = [
-        (check_gap_pmf, (models,)),
-        (check_cross_moments_uniform, (uniform,)),
-        (check_cross_moments_geometric, (geometric,)),
-        (check_reversibility, (models,)),
-        (check_centering, (uniform,)),
-        (check_independence, (models,)),
-        (check_mean, (models,)),
-        (check_variance, (models,)),
-        (check_mu3, (models,)),
-        (check_vstar, (models,)),
-        (check_mean_decomposition, (models,)),
-        (check_perimeter_exhaustive, ()),
-        (check_perimeter_random, (random_words, seed)),
-    ]
+    run["uniform"] = [Model.uniform(k) for k in range(1, k_max + 1)]
+    run["geometric"] = [Model.geometric(Fraction(p)) for p in p_list]
+    run["models"] = run["uniform"] + run["geometric"]
     checks = []
-    for check, args in steps:
+    for call in CHECKS.values():
         start = time.perf_counter()
-        chk = check(*args)
+        chk = call(run)
         chk.seconds = time.perf_counter() - start
         checks.append(chk)
     return checks

@@ -542,8 +542,11 @@ CLI_CASES = [
     *[(f"verify-p-list-{entry}", [f"verify --p-list {entry}"], 1,
        f"bad --p-list entry '{token}': need a rational 0 < p < 1")
       for entry, token in [("1/0", "1/0"), ("2", "2"), ("abc", "abc"), ("1/2,", "")]],
-    *[(f"verify{flag}-{value}", [f"verify {flag} {value}"], 1, f"{flag} must be >= {least}, got {value}")
-      for flag, value, least in [("--k-max", 0, 1), ("--random-words", -3, 0), ("--seed", -1, 0)]],
+    # run_verification's own refusals, made before any check runs
+    *[(f"verify{flag}-{value}", [f"verify {flag} {value}"], 1, line) for flag, value, line in [
+        ("--k-max", 0, "k_max must be an integer >= 1, got 0"),
+        ("--random-words", -3, "random_words must be a non-negative integer, got -3"),
+        ("--seed", -1, "seed must be a non-negative integer, got -1")]],
     # the range of n is no input: the forms in n are compared by their coefficients
     ("verify-n-max-8", ["verify --n-max 8"], 2,
      "wordperim: error: unrecognized arguments: --n-max 8"),

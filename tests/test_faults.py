@@ -25,10 +25,10 @@ from test_verification import reference_random_words
 VERIFY = "verify --k-max 4 --p-list 1/3,1/2 --random-words 2000 --seed 3".split()
 RUN_MODELS = [wp.Model.uniform(k) for k in range(1, 5)] + [
     wp.Model.geometric(Fraction(1, 3)), wp.Model.geometric(Fraction(1, 2))]
-# verify's 13 checks in report order, by a short key
-CHECKS = ("pmf uniform geometric reversibility centering independence mean variance mu3 vstar "
-          "decomposition exhaustive random").split()
-ORACLE_CHECKS = set(CHECKS[1:10])  # the checks that read the oracle
+CHECKS = tuple(ver.CHECKS)  # verify's checks in report order, by short id
+# the checks that read the oracle
+ORACLE_CHECKS = {"uniform", "geometric", "reversibility", "centering", "independence", "mean",
+                 "variance", "mu3", "vstar"}
 ORACLE = (xm._oracle_cached, xm._stages, models.integer_antidifference)
 EPS, E9 = Fraction(1, 10**30), Fraction(1, 10**9)
 N4N5 = mo.Form((20 * E9, -9 * E9, E9))  # 10**-9 (n - 4)(n - 5), zero at n = 4 and 5 only
@@ -37,8 +37,8 @@ N4N5 = mo.Form((20 * E9, -9 * E9, E9))  # 10**-9 (n - 4)(n - 5), zero at n = 4 a
 class Fault(NamedTuple):
     id: str
     patch: Callable  # patch(monkeypatch) puts the fault in
-    fails: set  # the keys of the checks that print FAIL
-    pins: dict = {}  # {check key: {field: value}}: fields of the check in report(out)
+    fails: set  # the ids of the checks that print FAIL
+    pins: dict = {}  # {check id: {field: value}}: fields of the check in report(out)
     raises: tuple = ()  # (call, message): a moment that must raise RouteDisagreement
     caches: tuple = ()  # the caches the fault reaches, emptied before and after the run
 
@@ -207,7 +207,7 @@ FAULTS = [
 
 
 def report(out: str) -> dict:
-    """{check key: {field: value}} of verify's stdout.
+    """{check id: {field: value}} of verify's stdout.
 
     The fields are status, instances, max_dev (as printed), offending (the
     lines) and labels (each offending line up to its first ": ").

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import wordperim as wp
 from wordperim import models
+from wordperim import moments as mo
 from wordperim import simulation as sim
 
 U6 = wp.Model.uniform(6)
@@ -159,6 +160,18 @@ def test_one_gap_endpoint_is_the_letter_gap(model, n, seed):
             for a, b in (wp.sample_letters(model, wp.trajectory_rng(seed, l), 2) for l in range(n))]
     assert ens.endpoints.tolist() == want
     assert np.array_equal(ens.z, (ens.endpoints - float(ens.mean_gap)) / ens.sigma)
+
+
+@pytest.mark.parametrize("model", [wp.Model.uniform(2), U6, wp.Model.geometric(Fraction(1, 3)),
+                                   wp.Model.geometric(Fraction(1, 2))],
+                         ids=lambda model: model.describe())
+def test_simulate_normalizes_by_the_oracle_moments(model):
+    # M and V* from the exact-sum oracle, a route independent of mean_gap and vstar_sigma
+    m, M = 50, wp.cross_moment_oracle(model, wp.MomentIndex(0, 1, 0, 0))
+    vstar = mo.variance_assembly(model, source=wp.cross_moment_oracle).coefficients[1]
+    ens = wp.simulate(wp.SimulationConfig(model=model, m=m, trajectories=200, seed=5))
+    assert (ens.mean_gap, ens.vstar, ens.sigma) == (M, vstar, math.sqrt(vstar))
+    assert np.array_equal(ens.z, (ens.endpoints - float(m * M)) / (math.sqrt(vstar) * math.sqrt(m)))
 
 
 def test_determinism_same_config():

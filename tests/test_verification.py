@@ -25,9 +25,26 @@ def test_small_sweep_passes():
 def test_instance_counts_are_reported():
     checks = wp.run_verification(k_max=2, p_list=[Fraction(1, 2)], random_words=50)
     assert all(c.instances > 0 for c in checks)
-    by_name = {c.name: c for c in checks}
-    random_chk = by_name["perimeter identity, randomized larger words"]
-    assert random_chk.instances == 50
+    assert dict(zip(ver.CHECKS, checks))["random"].instances == 50
+
+
+def test_each_check_id_names_one_report_line_in_order():
+    names = [c.name for c in wp.run_verification(k_max=1, p_list=[], random_words=0)]
+    assert list(zip(ver.CHECKS, names, strict=True)) == [
+        ("pmf", "gap pmf closed form vs letter-pair convolution"),
+        ("uniform", "cross-moment closed forms vs oracle (uniform)"),
+        ("geometric", "cross-moment closed forms vs oracle (geometric)"),
+        ("reversibility", "gap-pair reversibility T[0,1,2] == T[0,2,1] (oracle)"),
+        ("centering", "centering identities T~ == T - M**2 (oracle, uniform)"),
+        ("independence", "independent gaps E(y1 y3) == M**2 (oracle, middle marginalized)"),
+        ("mean", "mean assembly (oracle cross-moments) vs closed form"),
+        ("variance", "variance tuple-count assembly (oracle) vs closed form"),
+        ("mu3", "mu3* routes: uncentered combination, centered combination, closed"),
+        ("vstar", "V* routes: (T02 - M**2) + 2(T011 - M**2) vs closed form"),
+        ("decomposition", "mean decomposition mean_P - mean_R == 2n"),
+        ("exhaustive", "perimeter identity, exhaustive small words"),
+        ("random", "perimeter identity, randomized larger words"),
+    ]
 
 
 def test_a_check_without_instances_reads_skip():
@@ -77,10 +94,7 @@ def test_an_empty_p_list_skips_the_geometric_cross_moments():
 def test_mu3_zero_at_k_two():
     # the sweep covers k=2 where every mu3 route is exactly 0
     checks = wp.run_verification(k_max=2, p_list=[], random_words=10)
-    by_name = {c.name: c for c in checks}
-    assert by_name[
-        "mu3* routes: uncentered combination, centered combination, closed"
-    ].passed
+    assert dict(zip(ver.CHECKS, checks))["mu3"].passed
 
 
 def test_corrupted_closed_form_is_caught(monkeypatch):
@@ -96,13 +110,13 @@ def test_corrupted_closed_form_is_caught(monkeypatch):
 
 def test_geometric_models_run_every_route_exactly():
     p_list = [Fraction(1, 10**6), Fraction(1, 2)]
-    checks = {c.name: c for c in wp.run_verification(k_max=3, p_list=p_list, random_words=0)}
+    checks = dict(zip(ver.CHECKS, wp.run_verification(k_max=3, p_list=p_list, random_words=0)))
     assert all(c.passed and c.max_deviation == 0 for c in checks.values())
     # two routes per model each: the centered ones run for geometric letters too
-    assert checks["mu3* routes: uncentered combination, centered combination, closed"].instances == 10
-    assert checks["V* routes: (T02 - M**2) + 2(T011 - M**2) vs closed form"].instances == 10
+    assert checks["mu3"].instances == 10
+    assert checks["vstar"].instances == 10
     # 21 masses and the sum over the support per geometric model
-    assert checks["gap pmf closed form vs letter-pair convolution"].instances == 9 + 3 + 2 * 22
+    assert checks["pmf"].instances == 9 + 3 + 2 * 22
 
 
 def test_perimeter_mismatches_name_unpadded_words(monkeypatch):
@@ -283,8 +297,7 @@ def test_run_verification_validates_sizes_before_any_check(monkeypatch, size):
 def test_run_verification_takes_the_smallest_sizes_and_numpy_integers():
     checks = wp.run_verification(k_max=np.int64(1), p_list=[], random_words=np.uint8(0))
     assert all(c.passed for c in checks)
-    variance = next(c for c in checks if c.name.startswith("variance"))
-    assert variance.instances == 37  # n = 4..40 of the one model
+    assert dict(zip(ver.CHECKS, checks))["variance"].instances == 37  # n = 4..40 of the one model
 
 
 @pytest.mark.parametrize("cast", [np.int8, np.uint16, np.int64, np.uint64])
