@@ -93,12 +93,14 @@ def _manifest_path(primary_out: Path) -> Path:
 def _check_outputs(outputs: dict[str, Path]) -> None:
     """Refuse, before any work, outputs naming one file twice, a directory or a path under a file.
 
-    Two outputs of one file: the later would overwrite the earlier.  A
-    directory is refused with the IsADirectoryError its write would raise, and
-    an output under a plain file with the error the ``mkdir`` of its parent would.
+    The manifest, named after the first output, is checked right after it.  Two
+    outputs of one file: the later would overwrite the earlier.  A directory is
+    refused with the IsADirectoryError its write would raise, and an output
+    under a plain file with the error the ``mkdir`` of its parent would.
     """
+    (name, out), *rest = outputs.items()
     seen: dict[Path, str] = {}
-    for what, path in outputs.items():
+    for what, path in [(name, out), ("the manifest", _manifest_path(out)), *rest]:
         first = seen.setdefault(path.resolve(), what)
         if first != what:
             raise CliError(f"{first} and {what} both name {path}")
@@ -235,7 +237,7 @@ def cmd_simulate(args) -> int:
     model = _model_from_args(args)
     out = Path(args.out)
     sidecar = out.with_suffix(".json")
-    _check_outputs({"--out": out, "the config sidecar": sidecar, "the manifest": _manifest_path(out)})
+    _check_outputs({"--out": out, "the config sidecar": sidecar})
     try:
         config = simulation.SimulationConfig(
             model=model,
@@ -266,7 +268,7 @@ def cmd_histogram(args) -> int:
     from . import empirics, simulation
 
     out = Path(args.out)
-    outputs = {"--out": out, "the manifest": _manifest_path(out)}
+    outputs = {"--out": out}
     if args.gof:
         outputs["--gof"] = Path(args.gof)
     _check_outputs(outputs)
@@ -285,11 +287,11 @@ def cmd_histogram(args) -> int:
 
 def _read_sidecar(csv_path) -> tuple[float, float]:
     """(mean gap, sigma) from the config sidecar ``<stem>.json`` next to a path CSV."""
-    from . import simulation
+    import json
 
     path = Path(csv_path).with_suffix(".json")
     try:
-        doc = simulation.read_config_sidecar(path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError:
         raise CliError(f"config sidecar {path} not found next to {csv_path}")
     except ValueError as e:  # not JSON, or not UTF-8
@@ -361,7 +363,7 @@ def cmd_plot(args) -> int:
     from . import empirics, simulation, svgplot
 
     kind, out = args.kind, Path(args.out)
-    _check_outputs({"--out": out, "the manifest": _manifest_path(out)})
+    _check_outputs({"--out": out})
     flags = {"kind": kind, "input": args.input or "", "out": args.out,
              "trajectory": args.trajectory}
     if kind == "pmf":
@@ -394,7 +396,7 @@ def cmd_plot(args) -> int:
 
 def cmd_render(args) -> int:
     out = Path(args.out)
-    _check_outputs({"--out": out, "the manifest": _manifest_path(out)})
+    _check_outputs({"--out": out})
     try:
         word = [int(t) for t in args.word.split(",")]
         svg = render_polyomino(word)

@@ -400,6 +400,12 @@ def _data_lines(fh):
     return ((n, s) for n, s in enumerate(fh, start=1) if n > 1 and s != "\n")
 
 
+def _row_line(path, r: int) -> int:
+    """The file line of data row ``r`` (from 0) of a CSV, the header and empty lines counted."""
+    with open(path, encoding="utf-8") as fh:
+        return next(islice(_data_lines(fh), r, None))[0]
+
+
 def _write_json(doc: dict, path) -> None:
     """Write ``doc`` as JSON with sorted keys, a two-space indent and a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -543,19 +549,12 @@ def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:
     _write_json(doc, path)
 
 
-def read_config_sidecar(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def read_endpoint_csv(path) -> dict:
     """Load an endpoint CSV (trajectory,endpoint,z) into arrays; a NaN z is refused by its line."""
     rows = _read_csv(path, "endpoint", _ENDPOINT_ROW)
     nan = np.isnan(rows["z"])
     if nan.any():
-        with open(path, encoding="utf-8") as fh:
-            line = next(islice(_data_lines(fh), int(np.argmax(nan)), None))[0]
-        raise ValueError(f"endpoint CSV {path} line {line}: z is NaN")
+        raise ValueError(f"endpoint CSV {path} line {_row_line(path, np.argmax(nan))}: z is NaN")
     return {name: rows[name] for name in _ENDPOINT_ROW.names}
 
 
@@ -587,11 +586,9 @@ def read_path_csv(path, *, trajectory: int | None = None, m: int | None = None) 
         off_grid = (chunk["trajectory"] != l) | (chunk["j"] != j)
         if off_grid.any():
             r = lo + int(np.argmax(off_grid))
-            raise ValueError(
-                f"path CSV {path} line {r + 2}: trajectory {rows['trajectory'][r]}, "
-                f"j {rows['j'][r]}; expected trajectory {r // width}, j {r % width} "
-                f"(m = {width - 1})"
-            )
+            raise ValueError(f"path CSV {path} line {_row_line(path, r)}: trajectory "
+                             f"{rows['trajectory'][r]}, j {rows['j'][r]}; expected trajectory "
+                             f"{r // width}, j {r % width} (m = {width - 1})")
     return rows["Q"].reshape(-1, width)
 
 

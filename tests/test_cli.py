@@ -735,6 +735,11 @@ CLI_CASES = [
      [{"paths.csv": "trajectory,j,Q\n0,0,0\n0,1,2\n0,3,5\n1,0,0\n1,1,1\n1,2,2\n1,3,4\n"},
       "plot --kind normalized --input paths.csv --out x.svg"], 1,
      "path CSV paths.csv line 4: trajectory 0, j 3; expected trajectory 0, j 2 (m = 3)"),
+    # lines are numbered in the file: the row out of order follows an empty line
+    ("plot-normalized-row-after-an-empty-line",
+     [{"paths.csv": "trajectory,j,Q\n0,0,0\n\n0,2,3\n0,1,1\n"},
+      "plot --kind normalized --input paths.csv --out n.svg"], 1,
+     "path CSV paths.csv line 4: trajectory 0, j 2; expected trajectory 0, j 1 (m = 1)"),
     *[(f"plot-{kind}-{what}", [{"h.csv": HISTOGRAM_HEAD + rows},
                                f"plot --kind {kind} --input h.csv --out x.svg"], 1, message)
       for kind in ("histogram", "cumulative")

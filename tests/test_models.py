@@ -3,6 +3,7 @@ import pickle
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -199,7 +200,15 @@ def exact_letter(p: Fraction, u: float) -> Decimal:
     """ln(1 - u) / ln(1 - p) in 40-digit decimal arithmetic; the letter is its ceiling."""
     with localcontext() as ctx:
         ctx.prec = 40
-        return (1 - Decimal(u)).ln() / (1 - Decimal(p.numerator) / p.denominator).ln()
+        return (1 - Decimal(u)).ln() / exact_ln_q(p)
+
+
+@lru_cache(maxsize=None)
+def exact_ln_q(p: Fraction) -> Decimal:
+    """ln(1 - p) in 40-digit decimal arithmetic, computed once per p."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (1 - Decimal(p.numerator) / p.denominator).ln()
 
 
 def test_geometric_sampler_at_p_1e_12_is_the_exact_inversion():
@@ -212,6 +221,18 @@ def test_geometric_sampler_at_p_1e_12_is_the_exact_inversion():
     assert all(0.1 < r % 1 < 0.95 for r in exact)
     letters = models.geometric_letters(wp.Model.geometric(p), u)
     assert letters.tolist() == [math.ceil(r) for r in exact]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10),
+                               Fraction(1, 1000), Fraction(999, 1000)])
+def test_geometric_sampler_from_p_2_26_on_is_the_exact_inversion(p):
+    # from p = 2**-26 on, ln q is log(float(q)); the uniforms are the Philox draws
+    # simulate reads, and a ratio within 1e-9 of an integer may round to either side
+    u = wp.trajectory_rng(3, 0).random(4000)
+    exact = [(v, r) for v in u if abs((r := exact_letter(p, v)) - round(r)) > Decimal("1e-9")]
+    assert len(exact) > 3990
+    letters = models.geometric_letters(wp.Model.geometric(p), np.array([v for v, _ in exact]))
+    assert letters.tolist() == [max(1, math.ceil(r)) for _, r in exact]
 
 
 @settings(max_examples=50, deadline=None)

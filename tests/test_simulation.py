@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -299,7 +300,7 @@ def test_config_sidecar(tmp_path):
     ens = wp.simulate(small_config())
     path = tmp_path / "ens.json"
     sim.write_config_sidecar(ens, path)
-    doc = sim.read_config_sidecar(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
     assert doc["config"]["seed"] == 17
     assert doc["config"]["model"] == {"kind": "uniform", "k": 6}
     assert Fraction(doc["mean_gap"]) == ens.mean_gap
@@ -514,6 +515,7 @@ def test_path_csv_writer_memory_is_flat(tmp_path, peak_memory, n, m):
     ("0,0,0\n0,-1,5\n0,1,3\n", "line 3: trajectory 0, j -1"),  # negative j
     ("0,0,0\n0,1,1\n0,2,3\n1,0,0\n1,2,4\n", "line 6: trajectory 1, j 2"),  # missing row
     ("0,0,0\n0,2,3\n0,1,1\n", "line 3: trajectory 0, j 2"),                # out of order
+    ("0,0,0\n\n0,2,3\n0,1,1\n", "line 4: trajectory 0, j 2"),  # the empty line counts
     ("0,0,0\n0,1,1\n2,0,0\n2,1,1\n", "line 4: trajectory 2, j 0"),        # missing path
     ("0,0,0\n0,1,1\n10000000000000,0,0\n10000000000000,1,1\n", "line 4"),  # stray index
     ("0,0,0\n0,1,x\n", "could not convert"),
@@ -665,7 +667,7 @@ def test_trajectory_rng_numpy_index(index):
 # give the share of draws that numpy's rule rejects.
 UNIFORM_KS = [1, 2, 3, 6, 7, 1000,
               2**31 + 1,         # about 1/2
-              3 * 2**30,         # 1/3
+              3 * 2**30,         # 1/4
               2**32 - 1, 2**32,  # 1/2**32 and none
               2**32 + 5, 2**33, 2**40 + 3, 2**62 + 1,
               (2**64 + 2) // 3,  # about 1/3 of 64-bit draws
@@ -755,3 +757,54 @@ def test_block_sampler_reads_64_bit_draws_up_to_the_int64_bound(generator_spy, k
     ens = wp.simulate(wp.SimulationConfig(model=model, m=1, trajectories=n, seed=seed))
     assert generator_spy == []
     assert ens.endpoints.tolist() == want
+
+
+def lemire_letters(words, k: int, size: int) -> list[int]:
+    """The first ``size`` letters of numpy's ``integers(1, k + 1)`` on raw 64-bit words.
+
+    numpy's rule (Lemire's), in Python ints: b-bit draws d, b = 32 (the low
+    half of each word first) for k <= 2**32, else b = 64; d is rejected where
+    d*k mod 2**b < (2**b - k) mod k, else its letter is (d*k >> b) + 1.
+    """
+    b = 32 if k <= 2**32 else 64
+    draws = [int(w) >> s & (2**b - 1) for w in words for s in range(0, 64, b)]
+    return [(d * k >> b) + 1 for d in draws if d * k % 2**b >= (2**b - k) % k][:size]
+
+
+@pytest.mark.parametrize("k", [7, 2**31 + 1, 2**40 + 3])
+def test_uniform_rule_rejects_exactly_the_draws_below_the_threshold(monkeypatch, k):
+    # A draw d is rejected where d*k mod 2**b < t = (2**b - k) mod k.  A Philox
+    # draw lands on t - 1 or t about once in 2**b, so the first draws of each
+    # path are placed there (k is odd: d = low / k mod 2**b has d*k mod 2**b = low).
+    b = 32 if k <= 2**32 else 64
+    t = (2**b - k) % k
+    lows = [[t, t - 1, t + 1, t + 2], [t + 1, t, t + 2, t + 3], [0, t, t + 1, t + 2]]
+    streams = [np.concatenate([
+        np.array([low * pow(k, -1, 2**b) % 2**b for low in row], dtype=f"<u{b // 8}").view("<u8"),
+        np.random.Philox(key=[5, l]).random_raw(40),  # the words a re-read goes on to
+    ]) for l, row in enumerate(lows)]
+
+    class GivenWords:
+        """numpy's Philox as the sampler uses it; the stream of key (seed, l) is ``streams[l]``."""
+
+        def __init__(self, key):
+            self.state = {"state": {"key": key}}
+
+        def _start(self, state):  # the state of a key, at its first word
+            self.words, self.pos = streams[int(state["state"]["key"][1])], 0
+
+        state = property(None, _start)
+
+        def random_raw(self, n):
+            self.pos += n
+            return self.words[self.pos - n : self.pos]
+
+    want = [lemire_letters(words, k, 4) for words in streams]
+    for l in range(3):
+        letters = np.empty(4, dtype=np.int64)
+        sim._uniform_row(GivenWords([0, l]), k, 4, letters)
+        assert (letters + 1).tolist() == want[l]
+    monkeypatch.setattr(np.random, "Philox", GivenWords)
+    ens = wp.simulate(wp.SimulationConfig(model=wp.Model.uniform(k), m=3, trajectories=3, seed=0,
+                                          record_full_paths=True))
+    assert ens.paths[:, 1:].tolist() == np.cumsum(np.abs(np.diff(want)), axis=1).tolist()
