@@ -90,16 +90,24 @@ def _manifest_path(primary_out: Path) -> Path:
     return primary_out.with_name(primary_out.name + ".manifest.json")
 
 
-def _check_outputs(outputs: dict[str, Path]) -> None:
-    """Refuse, before any work, outputs naming one file twice, a directory or a path under a file.
+def _sidecar_path(csv: Path) -> Path:
+    """The config sidecar that ``simulate`` writes next to its CSV, and ``plot`` reads."""
+    return csv.with_suffix(".json")
 
-    The manifest, named after the first output, is checked right after it.  Two
-    outputs of one file: the later would overwrite the earlier.  A directory is
-    refused with the IsADirectoryError its write would raise, and an output
-    under a plain file with the error the ``mkdir`` of its parent would.
+
+def _check_outputs(outputs: dict[str, Path], inputs: dict[str, Path] | None = None) -> None:
+    """Refuse outputs that name an input, one file twice, a directory or a path under a file.
+
+    Each command calls it before any work.  The manifest, named after the first
+    output, is checked right after it.  An output of an input, or two outputs of
+    one file: the later would overwrite the earlier.  A directory is refused with
+    the IsADirectoryError its write would raise, and an output under a plain file
+    with the error the ``mkdir`` of its parent would.
     """
     (name, out), *rest = outputs.items()
     seen: dict[Path, str] = {}
+    for what, path in (inputs or {}).items():  # inputs may share a file: they are only read
+        seen.setdefault(path.resolve(), what)
     for what, path in [(name, out), ("the manifest", _manifest_path(out)), *rest]:
         first = seen.setdefault(path.resolve(), what)
         if first != what:
@@ -236,7 +244,7 @@ def cmd_simulate(args) -> int:
 
     model = _model_from_args(args)
     out = Path(args.out)
-    sidecar = out.with_suffix(".json")
+    sidecar = _sidecar_path(out)
     _check_outputs({"--out": out, "the config sidecar": sidecar})
     try:
         config = simulation.SimulationConfig(
@@ -271,7 +279,7 @@ def cmd_histogram(args) -> int:
     outputs = {"--out": out}
     if args.gof:
         outputs["--gof"] = Path(args.gof)
-    _check_outputs(outputs)
+    _check_outputs(outputs, {"--input": Path(args.input)})
     data = _read_input(simulation.read_endpoint_csv, args.input)
     hist = empirics.build_histogram(data["z"], args.delta)
     report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
@@ -289,7 +297,7 @@ def _read_sidecar(csv_path) -> tuple[float, float]:
     """(mean gap, sigma) from the config sidecar ``<stem>.json`` next to a path CSV."""
     import json
 
-    path = Path(csv_path).with_suffix(".json")
+    path = _sidecar_path(Path(csv_path))
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError:
@@ -363,7 +371,11 @@ def cmd_plot(args) -> int:
     from . import empirics, simulation, svgplot
 
     kind, out = args.kind, Path(args.out)
-    _check_outputs({"--out": out})
+    inputs = {"--input": Path(args.input)} if args.input and kind != "pmf" else {}
+    if inputs and kind in ("trajectory", "normalized"):  # a path plot reads two files beside it
+        inputs["the config sidecar"] = _sidecar_path(inputs["--input"])
+        inputs["the manifest of --input"] = _manifest_path(inputs["--input"])
+    _check_outputs({"--out": out}, inputs)
     flags = {"kind": kind, "input": args.input or "", "out": args.out,
              "trajectory": args.trajectory}
     if kind == "pmf":

@@ -44,9 +44,9 @@ _MASK64 = (1 << 64) - 1
 _BLOCK_ROWS = 64
 
 
-# Bytes ``simulate`` may allocate: for its per-trajectory results (the paths
-# when they are recorded, else the endpoints and z, 8 bytes each per
-# trajectory), and for the sampler's buffers, 32 bytes per letter of a block.
+# Bytes ``simulate`` may allocate: for its per-trajectory results (the endpoints
+# and z, 8 bytes each per trajectory, and the paths when they are recorded, 8
+# bytes per entry), and for the sampler's buffers, 32 bytes per letter of a block.
 MEMORY_BUDGET = 2 * 1024**3
 
 
@@ -120,12 +120,27 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _scaled(draws: np.ndarray, k: int, bits: int, hi: np.ndarray, scratch: np.ndarray):
+def _uniform_rule(k: int) -> tuple[np.dtype, int]:
+    """The dtype of numpy's b-bit draws d for ``integers(1, k + 1)``, and their Lemire threshold.
+
+    b = 32 (the low half of each word first) for k <= 2**32, else 64.  A draw d
+    gives the letter ``(d*k >> b) + 1``, unless ``d*k mod 2**b < (2**b - k) mod k``.
+    """
+    bits = 32 if k <= 2**32 else 64
+    return np.dtype(f"<u{bits // 8}"), (2**bits - k) % k
+
+
+def _words(draws: int, dtype: np.dtype) -> int:
+    """The raw 64-bit words that hold ``draws`` draws of ``dtype``."""
+    return -(-draws * dtype.itemsize // 8)
+
+
+def _scaled(draws: np.ndarray, k: int, hi: np.ndarray, scratch: np.ndarray):
     """Write ``d*k >> b`` of the b-bit draws d into ``hi``; return ``d*k mod 2**b``, in ``scratch``.
 
     For b = 64 the high half is summed from 32-bit halves (Hacker's Delight's ``mulhu``).
     """
-    if bits == 32:
+    if draws.itemsize == 4:
         np.right_shift(np.multiply(draws, k, out=scratch, dtype=np.uint64), 32, out=hi)
         return scratch.view("<u4")[..., 0::2]
     dl, dh, t0, t1 = (x.view("<u4")[..., i::2] for x in (draws, scratch) for i in (0, 1))
@@ -139,19 +154,13 @@ def _scaled(draws: np.ndarray, k: int, bits: int, hi: np.ndarray, scratch: np.nd
 
 
 def _uniform_row(bitgen, k: int, size: int, out: np.ndarray) -> None:
-    """Write letters - 1 of ``integers(1, k + 1, size)`` from ``bitgen``'s next words into ``out``.
-
-    numpy's rule: b-bit draws d (b = 32, the low half of each word first, for
-    k <= 2**32; else b = 64), letter ``(d*k >> b) + 1``, d rejected where
-    ``d*k mod 2**b < (2**b - k) mod k``.
-    """
-    bits = 32 if k <= 2**32 else 64
-    threshold = (2**bits - k) % k
-    # size / (1 - rate) draws are expected; read a margin more
-    draws = size * 2**bits // (2**bits - threshold) + 4 * isqrt(size) + 1
-    d = bitgen.random_raw(-(-draws * bits // 64)).astype("<u8", copy=False).view(f"<u{bits // 8}")
+    """Write letters - 1 of ``integers(1, k + 1, size)`` from ``bitgen``'s next words to ``out``."""
+    dtype, threshold = _uniform_rule(k)
+    span = 256**dtype.itemsize  # 2**b: size * span / (span - threshold) draws are expected
+    draws = size * span // (span - threshold) + 4 * isqrt(size) + 1  # and a margin more
+    d = bitgen.random_raw(_words(draws, dtype)).astype("<u8", copy=False).view(dtype)
     hi, scratch = np.empty((2, d.size), dtype="<u8")
-    kept = hi[_scaled(d, k, bits, hi, scratch) >= threshold][:size]
+    kept = hi[_scaled(d, k, hi, scratch) >= threshold][:size]
     out[: kept.size] = kept
     if kept.size < size:  # the row goes on in the next words
         _uniform_row(bitgen, k, size - kept.size, out[kept.size :])
@@ -160,37 +169,28 @@ def _uniform_row(bitgen, k: int, size: int, out: np.ndarray) -> None:
 def _gap_blocks(model: Model, seed: int, n_traj: int, m: int):
     """Yield ``(lo, hi, gaps)`` for consecutive blocks of trajectories.
 
-    Row ``i`` of the int64 array ``gaps``, a view of a buffer that every block
-    overwrites, holds the m gaps ``|diff(letters)|`` of trajectory ``lo + i``.
-    One Philox is set, per trajectory, to the state ``Philox(key=(seed, l))``
-    starts in (counter 0, empty buffer); its raw 64-bit words fill one row of
-    the block, and all rows are read at once.  Uniform letters follow
-    :func:`_uniform_row` (the ``+ 1`` cancels in a gap), which reads a row with
-    a rejected draw again; geometric ones invert ``(word >> 11) * 2**-53`` by
-    :func:`geometric_letters`.  The buffers take at most 32 bytes a letter.
+    Row ``i`` of the int64 array ``gaps``, a view of a buffer that every block overwrites,
+    holds the m gaps ``|diff(letters)|`` of trajectory ``lo + i``.  One Philox is set, per
+    trajectory, to the state ``Philox(key=(seed, l))`` starts in (counter 0, empty buffer);
+    its raw 64-bit words fill one row of the block, and all rows are read at once.  Uniform
+    letters follow :func:`_uniform_rule` (the ``+ 1`` cancels in a gap), and
+    :func:`_uniform_row` reads a row with a rejected draw again; geometric ones invert
+    ``(word >> 11) * 2**-53`` by :func:`geometric_letters`.  The buffers take at most 32
+    bytes a letter.
     """
-    seed = int(seed) & _MASK64
     size = m + 1
     uniform = model.kind == UNIFORM
-    bits = 32 if uniform and model.k <= 2**32 else 64
-    n_words = -(-size * bits // 64)
+    dtype, threshold = _uniform_rule(model.k) if uniform else (np.dtype("<u8"), None)
+    n_words = _words(size, dtype)
     rows = min(_BLOCK_ROWS, n_traj)
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    # The state Philox(key=(seed, l)) starts in, with plain-int fields: the
-    # state setter reads them faster than the arrays ``bitgen.state`` holds.
-    start = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    # Philox(key=(seed, l))'s start, in plain ints: the setter reads them faster than arrays.
+    start = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = start["state"]["key"]
-    # Little-endian words and products, so that the <u4 views below read the
-    # low half of each first on any machine.
+    # Little-endian words and products: the <u4 views read each low half first on any machine.
     raw = np.empty((rows, n_words), dtype="<u8")
-    draws = raw.view("<u4")[:, :size] if bits == 32 else raw
+    draws = raw.view(dtype)[:, :size]
     hi, scratch = np.empty((2, rows, size), dtype="<u8")
     letters = hi.view("<i8")  # letters - 1 (uniform) or letters (geometric)
     gaps = np.empty((rows, m), dtype=np.int64)
@@ -201,8 +201,8 @@ def _gap_blocks(model: Model, seed: int, n_traj: int, m: int):
             bitgen.state = start
             raw[i] = bitgen.random_raw(n_words)
         if uniform:
-            low = _scaled(draws[:n], model.k, bits, hi[:n], scratch[:n])
-            for i in np.flatnonzero(low.min(axis=1) < (2**bits - model.k) % model.k):
+            low = _scaled(draws[:n], model.k, hi[:n], scratch[:n])
+            for i in np.flatnonzero(low.min(axis=1) < threshold):
                 key[1] = lo + i
                 bitgen.state = start
                 _uniform_row(bitgen, model.k, size, letters[i])
@@ -218,10 +218,9 @@ def _gap_blocks(model: Model, seed: int, n_traj: int, m: int):
 def simulate(config: SimulationConfig) -> TrajectoryEnsemble:
     """Generate the ensemble described by ``config`` (deterministic in the seed)."""
     model, m, n_traj = config.model, config.m, config.trajectories
-    if config.record_full_paths:
-        what, need = f"{n_traj} paths of length {m + 1}", n_traj * (m + 1) * 8
-    else:
-        what, need = f"the endpoints and z of {n_traj} trajectories", n_traj * 16
+    what, need = f"the endpoints and z of {n_traj} trajectories", n_traj * 16
+    if config.record_full_paths:  # the paths, besides the endpoints and z
+        what, need = f"{n_traj} paths of length {m + 1}", need + n_traj * (m + 1) * 8
     rows = min(_BLOCK_ROWS, n_traj)
     sampled = (f"{what} and sampling {rows} at a time", need + rows * (m + 1) * 32)
     for what, need in ((what, need), sampled):

@@ -629,6 +629,14 @@ CLI_CASES = [
     ("histogram-gof-is-manifest",
      [ENSEMBLE, "histogram --input ens.csv --out h.csv --gof sub/../h.csv.manifest.json"], 1,
      "the manifest and --gof both name sub/../h.csv.manifest.json"),
+    # an output that names the input would overwrite it before it is read
+    *[(f"histogram-{flag[2:]}-is-input", [ENSEMBLE, f"histogram --input ens.csv {tail}"], 1,
+       f"--input and {flag} both name {name}")
+      for tail, flag, name in [("--out ens.csv", "--out", "ens.csv"),
+                               ("--out h.csv --gof sub/../ens.csv", "--gof", "sub/../ens.csv")]],
+    ("histogram-manifest-is-input", [{"h.csv.manifest.json": ENSEMBLE["ens.csv"]},
+                                     "histogram --input h.csv.manifest.json --out h.csv"], 1,
+     "--input and the manifest both name h.csv.manifest.json"),
     ("histogram-input-missing", ["histogram --input ens.csv --out h.csv"], 1,
      "cannot read --input: [Errno 2] No such file or directory: 'ens.csv'"),
     ("histogram-of-a-path-csv", [PATH_RUN, "histogram --input paths.csv --out h.csv"], 1,
@@ -772,6 +780,24 @@ CLI_CASES = [
      [PATH_RUN, {"paths.json": '{"mean_gap": "x", "sigma": 1}'},
       "plot --kind trajectory --input paths.csv --out x.svg"], 1,
      "config sidecar paths.json: Invalid literal for Fraction: 'x'"),
+    # a path plot reads the path CSV, its config sidecar and its manifest; a histogram plot
+    # reads its CSV; a pmf plot reads no file, whatever --input names
+    *[(f"plot-{kind}-out-is-{what}",
+       [PATH_RUN, f"plot --kind {kind} --input paths.csv --out {out}"], 1,
+       f"{first} and --out both name {out}")
+      for kind in ("trajectory", "normalized")
+      for what, first, out in [("input", "--input", "paths.csv"),
+                               ("sidecar", "the config sidecar", "sub/../paths.json"),
+                               ("input-manifest", "the manifest of --input",
+                                "paths.csv.manifest.json")]],
+    ("plot-histogram-manifest-is-input",  # the two whole rows of SHORT_ROW: a valid histogram
+     [{"h.svg.manifest.json": HISTOGRAM_HEAD + "".join(SHORT_ROW.splitlines(True)[:2])},
+      "plot --kind histogram --input h.svg.manifest.json --out h.svg"], 1,
+     "--input and the manifest both name h.svg.manifest.json"),
+    ("plot-pmf-out-is-input",
+     ["plot --kind pmf --model uniform --k 6 --input pmf.svg --out pmf.svg"], 0,
+     ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
+      "fd9eabb9123acbac9f4f4125cf27d127c7a107f1eeab805baf014ac132ed1ecb")),
     ("plot-trajectory-without-sidecar", [{"paths.csv": "trajectory,j,Q\n0,0,0\n0,1,2\n"},
                                          "plot --kind trajectory --input paths.csv --out x.svg"],
      1, "config sidecar paths.json not found next to paths.csv"),

@@ -248,14 +248,16 @@ def test_geometric_sampler_near_p_zero_keeps_its_precision(d, u):
 @settings(max_examples=25)
 @given(p=st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20)))
 def test_geometric_inversion_matches_cdf(p):
-    # a letter every uniform draw u maps to satisfies CDF(x-1) < u-ish <= CDF(x)
-    m = wp.Model.geometric(p)
-    rng = wp.trajectory_rng(5, 11)
-    x = wp.sample_letters(m, rng, 200)
-    q = float(m.q)
-    assert x.min() >= 1
-    # tail containment: P(x > 200) is tiny for these p, so values stay modest
-    assert x.max() <= max(10, int(math.log(1e-12) / math.log(q)) + 2)
+    # the letter x of each uniform draw u satisfies CDF(x - 1) < u <= CDF(x), CDF(j) = 1 - q**j,
+    # in exact Fractions; a draw whose ratio ln(1 - u) / ln q lies within 1e-9 of an integer
+    # may round to either side, so it is skipped
+    u = wp.trajectory_rng(5, 11).random(200)
+    x = wp.sample_letters(wp.Model.geometric(p), wp.trajectory_rng(5, 11), 200)
+    drawn = [(Fraction(v), int(letter)) for v, letter in zip(u, x)
+             if abs((r := exact_letter(p, v)) - round(r)) > Decimal("1e-9")]
+    assert len(drawn) > 190
+    q = 1 - p
+    assert all(1 - q ** (letter - 1) < v <= 1 - q**letter for v, letter in drawn)
 
 
 INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]

@@ -56,11 +56,32 @@ def test_numpy_integer_config_writes_the_plain_int_sidecar(tmp_path_factory, m, 
 
 
 def test_memory_budget_refusal():
-    # checked before anything is allocated: 3 GiB of paths are never requested
+    # checked before anything is allocated: 3 GiB of paths and 2 GiB of endpoints and z are
+    # never requested
     cfg = small_config(m=2, trajectories=2**27, record_full_paths=True)
     with pytest.raises(wp.MemoryBudgetExceeded, match="recording 134217728 paths of length 3 "
-                       "needs 3221225472 bytes, budget is 2147483648"):
+                       "needs 5368709120 bytes, budget is 2147483648"):
         wp.simulate(cfg)
+
+
+@pytest.mark.parametrize("paths", [False, True])
+def test_memory_budget_counts_every_array_simulate_allocates(monkeypatch, paths):
+    # N = 10, m = 3: the endpoints and z take 160 bytes, the paths 320 more, and the
+    # sampler's one block of 10 rows 1280; a budget one byte short of either sum refuses
+    cfg = small_config(m=3, trajectories=10, record_full_paths=paths)
+    results = 160 + 320 * paths
+    what = "10 paths of length 4" if paths else "the endpoints and z of 10 trajectories"
+    want = wp.simulate(cfg)
+    for budget, refusal in [(results - 1, f"recording {what} needs {results} bytes"),
+                            (results + 1279, f"recording {what} and sampling 10 at a time "
+                                             f"needs {results + 1280} bytes")]:
+        monkeypatch.setattr(sim, "MEMORY_BUDGET", budget)
+        with pytest.raises(wp.MemoryBudgetExceeded) as refused:
+            wp.simulate(cfg)
+        assert str(refused.value) == f"{refusal}, budget is {budget}"
+    monkeypatch.setattr(sim, "MEMORY_BUDGET", results + 1280)
+    got = wp.simulate(cfg)
+    assert np.array_equal(got.endpoints, want.endpoints) and np.array_equal(got.z, want.z)
 
 
 def test_endpoint_memory_budget_refusal():
