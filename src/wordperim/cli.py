@@ -120,12 +120,14 @@ def _check_outputs(outputs: dict[str, Path], inputs: dict[str, Path] | None = No
             raise OSError(code, os.strerror(code), str(path.parent))
 
 
-def _write_outputs(command: str, flags: dict, writers: dict) -> None:
+def _write_outputs(args, writers: dict, model: Model | None = None) -> None:
     """Write each output, then the manifest of them all, and print one ``wrote`` line.
 
     ``writers`` maps each output path, in order, to a function that writes
     that path; each parent directory is created first.  The manifest is named
-    after the first path.
+    after the first path.  Its flags are the parsed ``args``, each as
+    ``str(value)`` and an absent one as ``""``, with ``model.describe()`` in
+    place of ``--model``, ``--k`` and ``--p`` when the command built a model.
     """
     import json
 
@@ -133,12 +135,12 @@ def _write_outputs(command: str, flags: dict, writers: dict) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
     manifest = _manifest_path(next(iter(writers)))
-    doc = {
-        "command": command,
-        "flags": {k: str(v) for k, v in sorted(flags.items())},
-        "version": __version__,
-        "outputs": {p.name: _sha256(p) for p in sorted(writers)},
-    }
+    flags = {name: "" if value is None else str(value) for name, value in vars(args).items()
+             if name not in ("command", "fn", "model", "k", "p")}
+    if model is not None:
+        flags["model"] = model.describe()
+    doc = {"command": args.command, "flags": flags, "version": __version__,
+           "outputs": {p.name: _sha256(p) for p in writers}}
     manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8",
                         newline="\n")
     print("wrote", *writers, manifest)
@@ -246,23 +248,12 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     sidecar = _sidecar_path(out)
     _check_outputs({"--out": out, "the config sidecar": sidecar})
-    try:
-        config = simulation.SimulationConfig(
-            model=model,
-            m=args.m,
-            trajectories=args.trajectories,
-            seed=args.seed,
-            record_full_paths=args.paths,
-        )
-        ensemble = simulation.simulate(config)
-    except simulation.MemoryBudgetExceeded as e:
-        raise CliError(str(e))
-
+    ensemble = simulation.simulate(simulation.SimulationConfig(
+        model=model, m=args.m, trajectories=args.trajectories, seed=args.seed,
+        record_full_paths=args.paths))
     write = simulation.write_path_csv if args.paths else simulation.write_endpoint_csv
-    flags = {"model": model.describe(), "m": args.m, "trajectories": args.trajectories,
-             "seed": args.seed, "paths": args.paths, "out": args.out}
-    _write_outputs("simulate", flags, {out: partial(write, ensemble),
-                                       sidecar: partial(simulation.write_config_sidecar, ensemble)})
+    _write_outputs(args, {out: partial(write, ensemble),
+                          sidecar: partial(simulation.write_config_sidecar, ensemble)}, model)
 
     stats = simulation.empirical_moments(ensemble)
     mu3_anchor = float(args.m * moments.mu3_rate_closed(model))
@@ -286,8 +277,7 @@ def cmd_histogram(args) -> int:
     writers = {out: partial(empirics.write_histogram_csv, hist)}
     if args.gof:
         writers[Path(args.gof)] = partial(empirics.write_gof_json, report)
-    flags = {"input": args.input, "delta": args.delta, "out": args.out, "gof": args.gof or ""}
-    _write_outputs("histogram", flags, writers)
+    _write_outputs(args, writers)
     print(f"ks_statistic       = {report.ks_statistic!r}")
     print(f"max_cell_abs_error = {report.max_cell_abs_error!r}")
     return 0
@@ -370,19 +360,22 @@ def cmd_plot(args) -> int:
 
     from . import empirics, simulation, svgplot
 
-    kind, out = args.kind, Path(args.out)
-    inputs = {"--input": Path(args.input)} if args.input and kind != "pmf" else {}
-    if inputs and kind in ("trajectory", "normalized"):  # a path plot reads two files beside it
+    kind, out, model = args.kind, Path(args.out), None
+    paths = kind in ("trajectory", "normalized")
+    if kind == "pmf" and args.input:
+        raise CliError("plot --kind pmf reads no --input")
+    if args.trajectory and not paths:
+        raise CliError(f"plot --kind {kind} draws no path: --trajectory {args.trajectory} "
+                       "is for --kind trajectory or normalized")
+    inputs = {"--input": Path(args.input)} if args.input else {}
+    if inputs and paths:  # a path plot reads two files beside it
         inputs["the config sidecar"] = _sidecar_path(inputs["--input"])
         inputs["the manifest of --input"] = _manifest_path(inputs["--input"])
     _check_outputs({"--out": out}, inputs)
-    flags = {"kind": kind, "input": args.input or "", "out": args.out,
-             "trajectory": args.trajectory}
     if kind == "pmf":
         model = _model_from_args(args)
-        flags["model"] = model.describe()
         svg = svgplot.plot_gap_pmf(model)
-    elif kind in ("trajectory", "normalized"):
+    elif paths:
         if not args.input:
             raise CliError(f"plot --kind {kind} requires --input (path-mode ensemble CSV)")
         row, n = _read_path(args.input, args.trajectory)
@@ -402,7 +395,7 @@ def cmd_plot(args) -> int:
             svg = svgplot.plot_histogram(hist["center"], hist["freq"], hist["gauss_mass"])
         else:
             svg = svgplot.plot_cumulative(hist["right"], hist["freq"])
-    _write_outputs("plot", flags, {out: _svg(svg)})
+    _write_outputs(args, {out: _svg(svg)}, model)
     return 0
 
 
@@ -414,7 +407,7 @@ def cmd_render(args) -> int:
         svg = render_polyomino(word)
     except ValueError as e:
         raise CliError(f"bad --word {args.word!r}: {e}")
-    _write_outputs("render", {"word": args.word, "out": args.out}, {out: _svg(svg)})
+    _write_outputs(args, {out: _svg(svg)})
     b = perimeter_decomposed(word)
     print(f"word={args.word} Q={b.Q} R={b.R} P={b.P}")
     return 0
@@ -463,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("histogram", help="fixed-grid histogram and Gaussian fit of an ensemble")
     p.add_argument("--input", required=True, help="endpoint ensemble CSV")
-    p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA, help="cell width (6/delta integral)")
+    p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA,
+                   help="cell width (6/delta integral)")
     p.add_argument("--out", required=True, help="histogram CSV path")
     p.add_argument("--gof", default=None, help="optional goodness-of-fit JSON path")
     p.set_defaults(fn=cmd_histogram)

@@ -65,94 +65,73 @@ class NoClosedFormError(ValueError):
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _u(expr: Callable[[int], Fraction]) -> Callable[[Model], Fraction]:
-    return lambda m: expr(m.k)
-
-
-def _g(expr: Callable[[Fraction], Fraction]) -> Callable[[Model], Fraction]:
-    return lambda m: expr(m.p)
-
-
 def _F(a, b=1) -> Fraction:
     return Fraction(a, b)
 
 
-# Uniform[1,k], uncentered.  Indices are (alpha, beta, gamma, delta).
-UNIFORM_CLOSED: dict[MomentIndex, Callable[[Model], Fraction]] = {
-    MomentIndex(1, 0, 0, 0): _u(lambda k: _F(k + 1, 2)),
-    MomentIndex(2, 0, 0, 0): _u(lambda k: _F((k + 1) * (1 + 2 * k), 6)),
-    MomentIndex(1, 1, 0, 0): _u(lambda k: _F((k - 1) * (k + 1) ** 2, 6 * k)),
-    MomentIndex(0, 1, 0, 0): _u(lambda k: _F((k - 1) * (k + 1), 3 * k)),
-    MomentIndex(0, 2, 0, 0): _u(lambda k: _F((k - 1) * (k + 1), 6)),
-    MomentIndex(0, 3, 0, 0): _u(lambda k: _F((k - 1) * (k + 1) * (3 * k * k - 2), 30 * k)),
-    MomentIndex(0, 1, 1, 0): _u(lambda k: _F((k - 1) * (k + 1) * (7 * k * k - 8), 60 * k * k)),
-    MomentIndex(0, 1, 2, 0): _u(lambda k: _F((k - 1) * (k + 1) * (11 * k * k - 14), 180 * k)),
-    MomentIndex(0, 1, 1, 1): _u(
-        lambda k: _F((k - 1) * (k + 1) * (17 * k**4 - 39 * k * k + 24), 420 * k**3)
-    ),
+# Each entry is a function of the model's parameter, k or p, which _closed_table
+# returns with the table.  Uniform[1,k], uncentered.  Indices are (alpha, beta, gamma, delta).
+UNIFORM_CLOSED: dict[MomentIndex, Callable[[int], Fraction]] = {
+    MomentIndex(1, 0, 0, 0): lambda k: _F(k + 1, 2),
+    MomentIndex(2, 0, 0, 0): lambda k: _F((k + 1) * (1 + 2 * k), 6),
+    MomentIndex(1, 1, 0, 0): lambda k: _F((k - 1) * (k + 1) ** 2, 6 * k),
+    MomentIndex(0, 1, 0, 0): lambda k: _F((k - 1) * (k + 1), 3 * k),
+    MomentIndex(0, 2, 0, 0): lambda k: _F((k - 1) * (k + 1), 6),
+    MomentIndex(0, 3, 0, 0): lambda k: _F((k - 1) * (k + 1) * (3 * k * k - 2), 30 * k),
+    MomentIndex(0, 1, 1, 0): lambda k: _F((k - 1) * (k + 1) * (7 * k * k - 8), 60 * k * k),
+    MomentIndex(0, 1, 2, 0): lambda k: _F((k - 1) * (k + 1) * (11 * k * k - 14), 180 * k),
+    MomentIndex(0, 1, 1, 1):
+        lambda k: _F((k - 1) * (k + 1) * (17 * k**4 - 39 * k * k + 24), 420 * k**3),
 }
 # served through the reversibility identity T[0,2,1,0] == T[0,1,2,0]
 UNIFORM_CLOSED[MomentIndex(0, 2, 1, 0)] = UNIFORM_CLOSED[MomentIndex(0, 1, 2, 0)]
 
 # Uniform, centered gaps (the only centered forms the closed-form table carries).
-UNIFORM_CLOSED_CENTERED: dict[MomentIndex, Callable[[Model], Fraction]] = {
-    MomentIndex(0, 2, 0, 0): _u(lambda k: _F((k - 1) * (k + 1) * (k * k + 2), 18 * k * k)),
-    MomentIndex(0, 1, 1, 0): _u(
-        lambda k: _F((k - 1) * (k - 2) * (k + 2) * (k + 1), 180 * k * k)
-    ),
-    MomentIndex(0, 3, 0, 0): _u(
-        lambda k: _F((k - 1) * (k - 2) * (k + 2) * (k + 1) * (2 * k * k - 5), 270 * k**3)
-    ),
-    MomentIndex(0, 1, 1, 1): _u(
-        lambda k: -_F((k - 1) * (k - 2) * (k + 2) * (k + 1) * (k * k + 5), 3780 * k**3)
-    ),
-    MomentIndex(0, 1, 2, 0): _u(
-        lambda k: _F((k - 1) * (k - 2) * (k + 2) * (k + 1) * (k * k + 2), 540 * k**3)
-    ),
+UNIFORM_CLOSED_CENTERED: dict[MomentIndex, Callable[[int], Fraction]] = {
+    MomentIndex(0, 2, 0, 0): lambda k: _F((k - 1) * (k + 1) * (k * k + 2), 18 * k * k),
+    MomentIndex(0, 1, 1, 0): lambda k: _F((k - 1) * (k - 2) * (k + 2) * (k + 1), 180 * k * k),
+    MomentIndex(0, 3, 0, 0):
+        lambda k: _F((k - 1) * (k - 2) * (k + 2) * (k + 1) * (2 * k * k - 5), 270 * k**3),
+    MomentIndex(0, 1, 1, 1):
+        lambda k: -_F((k - 1) * (k - 2) * (k + 2) * (k + 1) * (k * k + 5), 3780 * k**3),
+    MomentIndex(0, 1, 2, 0):
+        lambda k: _F((k - 1) * (k - 2) * (k + 2) * (k + 1) * (k * k + 2), 540 * k**3),
 }
-UNIFORM_CLOSED_CENTERED[MomentIndex(0, 2, 1, 0)] = UNIFORM_CLOSED_CENTERED[
-    MomentIndex(0, 1, 2, 0)
-]
+UNIFORM_CLOSED_CENTERED[MomentIndex(0, 2, 1, 0)] = UNIFORM_CLOSED_CENTERED[MomentIndex(0, 1, 2, 0)]
 
 # Geometric(p), uncentered.  q = 1 - p throughout.
-GEOMETRIC_CLOSED: dict[MomentIndex, Callable[[Model], Fraction]] = {
-    MomentIndex(1, 0, 0, 0): _g(lambda p: 1 / p),
-    MomentIndex(2, 0, 0, 0): _g(lambda p: (2 - p) / p**2),
-    MomentIndex(1, 1, 0, 0): _g(lambda p: (1 - p) * (p * p - 4 * p + 6) / (p * p * (2 - p) ** 2)),
-    MomentIndex(0, 1, 0, 0): _g(lambda p: 2 * (1 - p) / (p * (2 - p))),
-    MomentIndex(0, 2, 0, 0): _g(lambda p: 2 * (1 - p) / p**2),
-    MomentIndex(0, 3, 0, 0): _g(lambda p: 2 * (1 - p) * (p * p - 6 * p + 6) / (p**3 * (2 - p))),
-    MomentIndex(0, 1, 1, 0): _g(
-        lambda p: (1 - p)
-        * (p**4 - 7 * p**3 + 23 * p * p - 32 * p + 16)
-        / (p * p * (2 - p) ** 2 * (p * p + 3 - 3 * p))
-    ),
-    MomentIndex(0, 1, 2, 0): _g(
-        lambda p: (28 - 56 * p + 38 * p * p - 10 * p**3 + p**4) * (1 - p) / (p**3 * (2 - p) ** 3)
-    ),
-    MomentIndex(0, 1, 1, 1): _g(
-        lambda p: 2
-        * (28 - 84 * p + 113 * p**2 - 86 * p**3 + 39 * p**4 - 10 * p**5 + p**6)
-        * (1 - p) ** 2
-        / (p**3 * (p * p - 2 * p + 2) * (2 - p) * (p * p + 3 - 3 * p) ** 2)
-    ),
+GEOMETRIC_CLOSED: dict[MomentIndex, Callable[[Fraction], Fraction]] = {
+    MomentIndex(1, 0, 0, 0): lambda p: 1 / p,
+    MomentIndex(2, 0, 0, 0): lambda p: (2 - p) / p**2,
+    MomentIndex(1, 1, 0, 0): lambda p: (1 - p) * (p * p - 4 * p + 6) / (p * p * (2 - p) ** 2),
+    MomentIndex(0, 1, 0, 0): lambda p: 2 * (1 - p) / (p * (2 - p)),
+    MomentIndex(0, 2, 0, 0): lambda p: 2 * (1 - p) / p**2,
+    MomentIndex(0, 3, 0, 0): lambda p: 2 * (1 - p) * (p * p - 6 * p + 6) / (p**3 * (2 - p)),
+    MomentIndex(0, 1, 1, 0):
+        lambda p: (1 - p) * (p**4 - 7 * p**3 + 23 * p * p - 32 * p + 16)
+        / (p * p * (2 - p) ** 2 * (p * p + 3 - 3 * p)),
+    MomentIndex(0, 1, 2, 0):
+        lambda p: (28 - 56 * p + 38 * p * p - 10 * p**3 + p**4) * (1 - p) / (p**3 * (2 - p) ** 3),
+    MomentIndex(0, 1, 1, 1):
+        lambda p: 2 * (28 - 84 * p + 113 * p**2 - 86 * p**3 + 39 * p**4 - 10 * p**5 + p**6)
+        * (1 - p) ** 2 / (p**3 * (p * p - 2 * p + 2) * (2 - p) * (p * p + 3 - 3 * p) ** 2),
 }
 GEOMETRIC_CLOSED[MomentIndex(0, 2, 1, 0)] = GEOMETRIC_CLOSED[MomentIndex(0, 1, 2, 0)]
 
 # Not tabulated: centered geometric cross-moments (no closed forms are carried
 # for them; the ordinary cross-moments suffice for every geometric formula).
-GEOMETRIC_CLOSED_CENTERED: dict[MomentIndex, Callable[[Model], Fraction]] = {}
+GEOMETRIC_CLOSED_CENTERED: dict[MomentIndex, Callable[[Fraction], Fraction]] = {}
 
 
 def supported_closed_indices(model: Model, centered: bool = False) -> tuple[MomentIndex, ...]:
-    table = _closed_table(model, centered)
-    return tuple(sorted(table.keys()))
+    return tuple(sorted(_closed_table(model, centered)[0]))
 
 
-def _closed_table(model: Model, centered: bool):
+def _closed_table(model: Model, centered: bool) -> tuple[dict, int | Fraction]:
+    """The closed-form table of ``model`` and the parameter its entries take, k or p."""
     if model.kind == UNIFORM:
-        return UNIFORM_CLOSED_CENTERED if centered else UNIFORM_CLOSED
-    return GEOMETRIC_CLOSED_CENTERED if centered else GEOMETRIC_CLOSED
+        return (UNIFORM_CLOSED_CENTERED if centered else UNIFORM_CLOSED), model.k
+    return (GEOMETRIC_CLOSED_CENTERED if centered else GEOMETRIC_CLOSED), model.p
 
 
 def mean_gap(model: Model) -> Fraction:
@@ -167,13 +146,13 @@ def cross_moment_closed(model: Model, idx, centered: bool = False) -> Fraction:
     oracle covers those.
     """
     idx = MomentIndex(*idx).validate()
-    table = _closed_table(model, centered)
+    table, parameter = _closed_table(model, centered)
     fn = table.get(idx)
     if fn is None:
         kind = "centered " if centered else ""
         raise NoClosedFormError(f"no closed form tabulated for {kind}T{tuple(idx)} under "
                                 f"{model.describe()}; use cross_moment_oracle")
-    return fn(model)
+    return fn(parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +174,8 @@ def cross_moment_oracle(model: Model, idx, centered: bool = False) -> Fraction:
     """
     idx = MomentIndex(*idx).validate()
     if centered and idx.alpha > 0:
-        raise ValueError("centered cross-moments are defined for gap variables only (alpha must be 0)")
+        raise ValueError("centered cross-moments are defined for gap variables only "
+                         "(alpha must be 0)")
     return _oracle_cached(model, idx, centered)
 
 

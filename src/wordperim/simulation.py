@@ -50,8 +50,11 @@ _BLOCK_ROWS = 64
 MEMORY_BUDGET = 2 * 1024**3
 
 
-class MemoryBudgetExceeded(RuntimeError):
-    """The ensemble's arrays would take more than MEMORY_BUDGET bytes."""
+class MemoryBudgetExceeded(ValueError):
+    """The ensemble's arrays would take more than MEMORY_BUDGET bytes.
+
+    A ValueError, as numpy's refusal of an array too big to allocate is.
+    """
 
 
 @dataclass(frozen=True)
@@ -307,13 +310,12 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
     dominant third-moment term m*mu3*.
     """
     z = ensemble.z
-    dev = ensemble.endpoints - float(ensemble.config.m * ensemble.mean_gap)
-    dev **= 3
-    return EmpiricalMoments(
-        mean_z=float(np.mean(z)),
-        meansq_z=float(np.mean(z * z)),
-        sum_z3_raw=float(np.mean(dev)),
-    )
+    scratch = np.multiply(z, z)  # the one N-sized array: z**2, then the deviations cubed
+    meansq_z = float(np.mean(scratch))
+    np.subtract(ensemble.endpoints, float(ensemble.config.m * ensemble.mean_gap), out=scratch)
+    scratch **= 3
+    return EmpiricalMoments(mean_z=float(np.mean(z)), meansq_z=meansq_z,
+                            sum_z3_raw=float(np.mean(scratch)))
 
 
 # ---------------------------------------------------------------------------

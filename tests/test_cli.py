@@ -8,7 +8,7 @@ import pytest
 
 import wordperim as wp
 from wordperim import simulation
-from wordperim.cli import main
+from wordperim.cli import MODEL_PARAMETER, build_parser, main
 
 
 def run(capsys, *argv):
@@ -781,7 +781,7 @@ CLI_CASES = [
       "plot --kind trajectory --input paths.csv --out x.svg"], 1,
      "config sidecar paths.json: Invalid literal for Fraction: 'x'"),
     # a path plot reads the path CSV, its config sidecar and its manifest; a histogram plot
-    # reads its CSV; a pmf plot reads no file, whatever --input names
+    # reads its CSV
     *[(f"plot-{kind}-out-is-{what}",
        [PATH_RUN, f"plot --kind {kind} --input paths.csv --out {out}"], 1,
        f"{first} and --out both name {out}")
@@ -794,10 +794,16 @@ CLI_CASES = [
      [{"h.svg.manifest.json": HISTOGRAM_HEAD + "".join(SHORT_ROW.splitlines(True)[:2])},
       "plot --kind histogram --input h.svg.manifest.json --out h.svg"], 1,
      "--input and the manifest both name h.svg.manifest.json"),
+    # a flag that a kind ignores is refused, so it never reaches the manifest
     ("plot-pmf-out-is-input",
-     ["plot --kind pmf --model uniform --k 6 --input pmf.svg --out pmf.svg"], 0,
-     ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
-      "fd9eabb9123acbac9f4f4125cf27d127c7a107f1eeab805baf014ac132ed1ecb")),
+     ["plot --kind pmf --model uniform --k 6 --input pmf.svg --out pmf.svg"], 1,
+     "plot --kind pmf reads no --input"),
+    *[(f"plot-{kind}-trajectory-3",  # the two whole rows of SHORT_ROW: a valid histogram
+       [{"h.csv": HISTOGRAM_HEAD + "".join(SHORT_ROW.splitlines(True)[:2])},
+        f"plot --kind {kind} {source} --trajectory 3 --out x.svg"], 1,
+       f"plot --kind {kind} draws no path: --trajectory 3 is for --kind trajectory or normalized")
+      for kind, source in [("histogram", "--input h.csv"), ("cumulative", "--input h.csv"),
+                           ("pmf", "--model uniform --k 6")]],
     ("plot-trajectory-without-sidecar", [{"paths.csv": "trajectory,j,Q\n0,0,0\n0,1,2\n"},
                                          "plot --kind trajectory --input paths.csv --out x.svg"],
      1, "config sidecar paths.json not found next to paths.csv"),
@@ -826,11 +832,8 @@ CLI_CASES = [
 ]
 
 
-@pytest.mark.parametrize("steps, code, expect", [case[1:] for case in CLI_CASES],
-                         ids=[case[0] for case in CLI_CASES])
-def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
-    monkeypatch.chdir(tmp_path)
-    *setup, argv = steps
+def prepare(capsys, setup):
+    """Make the files of each dict step of a CLI_CASES row and run each argv step."""
     for step in setup:
         if isinstance(step, dict):
             for name, text in step.items():
@@ -840,6 +843,14 @@ def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
                     Path(name).write_text(text)
         else:
             assert run(capsys, *step.split())[0] == 0
+
+
+@pytest.mark.parametrize("steps, code, expect", [case[1:] for case in CLI_CASES],
+                         ids=[case[0] for case in CLI_CASES])
+def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
+    monkeypatch.chdir(tmp_path)
+    *setup, argv = steps
+    prepare(capsys, setup)
     argv = argv.split()
     before = sorted(Path().rglob("*"))
     if code == 2:
@@ -861,3 +872,24 @@ def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
                               for name in listed}
     if code:
         assert sorted(Path().rglob("*")) == before
+
+
+WRITING_CASES = [case for case in CLI_CASES if case[2] == 0 and case[3][1]]
+
+
+@pytest.mark.parametrize("steps", [case[1] for case in WRITING_CASES],
+                         ids=[case[0] for case in WRITING_CASES])
+def test_manifest_flags_are_the_parsed_arguments(capsys, tmp_path, monkeypatch, steps):
+    # every argparse destination of the subcommand is a flag, but the model's: --model, --k and
+    # --p are one entry, the model built, and a command that builds no model lists none of them
+    monkeypatch.chdir(tmp_path)
+    *setup, argv = steps
+    prepare(capsys, setup)
+    assert run(capsys, *argv.split())[0] == 0
+    args = build_parser().parse_args(argv.split())
+    flags = json.loads(Path(f"{args.out}.manifest.json").read_text())["flags"]
+    listed = set(vars(args)) - {"command", "fn", "model", "k", "p"}
+    if args.command == "simulate" or getattr(args, "kind", None) == "pmf":  # a model is built
+        model = getattr(wp.Model, args.model)(getattr(args, MODEL_PARAMETER[args.model]))
+        assert flags.pop("model") == model.describe()
+    assert set(flags) == listed

@@ -96,7 +96,8 @@ def closed_table_rows():
         kind, entries = table.split("_")[0].lower(), getattr(xm, table)
         centered = "centered " if table.endswith("CENTERED") else ""
         for idx, fn in entries.items():
-            values = {m.describe(): fn(m) for m in RUN_MODELS if m.kind == kind}
+            values = {m.describe(): fn(m.k if kind == "uniform" else m.p)
+                      for m in RUN_MODELS if m.kind == kind}
             pins = {kind: {
                 "labels": [f"{name} {centered}T{tuple(idx)}" for name, v in values.items() if v],
                 "max_dev": f"{max(abs(float(v * EPS)) for v in values.values()):.3e}"}}

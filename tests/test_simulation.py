@@ -62,6 +62,7 @@ def test_memory_budget_refusal():
     with pytest.raises(wp.MemoryBudgetExceeded, match="recording 134217728 paths of length 3 "
                        "needs 5368709120 bytes, budget is 2147483648"):
         wp.simulate(cfg)
+    assert issubclass(wp.MemoryBudgetExceeded, ValueError)  # a refusal, as numpy's is
 
 
 @pytest.mark.parametrize("paths", [False, True])
@@ -281,6 +282,17 @@ def test_brownian_marginal_variance(k6_paths):
 def test_empirical_moments_third_statistic_sign(k6_endpoints):
     stats = wp.empirical_moments(k6_endpoints)
     assert stats.sum_z3_raw > 0  # mu3* > 0 for k >= 3
+
+
+def test_empirical_moments_hold_one_array_of_n_floats(k6_endpoints, peak_memory):
+    # one scratch array serves z**2 and then the cubed deviations from m*M
+    n = k6_endpoints.config.trajectories
+    with peak_memory() as traced:
+        stats = wp.empirical_moments(k6_endpoints)
+    assert traced.peak <= 8 * n + 128 * 2**10
+    dev = k6_endpoints.endpoints - float(k6_endpoints.config.m * k6_endpoints.mean_gap)
+    z = k6_endpoints.z
+    assert stats == (float(np.mean(z)), float(np.mean(z * z)), float(np.mean(dev**3)))
 
 
 def test_endpoint_csv_round_trip(tmp_path):
