@@ -2,10 +2,10 @@
 
 Commands: moments, xmoment, verify, simulate, histogram, plot, render.
 Exit codes: 0 success, 1 validation/verification failure, 2 usage error.
+A flag the command does not read is refused: ``--k`` with ``--p`` exits 2.
 Every command that writes files creates their directories and also writes
 ``<out>.manifest.json`` with sha256 digests of all its outputs; identical
-flags reproduce identical digests (simulation is seeded, output formats are
-deterministic).
+flags reproduce identical digests (seeded simulation, deterministic formats).
 
 The commands import what they need when they run: ``simulate``,
 ``histogram`` and ``plot`` load numpy and the modules built on it
@@ -36,6 +36,10 @@ from .polyomino import perimeter_decomposed, render_polyomino
 DEFAULT_DELTA = Fraction(1, 2)
 # the parameter of each model, given by the flag of its name
 MODEL_PARAMETER = {"uniform": "k", "geometric": "p"}
+# each kind of plot: the flag it requires, then the others it reads; and plot's defaults of them
+PLOT_READS = {"trajectory": ("input", "trajectory"), "normalized": ("input", "trajectory"),
+              "histogram": ("input",), "cumulative": ("input",), "pmf": ("model", "k", "p")}
+PLOT_DEFAULTS = {"input": None, "trajectory": 0, "model": None, "k": None, "p": None}
 
 
 class CliError(Exception):
@@ -72,8 +76,9 @@ def _printed(convert, quantity: str, args):
 
 def _add_model_args(parser, required: bool = True) -> None:
     parser.add_argument("--model", choices=["uniform", "geometric"], required=required)
-    parser.add_argument("--k", type=int, help="uniform upper bound (letters in [1,k])")
-    parser.add_argument("--p", type=_fraction, help="geometric success probability, e.g. 1/2")
+    parameter = parser.add_mutually_exclusive_group()  # both given: a usage error
+    parameter.add_argument("--k", type=int, help="uniform upper bound (letters in [1,k])")
+    parameter.add_argument("--p", type=_fraction, help="geometric success probability, e.g. 1/2")
 
 
 def _sha256(path: Path) -> str:
@@ -361,14 +366,16 @@ def cmd_plot(args) -> int:
     from . import empirics, simulation, svgplot
 
     kind, out, model = args.kind, Path(args.out), None
-    paths = kind in ("trajectory", "normalized")
-    if kind == "pmf" and args.input:
-        raise CliError("plot --kind pmf reads no --input")
-    if args.trajectory and not paths:
-        raise CliError(f"plot --kind {kind} draws no path: --trajectory {args.trajectory} "
-                       "is for --kind trajectory or normalized")
-    inputs = {"--input": Path(args.input)} if args.input else {}
-    if inputs and paths:  # a path plot reads two files beside it
+    reads = PLOT_READS[kind]
+    for flag, default in PLOT_DEFAULTS.items():  # by vars(): each attribute read is the work's
+        given = vars(args)[flag] != default
+        if flag == reads[0] and not given:
+            raise CliError(f"plot --kind {kind} requires --{flag}")
+        if given and flag not in reads:
+            raise CliError(f"plot --kind {kind} reads no --{flag}")
+    paths = "trajectory" in reads
+    inputs = {"--input": Path(args.input)} if "input" in reads else {}
+    if paths:  # a path plot reads two files beside it
         inputs["the config sidecar"] = _sidecar_path(inputs["--input"])
         inputs["the manifest of --input"] = _manifest_path(inputs["--input"])
     _check_outputs({"--out": out}, inputs)
@@ -376,8 +383,6 @@ def cmd_plot(args) -> int:
         model = _model_from_args(args)
         svg = svgplot.plot_gap_pmf(model)
     elif paths:
-        if not args.input:
-            raise CliError(f"plot --kind {kind} requires --input (path-mode ensemble CSV)")
         row, n = _read_path(args.input, args.trajectory)
         mg, sigma = _read_sidecar(args.input)
         if row is None:
@@ -388,8 +393,6 @@ def cmd_plot(args) -> int:
             t = np.arange(row.size) / (row.size - 1)
             svg = svgplot.plot_normalized_path(t, simulation.scaled_path(row, mg, sigma, t))
     else:  # histogram or cumulative, the last of argparse's choices
-        if not args.input:
-            raise CliError(f"plot --kind {kind} requires --input (histogram CSV)")
         hist = _read_input(empirics.read_histogram_csv, args.input)
         if kind == "histogram":
             svg = svgplot.plot_histogram(hist["center"], hist["freq"], hist["gauss_mass"])
@@ -463,13 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_histogram)
 
     p = sub.add_parser("plot", help="emit an SVG plot")
-    p.add_argument("--kind", choices=["trajectory", "normalized", "histogram", "cumulative", "pmf"],
-                   required=True)
-    p.add_argument("--input", default=None, help="input CSV (kind-dependent)")
-    p.add_argument("--trajectory", type=int, default=0, help="trajectory index for path plots")
+    p.add_argument("--kind", choices=PLOT_READS, required=True)
+    p.add_argument("--input", help="input CSV (kind-dependent)")
+    p.add_argument("--trajectory", type=int, help="trajectory index for path plots")
     _add_model_args(p, required=False)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(fn=cmd_plot)
+    p.set_defaults(fn=cmd_plot, **PLOT_DEFAULTS)
 
     p = sub.add_parser("render", help="draw a word's polyomino as SVG")
     p.add_argument("--word", required=True, help="comma-separated letters, e.g. 2,3,1,3")
@@ -480,10 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "plot" and args.kind == "pmf" and args.model is None:
-        parser.error("plot --kind pmf requires --model")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (CliError, ValueError) as e:  # a library ValueError names what it refuses

@@ -86,7 +86,10 @@ def _blocks(words: Sequence) -> list:
 
 
 def _joined_letters(block: Sequence, separator: bytes) -> bytes | None:
-    """The block's letters, one byte each, with ``separator`` between words; None for a letter above 255."""
+    """The block's letters, one byte each, with ``separator`` between words.
+
+    None for a letter above 255.
+    """
     try:
         return separator.join(map(bytes, block))  # bytes(word) is word for a bytes word
     except ValueError:
@@ -171,7 +174,10 @@ def _board(letters: Sequence[int]) -> tuple[int, int]:
 
 
 def _boards(block: Sequence):
-    """(board, F) of each word of the block: 4-byte fields when its letters allow, else ``_board``."""
+    """(board, F) of each word of the block.
+
+    4-byte fields when its letters allow, else ``_board``.
+    """
     columns = _short_columns(block)
     if columns is None:
         return map(_board, block)

@@ -339,9 +339,8 @@ def format_report(checks: list[IdentityCheck]) -> str:
     width = max(len(c.name) for c in checks)
     for c in checks:
         status = "FAIL" if not c.passed else "SKIP" if c.instances == 0 else "PASS"
-        lines.append(
-            f"{status}  {c.name:<{width}}  instances={c.instances:<6d} max_dev={c.max_deviation:.3e}"
-        )
+        lines.append(f"{status}  {c.name:<{width}}  "
+                     f"instances={c.instances:<6d} max_dev={c.max_deviation:.3e}")
         for f in c.failures:
             lines.append(f"      offending: {f}")
     total = sum(c.instances for c in checks)

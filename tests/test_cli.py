@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import shutil
@@ -8,7 +9,7 @@ import pytest
 
 import wordperim as wp
 from wordperim import simulation
-from wordperim.cli import MODEL_PARAMETER, build_parser, main
+from wordperim.cli import MODEL_PARAMETER, PLOT_DEFAULTS, PLOT_READS, build_parser, cmd_plot, main
 
 
 def run(capsys, *argv):
@@ -451,6 +452,7 @@ ENSEMBLE = {"ens.csv": "trajectory,endpoint,z\n0,3,0.5\n1,4,-0.5\n2,2,0.25\n"}
 HISTOGRAM_HEAD = "i,left,right,center,count,freq,gauss_mass\n"
 # three histogram rows; the last, file line 4, has no gauss_mass
 SHORT_ROW = "0,-1.0,0.0,-0.5,1,0.5,0.25\n1,0.0,1.0,0.5,1,0.5,0.25\n2,1.0,2.0,1.5,0,0.0\n"
+VALID_HISTOGRAM = HISTOGRAM_HEAD + "".join(SHORT_ROW.splitlines(True)[:2])  # its two whole rows
 # p = 1 - 10**-400: float(1 - p) is 0.0, and ln q would be log(0.0)
 P_NEAR_ONE = f"{10**400 - 1}/{10**400}"
 CELLS = ",".join(["10000"] * 10)  # 10**5 cells, RENDER_MAX_CELLS
@@ -471,6 +473,8 @@ CLI_CASES = [
      "uniform model needs integer k >= 1, got 0"),
     ("moments-without-k", ["moments --model uniform --n 5"], 1, "--model uniform requires --k"),
     ("moments-without-p", ["moments --model geometric --n 5"], 1, "--model geometric requires --p"),
+    ("moments-uniform-with-p", ["moments --model uniform --p 1/2 --n 5"], 1,
+     "--model uniform requires --k"),
     ("moments-p-7/2", ["moments --model geometric --p 7/2 --n 5"], 1,
      "geometric model needs rational 0 < p < 1, got 7/2"),
     ("moments-p-1e-120", [f"moments --model geometric --p 1/{10**120} --n 10"], 1,
@@ -525,6 +529,8 @@ CLI_CASES = [
      ("edb7403308ed6be88c70e89da186ce29f4c587c8286374ef51b04f5916af5145", None)),
     ("xmoment-closed", ["xmoment --model uniform --k 6 --index 0,1,0,1 --method closed"], 2,
      "wordperim: error: unrecognized arguments: --method closed"),
+    ("xmoment-geometric-with-k", ["xmoment --model geometric --k 6 --index 0,1,1,0"], 1,
+     "--model geometric requires --p"),
     ("xmoment-centered-letter", ["xmoment --model uniform --k 6 --index 1,1,0,0 --centered"], 1,
      "centered cross-moments are defined for gap variables only (alpha must be 0)"),
     ("xmoment-index-0,9,0,0", ["xmoment --model uniform --k 6 --index 0,9,0,0"], 1,
@@ -558,6 +564,8 @@ CLI_CASES = [
                             "--out ens.csv"], 0,
      ("287942e16bfe357b116b35753f48bfb921df7f4cd68a436e879b1d268bbe3c05",
       "94854dfbdc7b80fbb5833e2113666e5030e9bb05ad9a83bfa400f62d4aef5277")),
+    ("simulate-k-and-p", [f"{U6} --p 1/2 --m 5 --trajectories 3 --seed 1 --out x.csv"], 2,
+     "wordperim simulate: error: argument --p: not allowed with argument --k"),
     ("simulate-m-0", [f"{U6} --m 0 --trajectories 5 --seed 1 --out x.csv"], 1,
      "need at least one gap, got m=0"),
     ("simulate-N-0", [f"{U6} --m 5 --trajectories 0 --seed 1 --out x.csv"], 1,
@@ -720,17 +728,17 @@ CLI_CASES = [
            {"1/2": "de93682ac726be6eaa0071e43493119380ea4a2160e37f54172b51103278a696",
             "1/3": "d9bf168fd40a437443edb522b32fd8cf7b830474dd18b5160757b3fc27864b65"})]
       for delta, manifest in manifests.items()],
-    ("plot-pmf-without-model", ["plot --kind pmf --out p.svg"], 2,
-     "wordperim: error: plot --kind pmf requires --model"),
+    ("plot-pmf-without-model", ["plot --kind pmf --out p.svg"], 1,
+     "plot --kind pmf requires --model"),
     ("plot-pmf-k-10**4", [f"plot --kind pmf --model uniform --k {10**4} --out pmf.svg"], 0,
      ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
       "c7e5c3f049cab3f1366f112236662d37e36db5d0a77b97b19851c39f908aacc5")),
     ("plot-pmf-k-10**4+1", [f"plot --kind pmf --model uniform --k {10**4 + 1} --out plots/pmf.svg"],
      1, "gap pmf plot refuses uniform[1,10001]: 10001 points, above 10000"),
     ("plot-trajectory-without-input", ["plot --kind trajectory --out x.svg"], 1,
-     "plot --kind trajectory requires --input (path-mode ensemble CSV)"),
+     "plot --kind trajectory requires --input"),
     ("plot-histogram-without-input", ["plot --kind histogram --out x.svg"], 1,
-     "plot --kind histogram requires --input (histogram CSV)"),
+     "plot --kind histogram requires --input"),
     ("plot-histogram-input-missing", ["plot --kind histogram --input h.csv --out x.svg"], 1,
      "cannot read --input: [Errno 2] No such file or directory: 'h.csv'"),
     ("plot-trajectory-of-an-endpoint-csv",
@@ -756,8 +764,9 @@ CLI_CASES = [
            "histogram CSV h.csv line 4: the dtype passed requires 7 columns but 6 were found"),
           ("no-rows", "", "histogram CSV h.csv has no data rows after its header")]],
     *[(f"plot-{kind}-sidecar-{what}",
-       [PATH_RUN, {"paths.json": sidecar}, f"plot --kind {kind} --input paths.csv --out plots/x.svg"],
-       1, f"config sidecar paths.json {problem}")
+       [PATH_RUN, {"paths.json": sidecar},
+        f"plot --kind {kind} --input paths.csv --out plots/x.svg"], 1,
+       f"config sidecar paths.json {problem}")
       for kind in ("trajectory", "normalized")
       for what, sidecar, problem in [
           ("not-json", "{not json", "is not valid JSON: "
@@ -790,20 +799,24 @@ CLI_CASES = [
                                ("sidecar", "the config sidecar", "sub/../paths.json"),
                                ("input-manifest", "the manifest of --input",
                                 "paths.csv.manifest.json")]],
-    ("plot-histogram-manifest-is-input",  # the two whole rows of SHORT_ROW: a valid histogram
-     [{"h.svg.manifest.json": HISTOGRAM_HEAD + "".join(SHORT_ROW.splitlines(True)[:2])},
+    ("plot-histogram-manifest-is-input",
+     [{"h.svg.manifest.json": VALID_HISTOGRAM},
       "plot --kind histogram --input h.svg.manifest.json --out h.svg"], 1,
      "--input and the manifest both name h.svg.manifest.json"),
     # a flag that a kind ignores is refused, so it never reaches the manifest
     ("plot-pmf-out-is-input",
      ["plot --kind pmf --model uniform --k 6 --input pmf.svg --out pmf.svg"], 1,
      "plot --kind pmf reads no --input"),
-    *[(f"plot-{kind}-trajectory-3",  # the two whole rows of SHORT_ROW: a valid histogram
-       [{"h.csv": HISTOGRAM_HEAD + "".join(SHORT_ROW.splitlines(True)[:2])},
-        f"plot --kind {kind} {source} --trajectory 3 --out x.svg"], 1,
-       f"plot --kind {kind} draws no path: --trajectory 3 is for --kind trajectory or normalized")
-      for kind, source in [("histogram", "--input h.csv"), ("cumulative", "--input h.csv"),
-                           ("pmf", "--model uniform --k 6")]],
+    *[(f"plot-{kind}-{flag[2:].replace(' ', '-')}",
+       [{"h.csv": VALID_HISTOGRAM}, f"plot --kind {kind} {source} {flag} --out x.svg"], 1,
+       f"plot --kind {kind} reads no {flag.split()[0]}")
+      for kind, source, flag in [("histogram", "--input h.csv", "--trajectory 3"),
+                                 ("cumulative", "--input h.csv", "--trajectory 3"),
+                                 ("pmf", "--model uniform --k 6", "--trajectory 3"),
+                                 ("histogram", "--input h.csv", "--model uniform")]],
+    # the model's parameter is --k or --p, by --model: argparse refuses both
+    ("plot-pmf-k-and-p", ["plot --kind pmf --model uniform --k 6 --p 1/3 --out pmf.svg"], 2,
+     "wordperim plot: error: argument --p: not allowed with argument --k"),
     ("plot-trajectory-without-sidecar", [{"paths.csv": "trajectory,j,Q\n0,0,0\n0,1,2\n"},
                                          "plot --kind trajectory --input paths.csv --out x.svg"],
      1, "config sidecar paths.json not found next to paths.csv"),
@@ -863,7 +876,8 @@ def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
         assert run(capsys, *argv) == (1, "", f"error: {expect}\n")
     else:
         got, out, err = run(capsys, *argv)
-        manifest = Path(f"{argv[argv.index('--out') + 1]}.manifest.json") if "--out" in argv else None
+        manifest = (Path(f"{argv[argv.index('--out') + 1]}.manifest.json") if "--out" in argv
+                    else None)
         assert (got, err, sha256_hex(out.encode("utf-8"))) == (0, "", expect[0])
         assert (manifest and sha256_hex(manifest.read_bytes())) == expect[1]
         if manifest:
@@ -893,3 +907,59 @@ def test_manifest_flags_are_the_parsed_arguments(capsys, tmp_path, monkeypatch, 
         model = getattr(wp.Model, args.model)(getattr(args, MODEL_PARAMETER[args.model]))
         assert flags.pop("model") == model.describe()
     assert set(flags) == listed
+
+
+# ---------------------------------------------------------------------------
+# plot reads the flags PLOT_READS states for its kind, and refuses every other
+# ---------------------------------------------------------------------------
+
+# each optional flag of plot off its default, and the required flag of each kind given
+OFF_DEFAULT = {"input": "--input h.csv", "trajectory": "--trajectory 3", "model": "--model uniform",
+               "k": "--k 6", "p": "--p 1/2"}
+REQUIRED = {"input": "--input h.csv", "model": "--model uniform --k 6"}
+UNREAD = [(kind, flag) for kind, reads in PLOT_READS.items() for flag in PLOT_DEFAULTS
+          if flag not in reads]
+
+
+def refused_before_any_work(capsys, monkeypatch, tmp_path, argv, line):
+    monkeypatch.chdir(tmp_path)
+    for name in ("_check_outputs", "_model_from_args", "_read_input", "_read_path"):
+        monkeypatch.setattr(f"wordperim.cli.{name}", lambda *args: pytest.fail("worked"))
+    assert run(capsys, *argv.split()) == (1, "", f"error: {line}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, flag", UNREAD, ids=[f"{kind}-{flag}" for kind, flag in UNREAD])
+def test_plot_refuses_a_flag_its_kind_does_not_read(capsys, monkeypatch, tmp_path, kind, flag):
+    argv = f"plot --kind {kind} {REQUIRED[PLOT_READS[kind][0]]} {OFF_DEFAULT[flag]} --out x.svg"
+    refused_before_any_work(capsys, monkeypatch, tmp_path, argv,
+                            f"plot --kind {kind} reads no --{flag}")
+
+
+@pytest.mark.parametrize("kind", PLOT_READS)
+def test_plot_refuses_a_kind_without_its_required_flag(capsys, monkeypatch, tmp_path, kind):
+    refused_before_any_work(capsys, monkeypatch, tmp_path, f"plot --kind {kind} --out x.svg",
+                            f"plot --kind {kind} requires --{PLOT_READS[kind][0]}")
+
+
+PLOT_RUNS = [case for case in CLI_CASES if case[2] == 0 and case[1][-1].startswith("plot ")]
+
+
+@pytest.mark.parametrize("steps", [case[1] for case in PLOT_RUNS],
+                         ids=[case[0] for case in PLOT_RUNS])
+def test_plot_reads_only_the_flags_of_its_kind(capsys, tmp_path, monkeypatch, steps):
+    # the refusal and the manifest see every flag through vars(); the work reads attributes
+    monkeypatch.chdir(tmp_path)
+    *setup, argv = steps
+    prepare(capsys, setup)
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv.split())
+    assert cmd_plot(Recorder(**vars(args))) == 0
+    required, *_ = reads = PLOT_READS[args.kind]
+    assert required in read and read & set(PLOT_DEFAULTS) <= set(reads)

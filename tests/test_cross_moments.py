@@ -71,7 +71,8 @@ def _literal_oracle(model, idx, U, M=0):
         return [int(x * den) for x in values], den
 
     P, dp = integers(pmf)
-    (gb, db), (gc, dc), (gd, dd) = (integers([(y - M) ** e for y in range(len(P))]) for e in (b, c, d))
+    (gb, db), (gc, dc), (gd, dd) = (integers([(y - M) ** e for y in range(len(P))])
+                                    for e in (b, c, d))
     letters = range(len(P))  # letter i + 1 sits at position i
     total = 0
     for i in letters:
@@ -136,13 +137,15 @@ def test_oracle_equals_literal_quadruple_sum():
         assert gap <= _truncation_bound(g, idx, U), idx
     M = wp.mean_gap(g)
     for idx in ((0, 1, 1, 1), (0, 2, 1, 0)):
-        gap = abs(float(wp.cross_moment_oracle(g, idx, centered=True) - _literal_oracle(g, idx, U, M)))
+        gap = abs(float(wp.cross_moment_oracle(g, idx, centered=True)
+                        - _literal_oracle(g, idx, U, M)))
         assert gap <= _truncation_bound(g, idx, U, M), idx
 
 
 def test_closed_near_oracle_geometric():
     # exact: the oracle sums the unbounded support, even where it is long (small p)
-    for p in (Fraction(1, 10**6), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+    for p in (Fraction(1, 10**6), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2),
+              Fraction(9, 10)):
         m = wp.Model.geometric(p)
         for idx in xm.supported_closed_indices(m):
             assert wp.cross_moment_closed(m, idx) == wp.cross_moment_oracle(m, idx), (p, idx)

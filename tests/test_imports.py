@@ -39,6 +39,15 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+MAX_LINE = 100
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_line_is_longer_than_the_limit(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [i for i, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []
+
+
 # ---------------------------------------------------------------------------
 # the exact core loads without numpy
 # ---------------------------------------------------------------------------

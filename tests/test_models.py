@@ -260,9 +260,10 @@ def test_geometric_inversion_matches_cdf(p):
     assert all(1 - q ** (letter - 1) < v <= 1 - q**letter for v, letter in drawn)
 
 
-INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
-SMALL_INDICES = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4) for d in range(4)
-                 if a + b + c + d <= 4]
+INTEGER_TYPES = [int, np.int8, np.int16, np.int32, np.int64,
+                 np.uint8, np.uint16, np.uint32, np.uint64]
+SMALL_INDICES = [(a, b, c, d) for a in range(4) for b in range(4) for c in range(4)
+                 for d in range(4) if a + b + c + d <= 4]
 
 
 @settings(max_examples=50, deadline=None)

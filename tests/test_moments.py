@@ -1,6 +1,8 @@
 import math
 import pickle
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import wordperim as wp
 from wordperim import cross_moments as xm
 from wordperim import moments as mo
+from wordperim.polyomino import perimeters_from_edges
 
 
 def test_mean_known_values():
@@ -268,3 +271,26 @@ def test_each_cumulant_is_derived_once(monkeypatch):
             mo.gap_sum_cumulant(model, r, xm.cross_moment_oracle, centered=True)
     info = mo._cumulant_terms.cache_info()
     assert (info.misses, info.currsize, info.maxsize) == (6, 6, 6)
+
+
+# ---------------------------------------------------------------------------
+# the moments of P_n against the perimeters of the polyominoes themselves
+# ---------------------------------------------------------------------------
+
+# every uniform word of n letters in [1, k] with k**n <= 80 000: 123 024 polyominoes
+ENUMERATED = [(k, n) for k in range(1, 6) for n in range(2, 8) if k**n <= 80_000]
+
+
+def test_moments_equal_the_law_of_every_polyomino_perimeter():
+    # the edge count reads only the occupancy, not the decomposition P = 2n + Q + x_1 + x_n
+    assert sum(k**n for k, n in ENUMERATED) == 123_024
+    for k, n in ENUMERATED:
+        model = wp.Model.uniform(k)
+        law = Counter(perimeters_from_edges(list(product(range(1, k + 1), repeat=n))))
+        mean = Fraction(sum(p * count for p, count in law.items()), k**n)
+        var, kappa3 = (Fraction(sum((p - mean) ** r * count for p, count in law.items()), k**n)
+                       for r in (2, 3))
+        assert (mean, var) == (wp.mean_perimeter(model, n), wp.variance_perimeter(model, n))
+        if n >= 3:  # kappa_3(P_n) = n mu3* + mu3*/2; n = 2 has a constant of its own
+            mu3 = mo.mu3_rate_closed(model)
+            assert kappa3 - n * mu3 == mu3 / 2, (k, n)

@@ -348,7 +348,10 @@ EXTREME_WORDS = [bytes([1, 30]), bytes([30] * 60), bytes([1] * 60), bytes([30, 1
 
 
 def block_words(size, seed):
-    """``size`` words like verify's, with extreme words first, second, second last and last in each block."""
+    """``size`` words like verify's.
+
+    Extreme words come first, second, second last and last in each block.
+    """
     rng = random.Random(seed)
     words = [bytes(rng.randint(1, 30) for _ in range(rng.randint(2, 60))) for _ in range(size)]
     for i in range(size):

@@ -87,7 +87,8 @@ def test_memory_budget_counts_every_array_simulate_allocates(monkeypatch, paths)
 
 def test_endpoint_memory_budget_refusal():
     # N = 10**14 endpoints and z would take 1.6e15 bytes
-    with pytest.raises(wp.MemoryBudgetExceeded, match="1600000000000000 bytes, budget is 2147483648"):
+    with pytest.raises(wp.MemoryBudgetExceeded,
+                       match="1600000000000000 bytes, budget is 2147483648"):
         wp.simulate(small_config(m=1, trajectories=10**14))
 
 
@@ -517,7 +518,8 @@ def hand_built_path_ensemble(paths):
 
 
 @pytest.mark.parametrize("paths", [
-    pytest.param([[0, -1, 5, -10**12], [INT64.min, INT64.max, -999, 1000]], id="negatives-extremes"),
+    pytest.param([[0, -1, 5, -10**12], [INT64.min, INT64.max, -999, 1000]],
+                 id="negatives-extremes"),
     pytest.param([[0, 7]], id="N1-m1"),
     pytest.param([np.arange(2 * sim._CSV_CHUNK_ROWS + 5) * 37 - 10**6], id="one-long-path"),
     # chunks of 3276 paths whose longest Q texts are 14, 13 and 13 characters

@@ -47,7 +47,8 @@ def test_pmf_plot_refuses_a_uniform_k_above_its_points_cap(monkeypatch):
     monkeypatch.setattr(svgplot, "gap_pmf", lambda *args: pytest.fail("built"))
     with pytest.raises(ValueError) as exc:
         svgplot.plot_gap_pmf(wp.Model.uniform(10**8))
-    assert str(exc.value) == "gap pmf plot refuses uniform[1,100000000]: 100000000 points, above 10000"
+    assert str(exc.value) == ("gap pmf plot refuses uniform[1,100000000]: 100000000 points, "
+                              "above 10000")
 
 
 # sha256 of plot_gap_pmf: the plot bytes go into run manifests, so they must not drift
