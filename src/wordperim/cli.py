@@ -53,6 +53,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _file_path(text: str) -> str:
+    """A file flag's value; a path without a last part to name a file by (``""``, ``.``,
+    ``/``) is refused, before any work, as a usage error that names the flag."""
+    if not Path(text).name:
+        raise argparse.ArgumentTypeError(f"not a file path: {text!r}")
+    return text
+
+
 def _model_from_args(args) -> Model:
     flag = MODEL_PARAMETER[args.model]
     value = getattr(args, flag)
@@ -84,10 +92,11 @@ def _add_model_args(parser, required: bool = True) -> None:
 def _sha256(path: Path) -> str:
     import hashlib
 
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    h, buffer = hashlib.sha256(), bytearray(1 << 16)  # one 64 KiB buffer, read into
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            h.update(view[:n])
     return h.hexdigest()
 
 
@@ -276,9 +285,9 @@ def cmd_histogram(args) -> int:
     if args.gof:
         outputs["--gof"] = Path(args.gof)
     _check_outputs(outputs, {"--input": Path(args.input)})
-    data = _read_input(simulation.read_endpoint_csv, args.input)
-    hist = empirics.build_histogram(data["z"], args.delta)
-    report = empirics.GofReport(empirics.ks_statistic(data["z"]), hist.max_cell_abs_error)
+    z = _read_input(partial(simulation.read_endpoint_csv, columns=("z",)), args.input)["z"]
+    hist = empirics.build_histogram(z, args.delta)
+    report = empirics.GofReport(empirics.ks_statistic(z), hist.max_cell_abs_error)
     writers = {out: partial(empirics.write_histogram_csv, hist)}
     if args.gof:
         writers[Path(args.gof)] = partial(empirics.write_gof_json, report)
@@ -454,28 +463,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--paths", action="store_true", help="record full partial-sum paths")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", type=_file_path, required=True, help="output CSV path")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("histogram", help="fixed-grid histogram and Gaussian fit of an ensemble")
-    p.add_argument("--input", required=True, help="endpoint ensemble CSV")
+    p.add_argument("--input", type=_file_path, required=True, help="endpoint ensemble CSV")
     p.add_argument("--delta", type=_fraction, default=DEFAULT_DELTA,
                    help="cell width (6/delta integral)")
-    p.add_argument("--out", required=True, help="histogram CSV path")
-    p.add_argument("--gof", default=None, help="optional goodness-of-fit JSON path")
+    p.add_argument("--out", type=_file_path, required=True, help="histogram CSV path")
+    p.add_argument("--gof", type=_file_path, help="optional goodness-of-fit JSON path")
     p.set_defaults(fn=cmd_histogram)
 
     p = sub.add_parser("plot", help="emit an SVG plot")
     p.add_argument("--kind", choices=PLOT_READS, required=True)
-    p.add_argument("--input", help="input CSV (kind-dependent)")
+    p.add_argument("--input", type=_file_path, help="input CSV (kind-dependent)")
     p.add_argument("--trajectory", type=int, help="trajectory index for path plots")
     _add_model_args(p, required=False)
-    p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--out", type=_file_path, required=True, help="output SVG path")
     p.set_defaults(fn=cmd_plot, **PLOT_DEFAULTS)
 
     p = sub.add_parser("render", help="draw a word's polyomino as SVG")
     p.add_argument("--word", required=True, help="comma-separated letters, e.g. 2,3,1,3")
-    p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--out", type=_file_path, required=True, help="output SVG path")
     p.set_defaults(fn=cmd_render)
 
     return parser

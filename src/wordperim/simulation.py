@@ -328,14 +328,18 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 # writers only cut their data into chunks.
 #
 # The readers check, on an open handle, the header and that a nonblank line
-# follows it, then hand ``np.loadtxt`` the file's path with the record dtype:
-# numpy's C parser reads the file in blocks (given a handle, it takes one
-# Python line at a time, about 1.7x slower on a 1M-row path CSV), reads the
-# numbers, floats correctly rounded, and rejects a row with the wrong number
-# of fields.  numpy opens a path by its suffix, so a plain CSV named ``*.gz``,
-# ``*.bz2``, ``*.xz`` or ``*.lzma`` would be taken for a compressed file and
-# fail; such a file is parsed from the open handle.  ``read_path_csv`` can
-# also parse one path of a file known to be a whole grid, and nothing else.
+# follows it, then parse the rows with ``np.loadtxt`` and the record dtype:
+# numpy's C parser reads the numbers, floats correctly rounded, and rejects a
+# row with the wrong number of fields.  The path and histogram readers hand
+# numpy the file's path, which it reads in blocks (given a handle, it takes
+# one Python line at a time, about 1.7x slower on a 1M-row path CSV).  numpy
+# opens a path by its suffix, so a plain CSV named ``*.gz``, ``*.bz2``,
+# ``*.xz`` or ``*.lzma`` would be taken for a compressed file and fail; such a
+# file is parsed from the open handle.  The endpoint reader parses the open
+# handle _CSV_CHUNK_ROWS rows at a time, each ``np.loadtxt`` call resuming
+# where the last stopped, and keeps only the columns it is asked for, so
+# ``histogram`` holds z alone.  ``read_path_csv`` can also parse one path of
+# a file known to be a whole grid, and nothing else.
 # ---------------------------------------------------------------------------
 
 # Rows per formatted chunk, under 1 MB of text for an ensemble CSV; chunks of
@@ -348,7 +352,19 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
-    """Check the header of a ``kind`` CSV and parse its rows into ``row`` records."""
+    """Check the header of a ``kind`` CSV and parse all its rows into ``row`` records."""
+    [rows] = _csv_chunks(path, kind, row)
+    return rows
+
+
+def _csv_chunks(path, kind: str, row: np.dtype, chunk_rows: int | None = None):
+    """Check the header of a ``kind`` CSV, then yield its rows as arrays of ``row`` records.
+
+    Without ``chunk_rows``, one array holds every row, numpy given the path (see
+    ``_loadtxt``).  With it, each array holds up to ``chunk_rows`` rows, which numpy
+    parses from the open handle where the last array ended.  A malformed row is
+    refused by its line in either case.
+    """
     header = ",".join(row.names)
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -358,10 +374,27 @@ def _read_csv(path, kind: str, row: np.dtype) -> np.ndarray:
             raise ValueError(f"{kind} CSV {path} has no data rows after its header")
         fh.seek(0)
         try:
-            return _loadtxt(fh, path, row, skiprows=1)
+            if chunk_rows is None:
+                yield _loadtxt(fh, path, row, skiprows=1)
+                return
+            fh.readline()
+            while (chunk := _next_rows(fh, row, chunk_rows)).size:
+                yield chunk
         except ValueError as e:  # drop numpy's advice to pass usecols
             where, reason = _first_rejected_line(fh, row) or ("", str(e).split(";")[0])
             raise ValueError(f"{kind} CSV {path}{where}: {reason}") from None
+
+
+def _next_rows(fh, row: np.dtype, n: int) -> np.ndarray:
+    """The next ``n`` rows of ``fh``, or those left, as ``row`` records; ``fh`` stops after them.
+
+    numpy takes ``fh``'s lines from a generator: it parses them as fast as from
+    ``fh`` itself, and five times faster under ``tracemalloc``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns, and reads no rows, past the last line
+        return np.loadtxt((line for line in fh), dtype=row, delimiter=",", comments=None,
+                          ndmin=1, encoding="utf-8", max_rows=n)
 
 
 def _loadtxt(fh, path, row: np.dtype, **kwargs) -> np.ndarray:
@@ -423,8 +456,9 @@ def _write_csv(path, row: np.dtype, chunks) -> None:
     fields are as wide as the chunk's longest text and padded with NUL bytes.
     ``_decimal_into`` renders an integer field as ``%d`` writes it; a float
     field is gathered from a table that holds the repr of each distinct bit
-    pattern of the chunk once (so 0.0 and -0.0 stay apart).  The NULs are
-    deleted and the chunk written with one call.
+    pattern of the chunk once (so 0.0 and -0.0 stay apart).  The chunk is
+    written in 64 KiB slices of the buffer, each with its NULs deleted, so the
+    text is never copied whole.
     """
     space = np.empty(0, dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -447,7 +481,8 @@ def _write_csv(path, row: np.dtype, chunks) -> None:
             need = prod(shape) * sum(w + 1 for _, w, _ in fields)
             if space.size < need:  # a later chunk's texts can be wider
                 space = np.empty(need, dtype=np.uint8)
-            rows = space[:need].reshape(*shape, -1)
+            text = space[:need]
+            rows = text.reshape(*shape, -1)
             start = 0
             for values, w, table in fields:
                 if table is None:
@@ -457,7 +492,8 @@ def _write_csv(path, row: np.dtype, chunks) -> None:
                 rows[..., start + w] = ord(",")
                 start += w + 1
             rows[..., -1] = ord("\n")
-            fh.write(rows.tobytes().replace(b"\0", b""))
+            for lo in range(0, need, 1 << 16):
+                fh.write(text[lo : lo + (1 << 16)].tobytes().replace(b"\0", b""))
 
 
 def _numbered_chunks(*columns):
@@ -550,13 +586,24 @@ def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:
     _write_json(doc, path)
 
 
-def read_endpoint_csv(path) -> dict:
-    """Load an endpoint CSV (trajectory,endpoint,z) into arrays; a NaN z is refused by its line."""
-    rows = _read_csv(path, "endpoint", _ENDPOINT_ROW)
-    nan = np.isnan(rows["z"])
-    if nan.any():
-        raise ValueError(f"endpoint CSV {path} line {_row_line(path, np.argmax(nan))}: z is NaN")
-    return {name: rows[name] for name in _ENDPOINT_ROW.names}
+def read_endpoint_csv(path, columns: Sequence[str] = _ENDPOINT_ROW.names) -> dict:
+    """Load an endpoint CSV (trajectory,endpoint,z) into one array per named column.
+
+    The rows are parsed _CSV_CHUNK_ROWS at a time, and every column of them is
+    checked, but only the named columns are kept: z alone takes 8 bytes a
+    trajectory.  A NaN z is refused by its line.
+    """
+    kept: dict[str, list] = {name: [] for name in columns}
+    done = 0
+    for chunk in _csv_chunks(path, "endpoint", _ENDPOINT_ROW, _CSV_CHUNK_ROWS):
+        nan = np.isnan(chunk["z"])
+        if nan.any():
+            line = _row_line(path, done + int(np.argmax(nan)))
+            raise ValueError(f"endpoint CSV {path} line {line}: z is NaN")
+        for name, parts in kept.items():
+            parts.append(chunk[name].copy())  # not a view, which would hold the whole chunk
+        done += chunk.size
+    return {name: np.concatenate(kept.pop(name)) for name in list(kept)}  # parts freed as we go
 
 
 def read_path_csv(path, *, trajectory: int | None = None, m: int | None = None) -> np.ndarray:

@@ -1,15 +1,20 @@
 import argparse
 import hashlib
 import json
+import math
+import shlex
 import shutil
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import wordperim as wp
 from wordperim import simulation
-from wordperim.cli import MODEL_PARAMETER, PLOT_DEFAULTS, PLOT_READS, build_parser, cmd_plot, main
+from wordperim.cli import (MODEL_PARAMETER, PLOT_DEFAULTS, PLOT_READS, _sha256, build_parser,
+                           cmd_plot, main)
 
 
 def run(capsys, *argv):
@@ -196,6 +201,31 @@ def test_histogram_gof_creates_its_directory(capsys, tmp_path):
                      "--gof", str(gof))
     assert code == 0
     assert set(json.loads(gof.read_text())) == {"ks_statistic", "max_cell_abs_error"}
+
+
+def test_histogram_holds_z_and_its_sorted_copy(tmp_path, monkeypatch, peak_memory):
+    # 10**6 normalized binomial endpoints: about 250 distinct z values
+    monkeypatch.chdir(tmp_path)
+    e = np.random.default_rng(17).binomial(2000, 0.5, size=10**6)
+    z = (e - 1000.0) / math.sqrt(500.0)
+    simulation.write_endpoint_csv(SimpleNamespace(endpoints=e, z=z), "ens.csv")
+    with peak_memory() as traced:
+        code = main(["histogram", "--input", "ens.csv", "--out", "h.csv", "--gof", "gof.json"])
+    assert code == 0
+    assert json.loads(Path("gof.json").read_text())["ks_statistic"] == wp.ks_statistic(z)
+    # z, 8 bytes a trajectory; ks_statistic's sorted copy and masks (its own test's bound);
+    # and 1 MiB for a chunk's records and the writers.  The 24-byte records of every row
+    # took 34 MB
+    assert traced.peak <= z.nbytes + 1.3 * z.nbytes + 2**20
+
+
+def test_sha256_reads_through_one_small_buffer(tmp_path, peak_memory):
+    path = tmp_path / "six-mib"
+    path.write_bytes(bytes(range(256)) * (6 * 2**12))
+    with peak_memory() as traced:
+        digest = _sha256(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert traced.peak < 128 * 2**10  # two 1 MiB reads alive at once took 2.1 MB
 
 
 def full_pipeline(capsys, tmp_path):
@@ -461,6 +491,7 @@ TOO_MANY_DIGITS = "has more than 4300 digits, the most Python prints; give --p f
 # (id, steps, exit code, expectation).  Each step but the last sets up the
 # working directory: a {name: text} dict of files to write (None makes a
 # directory) or an argv that must exit 0.  The last step is the argv under test.
+# An argv is split as a shell splits it, so '' is an empty argument.
 # Exit 1 expects its one stderr line after "error: ", an empty stdout, no new
 # file and nothing sampled; exit 2 expects argparse's last stderr line; exit 0
 # expects an empty stderr and the sha256 of stdout and of the manifest (None
@@ -692,6 +723,20 @@ CLI_CASES = [
       for sub, error in [("", "[Errno 17] File exists: 'afile'"),
                          ("/sub", "[Errno 20] Not a directory: 'afile/sub'")]],
 
+    # a file flag whose path has no last part to name a file by: "", "." or "/"
+    *[(f"{argv.split()[0]}-{flag[2:]}-{what}", [*setup, f"{argv} {flag} {value}"], 2,
+       f"wordperim {argv.split()[0]}: error: argument {flag}: not a file path: {value}")
+      for setup, argv, flag, what, value in [
+          ([], f"{U6} --m 5 --trajectories 3 --seed 1", "--out", "empty", "''"),
+          ([], f"{U6} --m 5 --trajectories 3 --seed 1", "--out", "dot", "'.'"),
+          ([ENSEMBLE], "histogram --input ens.csv", "--out", "empty", "''"),
+          ([ENSEMBLE], "histogram --input ens.csv --out h.csv", "--gof", "empty", "''"),
+          ([], "histogram --out h.csv", "--input", "empty", "''"),
+          ([], "plot --kind pmf --model uniform --k 6", "--out", "empty", "''"),
+          ([], "plot --kind trajectory --out x.svg", "--input", "empty", "''"),
+          ([], "render --word 2,3,1", "--out", "empty", "''"),
+          ([], "render --word 2,3,1", "--out", "root", "'/'")]],
+
     ("plot-pmf-uniform", ["plot --kind pmf --model uniform --k 6 --out pmf.svg"], 0,
      ("19e091421c7fafb4307c48adfdcb3671e1278d6e4575d6d74d16d78c2cb28cf8",
       "215824924eaa0b00d003140871d4b3f5070aa267a3c03050220b4a1806712810")),
@@ -855,7 +900,7 @@ def prepare(capsys, setup):
                 else:
                     Path(name).write_text(text)
         else:
-            assert run(capsys, *step.split())[0] == 0
+            assert run(capsys, *shlex.split(step))[0] == 0
 
 
 @pytest.mark.parametrize("steps, code, expect", [case[1:] for case in CLI_CASES],
@@ -864,7 +909,7 @@ def test_cli_case(capsys, tmp_path, monkeypatch, steps, code, expect):
     monkeypatch.chdir(tmp_path)
     *setup, argv = steps
     prepare(capsys, setup)
-    argv = argv.split()
+    argv = shlex.split(argv)
     before = sorted(Path().rglob("*"))
     if code == 2:
         with pytest.raises(SystemExit) as exc:
