@@ -285,7 +285,7 @@ def cmd_histogram(args) -> int:
     if args.gof:
         outputs["--gof"] = Path(args.gof)
     _check_outputs(outputs, {"--input": Path(args.input)})
-    z = _read_input(partial(simulation.read_endpoint_csv, columns=("z",)), args.input)["z"]
+    z = _read_input(simulation.read_endpoint_csv, args.input)
     hist = empirics.build_histogram(z, args.delta)
     report = empirics.GofReport(empirics.ks_statistic(z), hist.max_cell_abs_error)
     writers = {out: partial(empirics.write_histogram_csv, hist)}

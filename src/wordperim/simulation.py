@@ -337,9 +337,9 @@ def empirical_moments(ensemble: TrajectoryEnsemble) -> EmpiricalMoments:
 # ``*.xz`` or ``*.lzma`` would be taken for a compressed file and fail; such a
 # file is parsed from the open handle.  The endpoint reader parses the open
 # handle _CSV_CHUNK_ROWS rows at a time, each ``np.loadtxt`` call resuming
-# where the last stopped, and keeps only the columns it is asked for, so
-# ``histogram`` holds z alone.  ``read_path_csv`` can also parse one path of
-# a file known to be a whole grid, and nothing else.
+# where the last stopped, and keeps z alone, so ``histogram`` holds 8 bytes a
+# trajectory.  ``read_path_csv`` can also parse one path of a file known to be
+# a whole grid, and nothing else.
 # ---------------------------------------------------------------------------
 
 # Rows per formatted chunk, under 1 MB of text for an ensemble CSV; chunks of
@@ -391,8 +391,11 @@ def _next_rows(fh, row: np.dtype, n: int) -> np.ndarray:
     numpy takes ``fh``'s lines from a generator: it parses them as fast as from
     ``fh`` itself, and five times faster under ``tracemalloc``.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns, and reads no rows, past the last line
+    with warnings.catch_warnings():  # numpy's two notes on empty lines, and no other warning
+        # past the last line, where it reads no rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # an empty line does not count towards max_rows, as the reader needs
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
         return np.loadtxt((line for line in fh), dtype=row, delimiter=",", comments=None,
                           ndmin=1, encoding="utf-8", max_rows=n)
 
@@ -586,24 +589,23 @@ def write_config_sidecar(ensemble: TrajectoryEnsemble, path) -> None:
     _write_json(doc, path)
 
 
-def read_endpoint_csv(path, columns: Sequence[str] = _ENDPOINT_ROW.names) -> dict:
-    """Load an endpoint CSV (trajectory,endpoint,z) into one array per named column.
+def read_endpoint_csv(path) -> np.ndarray:
+    """The z column of an endpoint CSV (trajectory,endpoint,z): 8 bytes a trajectory.
 
-    The rows are parsed _CSV_CHUNK_ROWS at a time, and every column of them is
-    checked, but only the named columns are kept: z alone takes 8 bytes a
-    trajectory.  A NaN z is refused by its line.
+    The rows are parsed _CSV_CHUNK_ROWS at a time and every column of them is
+    checked, but z alone is kept.  A malformed row is refused by its line, then
+    a NaN z by its line, in whichever chunks they lie.
     """
-    kept: dict[str, list] = {name: [] for name in columns}
-    done = 0
+    parts, nan_row, done = [], None, 0
     for chunk in _csv_chunks(path, "endpoint", _ENDPOINT_ROW, _CSV_CHUNK_ROWS):
         nan = np.isnan(chunk["z"])
-        if nan.any():
-            line = _row_line(path, done + int(np.argmax(nan)))
-            raise ValueError(f"endpoint CSV {path} line {line}: z is NaN")
-        for name, parts in kept.items():
-            parts.append(chunk[name].copy())  # not a view, which would hold the whole chunk
+        if nan_row is None and nan.any():  # refused once every row has parsed
+            nan_row = done + int(np.argmax(nan))
+        parts.append(chunk["z"].copy())  # not a view, which would hold the whole chunk
         done += chunk.size
-    return {name: np.concatenate(kept.pop(name)) for name in list(kept)}  # parts freed as we go
+    if nan_row is not None:
+        raise ValueError(f"endpoint CSV {path} line {_row_line(path, nan_row)}: z is NaN")
+    return np.concatenate(parts)
 
 
 def read_path_csv(path, *, trajectory: int | None = None, m: int | None = None) -> np.ndarray:

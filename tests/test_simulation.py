@@ -300,9 +300,9 @@ def test_endpoint_csv_round_trip(tmp_path):
     ens = wp.simulate(small_config())
     path = tmp_path / "ens.csv"
     sim.write_endpoint_csv(ens, path)
-    data = sim.read_endpoint_csv(path)
+    assert np.array_equal(sim.read_endpoint_csv(path), ens.z)  # repr round-trips floats exactly
+    data = sim._read_csv(path, "endpoint", sim._ENDPOINT_ROW)
     assert np.array_equal(data["endpoint"], ens.endpoints)
-    assert np.array_equal(data["z"], ens.z)  # repr round-trips floats exactly
     assert np.array_equal(data["trajectory"], np.arange(ens.config.trajectories))
 
 
@@ -383,10 +383,10 @@ def test_csv_writers_equal_row_loops(tmp_path, model, n, m):
     assert e_csv.read_bytes() == reference_endpoint_csv(ens)
     assert p_csv.read_bytes() == reference_path_csv(ens)
 
-    data = sim.read_endpoint_csv(e_csv)
+    assert np.array_equal(sim.read_endpoint_csv(e_csv), ens.z)
+    data = sim._read_csv(e_csv, "endpoint", sim._ENDPOINT_ROW)
     assert np.array_equal(data["trajectory"], np.arange(n))
     assert np.array_equal(data["endpoint"], ens.endpoints)
-    assert np.array_equal(data["z"], ens.z)
     assert np.array_equal(sim.read_path_csv(p_csv), ens.paths)
 
 
@@ -621,9 +621,8 @@ def test_read_csv_line_end_variants(tmp_path, head, sep, end):
 
     paths = csv("p.csv", "trajectory,j,Q", ["0,0,0", "0,1,1", "1,0,0", "1,1,4"])
     assert sim.read_path_csv(paths).tolist() == [[0, 1], [0, 4]]
-    ends = sim.read_endpoint_csv(csv("e.csv", "trajectory,endpoint,z", ["0,1,-0.5", "1,4,2.25"]))
-    assert [ends[name].tolist() for name in ("trajectory", "endpoint", "z")] == [
-        [0, 1], [1, 4], [-0.5, 2.25]]
+    ends = csv("e.csv", "trajectory,endpoint,z", ["0,1,-0.5", "1,4,2.25"])
+    assert sim.read_endpoint_csv(ends).tolist() == [-0.5, 2.25]
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
@@ -633,8 +632,7 @@ def test_plain_csv_with_compressed_suffix_reads(tmp_path, suffix):
     plain, odd = tmp_path / "e.csv", tmp_path / f"e{suffix}"
     for path in (plain, odd):
         sim.write_endpoint_csv(ens, path)
-    want, got = sim.read_endpoint_csv(plain), sim.read_endpoint_csv(odd)
-    assert all(np.array_equal(got[name], want[name]) for name in ("trajectory", "endpoint", "z"))
+    assert np.array_equal(sim.read_endpoint_csv(odd), sim.read_endpoint_csv(plain))
     plain, odd = tmp_path / "p.csv", tmp_path / f"p{suffix}"
     for path in (plain, odd):
         sim.write_path_csv(ens, path)
@@ -678,11 +676,7 @@ def test_endpoint_reader_across_chunks_equals_one_parse(tmp_path, n, name, end, 
     lines = endpoint_lines(n)
     want = one_shot(lines)
     path = endpoint_file(tmp_path / name, lines, end, blanks)
-    got = sim.read_endpoint_csv(path)
-    assert list(got) == ["trajectory", "endpoint", "z"]
-    assert all(np.array_equal(got[field], want[field]) for field in got)
-    z = sim.read_endpoint_csv(path, columns=("z",))
-    assert list(z) == ["z"] and np.array_equal(z["z"], want["z"])
+    assert np.array_equal(sim.read_endpoint_csv(path), want["z"])
 
 
 @pytest.mark.parametrize("n", [C + 1, 3 * C + 1])
@@ -696,9 +690,19 @@ def test_endpoint_reader_refuses_a_row_of_a_later_chunk_by_its_line(tmp_path, n,
     lines[-1] = bad
     path = endpoint_file(tmp_path / "e.csv", lines, "\r\n", BLANKS)
     line = len(path.read_bytes().splitlines())  # the file's last line
-    for columns in (("trajectory", "endpoint", "z"), ("z",)):
-        with pytest.raises(ValueError, match=f"^endpoint CSV .*e.csv line {line}: {problem}$"):
-            sim.read_endpoint_csv(path, columns)
+    with pytest.raises(ValueError, match=f"^endpoint CSV .*e.csv line {line}: {problem}$"):
+        sim.read_endpoint_csv(path)
+
+
+def test_endpoint_reader_refuses_a_malformed_row_before_an_earlier_nan(tmp_path):
+    # a NaN z in chunk 1 and a short row in chunk 2: as one parse of the whole file
+    # would, the short row (line C + 2, after the header) is refused
+    lines = endpoint_lines(C + 1)
+    lines[0], lines[-1] = "0,2,nan\n", "1,2\n"
+    path = endpoint_file(tmp_path / "e.csv", lines, "\n", {})
+    problem = "the dtype passed requires 3 columns but 2 were found"
+    with pytest.raises(ValueError, match=f"^endpoint CSV .*e.csv line {C + 2}: {problem}$"):
+        sim.read_endpoint_csv(path)
 
 
 @pytest.mark.parametrize(
